@@ -171,7 +171,7 @@ def chi2_statistic(d: np.ndarray, P: np.ndarray, strict: bool = False) -> float:
     return float(np.sum(comp[keep] ** 2 / lam[keep]))
 
 
-def detection_statistic(d: np.ndarray, P: np.ndarray) -> float:
+def detection_statistic(d: np.ndarray, P: np.ndarray):
     """Decision-oriented statistic: like d' P^{-1} d but with floored eigenvalues.
 
     A projection onto an active constraint leaves (numerically) zero variance
@@ -181,24 +181,32 @@ def detection_statistic(d: np.ndarray, P: np.ndarray) -> float:
     physical limit) into no evidence at all. Flooring the eigenvalues at
     1e-12 * (1 + trace P) keeps those components, and agrees with the exact
     inverse whenever P is well conditioned.
+
+    d of shape (B, n) with P of shape (B, n, n) gives the B statistics of a
+    batch as an array; a single vector d with its (n, n) covariance is the
+    batch of one and gives a float.
     """
-    d = np.asarray(d, dtype=float).ravel()
+    d = np.asarray(d, dtype=float)
     P = np.asarray(P, dtype=float)
-    if P.shape != (d.size, d.size):
+    single = d.ndim < 2
+    if single:
+        d = d.reshape(1, -1)
+        P = P[None]
+    if P.shape != d.shape + d.shape[-1:]:
         raise ValueError("covariance shape does not match the estimate")
-    if not d.any():
-        return 0.0
-    lam, vecs = np.linalg.eigh(0.5 * (P + P.T))
-    floor = 1e-12 * (1.0 + max(float(np.trace(P)), 0.0))
-    lam = np.maximum(lam, floor)
-    comp = vecs.T @ d
-    return float(np.sum(comp**2 / lam))
+    lam, vecs = np.linalg.eigh(0.5 * (P + P.swapaxes(-1, -2)))
+    floor = 1e-12 * (1.0 + np.maximum(np.trace(P, axis1=-2, axis2=-1), 0.0))
+    lam = np.maximum(lam, floor[:, None])
+    comp = (d[:, None, :] @ vecs)[:, 0]
+    stat = np.where(d.any(axis=-1), np.sum(comp**2 / lam, axis=-1), 0.0)
+    return float(stat[0]) if single else stat
 
 
 @dataclass(frozen=True, slots=True)
 class DetectorConfig:
     """Significance level, degrees of freedom, forgetting rate, and the
-    derived chi-square quantile / CUSUM threshold."""
+    derived chi-square quantile / CUSUM threshold. A forgetting rate of 0
+    is the memoryless chi-square test, whose threshold is the quantile."""
 
     alpha: float
     df: int
@@ -210,8 +218,8 @@ class DetectorConfig:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("significance level must lie strictly between 0 and 1")
         _check_df(self.df)
-        if not 0.0 < self.phi < 1.0:
-            raise ValueError("forgetting rate must lie strictly between 0 and 1")
+        if not 0.0 <= self.phi < 1.0:
+            raise ValueError("forgetting rate must lie in [0, 1)")
         if self.quantile <= 0.0:
             raise ValueError("quantile must be positive")
         expected = self.quantile / (1.0 - self.phi)
@@ -226,23 +234,31 @@ class DetectorConfig:
 
 @dataclass(frozen=True, slots=True)
 class DetectorState:
-    """CUSUM accumulator S and the number of updates applied so far."""
+    """CUSUM accumulator S and the number of updates applied so far.
+
+    S is a float, or an array holding one accumulator per run of a batch.
+    """
 
     S: float = 0.0
     step: int = 0
 
     def __post_init__(self):
-        if self.S < 0.0:
+        if np.any(np.less(self.S, 0.0)):
             raise ValueError("CUSUM accumulator must be nonnegative")
 
 
-def cusum_update(state: DetectorState, stat: float, config: DetectorConfig):
-    """One CUSUM step: S' = phi * S + stat, alarm when S' exceeds the threshold."""
-    if stat < 0.0:
+def cusum_update(state: DetectorState, stat, config: DetectorConfig):
+    """One CUSUM step: S' = phi * S + stat, alarm when S' exceeds the threshold.
+
+    stat may be an array of per-run statistics over a batch accumulator;
+    the alarm then is an array too.
+    """
+    if np.any(np.less(stat, 0.0)):
         raise ValueError("test statistic must be nonnegative")
     s_new = config.phi * state.S + stat
     new_state = DetectorState(S=s_new, step=state.step + 1)
-    return new_state, bool(s_new > config.threshold)
+    alarm = s_new > config.threshold
+    return new_state, alarm if np.ndim(alarm) else bool(alarm)
 
 
 def false_negative_rate(stats, quantile: float, truth) -> float:

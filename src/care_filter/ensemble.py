@@ -1,13 +1,17 @@
-"""Vectorized Monte Carlo of the vehicle scenario for long horizons.
+"""The batched filter kernel of the vehicle scenario and `run_ensemble`.
 
-`run_ensemble` propagates many independent realizations side by side,
-stacking the per-run matrices so each filter step costs a handful of
-batched numpy calls instead of a Python loop over runs. The per-run noise
-comes from the same seeded source as the sequential harness, run i uses
-run_index i, so an ensemble member sees exactly the noise the sequential
-`simulate(config, run_index=i)` would see. The arithmetic mirrors the
-sequential filter step for the vehicle system (C = I, diagonal Q and R);
-results agree with the sequential path to floating-point reordering.
+`_Batch` propagates many independent realizations side by side and runs
+the MVU input/state filter (Gillijns & De Moor, Automatica 43(1), 2007)
+over a leading row axis, so each step costs a handful of batched numpy
+calls instead of a Python loop over runs and filters. Rows are laid out
+filter-major, [care runs | ise runs]: the truth is propagated once per
+realization and every filter block of a realization sees that
+realization's measurement. Per-run noise comes from `NoiseSpec(seed, i)`
+for run index i. The arithmetic is the step of `care_step` specialized to
+the vehicle system (C = I, diagonal Q and R); results agree with that
+general path to floating-point reordering. `run_ensemble` here and
+`simulate`/`monte_carlo` in the harness are the drivers of this one
+kernel.
 
 Projection is where runs genuinely differ: most steps clip at most one
 constraint row per run, which has a closed-form solution that vectorizes
@@ -16,9 +20,9 @@ feasible and the multiplier nonnegative). Runs that need a real active-set
 search drop into the scalar projector one at a time; the result records
 how often that happened.
 
-The point of all this is stability studies: hundreds of runs over ten
-thousand steps, where the sequential harness would take the better part of
-ten minutes on one core.
+The point of `run_ensemble` is stability studies: hundreds of runs over
+ten thousand steps, reduced to per-step error energies and running
+covariance extrema instead of full per-step records.
 """
 
 from dataclasses import dataclass
@@ -28,10 +32,14 @@ import numpy as np
 from .config import ScenarioConfig
 from .estimator import AttackUnidentifiableError
 from .model import NoiseSpec
-from .projection import _project_core
+from .projection import _project_core, _regularized_cov
 from .vehicle import VehicleParams, attack_input, build_constraints, slip_angle, vehicle_model
 
 __all__ = ["EnsembleResult", "run_ensemble"]
+
+_FILTERS = ("care", "ise")
+_EYE2 = np.eye(2)
+_EYE4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -62,21 +70,53 @@ def _bsym(X):
     return 0.5 * (X + X.transpose(0, 2, 1))
 
 
-def _box_project(est, cov, A, b, counter, active_out=None):
+def _inv2_stack(P):
+    a, c = P[:, 0, 0], P[:, 1, 1]
+    b = 0.5 * (P[:, 0, 1] + P[:, 1, 0])
+    det = a * c - b * b
+    out = np.empty_like(P)
+    out[:, 0, 0] = c / det
+    out[:, 1, 1] = a / det
+    out[:, 0, 1] = -b / det
+    out[:, 1, 0] = out[:, 0, 1]
+    return out
+
+
+def _check_forms(P, gain, Ab, runs, name):
+    """The self-check of `project_attack`, over a stack of active runs.
+
+    Assembles each projected covariance in the symmetric form
+    (I - gain A_bar) P (I - gain A_bar)' and in the short form
+    (I - gain A_bar) P, and raises RuntimeError naming the first run
+    (name(run)) where they disagree beyond 1e-8.
+    """
+    GA = gain @ Ab
+    short = P - GA @ P
+    sym = _bsym(short - short @ GA.transpose(0, 2, 1))
+    bad = np.abs(sym - short).max(axis=(1, 2)) > 1e-8 * (1.0 + np.abs(P).max(axis=(1, 2)))
+    if bad.any():
+        raise RuntimeError(f"projected covariance forms disagree at {name(runs[np.argmax(bad)])}; "
+                           "active-set solve is unreliable")
+
+
+def _box_project(est, cov, A, b, counter, active_out, check_forms=None):
     """Project each run's estimate onto {z : A z <= b}, in place.
 
     est (R, n) and cov (R, n, n) are overwritten. Runs violating exactly
     one row get the closed-form single-row solution when its KKT check
     passes; everything else goes through the scalar active-set projector.
-    active_out, when given, receives each run's active-row count. Returns
-    the updated fallback counter.
+    active_out receives each run's active-row count. check_forms, a
+    callable naming run r, turns on `_check_forms` for every active run.
+    Returns the updated fallback counter.
     """
     viol = est @ A.T - b
     if viol.max() <= 0.0:
         return counter
     hit = np.flatnonzero(viol.max(axis=1) > 0.0)
     maxb = float(np.abs(b).max())
-    tol = 1e-10 * (1.0 + np.linalg.norm(est[hit], axis=1) + maxb)
+    # each flagged run's Euclidean norm, bit for bit what np.linalg.norm
+    # returns, without its per-call overhead
+    tol = 1e-10 * (1.0 + np.sqrt(np.add.reduce(est[hit] ** 2, axis=1)) + maxb)
     over = viol[hit] > tol[:, None]
     nover = over.sum(axis=1)
 
@@ -94,34 +134,194 @@ def _box_project(est, cov, A, b, counter, active_out=None):
             ok = np.isfinite(t) & (aPa > 0.0)
             ok &= ((z @ A.T - b) <= tol[single][:, None]).all(axis=1)
         good = runs1[ok]
+        Pa, aPa = Pa[ok], aPa[ok][:, None, None]
+        if check_forms is not None and good.size:
+            _check_forms(cov[good], Pa[:, :, None] / aPa, a[ok][:, None, :],
+                         good, check_forms)
         est[good] = z[ok]
-        cov[good] -= Pa[ok][:, :, None] * Pa[ok][:, None, :] / aPa[ok][:, None, None]
-        if active_out is not None:
-            active_out[good] = 1
+        cov[good] -= Pa[:, :, None] * Pa[:, None, :] / aPa
+        active_out[good] = 1
         stubborn = runs1[~ok]
     else:
         stubborn = np.empty(0, dtype=int)
 
-    for r in np.concatenate([stubborn, hit[nover >= 2]]):
-        res = _project_core(est[r], cov[r], A, b)
+    fallback = np.concatenate([stubborn, hit[nover >= 2]])
+    if not fallback.size:
+        return counter
+    weights = _bsym(cov[fallback])
+    try:
+        # one stacked Cholesky settles the common case: every weight is
+        # positive definite, and _regularized_cov would return it as is
+        np.linalg.cholesky(weights)
+    except np.linalg.LinAlgError:
+        weights = [_regularized_cov(cov[r]) for r in fallback]
+    for r, weight in zip(fallback, weights):
+        res = _project_core(est[r], weight, A, b)
+        if check_forms is not None and res.active_set:
+            _check_forms(cov[r][None], res.gain[None], A[list(res.active_set)][None],
+                         [r], check_forms)
         est[r] = res.estimate
         cov[r] = res.covariance
-        if active_out is not None:
-            active_out[r] = len(res.active_set)
+        active_out[r] = len(res.active_set)
         counter += 1
     return counter
 
 
-def _inv2_stack(P):
-    a, c = P[:, 0, 0], P[:, 1, 1]
-    b = 0.5 * (P[:, 0, 1] + P[:, 1, 0])
-    det = a * c - b * b
-    out = np.empty_like(P)
-    out[:, 0, 0] = c / det
-    out[:, 1, 1] = a / det
-    out[:, 0, 1] = -b / det
-    out[:, 1, 0] = out[:, 0, 1]
-    return out
+class _Batch:
+    """Stepping state of realizations x filters of the vehicle scenario.
+
+    Row f * R + i is filter `names[f]` on realization `run_indices[i]`.
+    Each filter schedules its matrices on its own previous speed estimate;
+    the plant uses the true speed. After `step(k)` the attributes hold
+    step k for every row: the final estimates x, P, d, Pd (projected on
+    the care rows), the unprojected x_raw, P_raw, d_raw, Pd_raw, the
+    active constraint counts in_act and st_act, and mcg_dev, the largest
+    entry of |M C G - I|. x_true holds the truth of each realization.
+    """
+
+    def __init__(self, config: ScenarioConfig, run_indices, filters):
+        for name in filters:
+            if name not in _FILTERS:
+                raise ValueError(f"unknown filter {name!r}")
+        self.names = [name for name in _FILTERS if name in filters]
+        self.run_indices = list(run_indices)
+        R = len(self.run_indices)
+        N = R * len(self.names)
+        K = config.horizon
+        params = VehicleParams(l_f=config.l_f, l_r=config.l_r, T_s=config.t_s)
+        self.params = params
+        self.clamp_truth = config.clamp_truth
+
+        noise_model = vehicle_model(lambda k: 0.0, params)
+        self.W = np.empty((R, K, 4))
+        self.V = np.empty((R, K + 1, 4))
+        for i, run in enumerate(self.run_indices):
+            self.W[i], self.V[i] = NoiseSpec(config.seed, run).sample(noise_model, K)
+
+        self.d_true = np.zeros((K, 2))
+        if config.attack == "vehicle":
+            for k in range(K):
+                self.d_true[k] = attack_input(k, params)
+
+        u_raw = (config.control_delta, config.control_accel)
+        self.u_beta = np.array([slip_angle(u_raw[0], params), u_raw[1]])
+        self.A_in, self.b_in, self.B_st, self.c_st = build_constraints(u_raw, params)
+        self.q_diag = np.asarray(params.q_diag, dtype=float)
+        self.r_diag = np.asarray(params.r_diag, dtype=float)
+        self.Q = np.diag(self.q_diag)
+        self.R_mat = np.diag(self.r_diag)
+
+        x0 = np.array(config.x0, dtype=float)
+        self.x_true = np.broadcast_to(x0, (R, 4)).copy()
+        self.x = np.broadcast_to(x0, (N, 4)).copy()
+        self.P = np.broadcast_to(config.p0_scale * np.eye(4), (N, 4, 4)).copy()
+        self.n_care = R if "care" in self.names else 0
+        self.fallbacks = 0
+        self.in_act = np.zeros(N, dtype=np.int64)
+        self.st_act = np.zeros(N, dtype=np.int64)
+
+        # constant slots of the scheduled matrices; speed-dependent entries
+        # are rewritten every step (separate buffers for plant and filters)
+        T = params.T_s
+        self.A_t = np.tile(np.eye(4), (R, 1, 1))
+        self.A_t[:, 0, 3] = T
+        self.B_t = np.zeros((R, 4, 2))
+        self.B_t[:, 3, 1] = T
+        self.A_f = np.tile(self.A_t[:1], (N, 1, 1))
+        self.B_f = np.tile(self.B_t[:1], (N, 1, 1))
+
+    def _where(self, k, row):
+        R = len(self.run_indices)
+        return f"k={k}, run {self.run_indices[row % R]}, filter {self.names[row // R]}"
+
+    def _schedule(self, A, B, v):
+        vT = v * self.params.T_s
+        A[:, 1, 2] = vT
+        B[:, 1, 0] = vT
+        B[:, 2, 0] = vT / self.params.l_r
+
+    def step(self, k):
+        km1 = k - 1
+        p = self.params
+        q_diag, r_diag = self.q_diag, self.r_diag
+
+        self._schedule(self.A_t, self.B_t, self.x_true[:, 3])
+        x_true = (self.A_t @ self.x_true[..., None])[..., 0] + self.B_t @ self.u_beta \
+            + self.B_t @ self.d_true[km1] + self.W[:, km1]
+        if self.clamp_truth:
+            np.clip(x_true[:, 0], 0.0, p.x_max, out=x_true[:, 0])
+            np.clip(x_true[:, 1], 0.0, p.y_max, out=x_true[:, 1])
+            np.clip(x_true[:, 3], 0.0, p.v_max, out=x_true[:, 3])
+        self.x_true = x_true
+        y = x_true + self.V[:, k]
+        if len(self.names) > 1:
+            y = np.tile(y, (len(self.names), 1))
+
+        x_cur, P_cur = self.x, self.P
+        A_f, G_f = self.A_f, self.B_f
+        self._schedule(A_f, G_f, x_cur[:, 3])
+        At_f = A_f.transpose(0, 2, 1)
+        Gt_f = G_f.transpose(0, 2, 1)
+
+        pred_x = (A_f @ x_cur[..., None])[..., 0] + G_f @ self.u_beta
+        Pp = _bsym(A_f @ P_cur @ At_f + self.Q)
+
+        S = Pp + self.R_mat
+        R_til = _bsym(np.linalg.inv(S))
+        T_mat = Gt_f @ R_til
+        N = _bsym(T_mat @ G_f)
+        na, nc = N[:, 0, 0], N[:, 1, 1]
+        nb = N[:, 0, 1]
+        half_tr = 0.5 * (na + nc)
+        disc = np.hypot(0.5 * (na - nc), nb)
+        lo = half_tr - disc
+        bad = (lo <= 0.0) | (half_tr + disc > 1e12 * lo)
+        if bad.any():
+            r = int(np.argmax(bad))
+            why = ("is not positive definite" if lo[r] <= 0.0
+                   else "condition number exceeds 1e12")
+            raise AttackUnidentifiableError(
+                f"attack unidentifiable at {self._where(k, r)}: G'C'R~CG {why}")
+        Pd_u = _inv2_stack(N)
+        M = Pd_u @ T_mat
+        d_u = (M @ (y - pred_x)[..., None])[..., 0]
+        P_xd = -(P_cur @ At_f @ M.transpose(0, 2, 1))
+
+        x_star = pred_x + (G_f @ d_u[..., None])[..., 0]
+        cross = A_f @ P_xd @ Gt_f
+        GM = G_f @ M
+        GMQ = GM * q_diag
+        P_star = _bsym(Pp + cross + cross.transpose(0, 2, 1)
+                       + G_f @ Pd_u @ Gt_f - GMQ - GMQ.transpose(0, 2, 1))
+        GMR = GM * r_diag
+        R_star = _bsym(P_star - GMR - GMR.transpose(0, 2, 1) + self.R_mat)
+
+        w_eig, Vec = np.linalg.eigh(R_star)
+        absw = np.abs(w_eig)
+        keep = absw > 4.0e-12 * absw.max(axis=1)[:, None]
+        inv_w = np.where(keep, 1.0, 0.0) / np.where(keep, w_eig, 1.0)
+        Rs_pinv = (Vec * inv_w[:, None, :]) @ Vec.transpose(0, 2, 1)
+        L = (P_star - GMR) @ Rs_pinv
+        x_u = x_star + (L @ (y - x_star)[..., None])[..., 0]
+        ImLC = _EYE4 - L
+        t1 = ImLC @ GMR @ L.transpose(0, 2, 1)
+        P_u = _bsym(t1 + t1.transpose(0, 2, 1)
+                    + ImLC @ P_star @ ImLC.transpose(0, 2, 1)
+                    + (L * r_diag) @ L.transpose(0, 2, 1))
+
+        self.mcg_dev = np.abs(M @ G_f - _EYE2).max(axis=(1, 2))
+        self.x_raw, self.P_raw, self.d_raw, self.Pd_raw = x_u, P_u, d_u, Pd_u
+        self.in_act.fill(0)
+        self.st_act.fill(0)
+        n = self.n_care
+        if n:
+            x_u, P_u, d_u, Pd_u = x_u.copy(), P_u.copy(), d_u.copy(), Pd_u.copy()
+            self.fallbacks = _box_project(d_u[:n], Pd_u[:n], self.A_in, self.b_in,
+                                          self.fallbacks, self.in_act[:n],
+                                          check_forms=lambda r: self._where(k, r))
+            self.fallbacks = _box_project(x_u[:n], P_u[:n], self.B_st, self.c_st,
+                                          self.fallbacks, self.st_act[:n])
+        self.x, self.P, self.d, self.Pd = x_u, P_u, d_u, Pd_u
 
 
 def _audit_update(audit, which, act, e_con, e_unc, W, tr_pre, tr_post):
@@ -161,6 +361,34 @@ def _new_audit():
     return audit
 
 
+def _audit_step(audit, batch, km1):
+    """Tally one step's projections of a constrained batch."""
+    R = len(batch.run_indices)
+    d_true = batch.d_true[km1]
+    x_true = batch.x_true
+    d_feas = bool((batch.A_in @ d_true <= batch.b_in).all())
+    x_feas = (x_true @ batch.B_st.T <= batch.c_st).all(axis=1)
+    if not d_feas:
+        audit["truth_infeasible_steps"] += R
+    audit["truth_infeasible_steps"] += int((~x_feas).sum())
+    ar = np.flatnonzero((batch.in_act > 0) & d_feas)
+    if ar.size:
+        _audit_update(
+            audit, "d", ar,
+            batch.d[ar] - d_true, batch.d_raw[ar] - d_true,
+            _inv2_stack(batch.Pd_raw[ar]),
+            np.trace(batch.Pd_raw[ar], axis1=1, axis2=2),
+            np.trace(batch.Pd[ar], axis1=1, axis2=2))
+    ar = np.flatnonzero((batch.st_act > 0) & x_feas)
+    if ar.size:
+        _audit_update(
+            audit, "x", ar,
+            batch.x[ar] - x_true[ar], batch.x_raw[ar] - x_true[ar],
+            np.linalg.inv(batch.P_raw[ar]),
+            np.trace(batch.P_raw[ar], axis1=1, axis2=2),
+            np.trace(batch.P[ar], axis1=1, axis2=2))
+
+
 def run_ensemble(config: ScenarioConfig, runs: int = None, constrained: bool = True,
                  record_states: bool = False,
                  projection_audit: bool = False) -> EnsembleResult:
@@ -179,194 +407,50 @@ def run_ensemble(config: ScenarioConfig, runs: int = None, constrained: bool = T
     """
     R = config.runs if runs is None else int(runs)
     K = config.horizon
-    params = VehicleParams(l_f=config.l_f, l_r=config.l_r, T_s=config.t_s)
-    T = params.T_s
-
-    noise_model = vehicle_model(lambda k: 0.0, params)
-    W_all = np.empty((R, K, 4))
-    V_all = np.empty((R, K + 1, 4))
-    for i in range(R):
-        W_all[i], V_all[i] = NoiseSpec(config.seed, i).sample(noise_model, K)
-
-    d_true = np.zeros((K, 2))
-    if config.attack == "vehicle":
-        for k in range(K):
-            d_true[k] = attack_input(k, params)
-
-    u_raw = (config.control_delta, config.control_accel)
-    u_beta = np.array([slip_angle(u_raw[0], params), u_raw[1]])
-    A_in, b_in, B_st, c_st = build_constraints(u_raw, params)
-
-    q_diag = np.asarray(params.q_diag, dtype=float)
-    r_diag = np.asarray(params.r_diag, dtype=float)
-    Q = np.diag(q_diag)
-    R_mat = np.diag(r_diag)
-    eye4 = np.eye(4)
-    eye2 = np.eye(2)
-
-    x0 = np.array(config.x0, dtype=float)
-    x_true = np.broadcast_to(x0, (R, 4)).copy()
-    x_cur = x_true.copy()
-    P_cur = np.broadcast_to(config.p0_scale * eye4, (R, 4, 4)).copy()
-
-    # constant slots of the scheduled matrices; speed-dependent entries are
-    # rewritten every step (separate buffers for plant and filter)
-    A_f = np.tile(eye4, (R, 1, 1))
-    A_f[:, 0, 3] = T
-    B_f = np.zeros((R, 4, 2))
-    B_f[:, 3, 1] = T
-    A_t = A_f.copy()
-    B_t = B_f.copy()
+    batch = _Batch(config, range(R), ("care",) if constrained else ("ise",))
 
     err_sq = np.empty((R, K))
     max_trace_pxu = 0.0
     max_cov_trace = 0.0
     max_mcg_dev = 0.0
-    fallbacks = 0
     audit = _new_audit() if projection_audit else None
 
     if record_states:
         X_rec = np.empty((R, K + 1, 4))
         D_rec = np.empty((R, K, 2))
         XT_rec = np.empty((R, K + 1, 4))
-        X_rec[:, 0] = x0
-        XT_rec[:, 0] = x0
+        X_rec[:, 0] = batch.x
+        XT_rec[:, 0] = batch.x_true
     else:
         X_rec = D_rec = XT_rec = None
 
     for k in range(1, K + 1):
         km1 = k - 1
-
-        vt = x_true[:, 3]
-        A_t[:, 1, 2] = vt * T
-        B_t[:, 1, 0] = vt * T
-        B_t[:, 2, 0] = vt * T / params.l_r
-        x_true = (A_t @ x_true[..., None])[..., 0] + B_t @ u_beta \
-            + B_t @ d_true[km1] + W_all[:, km1]
-        if config.clamp_truth:
-            np.clip(x_true[:, 0], 0.0, params.x_max, out=x_true[:, 0])
-            np.clip(x_true[:, 1], 0.0, params.y_max, out=x_true[:, 1])
-            np.clip(x_true[:, 3], 0.0, params.v_max, out=x_true[:, 3])
-        y = x_true + V_all[:, k]
-
-        vf = x_cur[:, 3]
-        A_f[:, 1, 2] = vf * T
-        B_f[:, 1, 0] = vf * T
-        B_f[:, 2, 0] = vf * T / params.l_r
-        G_f = B_f
-        At_f = A_f.transpose(0, 2, 1)
-        Gt_f = G_f.transpose(0, 2, 1)
-
-        pred_x = (A_f @ x_cur[..., None])[..., 0] + B_f @ u_beta
-        Pp = _bsym(A_f @ P_cur @ At_f + Q)
-
-        S = Pp + R_mat
-        R_til = _bsym(np.linalg.inv(S))
-        T_mat = Gt_f @ R_til
-        N = _bsym(T_mat @ G_f)
-        na, nc = N[:, 0, 0], N[:, 1, 1]
-        nb = N[:, 0, 1]
-        half_tr = 0.5 * (na + nc)
-        disc = np.hypot(0.5 * (na - nc), nb)
-        lo = half_tr - disc
-        if (lo <= 0.0).any() or ((half_tr + disc) > 1e12 * lo).any():
-            raise AttackUnidentifiableError(
-                "attack directions are not identifiable from the outputs")
-        det = na * nc - nb * nb
-        Pd_u = np.empty((R, 2, 2))
-        Pd_u[:, 0, 0] = nc / det
-        Pd_u[:, 1, 1] = na / det
-        Pd_u[:, 0, 1] = -nb / det
-        Pd_u[:, 1, 0] = Pd_u[:, 0, 1]
-        M = Pd_u @ T_mat
-        d_u = (M @ (y - pred_x)[..., None])[..., 0]
-        P_xd = -(P_cur @ At_f @ M.transpose(0, 2, 1))
-
-        x_star = pred_x + (G_f @ d_u[..., None])[..., 0]
-        cross = A_f @ P_xd @ Gt_f
-        GM = G_f @ M
-        GMQ = GM * q_diag
-        P_star = _bsym(Pp + cross + cross.transpose(0, 2, 1)
-                       + G_f @ Pd_u @ Gt_f - GMQ - GMQ.transpose(0, 2, 1))
-        GMR = GM * r_diag
-        R_star = _bsym(P_star - GMR - GMR.transpose(0, 2, 1) + R_mat)
-
-        w_eig, Vec = np.linalg.eigh(R_star)
-        absw = np.abs(w_eig)
-        keep = absw > 4.0e-12 * absw.max(axis=1)[:, None]
-        inv_w = np.where(keep, 1.0, 0.0) / np.where(keep, w_eig, 1.0)
-        Rs_pinv = (Vec * inv_w[:, None, :]) @ Vec.transpose(0, 2, 1)
-        L = (P_star - GMR) @ Rs_pinv
-        x_u = x_star + (L @ (y - x_star)[..., None])[..., 0]
-        ImLC = eye4 - L
-        t1 = ImLC @ GMR @ L.transpose(0, 2, 1)
-        P_u = _bsym(t1 + t1.transpose(0, 2, 1)
-                    + ImLC @ P_star @ ImLC.transpose(0, 2, 1)
-                    + (L * r_diag) @ L.transpose(0, 2, 1))
-
-        dev = float(np.abs(M @ G_f - eye2).max())
-        if dev > max_mcg_dev:
-            max_mcg_dev = dev
+        batch.step(k)
+        max_mcg_dev = max(max_mcg_dev, float(batch.mcg_dev.max()))
 
         # trace extrema come from the unconstrained pair; projection can
         # only shrink a trace, so these also bound the constrained ones
         if k > 100:
-            tru = float(np.trace(P_u, axis1=1, axis2=2).max())
-            if tru > max_trace_pxu:
-                max_trace_pxu = tru
-            trd = float(np.trace(Pd_u, axis1=1, axis2=2).max())
-            big = max(tru, trd)
-            if big > max_cov_trace:
-                max_cov_trace = big
+            tru = float(np.trace(batch.P_raw, axis1=1, axis2=2).max())
+            max_trace_pxu = max(max_trace_pxu, tru)
+            trd = float(np.trace(batch.Pd_raw, axis1=1, axis2=2).max())
+            max_cov_trace = max(max_cov_trace, tru, trd)
 
-        if constrained:
-            if audit is None:
-                fallbacks = _box_project(d_u, Pd_u, A_in, b_in, fallbacks)
-                fallbacks = _box_project(x_u, P_u, B_st, c_st, fallbacks)
-            else:
-                d_raw = d_u.copy()
-                Pd_raw = Pd_u.copy()
-                x_raw = x_u.copy()
-                Px_raw = P_u.copy()
-                in_act = np.zeros(R, dtype=int)
-                st_act = np.zeros(R, dtype=int)
-                fallbacks = _box_project(d_u, Pd_u, A_in, b_in, fallbacks, in_act)
-                fallbacks = _box_project(x_u, P_u, B_st, c_st, fallbacks, st_act)
-                d_feas = bool((A_in @ d_true[km1] <= b_in).all())
-                x_feas = (x_true @ B_st.T <= c_st).all(axis=1)
-                if not d_feas:
-                    audit["truth_infeasible_steps"] += R
-                audit["truth_infeasible_steps"] += int((~x_feas).sum())
-                ar = np.flatnonzero((in_act > 0) & d_feas)
-                if ar.size:
-                    _audit_update(
-                        audit, "d", ar,
-                        d_u[ar] - d_true[km1], d_raw[ar] - d_true[km1],
-                        _inv2_stack(Pd_raw[ar]),
-                        np.trace(Pd_raw[ar], axis1=1, axis2=2),
-                        np.trace(Pd_u[ar], axis1=1, axis2=2))
-                ar = np.flatnonzero((st_act > 0) & x_feas)
-                if ar.size:
-                    _audit_update(
-                        audit, "x", ar,
-                        x_u[ar] - x_true[ar], x_raw[ar] - x_true[ar],
-                        np.linalg.inv(Px_raw[ar]),
-                        np.trace(Px_raw[ar], axis1=1, axis2=2),
-                        np.trace(P_u[ar], axis1=1, axis2=2))
+        if constrained and audit is not None:
+            _audit_step(audit, batch, km1)
 
-        err = x_u - x_true
+        err = batch.x - batch.x_true
         err_sq[:, km1] = np.einsum('ij,ij->i', err, err)
-        x_cur = x_u
-        P_cur = P_u
 
         if record_states:
-            X_rec[:, k] = x_u
-            D_rec[:, km1] = d_u
-            XT_rec[:, k] = x_true
+            X_rec[:, k] = batch.x
+            D_rec[:, km1] = batch.d
+            XT_rec[:, k] = batch.x_true
 
     return EnsembleResult(
         runs=R, horizon=K, err_sq=err_sq,
         max_trace_pxu=max_trace_pxu, max_cov_trace=max_cov_trace,
-        max_mcg_dev=max_mcg_dev, fallback_projections=fallbacks,
+        max_mcg_dev=max_mcg_dev, fallback_projections=batch.fallbacks,
         x_hat=X_rec, d_hat=D_rec, x_true=XT_rec, audit=audit,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConstraintSet, SystemModel
-from .projection import ProjectionResult, _extreme_eigs, project_attack, project_state
+from .projection import ProjectionResult, _extreme_eigs, _inv_small_sym, project_attack, project_state
 
 __all__ = [
     "AttackEstimate",
@@ -51,20 +51,6 @@ def _eye(n):
     except KeyError:
         _eye_cache[n] = np.eye(n)
         return _eye_cache[n]
-
-
-def _inv_small(N):
-    """Inverse of a symmetric positive definite matrix, closed form for
-    sizes one and two (the common attack dimensions)."""
-    n = N.shape[0]
-    if n == 1:
-        return np.array([[1.0 / N[0, 0]]])
-    if n == 2:
-        a, c = N[0, 0], N[1, 1]
-        bb = N[0, 1]
-        det = a * c - bb * bb
-        return np.array([[c, -bb], [-bb, a]]) / det
-    return np.linalg.inv(N)
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,7 +162,7 @@ def estimate_attack(pred: Prediction, model: SystemModel, prev_cov, y) -> Attack
         raise AttackUnidentifiableError(
             f"attack unidentifiable at k={k}: G'C'R~CG condition number exceeds 1e12"
         )
-    P_d = _sym(_inv_small(N))
+    P_d = _sym(_inv_small_sym(N))
     M = P_d @ T
     d_hat = M @ (np.asarray(y, dtype=float).ravel() - C @ pred.x_hat)
     P_xd = -prev_cov @ model.A(k - 1).T @ C.T @ M.T

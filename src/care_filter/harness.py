@@ -1,11 +1,14 @@
 """Closed-loop simulation of the vehicle scenario with paired filters.
 
-`simulate` propagates the true vehicle under attack, then runs the
-constrained filter and the unconstrained baseline on the identical noise
-realization. Both filters schedule their matrices on their own previous
-speed estimate; the plant uses the true speed. Per-step detector
-statistics, CUSUM state and covariance traces are recorded alongside the
-estimates, and windowed error metrics are reduced at the end.
+`monte_carlo` runs its realizations and the requested filters as one
+stacked batch through the ensemble's filter kernel: the true vehicle is
+propagated under attack once per realization, and the constrained filter
+and the unconstrained baseline see the identical noise realization. Both
+filters schedule their matrices on their own previous speed estimate; the
+plant uses the true speed. `simulate` is the batch of one realization.
+Per-step detector statistics, CUSUM state and covariance traces are
+recorded alongside the estimates, and windowed error metrics are reduced
+at the end.
 """
 
 from dataclasses import dataclass
@@ -14,9 +17,11 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .detector import DetectorConfig, DetectorState, cusum_update, detection_statistic, false_negative_rate
-from .estimator import care_step, initial_state
-from .model import NoiseSpec, SystemModel
-from .vehicle import VehicleParams, attack_input, bicycle_matrices, slip_angle, vehicle_constraints, vehicle_model
+from .ensemble import _Batch
+# no longer called here; the per-layer hooks of bench/tracing.py resolve
+# these two names on this module
+from .estimator import care_step  # noqa: F401
+from .vehicle import bicycle_matrices  # noqa: F401
 
 __all__ = [
     "FilterRun",
@@ -93,51 +98,96 @@ def transformed_dynamics(A, C, G, M, gamma_bar):
     return (np.eye(A.shape[0]) - G @ M @ inner) @ A_bar @ gamma_bar
 
 
-def _control_fn(config: ScenarioConfig):
-    u = (config.control_delta, config.control_accel)
-    return lambda k: u
+def _metrics(rec, x_true, d_true, config, detector_cfg, detector,
+             max_mcg_dev, max_trace_pxu) -> RunMetrics:
+    K = config.horizon
+    x_err = rec.x_hat[1:] - x_true[1:]
+    d_err = rec.d_hat - d_true
+    attacked = np.any(d_true != 0.0, axis=1)
+    if detector and attacked.any():
+        f_neg = false_negative_rate(rec.stats[1:], detector_cfg.quantile, attacked)
+    else:
+        f_neg = float("nan")
+    a0, a1 = config.alarm_start, min(config.alarm_end, K)
+    sustained = (bool(rec.alarms[a0:a1 + 1].all())
+                 if detector and a0 <= K else False)
+    return RunMetrics(
+        sum_sq_state_err=float(np.sum(x_err ** 2)),
+        sum_sq_attack_err=float(np.sum(d_err ** 2)),
+        sum_trace_px=float(np.sum(rec.trace_px[1:])),
+        sum_trace_pd=float(np.sum(rec.trace_pd[config.pd_window_start:])),
+        f_neg=f_neg,
+        alarm_fraction=float(np.mean(rec.alarms[1:])) if detector else float("nan"),
+        sustained_alarm=sustained,
+        max_mcg_dev=float(max_mcg_dev),
+        max_trace_pxu=float(max_trace_pxu),
+    )
 
 
-def _truth_step(x, u_beta, d, w, params, clamp):
-    A, B, G, _ = bicycle_matrices(x[3], params)
-    nxt = A @ x + B @ u_beta + G @ d + w
-    if clamp:
-        nxt[0] = min(max(nxt[0], 0.0), params.x_max)
-        nxt[1] = min(max(nxt[1], 0.0), params.y_max)
-        nxt[3] = min(max(nxt[3], 0.0), params.v_max)
-    return nxt
+def _run(config: ScenarioConfig, run_indices, filters, detector):
+    """All realizations x filters as one batch; a SimulationResult per run."""
+    batch = _Batch(config, run_indices, filters)
+    K = config.horizon
+    R = len(batch.run_indices)
+    N = R * len(batch.names)
+    detector_cfg = DetectorConfig.from_parameters(config.alpha, df=2, phi=config.phi)
 
+    X, X_raw = np.empty((N, K + 1, 4)), np.empty((N, K + 1, 4))
+    D, D_raw = np.empty((N, K, 2)), np.empty((N, K, 2))
+    TX, TX_raw = np.empty((N, K + 1)), np.empty((N, K + 1))
+    TD, TD_raw = np.empty((N, K)), np.empty((N, K))
+    stats, cusum = np.zeros((N, K + 1)), np.zeros((N, K + 1))
+    alarms = np.zeros((N, K + 1), dtype=bool)
+    in_act = np.zeros((N, K), dtype=np.int64)
+    st_act = np.zeros((N, K), dtype=np.int64)
+    XT = np.empty((R, K + 1, 4))
+    X[:, 0] = X_raw[:, 0] = batch.x
+    TX[:, 0] = TX_raw[:, 0] = np.trace(batch.P, axis1=1, axis2=2)
+    XT[:, 0] = batch.x_true
+    max_mcg = np.zeros(N)
+    max_pxu = np.zeros(N)
+    det_state = DetectorState(S=np.zeros(N))
 
-class _ScheduledModel:
-    """Vehicle model reading speeds from a growing per-step list.
+    for k in range(1, K + 1):
+        km1 = k - 1
+        batch.step(k)
+        X[:, k] = batch.x
+        X_raw[:, k] = batch.x_raw
+        D[:, km1] = batch.d
+        D_raw[:, km1] = batch.d_raw
+        TX[:, k] = np.trace(batch.P, axis1=1, axis2=2)
+        TX_raw[:, k] = np.trace(batch.P_raw, axis1=1, axis2=2)
+        TD[:, km1] = np.trace(batch.Pd, axis1=1, axis2=2)
+        TD_raw[:, km1] = np.trace(batch.Pd_raw, axis1=1, axis2=2)
+        in_act[:, km1] = batch.in_act
+        st_act[:, km1] = batch.st_act
+        XT[:, k] = batch.x_true
+        np.maximum(max_mcg, batch.mcg_dev, out=max_mcg)
+        if k > 100:
+            np.maximum(max_pxu, TX_raw[:, k], out=max_pxu)
+        if detector:
+            stat = detection_statistic(batch.d, batch.Pd)
+            det_state, alarm = cusum_update(det_state, stat, detector_cfg)
+            stats[:, k] = stat
+            cusum[:, k] = det_state.S
+            alarms[:, k] = alarm
 
-    The kinematic matrices for one k are built once and memoized (the
-    estimator asks for A(k-1), B(k-1) and G(k-1) several times per step).
-    """
-
-    def __init__(self, params):
-        self.params = params
-        self.speeds = []
-        self._cache_k = -1
-        self._cache = None
-        base = vehicle_model(lambda k: 0.0, params)
-        self._model = SystemModel(
-            state_dim=4, input_dim=2, attack_dim=2, output_dim=4,
-            A=lambda k: self._mats(k)[0],
-            B=lambda k: self._mats(k)[1],
-            C=base.C, G=lambda k: self._mats(k)[2],
-            Q=base.Q, R=base.R,
-        )
-
-    def _mats(self, k):
-        if k != self._cache_k:
-            self._cache = bicycle_matrices(self.speeds[k], self.params)
-            self._cache_k = k
-        return self._cache
-
-    @property
-    def model(self):
-        return self._model
+    results = []
+    for i in range(R):
+        res = SimulationResult(config, XT[i], batch.d_true, {})
+        for name in filters:
+            r = batch.names.index(name) * R + i
+            rec = FilterRun(
+                name=name, x_hat=X[r], x_hat_raw=X_raw[r], d_hat=D[r], d_hat_raw=D_raw[r],
+                trace_px=TX[r], trace_px_raw=TX_raw[r], trace_pd=TD[r], trace_pd_raw=TD_raw[r],
+                stats=stats[r], cusum=cusum[r], alarms=alarms[r],
+                input_active=in_act[r], state_active=st_act[r],
+            )
+            rec.metrics = _metrics(rec, XT[i], batch.d_true, config, detector_cfg,
+                                   detector, max_mcg[r], max_pxu[r])
+            res.filters[name] = rec
+        results.append(res)
+    return results
 
 
 def simulate(config: ScenarioConfig, run_index: int = 0,
@@ -149,154 +199,13 @@ def simulate(config: ScenarioConfig, run_index: int = 0,
     per-step test statistic and CUSUM bookkeeping, which matters on very
     long horizons.
     """
-    params = VehicleParams(l_f=config.l_f, l_r=config.l_r, T_s=config.t_s)
-    K = config.horizon
-    x0 = np.array(config.x0, dtype=float)
-    control = _control_fn(config)
-    detector_cfg = DetectorConfig.from_parameters(config.alpha, df=2, phi=config.phi)
-
-    noise_sched = _ScheduledModel(params)
-    noise = NoiseSpec(config.seed, run_index)
-    W, V = noise.sample(noise_sched.model, K)
-
-    x_true = np.empty((K + 1, 4))
-    x_true[0] = x0
-    d_true = np.zeros((K, 2))
-    if config.attack == "vehicle":
-        for k in range(K):
-            d_true[k] = attack_input(k, params)
-
-    constraints = vehicle_constraints(control, params)
-    runs = {}
-    for name in filters:
-        if name not in ("care", "ise"):
-            raise ValueError(f"unknown filter {name!r}")
-        runs[name] = _FilterLoop(name, _ScheduledModel(params), name == "ise",
-                                 config, params, constraints, detector_cfg,
-                                 K, x0, detector)
-
-    for k in range(1, K + 1):
-        u_raw = control(k - 1)
-        u_beta = np.array([slip_angle(u_raw[0], params), u_raw[1]])
-        x_true[k] = _truth_step(x_true[k - 1], u_beta, d_true[k - 1],
-                                W[k - 1], params, config.clamp_truth)
-        y = x_true[k] + V[k]
-        for loop in runs.values():
-            loop.step(u_beta, y)
-
-    result = SimulationResult(config, x_true, d_true, {})
-    for name, loop in runs.items():
-        result.filters[name] = loop.finish(x_true, d_true, detector_cfg)
-    return result
-
-
-class _FilterLoop:
-    """Stepping state plus per-step recording for one filter."""
-
-    def __init__(self, name, sched, baseline, config, params, constraints,
-                 detector_cfg, K, x0, detector=True):
-        self.name = name
-        self.sched = sched
-        self.baseline = baseline
-        self.constraints = constraints
-        self.detector_cfg = detector_cfg
-        self.detector = detector
-        self.pd_window_start = config.pd_window_start
-        self.alarm_window = (config.alarm_start, config.alarm_end)
-        P0 = config.p0_scale * np.eye(4)
-        self.state = initial_state(x0, P0)
-        sched.speeds.append(float(x0[3]))
-        self.det_state = DetectorState()
-        self.K = K
-        rec = FilterRun(
-            name=name,
-            x_hat=np.empty((K + 1, 4)), x_hat_raw=np.empty((K + 1, 4)),
-            d_hat=np.empty((K, 2)), d_hat_raw=np.empty((K, 2)),
-            trace_px=np.empty(K + 1), trace_px_raw=np.empty(K + 1),
-            trace_pd=np.empty(K), trace_pd_raw=np.empty(K),
-            stats=np.zeros(K + 1), cusum=np.zeros(K + 1),
-            alarms=np.zeros(K + 1, dtype=bool),
-            input_active=np.zeros(K, dtype=np.int64),
-            state_active=np.zeros(K, dtype=np.int64),
-        )
-        rec.x_hat[0] = x0
-        rec.x_hat_raw[0] = x0
-        rec.trace_px[0] = np.trace(P0)
-        rec.trace_px_raw[0] = np.trace(P0)
-        self.rec = rec
-        self.max_mcg_dev = 0.0
-        self.max_trace_pxu = 0.0
-        self._eye2 = np.eye(2)
-
-    def step(self, u_beta, y):
-        out = care_step(self.state, self.sched.model, self.constraints,
-                        u_beta, y, unconstrained_baseline=self.baseline)
-        self.state = out.state
-        k = out.state.k
-        self.sched.speeds.append(float(out.state.x_hat[3]))
-        rec = self.rec
-        rec.x_hat[k] = out.state.x_hat
-        rec.x_hat_raw[k] = out.update.x_hat
-        rec.d_hat[k - 1] = out.d_hat
-        rec.d_hat_raw[k - 1] = out.attack.d_hat
-        rec.trace_px[k] = out.state.P_x.trace()
-        rec.trace_px_raw[k] = out.update.P_x.trace()
-        rec.trace_pd[k - 1] = out.P_d.trace()
-        rec.trace_pd_raw[k - 1] = out.attack.P_d.trace()
-        if out.input_projection is not None:
-            rec.input_active[k - 1] = len(out.input_projection.active_set)
-            rec.state_active[k - 1] = len(out.state_projection.active_set)
-
-        dev = np.abs(out.attack.M @ self.sched.model.C(k)
-                     @ self.sched.model.G(k - 1) - self._eye2).max()
-        if dev > self.max_mcg_dev:
-            self.max_mcg_dev = dev
-        tr = rec.trace_px_raw[k]
-        if k > 100 and tr > self.max_trace_pxu:
-            self.max_trace_pxu = tr
-
-        if self.detector:
-            stat = detection_statistic(out.d_hat, out.P_d)
-            self.det_state, alarm = cusum_update(self.det_state, stat,
-                                                 self.detector_cfg)
-            rec.stats[k] = stat
-            rec.cusum[k] = self.det_state.S
-            rec.alarms[k] = alarm
-
-    def finish(self, x_true, d_true, detector_cfg) -> FilterRun:
-        rec = self.rec
-        K = self.K
-        cfg = detector_cfg
-        x_err = rec.x_hat[1:] - x_true[1:]
-        d_err = rec.d_hat - d_true
-        attacked = np.any(d_true != 0.0, axis=1)
-        if self.detector and attacked.any():
-            f_neg = false_negative_rate(rec.stats[1:], cfg.quantile, attacked)
-        else:
-            f_neg = float("nan")
-        w0 = self.pd_window_start
-        a0, a1 = self.alarm_window
-        a1 = min(a1, K)
-        sustained = (bool(rec.alarms[a0:a1 + 1].all())
-                     if self.detector and a0 <= K else False)
-        rec.metrics = RunMetrics(
-            sum_sq_state_err=float(np.sum(x_err ** 2)),
-            sum_sq_attack_err=float(np.sum(d_err ** 2)),
-            sum_trace_px=float(np.sum(rec.trace_px[1:])),
-            sum_trace_pd=float(np.sum(rec.trace_pd[w0:])),
-            f_neg=f_neg,
-            alarm_fraction=float(np.mean(rec.alarms[1:])) if self.detector else float("nan"),
-            sustained_alarm=sustained,
-            max_mcg_dev=self.max_mcg_dev,
-            max_trace_pxu=self.max_trace_pxu,
-        )
-        return rec
+    return _run(config, [run_index], filters, detector)[0]
 
 
 def monte_carlo(config: ScenarioConfig, runs: int = None, filters=("care", "ise")):
-    """Sequential batch of independent realizations; run i uses run_index i.
+    """Batch of independent realizations; run i uses run_index i.
 
     Returns the list of SimulationResults.
     """
     n = runs if runs is not None else config.runs
-    return [simulate(config, run_index=i, filters=filters) for i in range(n)]
+    return _run(config, range(n), filters, True)

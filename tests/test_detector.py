@@ -152,6 +152,21 @@ class TestDetectionStatistic:
     def test_zero_estimate(self):
         assert detection_statistic(np.zeros(2), np.eye(2)) == 0.0
 
+    def test_batch_matches_single_calls(self):
+        rng = np.random.default_rng(3)
+        d = rng.normal(size=(6, 2))
+        d[2] = 0.0
+        root = rng.normal(size=(6, 2, 2))
+        P = root @ root.transpose(0, 2, 1)
+        P[4] = [[1.0, 0.0], [0.0, 0.0]]
+        got = detection_statistic(d, P)
+        assert got.shape == (6,)
+        for i in range(6):
+            assert got[i] == pytest.approx(detection_statistic(d[i], P[i]), rel=1e-12)
+        assert got[2] == 0.0 and got[4] > 1e10
+        with pytest.raises(ValueError):
+            detection_statistic(d, P[:5])
+
 
 class TestCusum:
     def test_trivial_steps(self):
@@ -179,6 +194,29 @@ class TestCusum:
         cfg = DetectorConfig.from_parameters(0.01, 2, 0.15)
         with pytest.raises(ValueError):
             cusum_update(DetectorState(), -0.1, cfg)
+        with pytest.raises(ValueError):
+            cusum_update(DetectorState(S=np.zeros(2)), np.array([1.0, -0.1]), cfg)
+
+    def test_batch_accumulators_step_independently(self):
+        cfg = DetectorConfig.from_parameters(0.01, 2, 0.15)
+        state = DetectorState(S=np.array([0.0, 10.0, 20.0]))
+        stat = np.array([1.0, 2.0, 12.0])
+        state, alarm = cusum_update(state, stat, cfg)
+        for i, s0 in enumerate((0.0, 10.0, 20.0)):
+            single, single_alarm = cusum_update(DetectorState(S=s0), float(stat[i]), cfg)
+            assert state.S[i] == single.S and alarm[i] == single_alarm
+        assert alarm.tolist() == [False, False, True]
+
+    def test_zero_forgetting_rate_is_the_memoryless_test(self):
+        cfg = DetectorConfig.from_parameters(0.01, 2, 0.0)
+        assert cfg.threshold == cfg.quantile
+        state = DetectorState(S=50.0)
+        state, alarm = cusum_update(state, 0.5 * cfg.quantile, cfg)
+        assert state.S == 0.5 * cfg.quantile and not alarm
+        _, alarm = cusum_update(state, 1.01 * cfg.quantile, cfg)
+        assert alarm
+        with pytest.raises(ValueError):
+            DetectorConfig.from_parameters(0.01, 2, -0.1)
 
     def test_config_invariants(self):
         cfg = DetectorConfig.from_parameters(0.01, 2, 0.15)

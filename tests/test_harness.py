@@ -3,9 +3,86 @@ import pytest
 
 from care_filter.cli import main
 from care_filter.config import ScenarioConfig
-from care_filter.ensemble import run_ensemble
+from care_filter.detector import DetectorConfig, DetectorState, cusum_update, detection_statistic
+from care_filter.ensemble import _box_project, run_ensemble
+from care_filter.estimator import AttackUnidentifiableError, care_step, initial_state
 from care_filter.harness import monte_carlo, simulate, transformed_dynamics
-from care_filter.vehicle import VehicleParams, bicycle_matrices
+from care_filter.model import NoiseSpec
+from care_filter.vehicle import (
+    VehicleParams,
+    attack_input,
+    bicycle_matrices,
+    slip_angle,
+    vehicle_constraints,
+    vehicle_model,
+)
+
+REF_FLOAT_FIELDS = ("x_hat", "x_hat_raw", "d_hat", "d_hat_raw", "trace_px",
+                    "trace_px_raw", "trace_pd", "trace_pd_raw", "stats", "cusum")
+REF_EXACT_FIELDS = ("input_active", "state_active", "alarms")
+
+
+def scalar_reference(cfg, run_index, name):
+    """One filter on one realization through the scalar general-LTV path.
+
+    care_step, detection_statistic and cusum_update run once per step; the
+    model is scheduled on the filter's own previous speed estimate and the
+    plant on the true speed. Returns the truth, the per-step records and
+    the running maxima of |M C G - I| and (for k > 100) trace P_x raw.
+    """
+    params = VehicleParams(l_f=cfg.l_f, l_r=cfg.l_r, T_s=cfg.t_s)
+    K = cfg.horizon
+    speeds = [cfg.x0[3]]
+    model = vehicle_model(lambda k: speeds[k], params)
+    constraints = vehicle_constraints(
+        lambda k: (cfg.control_delta, cfg.control_accel), params)
+    W, V = NoiseSpec(cfg.seed, run_index).sample(model, K)
+    u = np.array([slip_angle(cfg.control_delta, params), cfg.control_accel])
+    detector_cfg = DetectorConfig.from_parameters(cfg.alpha, df=2, phi=cfg.phi)
+    x = np.array(cfg.x0, dtype=float)
+    P0 = cfg.p0_scale * np.eye(4)
+    state = initial_state(x, P0)
+    det = DetectorState()
+    rec = {f: [] for f in REF_FLOAT_FIELDS + REF_EXACT_FIELDS}
+    rec["x_true"] = [x]
+    for f in ("x_hat", "x_hat_raw"):
+        rec[f].append(x)
+    for f in ("trace_px", "trace_px_raw"):
+        rec[f].append(np.trace(P0))
+    for f in ("stats", "cusum", "alarms"):
+        rec[f].append(0)
+    max_mcg = max_pxu = 0.0
+    for k in range(1, K + 1):
+        A, B, G, _ = bicycle_matrices(x[3], params)
+        x = A @ x + B @ u + G @ attack_input(k - 1, params) + W[k - 1]
+        x[0] = min(max(x[0], 0.0), params.x_max)
+        x[1] = min(max(x[1], 0.0), params.y_max)
+        x[3] = min(max(x[3], 0.0), params.v_max)
+        out = care_step(state, model, constraints, u, x + V[k],
+                        unconstrained_baseline=name == "ise")
+        state = out.state
+        speeds.append(float(state.x_hat[3]))
+        stat = detection_statistic(out.d_hat, out.P_d)
+        det, alarm = cusum_update(det, stat, detector_cfg)
+        for f, v in (("x_true", x), ("x_hat", state.x_hat), ("x_hat_raw", out.update.x_hat),
+                     ("d_hat", out.d_hat), ("d_hat_raw", out.attack.d_hat),
+                     ("trace_px", np.trace(state.P_x)),
+                     ("trace_px_raw", np.trace(out.update.P_x)),
+                     ("trace_pd", np.trace(out.P_d)),
+                     ("trace_pd_raw", np.trace(out.attack.P_d)),
+                     ("stats", stat), ("cusum", det.S), ("alarms", alarm)):
+            rec[f].append(v)
+        proj = (out.input_projection, out.state_projection)
+        rec["input_active"].append(0 if proj[0] is None else len(proj[0].active_set))
+        rec["state_active"].append(0 if proj[1] is None else len(proj[1].active_set))
+        dev = np.abs(out.attack.M @ model.C(k) @ model.G(k - 1) - np.eye(2)).max()
+        max_mcg = max(max_mcg, dev)
+        if k > 100:
+            max_pxu = max(max_pxu, np.trace(out.update.P_x))
+    rec = {f: np.array(v) for f, v in rec.items()}
+    rec["max_mcg_dev"] = max_mcg
+    rec["max_trace_pxu"] = max_pxu
+    return rec
 
 
 class TestTransformedDynamics:
@@ -120,6 +197,46 @@ class TestSimulate:
             simulate(ScenarioConfig(horizon=10), filters=("kalman",))
 
 
+class TestScalarReference:
+    """monte_carlo and simulate against a test-side loop over the scalar stages."""
+
+    CFG = ScenarioConfig(horizon=300, seed=20260819)
+    RUN = 2
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return {name: scalar_reference(self.CFG, self.RUN, name)
+                for name in ("care", "ise")}
+
+    @pytest.mark.parametrize("detector", [True, False])
+    def test_batch_matches_the_scalar_loop(self, reference, detector):
+        # with the detector, run RUN sits in a [care runs | ise runs] batch
+        # of three realizations; without it, it is the batch of one
+        if detector:
+            res = monte_carlo(self.CFG, runs=self.RUN + 1)[self.RUN]
+        else:
+            res = simulate(self.CFG, run_index=self.RUN, detector=False)
+        for name, ref in reference.items():
+            fr = res.filters[name]
+            np.testing.assert_allclose(res.x_true, ref["x_true"], rtol=0, atol=1e-12)
+            for f in REF_FLOAT_FIELDS + REF_EXACT_FIELDS:
+                got = getattr(fr, f)
+                if f in ("stats", "cusum", "alarms") and not detector:
+                    assert not got.any(), f
+                elif f in REF_EXACT_FIELDS:
+                    np.testing.assert_array_equal(got, ref[f], err_msg=f"{name} {f}")
+                else:
+                    # stats of a pinned attack estimate reach 1e12 or more
+                    np.testing.assert_allclose(got, ref[f], rtol=1e-9, atol=1e-9,
+                                               err_msg=f"{name} {f}")
+            assert fr.metrics.max_mcg_dev == pytest.approx(ref["max_mcg_dev"], abs=1e-9)
+            assert fr.metrics.max_trace_pxu == pytest.approx(ref["max_trace_pxu"], abs=1e-9)
+            assert ref["alarms"].any()
+        # the compared window holds active projections of both kinds
+        care = reference["care"]
+        assert care["input_active"].any() and care["state_active"].any()
+
+
 class TestEnsemble:
     def test_matches_sequential_runs(self):
         cfg = ScenarioConfig(horizon=260, seed=20260819)
@@ -146,6 +263,34 @@ class TestEnsemble:
             np.testing.assert_allclose(ens.x_hat[i], fr.x_hat, atol=1e-9)
             np.testing.assert_allclose(ens.d_hat[i], fr.d_hat, atol=1e-9)
         assert ens.fallback_projections == 0
+
+    def test_unidentifiable_attack_names_step_run_and_filter(self):
+        # zero initial speed leaves only one identifiable attack direction
+        cfg = ScenarioConfig(horizon=20, x0=(0.0, 2.5, 0.0, 0.0))
+        with pytest.raises(AttackUnidentifiableError, match="k=1, run 0, filter care"):
+            simulate(cfg)
+        with pytest.raises(AttackUnidentifiableError, match="k=1, run 3, filter ise"):
+            simulate(cfg, run_index=3, filters=("ise",))
+        with pytest.raises(AttackUnidentifiableError, match="k=1, run 0, filter care"):
+            run_ensemble(cfg, runs=2)
+
+    def test_covariance_self_check_names_the_run(self):
+        # run 1 violates both rows and goes to the active-set projector,
+        # which ends with row 0 alone active
+        A = np.array([[1.0, 0.0], [2.0, 0.0]])
+        b = np.array([1.0, 3.0])
+        est = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
+        cov = np.tile(np.eye(2), (3, 1, 1))
+        active = np.zeros(3, dtype=int)
+        assert _box_project(est, cov, A, b, 0, active, check_forms=str) == 1
+        np.testing.assert_allclose(est[1], [1.0, 0.0])
+        assert active.tolist() == [0, 1, 0]
+        # an asymmetric covariance makes the symmetric and the short
+        # projected forms disagree, as in the scalar project_attack
+        est[1] = [2.0, 0.0]
+        cov[1] = [[1.0, 0.5], [0.0, 1.0]]
+        with pytest.raises(RuntimeError, match="forms disagree at run 1"):
+            _box_project(est, cov, A, b, 0, active, check_forms=lambda r: f"run {r}")
 
     def test_default_run_count_comes_from_config(self):
         cfg = ScenarioConfig(horizon=30, seed=6, runs=2)
@@ -260,6 +405,11 @@ class TestCli:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "line 1" in err
+
+    def test_memoryless_detector_is_a_valid_config(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "phi0.txt", "horizon = 30\nphi = 0\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
 
     def test_runtime_failure_exits_two(self, tmp_path, capsys):
         # zero initial speed leaves only one identifiable attack direction

@@ -59,6 +59,30 @@ class TestOracleEquivalence:
             checked += 1
         assert checked >= 10
 
+    def test_oracle_against_scipy(self):
+        # the instances of the cvxpy cross-check through scipy's SLSQP, so
+        # the oracle keeps an independent check where cvxpy is absent
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(777)
+        checked = 0
+        for _ in range(20):
+            e, W, A, b, z0 = random_projection_instance(rng)
+            if A.shape[0] == 0:
+                continue
+            ref = qp_oracle(e, W, A, b)
+            sol = optimize.minimize(
+                lambda z: objective(z, e, W), z0, jac=lambda z: 2.0 * W @ (z - e),
+                method="SLSQP",
+                constraints=[{"type": "ineq", "fun": lambda z: b - A @ z,
+                              "jac": lambda z: -A}],
+                options={"ftol": 1e-12, "maxiter": 500})
+            assert sol.success, sol.message
+            assert np.max(A @ sol.x - b) <= 1e-8 * (1.0 + np.max(np.abs(b)))
+            gap = abs(objective(ref, e, W) - objective(sol.x, e, W))
+            assert gap <= 1e-8 * (1.0 + objective(ref, e, W))
+            checked += 1
+        assert checked >= 10
+
     def test_oracle_row_limit(self):
         with pytest.raises(ValueError):
             qp_oracle(np.zeros(2), np.eye(2), np.zeros((21, 2)), np.ones(21))
