@@ -14,7 +14,6 @@ from .detector import (
     DetectorState,
     chi2_cdf,
     chi2_quantile,
-    chi2_statistic,
     cusum_update,
     detection_statistic,
     false_negative_rate,
@@ -41,7 +40,6 @@ from .harness import (
     SimulationResult,
     monte_carlo,
     simulate,
-    transformed_dynamics,
 )
 from .model import ConstraintSet, NoiseSpec, SystemModel, ValidationReport, validate
 from .projection import (
@@ -51,7 +49,6 @@ from .projection import (
     project,
     project_attack,
     project_state,
-    qp_oracle,
 )
 from .vehicle import (
     VehicleParams,
@@ -98,7 +95,6 @@ __all__ = [
     "care_step",
     "chi2_cdf",
     "chi2_quantile",
-    "chi2_statistic",
     "cusum_update",
     "detection_statistic",
     "estimate_attack",
@@ -112,13 +108,11 @@ __all__ = [
     "project",
     "project_attack",
     "project_state",
-    "qp_oracle",
     "run_ensemble",
     "simulate",
     "slip_angle",
     "steering_angle",
     "time_update",
-    "transformed_dynamics",
     "validate",
     "vehicle_constraints",
     "vehicle_model",

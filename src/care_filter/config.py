@@ -50,6 +50,17 @@ class ScenarioConfig:
             raise ConfigError("x0 needs exactly four components")
         if self.runs < 1:
             raise ConfigError("runs must be positive")
+        for name in ("x0", "p0_scale", "control_delta", "control_accel", "l_f", "l_r", "t_s"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must be finite")
+        for name in ("p0_scale", "l_f", "l_r", "t_s"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"{name} must be positive")
+        for name in ("seed", "pd_window_start", "alarm_start"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
+        if self.alarm_start > self.alarm_end:
+            raise ConfigError("alarm_start must not exceed alarm_end")
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,

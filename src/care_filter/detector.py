@@ -3,10 +3,9 @@
 The chi-square quantile is computed internally by inverting the regularized
 incomplete gamma function, so the significance level and the degrees of
 freedom stay free parameters instead of being read off a hard-coded table.
-Statistics come in two flavours: `chi2_statistic` follows the textbook
-definition with a pseudoinverse (rank-deficient covariances lose their null
-directions), while `detection_statistic` floors tiny eigenvalues so that a
-component pinned to a constraint boundary still counts as evidence.
+`detection_statistic` is d' P^{-1} d with tiny eigenvalues of P floored, so
+that a component pinned to a constraint boundary, where a pseudoinverse
+would drop it, still counts as evidence.
 """
 
 import math
@@ -19,11 +18,9 @@ __all__ = [
     "DetectorState",
     "chi2_cdf",
     "chi2_quantile",
-    "chi2_statistic",
     "cusum_update",
     "detection_statistic",
     "false_negative_rate",
-    "regularized_gamma_p",
 ]
 
 _GAMMA_EPS = 1e-16
@@ -140,35 +137,6 @@ def chi2_quantile(df: int, alpha: float) -> float:
         else:
             q = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
-
-
-def chi2_statistic(d: np.ndarray, P: np.ndarray, strict: bool = False) -> float:
-    """Normalized test statistic d' P^+ d.
-
-    Uses the eigendecomposition pseudoinverse, dropping directions whose
-    eigenvalue falls below n * max|eig| * 1e-12. After a projection that
-    pins the estimate to a constraint boundary, P can be exactly singular;
-    the dropped directions then carry no weight. In strict mode the call
-    refuses estimates with a significant component in a dropped direction,
-    restricting the statistic to the row space of P.
-    """
-    d = np.asarray(d, dtype=float).ravel()
-    P = np.asarray(P, dtype=float)
-    if P.shape != (d.size, d.size):
-        raise ValueError("covariance shape does not match the estimate")
-    if not d.any():
-        return 0.0
-    lam, vecs = np.linalg.eigh(0.5 * (P + P.T))
-    tol = d.size * float(np.abs(lam).max(initial=0.0)) * 1e-12
-    comp = vecs.T @ d
-    keep = lam > tol
-    if strict:
-        lost = np.abs(comp[~keep])
-        if lost.size and lost.max() > 1e-8 * (1.0 + float(np.linalg.norm(d))):
-            raise ValueError("estimate has a component outside the row space of P")
-    if not keep.any():
-        return 0.0
-    return float(np.sum(comp[keep] ** 2 / lam[keep]))
 
 
 def detection_statistic(d: np.ndarray, P: np.ndarray):

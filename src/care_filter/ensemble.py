@@ -26,13 +26,14 @@ covariance extrema instead of full per-step records.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .estimator import AttackUnidentifiableError
+from .estimator import _identified_inverse
 from .model import NoiseSpec
-from .projection import _project_core, _regularized_cov
+from .projection import _FORMS_DISAGREE, ActiveSetLimitError, _check_forms, _project_core, _sym, _sym_inv
 from .vehicle import VehicleParams, attack_input, build_constraints, slip_angle, vehicle_model
 
 __all__ = ["EnsembleResult", "run_ensemble"]
@@ -66,47 +67,14 @@ class EnsembleResult:
     audit: dict = None
 
 
-def _bsym(X):
-    return 0.5 * (X + X.transpose(0, 2, 1))
-
-
-def _inv2_stack(P):
-    a, c = P[:, 0, 0], P[:, 1, 1]
-    b = 0.5 * (P[:, 0, 1] + P[:, 1, 0])
-    det = a * c - b * b
-    out = np.empty_like(P)
-    out[:, 0, 0] = c / det
-    out[:, 1, 1] = a / det
-    out[:, 0, 1] = -b / det
-    out[:, 1, 0] = out[:, 0, 1]
-    return out
-
-
-def _check_forms(P, gain, Ab, runs, name):
-    """The self-check of `project_attack`, over a stack of active runs.
-
-    Assembles each projected covariance in the symmetric form
-    (I - gain A_bar) P (I - gain A_bar)' and in the short form
-    (I - gain A_bar) P, and raises RuntimeError naming the first run
-    (name(run)) where they disagree beyond 1e-8.
-    """
-    GA = gain @ Ab
-    short = P - GA @ P
-    sym = _bsym(short - short @ GA.transpose(0, 2, 1))
-    bad = np.abs(sym - short).max(axis=(1, 2)) > 1e-8 * (1.0 + np.abs(P).max(axis=(1, 2)))
-    if bad.any():
-        raise RuntimeError(f"projected covariance forms disagree at {name(runs[np.argmax(bad)])}; "
-                           "active-set solve is unreliable")
-
-
-def _box_project(est, cov, A, b, counter, active_out, check_forms=None):
+def _box_project(est, cov, A, b, counter, active_out, where):
     """Project each run's estimate onto {z : A z <= b}, in place.
 
     est (R, n) and cov (R, n, n) are overwritten. Runs violating exactly
     one row get the closed-form single-row solution when its KKT check
     passes; everything else goes through the scalar active-set projector.
-    active_out receives each run's active-row count. check_forms, a
-    callable naming run r, turns on `_check_forms` for every active run.
+    active_out receives each run's active-row count. Every active
+    projection passes `_check_forms`; a failure names where(r) for run r.
     Returns the updated fallback counter.
     """
     viol = est @ A.T - b
@@ -135,9 +103,9 @@ def _box_project(est, cov, A, b, counter, active_out, check_forms=None):
             ok &= ((z @ A.T - b) <= tol[single][:, None]).all(axis=1)
         good = runs1[ok]
         Pa, aPa = Pa[ok], aPa[ok][:, None, None]
-        if check_forms is not None and good.size:
+        if good.size:
             _check_forms(cov[good], Pa[:, :, None] / aPa, a[ok][:, None, :],
-                         good, check_forms)
+                         lambda i: where(good[i]))
         est[good] = z[ok]
         cov[good] -= Pa[:, :, None] * Pa[:, None, :] / aPa
         active_out[good] = 1
@@ -145,21 +113,13 @@ def _box_project(est, cov, A, b, counter, active_out, check_forms=None):
     else:
         stubborn = np.empty(0, dtype=int)
 
-    fallback = np.concatenate([stubborn, hit[nover >= 2]])
-    if not fallback.size:
-        return counter
-    weights = _bsym(cov[fallback])
-    try:
-        # one stacked Cholesky settles the common case: every weight is
-        # positive definite, and _regularized_cov would return it as is
-        np.linalg.cholesky(weights)
-    except np.linalg.LinAlgError:
-        weights = [_regularized_cov(cov[r]) for r in fallback]
-    for r, weight in zip(fallback, weights):
-        res = _project_core(est[r], weight, A, b)
-        if check_forms is not None and res.active_set:
-            _check_forms(cov[r][None], res.gain[None], A[list(res.active_set)][None],
-                         [r], check_forms)
+    for r in np.concatenate([stubborn, hit[nover >= 2]]):
+        try:
+            res = _project_core(est[r], cov[r], A, b)
+        except ActiveSetLimitError:
+            raise
+        except RuntimeError:
+            raise RuntimeError(_FORMS_DISAGREE.format(f" at {where(r)}")) from None
         est[r] = res.estimate
         cov[r] = res.covariance
         active_out[r] = len(res.active_set)
@@ -242,6 +202,7 @@ class _Batch:
 
     def step(self, k):
         km1 = k - 1
+        where = partial(self._where, k)
         p = self.params
         q_diag, r_diag = self.q_diag, self.r_diag
 
@@ -264,25 +225,12 @@ class _Batch:
         Gt_f = G_f.transpose(0, 2, 1)
 
         pred_x = (A_f @ x_cur[..., None])[..., 0] + G_f @ self.u_beta
-        Pp = _bsym(A_f @ P_cur @ At_f + self.Q)
+        Pp = _sym(A_f @ P_cur @ At_f + self.Q)
 
         S = Pp + self.R_mat
-        R_til = _bsym(np.linalg.inv(S))
+        R_til = _sym(np.linalg.inv(S))
         T_mat = Gt_f @ R_til
-        N = _bsym(T_mat @ G_f)
-        na, nc = N[:, 0, 0], N[:, 1, 1]
-        nb = N[:, 0, 1]
-        half_tr = 0.5 * (na + nc)
-        disc = np.hypot(0.5 * (na - nc), nb)
-        lo = half_tr - disc
-        bad = (lo <= 0.0) | (half_tr + disc > 1e12 * lo)
-        if bad.any():
-            r = int(np.argmax(bad))
-            why = ("is not positive definite" if lo[r] <= 0.0
-                   else "condition number exceeds 1e12")
-            raise AttackUnidentifiableError(
-                f"attack unidentifiable at {self._where(k, r)}: G'C'R~CG {why}")
-        Pd_u = _inv2_stack(N)
+        Pd_u = _identified_inverse(_sym(T_mat @ G_f), where)
         M = Pd_u @ T_mat
         d_u = (M @ (y - pred_x)[..., None])[..., 0]
         P_xd = -(P_cur @ At_f @ M.transpose(0, 2, 1))
@@ -291,10 +239,10 @@ class _Batch:
         cross = A_f @ P_xd @ Gt_f
         GM = G_f @ M
         GMQ = GM * q_diag
-        P_star = _bsym(Pp + cross + cross.transpose(0, 2, 1)
-                       + G_f @ Pd_u @ Gt_f - GMQ - GMQ.transpose(0, 2, 1))
+        P_star = _sym(Pp + cross + cross.transpose(0, 2, 1)
+                      + G_f @ Pd_u @ Gt_f - GMQ - GMQ.transpose(0, 2, 1))
         GMR = GM * r_diag
-        R_star = _bsym(P_star - GMR - GMR.transpose(0, 2, 1) + self.R_mat)
+        R_star = _sym(P_star - GMR - GMR.transpose(0, 2, 1) + self.R_mat)
 
         w_eig, Vec = np.linalg.eigh(R_star)
         absw = np.abs(w_eig)
@@ -305,9 +253,9 @@ class _Batch:
         x_u = x_star + (L @ (y - x_star)[..., None])[..., 0]
         ImLC = _EYE4 - L
         t1 = ImLC @ GMR @ L.transpose(0, 2, 1)
-        P_u = _bsym(t1 + t1.transpose(0, 2, 1)
-                    + ImLC @ P_star @ ImLC.transpose(0, 2, 1)
-                    + (L * r_diag) @ L.transpose(0, 2, 1))
+        P_u = _sym(t1 + t1.transpose(0, 2, 1)
+                   + ImLC @ P_star @ ImLC.transpose(0, 2, 1)
+                   + (L * r_diag) @ L.transpose(0, 2, 1))
 
         self.mcg_dev = np.abs(M @ G_f - _EYE2).max(axis=(1, 2))
         self.x_raw, self.P_raw, self.d_raw, self.Pd_raw = x_u, P_u, d_u, Pd_u
@@ -317,10 +265,9 @@ class _Batch:
         if n:
             x_u, P_u, d_u, Pd_u = x_u.copy(), P_u.copy(), d_u.copy(), Pd_u.copy()
             self.fallbacks = _box_project(d_u[:n], Pd_u[:n], self.A_in, self.b_in,
-                                          self.fallbacks, self.in_act[:n],
-                                          check_forms=lambda r: self._where(k, r))
+                                          self.fallbacks, self.in_act[:n], where)
             self.fallbacks = _box_project(x_u[:n], P_u[:n], self.B_st, self.c_st,
-                                          self.fallbacks, self.st_act[:n])
+                                          self.fallbacks, self.st_act[:n], where)
         self.x, self.P, self.d, self.Pd = x_u, P_u, d_u, Pd_u
 
 
@@ -376,7 +323,7 @@ def _audit_step(audit, batch, km1):
         _audit_update(
             audit, "d", ar,
             batch.d[ar] - d_true, batch.d_raw[ar] - d_true,
-            _inv2_stack(batch.Pd_raw[ar]),
+            _sym_inv(batch.Pd_raw[ar]),
             np.trace(batch.Pd_raw[ar], axis1=1, axis2=2),
             np.trace(batch.Pd[ar], axis1=1, axis2=2))
     ar = np.flatnonzero((batch.st_act > 0) & x_feas)

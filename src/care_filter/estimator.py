@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConstraintSet, SystemModel
-from .projection import ProjectionResult, _extreme_eigs, _inv_small_sym, project_attack, project_state
+from .projection import ProjectionResult, _eig_bounds, _sym, _sym_inv, project_attack, project_state
 
 __all__ = [
     "AttackEstimate",
@@ -38,19 +38,20 @@ class AttackUnidentifiableError(RuntimeError):
     """The attack direction is not observable through C G at this step."""
 
 
-def _sym(P):
-    return 0.5 * (P + P.T)
+def _identified_inverse(N, where):
+    """Inverse of the stacked attack information matrices N = G'C'R~CG.
 
-
-_eye_cache = {}
-
-
-def _eye(n):
-    try:
-        return _eye_cache[n]
-    except KeyError:
-        _eye_cache[n] = np.eye(n)
-        return _eye_cache[n]
+    Raises AttackUnidentifiableError naming where(i), i the first stack
+    position whose N is not positive definite or whose condition number
+    exceeds 1e12.
+    """
+    lo, hi = _eig_bounds(N)
+    bad = (lo <= 0.0) | (hi > 1e12 * lo)
+    if bad.any():
+        i = int(np.argmax(bad))
+        why = "is not positive definite" if lo[i] <= 0.0 else "condition number exceeds 1e12"
+        raise AttackUnidentifiableError(f"attack unidentifiable at {where(i)}: G'C'R~CG {why}")
+    return _sym_inv(N)
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,7 +144,7 @@ def estimate_attack(pred: Prediction, model: SystemModel, prev_cov, y) -> Attack
     """Weighted least-squares estimate of d_{k-1} from the innovation y - C x^-.
 
     Raises AttackUnidentifiableError when G' C' R~ C G cannot be inverted
-    reliably (Cholesky failure or condition number above 1e12).
+    reliably (not positive definite or condition number above 1e12).
     """
     k = pred.k
     C = model.C(k)
@@ -153,16 +154,7 @@ def estimate_attack(pred: Prediction, model: SystemModel, prev_cov, y) -> Attack
     CG = C @ G
     T = CG.T @ R_tilde
     N = _sym(T @ CG)
-    lo, hi = _extreme_eigs(N)
-    if lo <= 0.0:
-        raise AttackUnidentifiableError(
-            f"attack unidentifiable at k={k}: G'C'R~CG is not positive definite"
-        )
-    if hi > 1e12 * lo:
-        raise AttackUnidentifiableError(
-            f"attack unidentifiable at k={k}: G'C'R~CG condition number exceeds 1e12"
-        )
-    P_d = _sym(_inv_small_sym(N))
+    P_d = _sym(_identified_inverse(N[None], lambda _: f"k={k}")[0])
     M = P_d @ T
     d_hat = M @ (np.asarray(y, dtype=float).ravel() - C @ pred.x_hat)
     P_xd = -prev_cov @ model.A(k - 1).T @ C.T @ M.T
@@ -219,7 +211,7 @@ def measurement_update(tu: TimeUpdated, atk: AttackEstimate, model: SystemModel,
     L = (tu.P_x @ C.T - GMR) @ Rs_pinv
     y = np.asarray(y, dtype=float).ravel()
     x_u = tu.x_hat + L @ (y - C @ tu.x_hat)
-    ImLC = _eye(tu.x_hat.size) - L @ C
+    ImLC = np.eye(tu.x_hat.size) - L @ C
     t1 = ImLC @ GMR @ L.T
     P_u = _sym(t1 + t1.T + ImLC @ tu.P_x @ ImLC.T + L @ R @ L.T)
     return UnconstrainedUpdate(x_u, P_u, L, k)

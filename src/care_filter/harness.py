@@ -29,7 +29,6 @@ __all__ = [
     "SimulationResult",
     "monte_carlo",
     "simulate",
-    "transformed_dynamics",
 ]
 
 
@@ -80,22 +79,6 @@ class SimulationResult:
     x_true: np.ndarray       # (K+1, 4)
     d_true: np.ndarray       # (K, 2)
     filters: dict            # name -> FilterRun
-
-
-def transformed_dynamics(A, C, G, M, gamma_bar):
-    """Closed-loop error transition of the compensated filter.
-
-    Returns (I - G M (C G M)^+ C) (I - G M C) A gamma_bar, or None when
-    C G M is too ill conditioned to invert (condition number above 1e12),
-    in which case the stability diagnostic is unavailable for that step.
-    """
-    CGM = C @ G @ M
-    s = np.linalg.svd(CGM, compute_uv=False)
-    if s[0] <= 0.0 or s[-1] <= 1e-12 * s[0]:
-        return None
-    inner = np.linalg.solve(CGM, C)
-    A_bar = (np.eye(A.shape[0]) - G @ M @ C) @ A
-    return (np.eye(A.shape[0]) - G @ M @ inner) @ A_bar @ gamma_bar
 
 
 def _metrics(rec, x_true, d_true, config, detector_cfg, detector,

@@ -116,13 +116,18 @@ class ConstraintSet:
 
 
 def _psd_factor(M):
-    """Cholesky factor of a PSD matrix; eigendecomposition fallback with
-    negative eigenvalues clamped to zero (handles singular Q)."""
+    """Cholesky factors of a stack of PSD matrices. Where one of them is
+    not positive definite, each is factored alone, the failing ones by
+    eigendecomposition with negative eigenvalues clamped to zero (handles
+    singular Q)."""
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh(0.5 * (M + M.T))
-        return V * np.sqrt(np.clip(w, 0.0, None))
+        pass
+    if M.ndim > 2:
+        return np.array([_psd_factor(Mk) for Mk in M])
+    w, V = np.linalg.eigh(0.5 * (M + M.T))
+    return V * np.sqrt(np.clip(w, 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -146,23 +151,12 @@ class NoiseSpec:
 
     def sample(self, model: SystemModel, horizon: int):
         m, n_y = model.state_dim, model.output_dim
-        z = self.generator().standard_normal((horizon, m + n_y))
-        W = np.empty((horizon, m))
+        z = self.generator().standard_normal((horizon, m + n_y, 1))
+        Lq = _psd_factor(np.array([model.Q(k) for k in range(horizon)], dtype=float))
+        Lr = _psd_factor(np.array([model.R(k + 1) for k in range(horizon)], dtype=float))
         V = np.zeros((horizon + 1, n_y))
-        q_prev = r_prev = None
-        Lq = Lr = None
-        for k in range(horizon):
-            Qk = model.Q(k)
-            if q_prev is None or Qk is not q_prev and not np.array_equal(Qk, q_prev):
-                Lq = _psd_factor(np.asarray(Qk, dtype=float))
-                q_prev = Qk
-            Rk = model.R(k + 1)
-            if r_prev is None or Rk is not r_prev and not np.array_equal(Rk, r_prev):
-                Lr = _psd_factor(np.asarray(Rk, dtype=float))
-                r_prev = Rk
-            W[k] = Lq @ z[k, :m]
-            V[k + 1] = Lr @ z[k, m:]
-        return W, V
+        V[1:] = (Lr @ z[:, m:])[..., 0]
+        return (Lq @ z[:, :m])[..., 0], V
 
 
 @dataclass

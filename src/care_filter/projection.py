@@ -10,13 +10,12 @@ weight is the inverse of the estimation error covariance, so the projector
 is oblique: gain = P A_bar' (A_bar P A_bar')^{-1} for active rows A_bar with
 P = W^{-1}.
 
-`qp_oracle` solves the same problem by brute-force enumeration of active
-subsets through the KKT system; it exists so the fast path can be checked
-against an independent route, not for production use.
+The small symmetric-matrix helpers here (`_sym`, `_sym_inv`, `_eig_bounds`,
+`_check_forms`) take one (n, n) matrix or a (B, n, n) stack alike, and the
+rest of the package uses them for its own small-matrix algebra.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "project",
     "project_attack",
     "project_state",
-    "qp_oracle",
 ]
 
 _FEAS_REL = 1e-10
@@ -35,6 +33,7 @@ _DEP_REL = 1e-11
 _COND_LIMIT = 1e12
 _RANK_TOL = 1e-10
 _RIDGE = 1e-10
+_ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 class InfeasibleConstraintsError(ValueError):
@@ -111,35 +110,58 @@ def _independent_rows(Ab, tol=_RANK_TOL):
     return sorted(kept)
 
 
-def _extreme_eigs(S):
-    """(min, max) eigenvalue of a small symmetric matrix; closed form for
-    sizes one and two, LAPACK beyond that."""
-    n = S.shape[0]
+def _sym(X):
+    return 0.5 * (X + X.swapaxes(-1, -2))
+
+
+def _sym_inv(S):
+    """Inverse of a symmetric positive definite matrix or of a stack of
+    them; closed form for sizes one and two, LAPACK beyond that."""
+    n = S.shape[-1]
     if n == 1:
-        v = float(S[0, 0])
-        return v, v
+        return 1.0 / S
+    S = _sym(S)
     if n == 2:
-        a, c = float(S[0, 0]), float(S[1, 1])
-        bb = 0.5 * float(S[0, 1] + S[1, 0])
+        a, c, b = S[..., 0, 0], S[..., 1, 1], S[..., 0, 1]
+        return S[..., ::-1, ::-1] * _ADJ_SIGN / (a * c - b * b)[..., None, None]
+    return np.linalg.inv(S)
+
+
+def _eig_bounds(S):
+    """(min, max) eigenvalue of a symmetric matrix or of a stack of them;
+    closed form for sizes one and two, LAPACK beyond that."""
+    n = S.shape[-1]
+    if n == 1:
+        return S[..., 0, 0], S[..., 0, 0]
+    S = _sym(S)
+    if n == 2:
+        a, c, b = S[..., 0, 0], S[..., 1, 1], S[..., 0, 1]
         half_tr = 0.5 * (a + c)
-        disc = math.hypot(0.5 * (a - c), bb)
+        disc = np.hypot(0.5 * (a - c), b)
         return half_tr - disc, half_tr + disc
-    eig = np.linalg.eigvalsh(0.5 * (S + S.T))
-    return float(eig[0]), float(eig[-1])
+    eig = np.linalg.eigvalsh(S)
+    return eig[..., 0], eig[..., -1]
 
 
-def _inv_small_sym(S):
-    """Inverse of a small symmetric positive definite matrix; closed form
-    for sizes one and two, LAPACK beyond that."""
-    m = S.shape[0]
-    if m == 1:
-        return np.array([[1.0 / float(S[0, 0])]])
-    if m == 2:
-        a, c = float(S[0, 0]), float(S[1, 1])
-        bb = 0.5 * float(S[0, 1] + S[1, 0])
-        det = a * c - bb * bb
-        return np.array([[c, -bb], [-bb, a]]) / det
-    return np.linalg.inv(0.5 * (S + S.T))
+_FORMS_DISAGREE = "projected covariance forms disagree{}; active-set solve is unreliable"
+
+
+def _check_forms(P, gain, Ab, where=None):
+    """Self-check of projected covariances, one matrix or a stack.
+
+    Assembles (I - gain A_bar) P (I - gain A_bar)' in symmetric form and
+    compares it with the short form (I - gain A_bar) P, which it equals
+    for an exact oblique projection. Raises RuntimeError when they disagree
+    beyond 1e-8 relative, naming where(i) for i the first such stack
+    position when a namer is given.
+    """
+    GA = gain @ Ab
+    short = P - GA @ P
+    sym = _sym(short - short @ GA.swapaxes(-1, -2))
+    bad = np.abs(sym - short).max(axis=(-2, -1)) > 1e-8 * (1.0 + np.abs(P).max(axis=(-2, -1)))
+    if bad.any():
+        at = "" if where is None else f" at {where(np.argmax(bad))}"
+        raise RuntimeError(_FORMS_DISAGREE.format(at))
 
 
 def _drop_dependent(A, P, work, lam):
@@ -150,7 +172,7 @@ def _drop_dependent(A, P, work, lam):
     """
     Ab = A[work]
     S = Ab @ P @ Ab.T
-    lo, hi = _extreme_eigs(S)
+    lo, hi = _eig_bounds(S)
     if lo > 0.0 and hi <= _COND_LIMIT * lo:
         return work, lam, Ab, S
     keep = _independent_rows(Ab)
@@ -164,23 +186,17 @@ def _drop_dependent(A, P, work, lam):
 def _project_core(e, P, A, b, max_iterations=None):
     """Dual active-set projection of e onto {z : A z <= b}, weighted by P^{-1}.
 
-    P may be passed as a zero-argument callable; it is then only evaluated
-    once a violated constraint forces actual work, which keeps the common
-    nothing-to-do call cheap. In that case a no-op result carries
-    covariance None and the caller owns the covariance assembly.
+    The search runs in the metric of `_regularized_cov(P)`, formed only once
+    a row is violated, so the common nothing-to-do call stays cheap. The
+    projected covariance is assembled from P itself in the symmetric form
+    (I - gain A_bar) P (I - gain A_bar)' and passes `_check_forms`.
     """
     n = e.size
     A, b = _as_rows(A, b, n)
     q = A.shape[0]
 
-    lazy = callable(P)
-
-    def resolve():
-        return P() if lazy else P
-
     def untouched():
-        return ProjectionResult(e.copy(), (), np.empty(0), np.empty((n, 0)),
-                                None if lazy else P.copy())
+        return ProjectionResult(e.copy(), (), np.empty(0), np.empty((n, 0)), _sym(P))
 
     if q == 0:
         return untouched()
@@ -211,7 +227,7 @@ def _project_core(e, P, A, b, max_iterations=None):
     if viol[p] <= feas_tol:
         return untouched()
 
-    P = resolve()
+    Pw = _regularized_cov(P)
     budget = 10 * (q + 1) if max_iterations is None else int(max_iterations)
     work = []               # working set, insertion order
     lam = np.empty(0)       # multipliers aligned with work
@@ -229,15 +245,15 @@ def _project_core(e, P, A, b, max_iterations=None):
 
     while True:
         a = A[p]
-        Pa = P @ a
+        Pa = Pw @ a
         aPa = float(a @ Pa)
         lam_p = 0.0
         while True:
             if work:
-                work, lam, Ab, S = _drop_dependent(A, P, work, lam)
+                work, lam, Ab, S = _drop_dependent(A, Pw, work, lam)
             if work:
-                r = np.linalg.solve(0.5 * (S + S.T), Ab @ Pa)
-                z = Pa - P @ (Ab.T @ r)
+                r = np.linalg.solve(_sym(S), Ab @ Pa)
+                z = Pa - Pw @ (Ab.T @ r)
             else:
                 r = np.empty(0)
                 z = Pa
@@ -288,11 +304,10 @@ def _project_core(e, P, A, b, max_iterations=None):
     rows_local = [work[i] for i in order]
     lam_sorted = np.maximum(lam[order], 0.0)
     Ab = A[rows_local]
-    S = Ab @ P @ Ab.T
-    gain = P @ Ab.T @ _inv_small_sym(S)
+    gain = Pw @ Ab.T @ _sym_inv(Ab @ Pw @ Ab.T)
     shrink = np.eye(n) - gain @ Ab
-    cov = shrink @ P @ shrink.T
-    cov = 0.5 * (cov + cov.T)
+    cov = _sym(shrink @ P @ shrink.T)
+    _check_forms(P, gain, Ab)
     if index_map is not None:
         active_rows = tuple(int(index_map[w]) for w in rows_local)
     else:
@@ -310,14 +325,12 @@ def project(estimate, W, A, b, max_iterations=None) -> ProjectionResult:
     W = np.asarray(W, dtype=float)
     if W.shape != (e.size, e.size):
         raise ValueError("weight matrix shape does not match the estimate")
-    Wsym = 0.5 * (W + W.T)
+    Wsym = _sym(W)
     try:
         np.linalg.cholesky(Wsym)
     except np.linalg.LinAlgError:
         raise ValueError("weight matrix must be symmetric positive definite") from None
-    P = np.linalg.inv(Wsym)
-    P = 0.5 * (P + P.T)
-    return _project_core(e, P, A, b, max_iterations=max_iterations)
+    return _project_core(e, _sym(np.linalg.inv(Wsym)), A, b, max_iterations=max_iterations)
 
 
 def _regularized_cov(P):
@@ -327,7 +340,7 @@ def _regularized_cov(P):
     only on failure does the eigenvalue test decide between passthrough
     and the ridge route.
     """
-    Psym = 0.5 * (P + P.T)
+    Psym = _sym(P)
     try:
         np.linalg.cholesky(Psym)
         return Psym
@@ -338,36 +351,18 @@ def _regularized_cov(P):
     if eig[0] > n * max(eig[-1], 0.0) * 1e-12 and eig[0] > 0.0:
         return Psym
     W = np.linalg.pinv(Psym, hermitian=True) + _RIDGE * np.eye(n)
-    Pr = np.linalg.inv(W)
-    return 0.5 * (Pr + Pr.T)
+    return _sym(np.linalg.inv(W))
 
 
 def project_attack(atk, A, b):
     """Project an attack estimate onto its inequality set.
 
     `atk` carries d_hat and P_d (any object with those attributes works).
-    The projected covariance is assembled in the symmetric factored form
-    (I - gain A_bar) P (I - gain A_bar)' and checked against the short form
-    (I - gain A_bar) P to 1e-8, a cheap health test of the active-set solve.
-    Returns (d_hat, P_d, ProjectionResult).
+    Returns (d_hat, P_d, ProjectionResult); `_project_core` assembles and
+    self-checks the projected covariance.
     """
-    e = np.asarray(atk.d_hat, dtype=float).ravel()
-    P = np.asarray(atk.P_d, dtype=float)
-    res = _project_core(e, lambda: _regularized_cov(P), A, b)
-    if res.active_set:
-        Ab = np.asarray(A, dtype=float)[list(res.active_set)]
-        shrink = np.eye(e.size) - res.gain @ Ab
-        cov = shrink @ P @ shrink.T
-        cov = 0.5 * (cov + cov.T)
-        short = shrink @ P
-        if np.max(np.abs(cov - short)) > 1e-8 * (1.0 + float(np.max(np.abs(P)))):
-            raise RuntimeError(
-                "projected covariance forms disagree; active-set solve is unreliable"
-            )
-    else:
-        cov = 0.5 * (P + P.T)
-    res = ProjectionResult(res.estimate, res.active_set, res.multipliers, res.gain, cov)
-    return res.estimate, cov, res
+    res = _project_core(np.asarray(atk.d_hat, float).ravel(), np.asarray(atk.P_d, float), A, b)
+    return res.estimate, res.covariance, res
 
 
 def project_state(upd, B, c):
@@ -375,65 +370,5 @@ def project_state(upd, B, c):
 
     `upd` carries x_hat and P_x. Returns (x_hat, P_x, ProjectionResult).
     """
-    e = np.asarray(upd.x_hat, dtype=float).ravel()
-    P = np.asarray(upd.P_x, dtype=float)
-    res = _project_core(e, lambda: _regularized_cov(P), B, c)
-    if res.active_set:
-        Bb = np.asarray(B, dtype=float)[list(res.active_set)]
-        shrink = np.eye(e.size) - res.gain @ Bb
-        cov = shrink @ P @ shrink.T
-        cov = 0.5 * (cov + cov.T)
-    else:
-        cov = 0.5 * (P + P.T)
-    res = ProjectionResult(res.estimate, res.active_set, res.multipliers, res.gain, cov)
-    return res.estimate, cov, res
-
-
-def qp_oracle(estimate, W, A, b):
-    """Brute-force reference solution of the projection QP.
-
-    Enumerates every subset of constraint rows as a candidate active set,
-    solves the KKT system by least squares, and keeps the feasible candidate
-    with nonnegative multipliers and the smallest objective. Exponential in
-    the row count; intended for verification on small instances only.
-    """
-    e = np.asarray(estimate, dtype=float).ravel()
-    n = e.size
-    W = np.asarray(W, dtype=float)
-    A, b = _as_rows(A, b, n)
-    q = A.shape[0]
-    if q > 20:
-        raise ValueError("oracle enumeration is limited to 20 constraint rows")
-
-    best_z = None
-    best_obj = np.inf
-    We = W @ e
-    for mask in range(1 << q):
-        rows = [i for i in range(q) if mask >> i & 1]
-        k = len(rows)
-        if k > n:
-            continue
-        if k == 0:
-            z = e.copy()
-        else:
-            As = A[rows]
-            kkt = np.zeros((n + k, n + k))
-            kkt[:n, :n] = W
-            kkt[:n, n:] = As.T
-            kkt[n:, :n] = As
-            rhs = np.concatenate([We, b[rows]])
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            z, mult = sol[:n], sol[n:]
-            if np.max(np.abs(As @ z - b[rows])) > 1e-9 * (1.0 + np.max(np.abs(b[rows]))):
-                continue
-            if mult.size and mult.min() < -1e-9:
-                continue
-        if q and np.max(A @ z - b) > 1e-9 * (1.0 + float(np.max(np.abs(b)))):
-            continue
-        obj = float((z - e) @ W @ (z - e))
-        if obj < best_obj - 1e-15:
-            best_obj = obj
-            best_z = z
-    if best_z is None:
-        raise InfeasibleConstraintsError("no KKT candidate satisfies all constraints")
-    return best_z
+    res = _project_core(np.asarray(upd.x_hat, float).ravel(), np.asarray(upd.P_x, float), B, c)
+    return res.estimate, res.covariance, res

@@ -1,0 +1,77 @@
+"""Reference routines the tests check the package against.
+
+`qp_oracle` solves the projection QP by brute-force enumeration of active
+subsets through the KKT system, an independent route to what `project`
+computes. `transformed_dynamics` is the closed-loop error transition of
+the compensated filter, a stability diagnostic.
+"""
+
+import numpy as np
+
+from care_filter.projection import InfeasibleConstraintsError, _as_rows
+
+
+def qp_oracle(estimate, W, A, b):
+    """Brute-force reference solution of the projection QP.
+
+    Enumerates every subset of constraint rows as a candidate active set,
+    solves the KKT system by least squares, and keeps the feasible candidate
+    with nonnegative multipliers and the smallest objective. Exponential in
+    the row count; intended for verification on small instances only.
+    """
+    e = np.asarray(estimate, dtype=float).ravel()
+    n = e.size
+    W = np.asarray(W, dtype=float)
+    A, b = _as_rows(A, b, n)
+    q = A.shape[0]
+    if q > 20:
+        raise ValueError("oracle enumeration is limited to 20 constraint rows")
+
+    best_z = None
+    best_obj = np.inf
+    We = W @ e
+    for mask in range(1 << q):
+        rows = [i for i in range(q) if mask >> i & 1]
+        k = len(rows)
+        if k > n:
+            continue
+        if k == 0:
+            z = e.copy()
+        else:
+            As = A[rows]
+            kkt = np.zeros((n + k, n + k))
+            kkt[:n, :n] = W
+            kkt[:n, n:] = As.T
+            kkt[n:, :n] = As
+            rhs = np.concatenate([We, b[rows]])
+            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+            z, mult = sol[:n], sol[n:]
+            if np.max(np.abs(As @ z - b[rows])) > 1e-9 * (1.0 + np.max(np.abs(b[rows]))):
+                continue
+            if mult.size and mult.min() < -1e-9:
+                continue
+        if q and np.max(A @ z - b) > 1e-9 * (1.0 + float(np.max(np.abs(b)))):
+            continue
+        obj = float((z - e) @ W @ (z - e))
+        if obj < best_obj - 1e-15:
+            best_obj = obj
+            best_z = z
+    if best_z is None:
+        raise InfeasibleConstraintsError("no KKT candidate satisfies all constraints")
+    return best_z
+
+
+def transformed_dynamics(A, C, G, M, gamma_bar):
+    """Closed-loop error transition of the compensated filter.
+
+    Returns (I - G M (C G M)^+ C) (I - G M C) A gamma_bar, or None when
+    C G M is too ill conditioned to invert (condition number above 1e12),
+    in which case the stability diagnostic is unavailable for that step.
+    """
+    CGM = C @ G @ M
+    s = np.linalg.svd(CGM, compute_uv=False)
+    if s[0] <= 0.0 or s[-1] <= 1e-12 * s[0]:
+        return None
+    inner = np.linalg.solve(CGM, C)
+    A_bar = (np.eye(A.shape[0]) - G @ M @ C) @ A
+    return (np.eye(A.shape[0]) - G @ M @ inner) @ A_bar @ gamma_bar

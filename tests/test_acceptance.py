@@ -28,8 +28,10 @@ from care_filter.estimator import (
 )
 from care_filter.harness import monte_carlo
 from care_filter.model import NoiseSpec, SystemModel
-from care_filter.projection import project, qp_oracle
+from care_filter.projection import project
 from care_filter.vehicle import VehicleParams, attack_input, bicycle_matrices, slip_angle
+
+from oracles import qp_oracle
 
 # CARE/ISE ratio targets for the four error metrics (state error energy,
 # attack error energy, state covariance trace sum, attack covariance trace

@@ -23,7 +23,6 @@ from care_filter.detector import (
     DetectorState,
     chi2_cdf,
     chi2_quantile,
-    chi2_statistic,
     cusum_update,
     detection_statistic,
     false_negative_rate,
@@ -97,38 +96,6 @@ class TestCdf:
         assert vals[-1] > 1.0 - 1e-9
 
 
-class TestStatistic:
-    def test_trivial_values(self):
-        assert chi2_statistic(np.zeros(3), np.eye(3)) == 0.0
-        assert chi2_statistic(np.array([3.0]), np.array([[1.0]])) == pytest.approx(9.0)
-        stat = chi2_statistic(np.array([2.0, 1.0]), np.diag([4.0, 1.0]))
-        assert stat == pytest.approx(2.0)
-
-    def test_pseudoinverse_on_singular_covariance(self):
-        P = np.array([[1.0, 0.0], [0.0, 0.0]])
-        assert chi2_statistic(np.array([1.0, 0.5]), P) == pytest.approx(1.0)
-        # the null-space component is silently dropped unless strict
-        with pytest.raises(ValueError):
-            chi2_statistic(np.array([1.0, 0.5]), P, strict=True)
-        assert chi2_statistic(np.array([1.0, 1e-12]), P, strict=True) == pytest.approx(1.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            chi2_statistic(np.ones(2), np.eye(3))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 5), st.integers(0, 2**31 - 1))
-    def test_orthogonal_invariance(self, n, seed):
-        rng = np.random.default_rng(seed)
-        d = rng.normal(size=n)
-        root = rng.normal(size=(n, n))
-        P = root @ root.T + 0.1 * np.eye(n)
-        U, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        s0 = chi2_statistic(d, P)
-        s1 = chi2_statistic(U @ d, U @ P @ U.T)
-        assert s1 == pytest.approx(s0, rel=1e-8, abs=1e-10)
-
-
 class TestDetectionStatistic:
     def test_matches_exact_inverse_when_well_conditioned(self):
         rng = np.random.default_rng(7)
@@ -144,7 +111,6 @@ class TestDetectionStatistic:
         # variance collapsed along the second axis, estimate pinned there
         P = np.array([[1.0, 0.0], [0.0, 0.0]])
         d = np.array([0.0, 1.0])
-        assert chi2_statistic(d, P) == 0.0
         floored = detection_statistic(d, P)
         assert np.isfinite(floored)
         assert floored > 1e10

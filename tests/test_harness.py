@@ -6,16 +6,19 @@ from care_filter.config import ScenarioConfig
 from care_filter.detector import DetectorConfig, DetectorState, cusum_update, detection_statistic
 from care_filter.ensemble import _box_project, run_ensemble
 from care_filter.estimator import AttackUnidentifiableError, care_step, initial_state
-from care_filter.harness import monte_carlo, simulate, transformed_dynamics
+from care_filter.harness import monte_carlo, simulate
 from care_filter.model import NoiseSpec
 from care_filter.vehicle import (
     VehicleParams,
     attack_input,
     bicycle_matrices,
+    build_constraints,
     slip_angle,
     vehicle_constraints,
     vehicle_model,
 )
+
+from oracles import transformed_dynamics
 
 REF_FLOAT_FIELDS = ("x_hat", "x_hat_raw", "d_hat", "d_hat_raw", "trace_px",
                     "trace_px_raw", "trace_pd", "trace_pd_raw", "stats", "cusum")
@@ -282,7 +285,7 @@ class TestEnsemble:
         est = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
         cov = np.tile(np.eye(2), (3, 1, 1))
         active = np.zeros(3, dtype=int)
-        assert _box_project(est, cov, A, b, 0, active, check_forms=str) == 1
+        assert _box_project(est, cov, A, b, 0, active, str) == 1
         np.testing.assert_allclose(est[1], [1.0, 0.0])
         assert active.tolist() == [0, 1, 0]
         # an asymmetric covariance makes the symmetric and the short
@@ -290,7 +293,20 @@ class TestEnsemble:
         est[1] = [2.0, 0.0]
         cov[1] = [[1.0, 0.5], [0.0, 1.0]]
         with pytest.raises(RuntimeError, match="forms disagree at run 1"):
-            _box_project(est, cov, A, b, 0, active, check_forms=lambda r: f"run {r}")
+            _box_project(est, cov, A, b, 0, active, lambda r: f"run {r}")
+
+    def test_state_box_self_check_names_the_run(self):
+        # the vehicle's state box on (x, y, v); run 2 leaves it through
+        # x <= 20 alone and takes the closed-form single-row projection
+        params = VehicleParams()
+        B_st, c_st = build_constraints((0.0, 0.0), params)[2:]
+        est = np.tile([10.0, 2.5, 0.0, 10.0], (3, 1))
+        est[2, 0] = 21.0
+        cov = np.tile(0.1 * np.eye(4), (3, 1, 1))
+        cov[2, 1, 3] = 0.05
+        active = np.zeros(3, dtype=int)
+        with pytest.raises(RuntimeError, match="forms disagree at k=7, run 2"):
+            _box_project(est, cov, B_st, c_st, 0, active, lambda r: f"k=7, run {r}")
 
     def test_default_run_count_comes_from_config(self):
         cfg = ScenarioConfig(horizon=30, seed=6, runs=2)
@@ -326,6 +342,26 @@ class TestEnsemble:
 def _write(path, text):
     path.write_text(text)
     return str(path)
+
+
+BAD_CONFIG_VALUES = (
+    "horizon = 0",
+    "x0 = nan, 2.5, 0, 10",
+    "p0_scale = inf",
+    "control_delta = nan",
+    "control_accel = inf",
+    "l_f = nan",
+    "l_r = inf",
+    "t_s = nan",
+    "p0_scale = 0",
+    "t_s = -0.01",
+    "l_f = 0",
+    "l_r = 0",
+    "seed = -1",
+    "pd_window_start = -1",
+    "alarm_start = -5",
+    "alarm_start = 601",
+)
 
 
 class TestCli:
@@ -396,9 +432,12 @@ class TestCli:
         assert "all checks passed" in capsys.readouterr().out
 
     def test_bad_config_value_exits_one(self, tmp_path, capsys):
-        cfg = _write(tmp_path / "bad.txt", "horizon = 0\n")
-        assert main(["validate", "--config", cfg]) == 1
-        assert "config error" in capsys.readouterr().err
+        # one value outside its domain per case; each must fail as a config
+        # error, not later as a runtime failure (exit 2) or silently
+        for text in BAD_CONFIG_VALUES:
+            cfg = _write(tmp_path / "bad.txt", text + "\n")
+            assert main(["validate", "--config", cfg]) == 1, text
+            assert "config error" in capsys.readouterr().err, text
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         cfg = _write(tmp_path / "bad.txt", "not_a_key = 3\n")

@@ -1,5 +1,7 @@
 """System description and validation tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,22 @@ class TestNoiseSpec:
         W, _ = NoiseSpec(seed=5).sample(model, 4000)
         assert np.allclose(W[:, 0], W[:, 1], atol=1e-10)
         assert np.isfinite(W).all()
+
+    def test_time_varying_q_matches_a_per_step_draw(self):
+        # Q(k) switches every three steps between two non-diagonal
+        # matrices; W[k] is the Cholesky factor of Q(k), V[k+1] that of
+        # R(k+1), applied to step k's draw
+        Qs = (np.array([[4.0, 1.0], [1.0, 0.5]]), np.array([[0.25, -0.1], [-0.1, 2.0]]))
+        model = replace(identity_model(), Q=lambda k: Qs[k // 3 % 2],
+                        R=lambda k: (1.0 + 0.1 * k) * np.eye(2))
+        spec = NoiseSpec(seed=41, run_index=2)
+        W, V = spec.sample(model, 30)
+        z = spec.generator().standard_normal((30, 4))
+        for k in range(30):
+            np.testing.assert_allclose(W[k], np.linalg.cholesky(model.Q(k)) @ z[k, :2],
+                                       rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(V[k + 1], np.linalg.cholesky(model.R(k + 1)) @ z[k, 2:],
+                                       rtol=1e-13, atol=1e-15)
 
 
 def test_report_str_lists_issues():

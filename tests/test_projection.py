@@ -14,10 +14,10 @@ from care_filter.projection import (
     project,
     project_attack,
     project_state,
-    qp_oracle,
 )
 
 from conftest import feasible_sample, objective, random_projection_instance
+from oracles import qp_oracle
 
 
 class _Duck:
