@@ -16,9 +16,14 @@ kernel.
 Projection is where runs genuinely differ: most steps clip at most one
 constraint row per run, which has a closed-form solution that vectorizes
 across runs (drive the violated row to equality, verify the result is
-feasible and the multiplier nonnegative). Runs that need a real active-set
-search drop into the scalar projector one at a time; the result records
-how often that happened.
+feasible and the multiplier nonnegative). Every shipped constraint set is
+a box, so the remaining runs, those violating several rows or failing that
+check, are solved exactly in one batch by enumerating the few faces of the
+box (each bounded coordinate at its lower bound, at its upper bound or
+free) and keeping the feasible KKT point of least objective. Only runs the
+enumeration cannot settle, and any non-box constraint set, drop into the
+scalar active-set projector one at a time; the result records how often
+that happened.
 
 The point of `run_ensemble` is stability studies: hundreds of runs over
 ten thousand steps, reduced to per-step error energies and running
@@ -26,14 +31,26 @@ covariance extrema instead of full per-step records.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import ScenarioConfig
 from .estimator import _identified_inverse
 from .model import NoiseSpec
-from .projection import _FORMS_DISAGREE, ActiveSetLimitError, _check_forms, _project_core, _sym, _sym_inv
+from .projection import (
+    _COND_LIMIT,
+    _FORMS_DISAGREE,
+    ActiveSetLimitError,
+    InfeasibleConstraintsError,
+    _check_forms,
+    _eig_bounds,
+    _project_core,
+    _sym,
+    _sym_inv,
+)
 from .vehicle import VehicleParams, attack_input, build_constraints, slip_angle, vehicle_model
 
 __all__ = ["EnsembleResult", "run_ensemble"]
@@ -67,26 +84,140 @@ class EnsembleResult:
     audit: dict = None
 
 
+class _Faces(NamedTuple):
+    """Candidate active sets of a box, one row per candidate c.
+
+    Slot s of candidate c is bounded coordinate coords[s], held at row
+    rows[c, s] with coefficient coef[c, s], or free with coef 0, act 0
+    and a unit diagonal in pad[c]. cc[c] is the outer product of coef[c],
+    Ab[c] the candidate's (m, n) active rows with zero rows on free slots,
+    and nact[c] its active-row count.
+    """
+
+    coords: np.ndarray
+    rows: np.ndarray
+    coef: np.ndarray
+    act: np.ndarray
+    cc: np.ndarray
+    pad: np.ndarray
+    Ab: np.ndarray
+    nact: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _faces(shape, data):
+    A = np.frombuffer(data).reshape(shape)
+    nz = A != 0.0
+    if not (nz.sum(axis=1) == 1).all():
+        return None
+    col = nz.argmax(axis=1)
+    coef = A[np.arange(shape[0]), col]
+    coords = np.flatnonzero(np.bincount(col, minlength=shape[1]))
+    if coords.size > 3:
+        return None
+    choices = []
+    for j in coords:
+        upper = np.flatnonzero((col == j) & (coef > 0.0)).tolist()
+        lower = np.flatnonzero((col == j) & (coef < 0.0)).tolist()
+        if len(upper) > 1 or len(lower) > 1:
+            return None
+        choices.append([-1] + upper + lower)
+    rows = np.array(list(product(*choices))[1:])
+    free = rows < 0
+    rows[free] = 0
+    slot_coef = np.where(free, 0.0, coef[rows])
+    faces = _Faces(coords, rows, slot_coef, (~free).astype(float),
+                   slot_coef[:, :, None] * slot_coef[:, None, :],
+                   free[:, :, None] * np.eye(coords.size),
+                   slot_coef[:, :, None] * np.eye(shape[1])[coords],
+                   (~free).sum(axis=1))
+    for arr in faces:
+        arr.flags.writeable = False
+    return faces
+
+
+def _box_faces(A):
+    """The `_Faces` of {z : A z <= b} when its rows form a box, else None.
+
+    A box has one nonzero per row and at most one upper (positive) and one
+    lower (negative) row per coordinate. Each of its m bounded coordinates
+    is at its lower bound, at its upper bound or free, and the nonempty
+    choices are the candidates: 3^m - 1 for a two-sided box. Boxes on more
+    than three coordinates give None. Tables are cached per constraint
+    matrix and read-only.
+    """
+    return _faces(A.shape, np.ascontiguousarray(A, dtype=float).tobytes())
+
+
+def _face_project(est, cov, A, b, runs, viol, tol, faces, active_out, where):
+    """Exact projection of est[runs] onto a box by KKT enumeration, in place.
+
+    For every run and candidate face, the multipliers solve
+    (A_bar P A_bar') lam = A_bar e - b_bar, so z = e - P A_bar' lam; a
+    candidate is accepted when lam is finite and nonnegative and z
+    satisfies every row to within the run's tol, and the least objective
+    lam'(A_bar e - b_bar) wins. Runs whose bounded-coordinate covariance
+    is not positive definite with condition number at most 1e12, or with
+    no accepted candidate, are returned for the scalar projector.
+    """
+    f = faces
+    e, P = est[runs], cov[runs]
+    Pc = P[:, :, f.coords]
+    Pm = Pc[:, f.coords]
+    lo, hi = _eig_bounds(Pm)
+    v = viol[:, f.rows] * f.act
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        Sinv = _sym_inv(Pm[:, None] * f.cc + f.pad)
+        lam = (Sinv @ v[..., None])[..., 0]
+        z = e[:, None, :] - (lam * f.coef) @ Pc.swapaxes(1, 2)
+        obj = np.einsum('hcs,hcs->hc', lam, v)
+        ok = (lam >= 0.0).all(axis=2) & np.isfinite(obj)
+        ok &= ((z @ A.T - b) <= tol[:, None, None]).all(axis=2)
+    obj[~ok] = np.inf
+    best = obj.argmin(axis=1)
+    h = np.arange(runs.size)
+    acc = (obj[h, best] < np.inf) & (lo > 0.0) & (hi <= _COND_LIMIT * lo)
+    if acc.any():
+        h, best, done = h[acc], best[acc], runs[acc]
+        gain = (Pc[acc] * f.coef[best][:, None, :]) @ Sinv[h, best]
+        cov[done] = _check_forms(P[acc], gain, f.Ab[best], lambda i: where(done[i]))
+        est[done] = z[h, best]
+        active_out[done] = f.nact[best]
+    return runs[~acc]
+
+
 def _box_project(est, cov, A, b, counter, active_out, where):
     """Project each run's estimate onto {z : A z <= b}, in place.
 
     est (R, n) and cov (R, n, n) are overwritten. Runs violating exactly
     one row get the closed-form single-row solution when its KKT check
-    passes; everything else goes through the scalar active-set projector.
-    active_out receives each run's active-row count. Every active
-    projection passes `_check_forms`; a failure names where(r) for run r.
-    Returns the updated fallback counter.
+    passes. When the rows form a box (`_box_faces`), every other violating
+    run is solved exactly by one batched enumeration of the box's faces
+    (`_face_project`); runs it cannot settle, and every run of a non-box
+    set, go through the scalar active-set projector, which the returned
+    counter counts. active_out receives each run's active-row count. Every
+    active projection passes `_check_forms`; a failure names where(r) for
+    run r, and so do the projector's errors and the ValueError raised for
+    a violating run whose estimate or covariance is not finite.
     """
     viol = est @ A.T - b
     if viol.max() <= 0.0:
         return counter
-    hit = np.flatnonzero(viol.max(axis=1) > 0.0)
+    # a NaN estimate counts as violating, to be reported below
+    hit = np.flatnonzero(~(viol.max(axis=1) <= 0.0))
+    e_hit = est[hit]
+    finite = np.isfinite(e_hit).all(axis=1) & np.isfinite(cov[hit]).all(axis=(1, 2))
+    if not finite.all():
+        r = hit[np.argmin(finite)]
+        field = "covariance" if np.isfinite(est[r]).all() else "estimate"
+        raise ValueError(f"non-finite {field} at {where(r)}")
     maxb = float(np.abs(b).max())
     # each flagged run's Euclidean norm, bit for bit what np.linalg.norm
     # returns, without its per-call overhead
-    tol = 1e-10 * (1.0 + np.sqrt(np.add.reduce(est[hit] ** 2, axis=1)) + maxb)
+    tol = 1e-10 * (1.0 + np.sqrt(np.add.reduce(e_hit ** 2, axis=1)) + maxb)
     over = viol[hit] > tol[:, None]
     nover = over.sum(axis=1)
+    left = nover >= 2
 
     single = nover == 1
     if single.any():
@@ -109,14 +240,19 @@ def _box_project(est, cov, A, b, counter, active_out, where):
         est[good] = z[ok]
         cov[good] -= Pa[:, :, None] * Pa[:, None, :] / aPa
         active_out[good] = 1
-        stubborn = runs1[~ok]
-    else:
-        stubborn = np.empty(0, dtype=int)
+        left[np.flatnonzero(single)[~ok]] = True
 
-    for r in np.concatenate([stubborn, hit[nover >= 2]]):
+    rest = hit[left]
+    if rest.size:
+        faces = _box_faces(A)
+        if faces is not None:
+            rest = _face_project(est, cov, A, b, rest, viol[rest], tol[left], faces,
+                                 active_out, where)
+    for r in rest:
         try:
             res = _project_core(est[r], cov[r], A, b)
-        except ActiveSetLimitError:
+        except (ActiveSetLimitError, InfeasibleConstraintsError) as err:
+            err.args = (f"{err} at {where(r)}",)
             raise
         except RuntimeError:
             raise RuntimeError(_FORMS_DISAGREE.format(f" at {where(r)}")) from None

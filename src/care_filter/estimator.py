@@ -223,8 +223,12 @@ def care_step(state: EstimatorState, model: SystemModel, constraints: Constraint
 
     With unconstrained_baseline=True the projection stage is skipped
     entirely and the returned state carries the unconstrained posterior;
-    the projection fields are then None.
+    the projection fields are then None. A non-finite y raises ValueError
+    naming the step k.
     """
+    y = np.asarray(y, dtype=float).ravel()
+    if not np.isfinite(y).all():
+        raise ValueError(f"non-finite measurement y at k={state.k + 1}")
     pred = predict(state, model, u)
     atk = estimate_attack(pred, model, state.P_x, y)
     tu = time_update(pred, atk, model, state)

@@ -33,7 +33,15 @@ _DEP_REL = 1e-11
 _COND_LIMIT = 1e12
 _RANK_TOL = 1e-10
 _RIDGE = 1e-10
+# the adjugates read the upper triangle only, through flat row-major
+# positions: _ADJ2 picks (d, b; b, a) from (a, b; ., d), signed by
+# _ADJ_SIGN; row p of _ADJ3 picks factor p of each 3x3 adjugate entry,
+# adj[i, j] = S[j+1, i+1] S[j+2, i+2] - S[j+1, i+2] S[j+2, i+1], indices mod 3
+_ADJ2 = np.array([[3, 1], [1, 0]])
 _ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_UPPER3 = np.array([3 * min(r, c) + max(r, c) for r in range(3) for c in range(3)])
+_ADJ3 = _UPPER3[[[3 * ((j + p) % 3) + (i + q) % 3 for i in range(3) for j in range(3)]
+                 for p, q in ((1, 1), (2, 2), (1, 2), (2, 1))]]
 
 
 class InfeasibleConstraintsError(ValueError):
@@ -116,15 +124,23 @@ def _sym(X):
 
 def _sym_inv(S):
     """Inverse of a symmetric positive definite matrix or of a stack of
-    them; closed form for sizes one and two, LAPACK beyond that."""
+    them. Sizes up to three use the closed-form adjugate of the upper
+    triangle, where a singular matrix gives inf or NaN entries; LAPACK
+    inverts the symmetrized matrix beyond that."""
     n = S.shape[-1]
     if n == 1:
         return 1.0 / S
-    S = _sym(S)
     if n == 2:
         a, c, b = S[..., 0, 0], S[..., 1, 1], S[..., 0, 1]
-        return S[..., ::-1, ::-1] * _ADJ_SIGN / (a * c - b * b)[..., None, None]
-    return np.linalg.inv(S)
+        adj = S.reshape(S.shape[:-2] + (4,))[..., _ADJ2] * _ADJ_SIGN
+        return adj / (a * c - b * b)[..., None, None]
+    if n == 3:
+        X = S.reshape(S.shape[:-2] + (9,))[..., _ADJ3]
+        adj = X[..., 0, :] * X[..., 1, :]
+        adj -= X[..., 2, :] * X[..., 3, :]
+        adj /= np.einsum('...j,...j->...', S[..., 0, :], adj[..., ::3])[..., None]
+        return adj.reshape(S.shape)
+    return np.linalg.inv(_sym(S))
 
 
 def _eig_bounds(S):
@@ -153,7 +169,7 @@ def _check_forms(P, gain, Ab, where=None):
     compares it with the short form (I - gain A_bar) P, which it equals
     for an exact oblique projection. Raises RuntimeError when they disagree
     beyond 1e-8 relative, naming where(i) for i the first such stack
-    position when a namer is given.
+    position when a namer is given; otherwise returns the symmetric form.
     """
     GA = gain @ Ab
     short = P - GA @ P
@@ -162,6 +178,7 @@ def _check_forms(P, gain, Ab, where=None):
     if bad.any():
         at = "" if where is None else f" at {where(np.argmax(bad))}"
         raise RuntimeError(_FORMS_DISAGREE.format(at))
+    return sym
 
 
 def _drop_dependent(A, P, work, lam):
@@ -187,9 +204,9 @@ def _project_core(e, P, A, b, max_iterations=None):
     """Dual active-set projection of e onto {z : A z <= b}, weighted by P^{-1}.
 
     The search runs in the metric of `_regularized_cov(P)`, formed only once
-    a row is violated, so the common nothing-to-do call stays cheap. The
-    projected covariance is assembled from P itself in the symmetric form
-    (I - gain A_bar) P (I - gain A_bar)' and passes `_check_forms`.
+    a row is violated, so the common nothing-to-do call stays cheap.
+    `_check_forms` assembles the projected covariance from P itself in the
+    symmetric form (I - gain A_bar) P (I - gain A_bar)' and checks it.
     """
     n = e.size
     A, b = _as_rows(A, b, n)
@@ -305,9 +322,7 @@ def _project_core(e, P, A, b, max_iterations=None):
     lam_sorted = np.maximum(lam[order], 0.0)
     Ab = A[rows_local]
     gain = Pw @ Ab.T @ _sym_inv(Ab @ Pw @ Ab.T)
-    shrink = np.eye(n) - gain @ Ab
-    cov = _sym(shrink @ P @ shrink.T)
-    _check_forms(P, gain, Ab)
+    cov = _check_forms(P, gain, Ab)
     if index_map is not None:
         active_rows = tuple(int(index_map[w]) for w in rows_local)
     else:

@@ -369,6 +369,17 @@ class TestCareStep:
         assert out.state.x_hat[0] <= upd.x_hat[0] - 0.5 + 1e-8
         assert np.trace(out.state.P_x) < np.trace(out.update.P_x)
 
+    def test_non_finite_measurement_is_named(self):
+        rng = np.random.default_rng(63)
+        model, state, u, y = random_setup(rng)
+        cons = ConstraintSet.unconstrained(attack_dim=1, state_dim=3)
+        state = EstimatorState(state.x_hat, state.P_x, k=6)
+        for bad in (np.nan, np.inf):
+            y_bad = y.copy()
+            y_bad[1] = bad
+            with pytest.raises(ValueError, match="non-finite measurement y at k=7"):
+                care_step(state, model, cons, u, y_bad)
+
     def test_covariances_symmetric_and_near_psd(self):
         rng = np.random.default_rng(77)
         for _ in range(10):

@@ -1,6 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from care_filter import ensemble
 from care_filter.cli import main
 from care_filter.config import ScenarioConfig
 from care_filter.detector import DetectorConfig, DetectorState, cusum_update, detection_statistic
@@ -8,6 +11,7 @@ from care_filter.ensemble import _box_project, run_ensemble
 from care_filter.estimator import AttackUnidentifiableError, care_step, initial_state
 from care_filter.harness import monte_carlo, simulate
 from care_filter.model import NoiseSpec
+from care_filter.projection import ActiveSetLimitError, InfeasibleConstraintsError
 from care_filter.vehicle import (
     VehicleParams,
     attack_input,
@@ -307,6 +311,56 @@ class TestEnsemble:
         active = np.zeros(3, dtype=int)
         with pytest.raises(RuntimeError, match="forms disagree at k=7, run 2"):
             _box_project(est, cov, B_st, c_st, 0, active, lambda r: f"k=7, run {r}")
+
+    def test_vehicle_boxes_need_no_scalar_fallback(self):
+        # every constraint set of the vehicle is a box, so runs violating
+        # several rows are settled by the batched face enumeration
+        cfg = ScenarioConfig(horizon=1000, seed=20260819)
+        ens = run_ensemble(cfg, runs=20, projection_audit=True)
+        assert ens.fallback_projections == 0
+        audit = ens.audit
+        assert audit["active_x"] > 0 and audit["active_d"] > 0
+        for key in ("truth_infeasible_steps", "viol_x_weighted", "viol_d_weighted",
+                    "viol_trace_x", "viol_trace_d", "viol_strict_x", "viol_strict_d"):
+            assert audit[key] == 0, key
+
+    def test_scalar_projector_errors_name_the_run(self, monkeypatch):
+        # x + y <= -1 and x + y >= 1 is empty and no box
+        A = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        b = np.array([-1.0, -1.0])
+        est = np.zeros((3, 2))
+        cov = np.tile(np.eye(2), (3, 1, 1))
+        active = np.zeros(3, dtype=int)
+        with pytest.raises(InfeasibleConstraintsError, match="cannot be satisfied.* at k=4, run 0"):
+            _box_project(est, cov, A, b, 0, active, lambda r: f"k=4, run {r}")
+        # a wedge that needs two active-set steps, under a budget of one
+        A = np.array([[1.0, 0.5], [0.5, 1.0]])
+        b = np.array([1.0, 1.0])
+        est[:] = [[0.0, 0.0], [0.0, 0.0], [3.0, 3.0]]
+        monkeypatch.setattr(ensemble, "_project_core",
+                            partial(ensemble._project_core, max_iterations=1))
+        with pytest.raises(ActiveSetLimitError, match="iteration cap at k=9, run 2") as info:
+            _box_project(est, cov, A, b, 0, active, lambda r: f"k=9, run {r}")
+        assert info.value.active_set == (0,)
+        assert info.value.max_violation > 0.0
+
+    def test_non_finite_input_is_named(self):
+        params = VehicleParams()
+        B_st, c_st = build_constraints((0.0, 0.0), params)[2:]
+        est = np.tile([21.0, 2.5, 0.0, 10.0], (3, 1))
+        cov = np.tile(0.1 * np.eye(4), (3, 1, 1))
+        active = np.zeros(3, dtype=int)
+        est[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite estimate at k=3, run 1"):
+            _box_project(est, cov, B_st, c_st, 0, active, lambda r: f"k=3, run {r}")
+        # an all-NaN estimate violates no row outright and is caught too
+        est[1] = np.nan
+        with pytest.raises(ValueError, match="non-finite estimate at k=3, run 1"):
+            _box_project(est, cov, B_st, c_st, 0, active, lambda r: f"k=3, run {r}")
+        est[1] = est[0]
+        cov[2, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite covariance at k=3, run 2"):
+            _box_project(est, cov, B_st, c_st, 0, active, lambda r: f"k=3, run {r}")
 
     def test_default_run_count_comes_from_config(self):
         cfg = ScenarioConfig(horizon=30, seed=6, runs=2)

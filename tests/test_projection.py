@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from care_filter.ensemble import _box_project
 from care_filter.projection import (
     ActiveSetLimitError,
     InfeasibleConstraintsError,
     ProjectionResult,
     _independent_rows,
+    _project_core,
+    _sym_inv,
     project,
     project_attack,
     project_state,
@@ -232,6 +235,90 @@ class TestIdentities:
             ok = norms > 0
             viol = (A[ok] @ res.estimate - b[ok]) / norms[ok]
             assert viol.max(initial=0.0) <= 1e-8 * (1.0 + np.abs(b).max())
+
+
+def _random_box(rng, n):
+    """Rows of a one- or two-sided box on one to three of n coordinates,
+    each row scaled by a random positive factor, in random order, and
+    the box's lower and upper bound per coordinate (+-inf when open)."""
+    coords = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False)
+    rows, bounds = [], []
+    lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    for j in coords:
+        mid, half = rng.normal(), 0.1 + abs(rng.normal())
+        for side in ((1.0, -1.0), (1.0,), (-1.0,))[int(rng.integers(3))]:
+            scale = rng.uniform(0.5, 2.0)
+            row = np.zeros(n)
+            row[j] = side * scale
+            rows.append(row)
+            bounds.append(scale * (half + side * mid))
+            if side > 0:
+                hi[j] = mid + half
+            else:
+                lo[j] = mid - half
+    order = rng.permutation(len(rows))
+    return np.array(rows)[order], np.array(bounds)[order], coords, lo, hi
+
+
+class TestBatchedBoxProjection:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_matches_oracle_and_scalar_projector(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        A, b, coords, lo, hi = _random_box(rng, n)
+        runs = 8
+        P = np.empty((runs, n, n))
+        est = rng.normal(size=(runs, n))
+        for r in range(runs):
+            V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            P[r] = V @ np.diag(10.0 ** rng.uniform(-2.0, 2.0, size=n)) @ V.T
+            # push every bounded coordinate past one of its bounds
+            for j in coords:
+                out = 0.05 + 2.0 * abs(rng.normal())
+                up = np.isinf(lo[j]) or (np.isfinite(hi[j]) and rng.random() < 0.5)
+                est[r, j] = hi[j] + out if up else lo[j] - out
+        z, cov = est.copy(), P.copy()
+        active = np.zeros(runs, dtype=int)
+        assert _box_project(z, cov, A, b, 0, active, str) == 0
+        for r in range(runs):
+            W = np.linalg.inv(P[r])
+            ref = qp_oracle(est[r], W, A, b)
+            assert np.abs(z[r] - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max()), r
+            obj = objective(ref, est[r], W)
+            assert abs(objective(z[r], est[r], W) - obj) <= 1e-8 * (1.0 + obj), r
+            res = _project_core(est[r], P[r], A, b)
+            assert np.abs(z[r] - res.estimate).max() <= 1e-8 * (1.0 + np.abs(ref).max()), r
+            assert active[r] == len(res.active_set), r
+            assert np.abs(cov[r] - res.covariance).max() <= 1e-9, r
+
+    def test_ill_conditioned_metric_goes_to_the_scalar_projector(self):
+        # run 0's covariance has condition number 1e13 on the bounded
+        # coordinates, beyond what the batch enumeration accepts
+        A = np.array([[1.0, 0.0], [0.0, 1.0]])
+        b = np.array([1.0, 1.0])
+        est = np.array([[2.0, 3.0], [2.0, 3.0]])
+        cov = np.array([np.diag([1.0, 1e-13]), np.eye(2)])
+        ref = _project_core(est[0], cov[0], A, b)
+        active = np.zeros(2, dtype=int)
+        assert _box_project(est, cov, A, b, 0, active, str) == 1
+        np.testing.assert_allclose(est[0], ref.estimate, atol=1e-12)
+        np.testing.assert_allclose(est[1], [1.0, 1.0], atol=1e-12)
+        assert active.tolist() == [len(ref.active_set), 2]
+
+
+def test_small_symmetric_inverse_matches_lapack():
+    rng = np.random.default_rng(31)
+    for n in range(1, 5):
+        M = rng.normal(size=(3, 5, n, n))
+        S = M @ M.swapaxes(-1, -2) + 0.1 * np.eye(n)
+        ref = np.linalg.inv(S)
+        np.testing.assert_allclose(_sym_inv(S), ref, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(_sym_inv(S[1, 2]), ref[1, 2], rtol=1e-10, atol=1e-10)
+        if 1 < n <= 3:
+            # the closed forms read the upper triangle only
+            lower = np.tril(rng.normal(size=(n, n)), -1)
+            np.testing.assert_array_equal(_sym_inv(S + lower), _sym_inv(S))
 
 
 class TestEstimatorFacingWrappers:
