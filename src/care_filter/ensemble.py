@@ -9,7 +9,11 @@ realization and every filter block of a realization sees that
 realization's measurement. Per-run noise comes from `NoiseSpec(seed, i)`
 for run index i. The arithmetic is the step of `care_step` specialized to
 the vehicle system (C = I, diagonal Q and R); results agree with that
-general path to floating-point reordering. `run_ensemble` here and
+general path to floating-point rounding. With C = I the measurement update
+has a closed form (Kitanidis, Automatica 23(6), 1987): for S = P^- + R and
+W = S^{-1} - S^{-1} G P_d G' S^{-1}, the posterior is x = y - R W nu and
+P = R - R W R, so the kernel needs neither R*, the Moore-Penrose gain of
+`measurement_update` nor its eigendecomposition. `run_ensemble` here and
 `simulate`/`monte_carlo` in the harness are the drivers of this one
 kernel.
 
@@ -57,7 +61,6 @@ __all__ = ["EnsembleResult", "run_ensemble"]
 
 _FILTERS = ("care", "ise")
 _EYE2 = np.eye(2)
-_EYE4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -201,7 +204,7 @@ def _box_project(est, cov, A, b, counter, active_out, where):
     a violating run whose estimate or covariance is not finite.
     """
     viol = est @ A.T - b
-    if viol.max() <= 0.0:
+    if viol.max(initial=0.0) <= 0.0:
         return counter
     # a NaN estimate counts as violating, to be reported below
     hit = np.flatnonzero(~(viol.max(axis=1) <= 0.0))
@@ -233,12 +236,11 @@ def _box_project(est, cov, A, b, counter, active_out, where):
             ok = np.isfinite(t) & (aPa > 0.0)
             ok &= ((z @ A.T - b) <= tol[single][:, None]).all(axis=1)
         good = runs1[ok]
-        Pa, aPa = Pa[ok], aPa[ok][:, None, None]
         if good.size:
-            _check_forms(cov[good], Pa[:, :, None] / aPa, a[ok][:, None, :],
-                         lambda i: where(good[i]))
+            gain = Pa[ok][:, :, None] / aPa[ok][:, None, None]
+            cov[good] = _check_forms(cov[good], gain, a[ok][:, None, :],
+                                     lambda i: where(good[i]))
         est[good] = z[ok]
-        cov[good] -= Pa[:, :, None] * Pa[:, None, :] / aPa
         active_out[good] = 1
         left[np.flatnonzero(single)[~ok]] = True
 
@@ -302,9 +304,9 @@ class _Batch:
         u_raw = (config.control_delta, config.control_accel)
         self.u_beta = np.array([slip_angle(u_raw[0], params), u_raw[1]])
         self.A_in, self.b_in, self.B_st, self.c_st = build_constraints(u_raw, params)
-        self.q_diag = np.asarray(params.q_diag, dtype=float)
         self.r_diag = np.asarray(params.r_diag, dtype=float)
-        self.Q = np.diag(self.q_diag)
+        self.r_outer = np.outer(self.r_diag, self.r_diag)
+        self.Q = np.diag(params.q_diag)
         self.R_mat = np.diag(self.r_diag)
 
         x0 = np.array(config.x0, dtype=float)
@@ -340,7 +342,6 @@ class _Batch:
         km1 = k - 1
         where = partial(self._where, k)
         p = self.params
-        q_diag, r_diag = self.q_diag, self.r_diag
 
         self._schedule(self.A_t, self.B_t, self.x_true[:, 3])
         x_true = (self.A_t @ self.x_true[..., None])[..., 0] + self.B_t @ self.u_beta \
@@ -368,30 +369,12 @@ class _Batch:
         T_mat = Gt_f @ R_til
         Pd_u = _identified_inverse(_sym(T_mat @ G_f), where)
         M = Pd_u @ T_mat
-        d_u = (M @ (y - pred_x)[..., None])[..., 0]
-        P_xd = -(P_cur @ At_f @ M.transpose(0, 2, 1))
-
-        x_star = pred_x + (G_f @ d_u[..., None])[..., 0]
-        cross = A_f @ P_xd @ Gt_f
-        GM = G_f @ M
-        GMQ = GM * q_diag
-        P_star = _sym(Pp + cross + cross.transpose(0, 2, 1)
-                      + G_f @ Pd_u @ Gt_f - GMQ - GMQ.transpose(0, 2, 1))
-        GMR = GM * r_diag
-        R_star = _sym(P_star - GMR - GMR.transpose(0, 2, 1) + self.R_mat)
-
-        w_eig, Vec = np.linalg.eigh(R_star)
-        absw = np.abs(w_eig)
-        keep = absw > 4.0e-12 * absw.max(axis=1)[:, None]
-        inv_w = np.where(keep, 1.0, 0.0) / np.where(keep, w_eig, 1.0)
-        Rs_pinv = (Vec * inv_w[:, None, :]) @ Vec.transpose(0, 2, 1)
-        L = (P_star - GMR) @ Rs_pinv
-        x_u = x_star + (L @ (y - x_star)[..., None])[..., 0]
-        ImLC = _EYE4 - L
-        t1 = ImLC @ GMR @ L.transpose(0, 2, 1)
-        P_u = _sym(t1 + t1.transpose(0, 2, 1)
-                   + ImLC @ P_star @ ImLC.transpose(0, 2, 1)
-                   + (L * r_diag) @ L.transpose(0, 2, 1))
+        # C = I: S^{-1} is a generalized inverse of R*, so no pseudoinverse is needed
+        nu = y - pred_x
+        d_u = (M @ nu[..., None])[..., 0]
+        W = _sym(R_til - T_mat.transpose(0, 2, 1) @ M)
+        x_u = y - self.r_diag * (W @ nu[..., None])[..., 0]
+        P_u = self.R_mat - self.r_outer * W  # exactly symmetric, as W is
 
         self.mcg_dev = np.abs(M @ G_f - _EYE2).max(axis=(1, 2))
         self.x_raw, self.P_raw, self.d_raw, self.Pd_raw = x_u, P_u, d_u, Pd_u

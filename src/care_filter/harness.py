@@ -117,6 +117,7 @@ def _run(config: ScenarioConfig, run_indices, filters, detector):
 
     X, X_raw = np.empty((N, K + 1, 4)), np.empty((N, K + 1, 4))
     D, D_raw = np.empty((N, K, 2)), np.empty((N, K, 2))
+    PD = np.empty((N, K, 2, 2)) if detector else None
     TX, TX_raw = np.empty((N, K + 1)), np.empty((N, K + 1))
     TD, TD_raw = np.empty((N, K)), np.empty((N, K))
     stats, cusum = np.zeros((N, K + 1)), np.zeros((N, K + 1))
@@ -149,9 +150,15 @@ def _run(config: ScenarioConfig, run_indices, filters, detector):
         if k > 100:
             np.maximum(max_pxu, TX_raw[:, k], out=max_pxu)
         if detector:
-            stat = detection_statistic(batch.d, batch.Pd)
-            det_state, alarm = cusum_update(det_state, stat, detector_cfg)
-            stats[:, k] = stat
+            PD[:, km1] = batch.Pd
+
+    if detector:
+        # each step's statistic stands alone, so one call covers the whole
+        # study; the CUSUM is a recurrence and stays per step
+        stats[:, 1:] = detection_statistic(D.reshape(N * K, 2),
+                                           PD.reshape(N * K, 2, 2)).reshape(N, K)
+        for k in range(1, K + 1):
+            det_state, alarm = cusum_update(det_state, stats[:, k], detector_cfg)
             cusum[:, k] = det_state.S
             alarms[:, k] = alarm
 

@@ -8,6 +8,8 @@ implementation's own formulas are never used to generate expectations.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from care_filter.estimator import (
     AttackEstimate,
@@ -313,6 +315,60 @@ class TestMeasurementUpdate:
                                atk.R_tilde, k=9)
         with pytest.raises(ValueError):
             measurement_update(tu, stale, model, y)
+
+
+def random_ltv_setup(rng):
+    """A two-step LTV model with C != I, p >= m outputs per attack input,
+    rank(C_1 G_0) = m with condition number at most 1e3, and
+    non-diagonal SPD Q_k and R_k, plus a consistent filter state."""
+    n = int(rng.integers(2, 6))
+    m = int(rng.integers(1, n + 1))
+    p = int(rng.integers(m, 6))
+    while True:
+        A, G = 0.5 * rng.normal(size=(2, n, n)), rng.normal(size=(2, n, m))
+        C = rng.normal(size=(2, p, n))
+        s = np.linalg.svd(C[1] @ G[0], compute_uv=False)
+        if s[-1] > 0.0 and s[0] <= 1e3 * s[-1]:
+            break
+    B = rng.normal(size=(2, n, 1))
+    Q = np.array([spd(rng, n) for _ in range(2)])
+    R = np.array([spd(rng, p) for _ in range(2)])
+    model = SystemModel(n, 1, m, p, lambda k: A[k], lambda k: B[k], lambda k: C[k],
+                        lambda k: G[k], lambda k: Q[k], lambda k: R[k])
+    state = EstimatorState(rng.normal(size=n), spd(rng, n), k=0)
+    return model, state, rng.normal(size=1), rng.normal(size=p)
+
+
+class TestClosedFormIdentities:
+    """The identities behind the batched kernel's closed-form measurement
+    update (x = y - R W nu, P = R - R W R for C = I): with S = C P^- C' + R
+    and R~ = S^{-1}, R* equals S - CG P_d G'C', R~ is a generalized inverse
+    of R*, and P* C' - GMR equals P^- C' (I - CGM)', which vanishes on
+    null(R*)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_identities_hold_on_random_ltv_systems(self, seed):
+        model, state, u, y = random_ltv_setup(np.random.default_rng(seed))
+        pred = predict(state, model, u)
+        atk = estimate_attack(pred, model, state.P_x, y)
+        tu = time_update(pred, atk, model, state)
+        C, G, R = model.C(1), model.G(0), model.R(1)
+        S = C @ pred.P_x @ C.T + R
+        CG = C @ G
+        PC, GMR, CGM = pred.P_x @ C.T, G @ atk.M @ R, CG @ atk.M
+        # gaps relative to the size of the terms, since either side may
+        # vanish (R* = 0 and P^- C' (I - CGM)' = 0 when p = m)
+        gaps = [
+            (tu.R_star - (S - CG @ atk.P_d @ CG.T), np.abs(S).max()),
+            (tu.R_star @ atk.R_tilde @ tu.R_star - tu.R_star,
+             np.abs(S).max() ** 2 * np.abs(atk.R_tilde).max()),
+            (tu.P_x @ C.T - GMR - PC @ (np.eye(C.shape[0]) - CGM).T,
+             max(np.abs(tu.P_x @ C.T).max(), np.abs(GMR).max(),
+                 np.abs(PC).max() * (1.0 + np.abs(CGM).max()))),
+        ]
+        for i, (gap, size) in enumerate(gaps):
+            assert np.abs(gap).max() <= 1e-8 * size, i
 
 
 class TestCareStep:

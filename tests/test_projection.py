@@ -306,6 +306,16 @@ class TestBatchedBoxProjection:
         np.testing.assert_allclose(est[1], [1.0, 1.0], atol=1e-12)
         assert active.tolist() == [len(ref.active_set), 2]
 
+    def test_zero_row_set_leaves_the_runs_untouched(self):
+        # as `project` does for q = 0: nothing to violate, counter unchanged
+        est = np.array([[2.0, 3.0], [-1.0, 0.5]])
+        cov = np.array([np.eye(2), 2.0 * np.eye(2)])
+        z, P = est.copy(), cov.copy()
+        active = np.zeros(2, dtype=int)
+        assert _box_project(z, P, np.zeros((0, 2)), np.zeros(0), 3, active, str) == 3
+        assert np.array_equal(z, est) and np.array_equal(P, cov)
+        assert active.tolist() == [0, 0]
+
 
 def test_small_symmetric_inverse_matches_lapack():
     rng = np.random.default_rng(31)
