@@ -45,7 +45,6 @@ from .config import ScenarioConfig
 from .estimator import _identified_inverse
 from .model import NoiseSpec
 from .projection import (
-    _COND_LIMIT,
     _FORMS_DISAGREE,
     ActiveSetLimitError,
     InfeasibleConstraintsError,
@@ -60,6 +59,7 @@ from .vehicle import VehicleParams, attack_input, build_constraints, slip_angle,
 __all__ = ["EnsembleResult", "run_ensemble"]
 
 _FILTERS = ("care", "ise")
+_COND_LIMIT = 1e12
 _EYE2 = np.eye(2)
 
 

@@ -189,7 +189,8 @@ def validate(model: SystemModel, constraints: ConstraintSet, horizon: int) -> Va
 
     Checks dimensions, Q PSD, R PD (by Cholesky), rank(C(k) G(k-1)) = n_d,
     rank of the state-constraint rows strictly below the state dimension,
-    non-empty feasible sets, and provider determinism at spot-check indices.
+    finite constraint data, non-empty feasible sets, and provider
+    determinism at spot-check indices.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -227,7 +228,7 @@ def validate(model: SystemModel, constraints: ConstraintSet, horizon: int) -> Va
             rep.add(f"input constraints at k={k} disagree on row count")
         if Bx.shape[0] != cx.size:
             rep.add(f"state constraints at k={k} disagree on row count")
-        if Bx.shape[0] and np.linalg.matrix_rank(Bx) >= m:
+        if Bx.shape[0] and np.isfinite(Bx).all() and np.linalg.matrix_rank(Bx) >= m:
             rep.add(f"state constraint rows at k={k} have rank >= state dimension")
         for name, Mrows, bound, dim in (("input", Ad, bd, n_d), ("state", Bx, cx, m)):
             if Mrows.shape[0] and Mrows.shape == (bound.size, dim):
@@ -235,6 +236,8 @@ def validate(model: SystemModel, constraints: ConstraintSet, horizon: int) -> Va
                     project(np.zeros(dim), np.eye(dim), Mrows, bound)
                 except (InfeasibleConstraintsError, ActiveSetLimitError):
                     rep.add(f"{name} constraint set at k={k} looks empty")
+                except ValueError as err:
+                    rep.add(f"{name} constraints at k={k}: {err}")
 
     for k in (0, max(horizon // 2, 1), horizon):
         for name, provider in (("A", model.A), ("B", model.B), ("C", model.C),

@@ -4,11 +4,13 @@ Solves min (z - e)' W (z - e) subject to A z <= b with a primal-dual
 active-set search: start at the unconstrained optimum, repeatedly pick the
 most violated (row-normalized) constraint and drive it to equality, dropping
 working rows whose multipliers would cross zero along the way. Partial dual
-steps make the iteration finitely convergent for a positive definite weight,
-and an unbounded dual step is a proof that the feasible set is empty. The
-weight is the inverse of the estimation error covariance, so the projector
-is oblique: gain = P A_bar' (A_bar P A_bar')^{-1} for active rows A_bar with
-P = W^{-1}.
+steps make the iteration finitely convergent, and an unbounded dual step is
+a proof that no feasible point is reachable. The weight is the inverse of
+the estimation error covariance, so the projector is oblique:
+gain = P A_bar' (A_bar P A_bar')^{-1} for active rows A_bar with P = W^{-1}.
+The search is written in P alone, so it also serves a positive semidefinite
+P, as left by an earlier projection: the estimate then moves only within
+e + range(P), the directions the covariance gives variance to.
 
 The small symmetric-matrix helpers here (`_sym`, `_sym_inv`, `_eig_bounds`,
 `_check_forms`) take one (n, n) matrix or a (B, n, n) stack alike, and the
@@ -30,9 +32,7 @@ __all__ = [
 
 _FEAS_REL = 1e-10
 _DEP_REL = 1e-11
-_COND_LIMIT = 1e12
-_RANK_TOL = 1e-10
-_RIDGE = 1e-10
+_NULL_REL = 1e-14
 # the adjugates read the upper triangle only, through flat row-major
 # positions: _ADJ2 picks (d, b; b, a) from (a, b; ., d), signed by
 # _ADJ_SIGN; row p of _ADJ3 picks factor p of each 3x3 adjugate entry,
@@ -88,34 +88,11 @@ def _as_rows(A, b, n):
         raise ValueError("constraint matrix must have one column per estimate entry")
     if A.shape[0] != b.size:
         raise ValueError("constraint matrix and bound vector disagree on row count")
+    if not np.isfinite(A).all():
+        raise ValueError("constraint matrix must be finite")
+    if not np.isfinite(b).all():
+        raise ValueError("constraint bound must be finite")
     return A, b
-
-
-def _independent_rows(Ab, tol=_RANK_TOL):
-    """Greedy rank-revealing selection of linearly independent rows.
-
-    Modified Gram-Schmidt with pivoting: repeatedly take the row with the
-    largest residual norm, orthogonalize the rest against it, stop when the
-    best residual drops below tol relative to the largest original row norm.
-    Returns positions into Ab, ascending.
-    """
-    R = Ab.astype(float, copy=True)
-    scale = np.linalg.norm(R, axis=1).max(initial=0.0)
-    if scale == 0.0:
-        return []
-    kept = []
-    for _ in range(min(Ab.shape)):
-        resid = np.linalg.norm(R, axis=1)
-        if kept:
-            resid[kept] = -1.0
-        pick = int(np.argmax(resid))
-        if resid[pick] <= tol * scale:
-            break
-        kept.append(pick)
-        v = R[pick] / resid[pick]
-        R -= np.outer(R @ v, v)
-        R[pick] = 0.0
-    return sorted(kept)
 
 
 def _sym(X):
@@ -181,32 +158,21 @@ def _check_forms(P, gain, Ab, where=None):
     return sym
 
 
-def _drop_dependent(A, P, work, lam):
-    """Safety net: shed rows that leave A_bar P A_bar' numerically singular.
-
-    Returns the surviving rows and multipliers together with A_bar and
-    A_bar P A_bar' so the caller does not rebuild them.
-    """
-    Ab = A[work]
-    S = Ab @ P @ Ab.T
-    lo, hi = _eig_bounds(S)
-    if lo > 0.0 and hi <= _COND_LIMIT * lo:
-        return work, lam, Ab, S
-    keep = _independent_rows(Ab)
-    work = [work[i] for i in keep]
-    lam = lam[keep]
-    Ab = A[work]
-    S = Ab @ P @ Ab.T
-    return work, lam, Ab, S
-
-
 def _project_core(e, P, A, b, max_iterations=None):
-    """Dual active-set projection of e onto {z : A z <= b}, weighted by P^{-1}.
+    """Dual active-set projection of e onto {z : A z <= b} within e + range(P).
 
-    The search runs in the metric of `_regularized_cov(P)`, formed only once
-    a row is violated, so the common nothing-to-do call stays cheap.
-    `_check_forms` assembles the projected covariance from P itself in the
-    symmetric form (I - gain A_bar) P (I - gain A_bar)' and checks it.
+    The weight is P^+, and the search uses P itself: P a, A_bar P A_bar' and
+    the gain P A_bar' (A_bar P A_bar')^{-1}. A rank-deficient P therefore
+    needs no special case; every step stays in e + range(P). A row is added
+    to the working set only when its residual variance a'z exceeds
+    _DEP_REL a'P a, the share of it the working rows already explain, plus
+    _NULL_REL trace(P) |a|^2, the rounding level of P, so A_bar P A_bar'
+    stays nonsingular and a row in null(P) never enters. When e + range(P)
+    misses the feasible set, the dual step is unbounded and
+    InfeasibleConstraintsError is raised. Once a row is violated, a
+    non-finite estimate or covariance raises ValueError. `_check_forms`
+    assembles the projected covariance in the symmetric form
+    (I - gain A_bar) P (I - gain A_bar)' and checks it.
     """
     n = e.size
     A, b = _as_rows(A, b, n)
@@ -222,6 +188,9 @@ def _project_core(e, P, A, b, max_iterations=None):
     # tolerance or normalization needed
     if (A @ e - b).max() <= 0.0:
         return untouched()
+    for field, X in (("estimate", e), ("covariance", P)):
+        if not np.isfinite(X).all():
+            raise ValueError(f"non-finite {field}")
 
     row_norms = np.linalg.norm(A, axis=1)
     zero_rows = row_norms == 0.0
@@ -244,7 +213,8 @@ def _project_core(e, P, A, b, max_iterations=None):
     if viol[p] <= feas_tol:
         return untouched()
 
-    Pw = _regularized_cov(P)
+    Pw = _sym(P)
+    floor = _NULL_REL * float(np.trace(Pw)) * row_norms ** 2
     budget = 10 * (q + 1) if max_iterations is None else int(max_iterations)
     work = []               # working set, insertion order
     lam = np.empty(0)       # multipliers aligned with work
@@ -267,16 +237,15 @@ def _project_core(e, P, A, b, max_iterations=None):
         lam_p = 0.0
         while True:
             if work:
-                work, lam, Ab, S = _drop_dependent(A, Pw, work, lam)
-            if work:
-                r = np.linalg.solve(_sym(S), Ab @ Pa)
+                Ab = A[work]
+                r = np.linalg.solve(_sym(Ab @ Pw @ Ab.T), Ab @ Pa)
                 z = Pa - Pw @ (Ab.T @ r)
             else:
                 r = np.empty(0)
                 z = Pa
             az = float(a @ z)
             slack = float(a @ x - b[p])
-            t_full = slack / az if az > _DEP_REL * aPa else np.inf
+            t_full = slack / az if az > _DEP_REL * aPa + floor[p] else np.inf
 
             t_block = np.inf
             blocker = -1
@@ -292,7 +261,7 @@ def _project_core(e, P, A, b, max_iterations=None):
             if not np.isfinite(t):
                 raise InfeasibleConstraintsError(
                     f"constraint row {p if index_map is None else int(index_map[p])} "
-                    "cannot be satisfied: empty feasible set"
+                    "cannot be satisfied: no point of e + range(P) is feasible"
                 )
             ops += 1
             if ops > budget:
@@ -340,33 +309,14 @@ def project(estimate, W, A, b, max_iterations=None) -> ProjectionResult:
     W = np.asarray(W, dtype=float)
     if W.shape != (e.size, e.size):
         raise ValueError("weight matrix shape does not match the estimate")
+    if not np.isfinite(W).all():
+        raise ValueError("weight matrix must be finite")
     Wsym = _sym(W)
     try:
         np.linalg.cholesky(Wsym)
     except np.linalg.LinAlgError:
         raise ValueError("weight matrix must be symmetric positive definite") from None
     return _project_core(e, _sym(np.linalg.inv(Wsym)), A, b, max_iterations=max_iterations)
-
-
-def _regularized_cov(P):
-    """P when comfortably positive definite, else (pinv(P) + ridge I)^{-1}.
-
-    A Cholesky attempt settles the common well-conditioned case cheaply;
-    only on failure does the eigenvalue test decide between passthrough
-    and the ridge route.
-    """
-    Psym = _sym(P)
-    try:
-        np.linalg.cholesky(Psym)
-        return Psym
-    except np.linalg.LinAlgError:
-        pass
-    eig = np.linalg.eigvalsh(Psym)
-    n = Psym.shape[0]
-    if eig[0] > n * max(eig[-1], 0.0) * 1e-12 and eig[0] > 0.0:
-        return Psym
-    W = np.linalg.pinv(Psym, hermitian=True) + _RIDGE * np.eye(n)
-    return _sym(np.linalg.inv(W))
 
 
 def project_attack(atk, A, b):

@@ -2,7 +2,8 @@
 
 `qp_oracle` solves the projection QP by brute-force enumeration of active
 subsets through the KKT system, an independent route to what `project`
-computes. `transformed_dynamics` is the closed-loop error transition of
+computes; `range_qp_oracle` restricts it to e + range(P) for a positive
+semidefinite P. `transformed_dynamics` is the closed-loop error transition of
 the compensated filter, a stability diagnostic.
 """
 
@@ -59,6 +60,23 @@ def qp_oracle(estimate, W, A, b):
     if best_z is None:
         raise InfeasibleConstraintsError("no KKT candidate satisfies all constraints")
     return best_z
+
+
+def range_qp_oracle(estimate, P, A, b):
+    """`qp_oracle` restricted to e + range(P), weighted by P^+.
+
+    Writes z = e + U y over an orthonormal basis U of range(P), the
+    eigenvectors whose eigenvalues exceed 1e-12 of the largest, and solves
+    for y in the metric diag(1 / eigenvalue). Raises
+    InfeasibleConstraintsError when e + range(P) misses the feasible set.
+    """
+    e = np.asarray(estimate, dtype=float).ravel()
+    A, b = _as_rows(A, b, e.size)
+    eig, V = np.linalg.eigh(0.5 * (P + P.T))
+    keep = eig > 1e-12 * eig[-1]
+    U = V[:, keep]
+    y = qp_oracle(np.zeros(U.shape[1]), np.diag(1.0 / eig[keep]), A @ U, b - A @ e)
+    return e + U @ y
 
 
 def transformed_dynamics(A, C, G, M, gamma_bar):

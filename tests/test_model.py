@@ -98,6 +98,20 @@ class TestValidate:
         rep = validate(identity_model(), cons, horizon=1)
         assert any("empty" in msg for msg in rep.issues)
 
+    def test_non_finite_constraint_data_flagged_with_step(self):
+        cons = ConstraintSet(
+            input_matrix=lambda k: np.array([[1.0], [-1.0]]),
+            input_bound=lambda k: np.array([1.0, np.inf if k == 2 else 1.0]),
+            state_matrix=lambda k: np.array([[np.nan if k == 3 else 1.0, 0.0]]),
+            state_bound=lambda k: np.array([np.nan if k == 1 else 5.0]),
+        )
+        rep = validate(identity_model(), cons, horizon=3)
+        assert rep.issues == [
+            "state constraints at k=1: constraint bound must be finite",
+            "input constraints at k=2: constraint bound must be finite",
+            "state constraints at k=3: constraint matrix must be finite",
+        ]
+
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):
             validate(identity_model(), ConstraintSet.unconstrained(1, 2), horizon=0)

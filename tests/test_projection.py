@@ -11,7 +11,6 @@ from care_filter.projection import (
     ActiveSetLimitError,
     InfeasibleConstraintsError,
     ProjectionResult,
-    _independent_rows,
     _project_core,
     _sym_inv,
     project,
@@ -20,7 +19,7 @@ from care_filter.projection import (
 )
 
 from conftest import feasible_sample, objective, random_projection_instance
-from oracles import qp_oracle
+from oracles import qp_oracle, range_qp_oracle
 
 
 class _Duck:
@@ -157,10 +156,26 @@ class TestFailureModes:
         assert err.value.max_violation > 0
         assert err.value.active_set is not None
 
-    def test_independent_row_selection(self):
-        rows = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-        assert _independent_rows(rows) == [1, 2]
-        assert _independent_rows(np.zeros((2, 3))) == []
+    def test_non_finite_constraint_data_is_rejected(self):
+        # an infinite bound used to switch every row off, a NaN bound to
+        # read as an empty feasible set
+        for bound in ([1.0, np.inf], [1.0, np.nan]):
+            with pytest.raises(ValueError, match="constraint bound must be finite"):
+                project(np.array([5.0, 0.0]), np.eye(2), np.eye(2), bound)
+        with pytest.raises(ValueError, match="constraint matrix must be finite"):
+            project(np.array([5.0, 0.0]), np.eye(2), [[1.0, np.nan]], [1.0])
+
+    def test_non_finite_estimate_or_covariance_is_named(self):
+        A, b = np.eye(2), np.ones(2)
+        with pytest.raises(ValueError, match="non-finite estimate") as err:
+            project(np.array([np.nan, 0.0]), np.eye(2), A, b)
+        assert type(err.value) is ValueError
+        with pytest.raises(ValueError, match="weight matrix must be finite"):
+            project(np.array([5.0, 0.0]), np.diag([1.0, np.nan]), A, b)
+        upd = _Duck(x_hat=np.array([5.0, 0.0]), P_x=np.diag([1.0, np.nan]))
+        with pytest.raises(ValueError, match="non-finite covariance") as err:
+            project_state(upd, A, b)
+        assert type(err.value) is ValueError
 
 
 class TestIdentities:
@@ -260,6 +275,55 @@ def _random_box(rng, n):
     return np.array(rows)[order], np.array(bounds)[order], coords, lo, hi
 
 
+def _rank_deficient_instance(rng):
+    """Projection instance under a covariance P of rank r < n.
+
+    The random rows keep an interior point in e + range(P), so the
+    restricted problem is well posed within the oracle's fixed tolerances.
+    Some rows lie in null(P), where the estimate cannot move, and some
+    repeat the row before them, scaled by +-[0.5, 2], plus a null(P)
+    component, which makes them parallel or antiparallel to it in the metric
+    of P. Both kinds get a random bound, so e + range(P) can miss the
+    feasible set.
+    """
+    n = int(rng.integers(2, 5))
+    r = int(rng.integers(1, n))
+    V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    U, N = V[:, :r], V[:, r:]
+    P = U @ np.diag(10.0 ** rng.uniform(-2.0, 2.0, size=r)) @ U.T
+    e = 2.0 * rng.normal(size=n)
+    z0 = e + U @ (2.0 * rng.normal(size=r))
+    q = int(rng.integers(1, 6))
+    A = rng.normal(size=(q, n))
+    b = A @ z0 + np.abs(rng.normal(size=q)) + 0.05
+    for i in range(q):
+        kind = rng.random()
+        if kind < 0.15:
+            A[i] = N @ rng.normal(size=n - r)
+            b[i] = A[i] @ e + rng.normal()
+        elif i and kind < 0.45:
+            scale = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            A[i] = scale * A[i - 1] + N @ rng.normal(size=n - r)
+            b[i] = A[i] @ z0 + rng.normal()
+    return e, P, A, b
+
+
+class TestRankDeficientMetric:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_matches_oracle_within_range_of_P(self, seed):
+        e, P, A, b = _rank_deficient_instance(np.random.default_rng(seed))
+        try:
+            ref = range_qp_oracle(e, P, A, b)
+        except InfeasibleConstraintsError:
+            with pytest.raises(InfeasibleConstraintsError, match=r"no point of e \+ range\(P\)"):
+                _project_core(e, P, A, b)
+            return
+        res = _project_core(e, P, A, b)
+        assert np.abs(res.estimate - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
+        assert np.trace(res.covariance) <= np.trace(P) + 1e-12
+
+
 class TestBatchedBoxProjection:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -305,6 +369,28 @@ class TestBatchedBoxProjection:
         np.testing.assert_allclose(est[0], ref.estimate, atol=1e-12)
         np.testing.assert_allclose(est[1], [1.0, 1.0], atol=1e-12)
         assert active.tolist() == [len(ref.active_set), 2]
+
+    def test_singular_metric_projects_within_its_range(self):
+        # run 0's covariance has no variance along (1, -1): the projection
+        # moves along (1, 1) only, and one row suffices
+        A, b = np.eye(2), np.ones(2)
+        est = np.array([[2.0, 3.0], [2.0, 3.0]])
+        cov = np.array([[[1.0, 1.0], [1.0, 1.0]], np.eye(2)])
+        active = np.zeros(2, dtype=int)
+        assert _box_project(est, cov, A, b, 0, active, lambda r: f"k=5, run {r}") == 1
+        np.testing.assert_allclose(est, [[0.0, 1.0], [1.0, 1.0]], atol=1e-12)
+        np.testing.assert_allclose(cov[0], np.zeros((2, 2)), atol=1e-12)
+        assert active.tolist() == [1, 2]
+
+    def test_zero_variance_coordinate_is_not_moved(self):
+        # the second coordinate of run 0 has no variance, so no point of
+        # e + range(P) satisfies z_2 <= 1
+        A, b = np.eye(2), np.ones(2)
+        est = np.array([[2.0, 3.0], [2.0, 3.0]])
+        cov = np.array([np.diag([1.0, 0.0]), np.eye(2)])
+        active = np.zeros(2, dtype=int)
+        with pytest.raises(InfeasibleConstraintsError, match="cannot be satisfied.* at k=5, run 0"):
+            _box_project(est, cov, A, b, 0, active, lambda r: f"k=5, run {r}")
 
     def test_zero_row_set_leaves_the_runs_untouched(self):
         # as `project` does for q = 0: nothing to violate, counter unchanged
