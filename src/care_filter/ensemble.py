@@ -17,17 +17,18 @@ P = R - R W R, so the kernel needs neither R*, the Moore-Penrose gain of
 `simulate`/`monte_carlo` in the harness are the drivers of this one
 kernel.
 
-Projection is where runs genuinely differ: most steps clip at most one
-constraint row per run, which has a closed-form solution that vectorizes
-across runs (drive the violated row to equality, verify the result is
-feasible and the multiplier nonnegative). Every shipped constraint set is
-a box, so the remaining runs, those violating several rows or failing that
-check, are solved exactly in one batch by enumerating the few faces of the
-box (each bounded coordinate at its lower bound, at its upper bound or
-free) and keeping the feasible KKT point of least objective. Only runs the
-enumeration cannot settle, and any non-box constraint set, drop into the
-scalar active-set projector one at a time; the result records how often
-that happened.
+Projection is where runs genuinely differ. Each run is first solved on
+the face its own violated rows define, all runs in one batch: drive those
+rows to equality and accept the result when it is feasible, the
+multipliers are nonnegative and the rows' covariance block is well
+conditioned, which makes it the exact optimum (the active-set idea of
+Bemporad et al., Automatica 38(1), 2002). On the vehicle boxes that face
+is the optimum for every run. A box's rejected runs are solved exactly by
+enumerating its few faces (each bounded coordinate at its lower bound, at
+its upper bound or free) and keeping the feasible KKT point of least
+objective. Only runs the enumeration cannot settle, and the rejected runs
+of a non-box set, drop into the scalar active-set projector one at a
+time; the result records how often that happened.
 
 The point of `run_ensemble` is stability studies: hundreds of runs over
 ten thousand steps, reduced to per-step error energies and running
@@ -37,7 +38,6 @@ covariance extrema instead of full per-step records.
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
-from typing import NamedTuple
 
 import numpy as np
 
@@ -87,26 +87,6 @@ class EnsembleResult:
     audit: dict = None
 
 
-class _Faces(NamedTuple):
-    """Candidate active sets of a box, one row per candidate c.
-
-    Slot s of candidate c is bounded coordinate coords[s], held at row
-    rows[c, s] with coefficient coef[c, s], or free with coef 0, act 0
-    and a unit diagonal in pad[c]. cc[c] is the outer product of coef[c],
-    Ab[c] the candidate's (m, n) active rows with zero rows on free slots,
-    and nact[c] its active-row count.
-    """
-
-    coords: np.ndarray
-    rows: np.ndarray
-    coef: np.ndarray
-    act: np.ndarray
-    cc: np.ndarray
-    pad: np.ndarray
-    Ab: np.ndarray
-    nact: np.ndarray
-
-
 @lru_cache(maxsize=16)
 def _faces(shape, data):
     A = np.frombuffer(data).reshape(shape)
@@ -125,91 +105,113 @@ def _faces(shape, data):
         if len(upper) > 1 or len(lower) > 1:
             return None
         choices.append([-1] + upper + lower)
-    rows = np.array(list(product(*choices))[1:])
-    free = rows < 0
-    rows[free] = 0
-    slot_coef = np.where(free, 0.0, coef[rows])
-    faces = _Faces(coords, rows, slot_coef, (~free).astype(float),
-                   slot_coef[:, :, None] * slot_coef[:, None, :],
-                   free[:, :, None] * np.eye(coords.size),
-                   slot_coef[:, :, None] * np.eye(shape[1])[coords],
-                   (~free).sum(axis=1))
-    for arr in faces:
+    # active rows first, free slots (-1) last
+    rows = -np.sort(-np.array(list(product(*choices))[1:]), axis=1)
+    nact = (rows >= 0).sum(axis=1)
+    rows[rows < 0] = 0
+    for arr in (coords, rows, nact):
         arr.flags.writeable = False
-    return faces
+    return coords, rows, nact
 
 
 def _box_faces(A):
-    """The `_Faces` of {z : A z <= b} when its rows form a box, else None.
+    """The candidate faces of {z : A z <= b} when its rows form a box, else None.
 
     A box has one nonzero per row and at most one upper (positive) and one
     lower (negative) row per coordinate. Each of its m bounded coordinates
     is at its lower bound, at its upper bound or free, and the nonempty
-    choices are the candidates: 3^m - 1 for a two-sided box. Boxes on more
-    than three coordinates give None. Tables are cached per constraint
-    matrix and read-only.
+    choices are the candidates: 3^m - 1 for a two-sided box. Returns the
+    bounded coordinates, each candidate's rows (active ones first, in
+    slots of width m) and its active-row count. Boxes on more than three
+    coordinates give None. Tables are cached per constraint matrix and
+    read-only.
     """
     return _faces(A.shape, np.ascontiguousarray(A, dtype=float).tobytes())
+
+
+def _face_solve(e, P, A, b, rows, nact, v, tol):
+    """The KKT point of each entry h on the face of rows[h, :nact[h]] of A.
+
+    With A_O those rows and v their violation A_O e - b_O, the multipliers
+    solve (A_O P A_O') lam = v and z = e - P A_O' lam. The point is accepted
+    (ok) when lam is finite and nonnegative, z meets every row to within
+    tol[h] and A_O P A_O' is positive definite with condition number at
+    most 1e12, which makes it the exact optimum. Slots past nact[h] are
+    padding and change neither ok nor the result. Returns z, lam, ok, the
+    gain P A_O' (A_O P A_O')^{-1} and A_O with zero rows on padded slots.
+    """
+    k = rows.shape[1]
+    slot = np.arange(k) < nact[:, None]
+    Ao = A[rows] * slot[..., None]
+    PA = P @ Ao.swapaxes(1, 2)
+    S = Ao @ PA
+    # a padded slot's diagonal is the entry's first, which lies in the
+    # spectrum of its active block: padding moves neither cond nor lam
+    diag = S.reshape(-1, k * k)[:, ::k + 1]
+    diag += ~slot * diag[:, :1]
+    lo, hi = _eig_bounds(S)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        Sinv = _sym_inv(S)
+        lam = (Sinv @ (v * slot)[..., None])[..., 0]
+        z = e - (PA @ lam[..., None])[..., 0]
+        ok = (lam.min(axis=1) >= 0.0) & np.isfinite(lam.sum(axis=1))
+        ok &= (lo > 0.0) & (hi <= _COND_LIMIT * lo)
+        ok &= ((z @ A.T - b) <= tol[:, None]).all(axis=1)
+        return z, lam, ok, PA @ Sinv, Ao
 
 
 def _face_project(est, cov, A, b, runs, viol, tol, faces, active_out, where):
     """Exact projection of est[runs] onto a box by KKT enumeration, in place.
 
-    For every run and candidate face, the multipliers solve
-    (A_bar P A_bar') lam = A_bar e - b_bar, so z = e - P A_bar' lam; a
-    candidate is accepted when lam is finite and nonnegative and z
-    satisfies every row to within the run's tol, and the least objective
-    lam'(A_bar e - b_bar) wins. Runs whose bounded-coordinate covariance
-    is not positive definite with condition number at most 1e12, or with
-    no accepted candidate, are returned for the scalar projector.
+    Every run is solved on every candidate face (`_face_solve`), and the
+    accepted candidate of least objective lam'(A_O e - b_O) wins. Runs whose
+    bounded-coordinate covariance is not positive definite with condition
+    number at most 1e12, or with no accepted candidate, are returned for
+    the scalar projector.
     """
-    f = faces
-    e, P = est[runs], cov[runs]
-    Pc = P[:, :, f.coords]
-    Pm = Pc[:, f.coords]
-    lo, hi = _eig_bounds(Pm)
-    v = viol[:, f.rows] * f.act
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        Sinv = _sym_inv(Pm[:, None] * f.cc + f.pad)
-        lam = (Sinv @ v[..., None])[..., 0]
-        z = e[:, None, :] - (lam * f.coef) @ Pc.swapaxes(1, 2)
-        obj = np.einsum('hcs,hcs->hc', lam, v)
-        ok = (lam >= 0.0).all(axis=2) & np.isfinite(obj)
-        ok &= ((z @ A.T - b) <= tol[:, None, None]).all(axis=2)
-    obj[~ok] = np.inf
-    best = obj.argmin(axis=1)
-    h = np.arange(runs.size)
-    acc = (obj[h, best] < np.inf) & (lo > 0.0) & (hi <= _COND_LIMIT * lo)
-    if acc.any():
-        h, best, done = h[acc], best[acc], runs[acc]
-        gain = (Pc[acc] * f.coef[best][:, None, :]) @ Sinv[h, best]
-        cov[done] = _check_forms(P[acc], gain, f.Ab[best], lambda i: where(done[i]))
-        est[done] = z[h, best]
-        active_out[done] = f.nact[best]
+    coords, rows, nact = faces
+    H, C = runs.size, len(rows)
+    P = cov[runs]
+    lo, hi = _eig_bounds(P[:, coords][:, :, coords])
+    # entry h * C + c is run h on candidate c
+    rows, nact = np.tile(rows, (H, 1)), np.tile(nact, H)
+    v = viol.repeat(C, axis=0)[np.arange(H * C)[:, None], rows]
+    P = P.repeat(C, axis=0)
+    z, lam, ok, gain, Ao = _face_solve(est[runs].repeat(C, axis=0), P, A, b, rows, nact,
+                                       v, tol.repeat(C))
+    obj = np.full(H * C, np.inf)
+    obj[ok] = np.einsum('hs,hs->h', lam[ok], v[ok])
+    obj = obj.reshape(H, C)
+    pick = np.arange(H) * C + obj.argmin(axis=1)
+    acc = (obj.min(axis=1) < np.inf) & (lo > 0.0) & (hi <= _COND_LIMIT * lo)
+    pick, done = pick[acc], runs[acc]
+    cov[done] = _check_forms(P[pick], gain[pick], Ao[pick], lambda i: where(done[i]))
+    est[done] = z[pick]
+    active_out[done] = nact[pick]
     return runs[~acc]
 
 
 def _box_project(est, cov, A, b, counter, active_out, where):
     """Project each run's estimate onto {z : A z <= b}, in place.
 
-    est (R, n) and cov (R, n, n) are overwritten. Runs violating exactly
-    one row get the closed-form single-row solution when its KKT check
-    passes. When the rows form a box (`_box_faces`), every other violating
-    run is solved exactly by one batched enumeration of the box's faces
-    (`_face_project`); runs it cannot settle, and every run of a non-box
-    set, go through the scalar active-set projector, which the returned
-    counter counts. active_out receives each run's active-row count. Every
-    active projection passes `_check_forms`; a failure names where(r) for
-    run r, and so do the projector's errors and the ValueError raised for
-    a violating run whose estimate or covariance is not finite.
+    est (R, n) and cov (R, n, n) are overwritten. Every run with one to
+    three rows over tolerance is solved on the face of those rows, all runs
+    in one `_face_solve`. When the rows form a box (`_box_faces`), the runs
+    it rejects are solved by one batched enumeration of the box's faces
+    (`_face_project`); runs that cannot settle, and the rejected runs of a
+    non-box set, go through the scalar active-set projector, which the
+    returned counter counts. active_out receives each run's active-row
+    count. Every active projection passes `_check_forms`; a failure names
+    where(r) for run r, and so do the projector's errors and the ValueError
+    raised for a violating run whose estimate or covariance is not finite.
     """
     viol = est @ A.T - b
     if viol.max(initial=0.0) <= 0.0:
         return counter
     # a NaN estimate counts as violating, to be reported below
     hit = np.flatnonzero(~(viol.max(axis=1) <= 0.0))
-    e_hit = est[hit]
-    finite = np.isfinite(e_hit).all(axis=1) & np.isfinite(cov[hit]).all(axis=(1, 2))
+    e_hit, P_hit = est[hit], cov[hit]
+    finite = np.isfinite(e_hit).all(axis=1) & np.isfinite(P_hit).all(axis=(1, 2))
     if not finite.all():
         r = hit[np.argmin(finite)]
         field = "covariance" if np.isfinite(est[r]).all() else "estimate"
@@ -220,29 +222,19 @@ def _box_project(est, cov, A, b, counter, active_out, where):
     tol = 1e-10 * (1.0 + np.sqrt(np.add.reduce(e_hit ** 2, axis=1)) + maxb)
     over = viol[hit] > tol[:, None]
     nover = over.sum(axis=1)
-    left = nover >= 2
-
-    single = nover == 1
-    if single.any():
-        runs1 = hit[single]
-        rows = over[single].argmax(axis=1)
-        a = A[rows]
-        Pa = (cov[runs1] @ a[..., None])[..., 0]
-        aPa = np.einsum('ij,ij->i', a, Pa)
-        slack = viol[runs1, rows]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = slack / aPa
-            z = est[runs1] - t[:, None] * Pa
-            ok = np.isfinite(t) & (aPa > 0.0)
-            ok &= ((z @ A.T - b) <= tol[single][:, None]).all(axis=1)
-        good = runs1[ok]
-        if good.size:
-            gain = Pa[ok][:, :, None] / aPa[ok][:, None, None]
-            cov[good] = _check_forms(cov[good], gain, a[ok][:, None, :],
-                                     lambda i: where(good[i]))
+    # `_sym_inv` has closed forms up to size three; more rows go to the backstop
+    left = nover > 3
+    face = ~left & (nover > 0)
+    if face.any():
+        runs, nact, P = hit[face], nover[face], P_hit[face]
+        rows = np.argsort(~over[face], axis=1, kind="stable")[:, :int(nact.max())]
+        z, _, ok, gain, Ao = _face_solve(e_hit[face], P, A, b, rows, nact,
+                                         viol[runs[:, None], rows], tol[face])
+        good = runs[ok]
+        cov[good] = _check_forms(P[ok], gain[ok], Ao[ok], lambda i: where(good[i]))
         est[good] = z[ok]
-        active_out[good] = 1
-        left[np.flatnonzero(single)[~ok]] = True
+        active_out[good] = nact[ok]
+        left[np.flatnonzero(face)[~ok]] = True
 
     rest = hit[left]
     if rest.size:

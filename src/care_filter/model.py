@@ -176,21 +176,27 @@ class ValidationReport:
         return "all checks passed" if self.ok else "\n".join(self.issues)
 
 
-def _shape_of(provider, k, rows, cols, name, report):
+def _checked(provider, k, rows, cols, name, report):
+    """provider(k) as a float array, or None after reporting a wrong shape
+    or a non-finite entry, which leaves nothing to derive checks from."""
     M = np.asarray(provider(k))
     if M.shape != (rows, cols):
         report.add(f"{name}({k}) has shape {M.shape}, expected {(rows, cols)}")
         return None
-    return M.astype(float)
+    M = M.astype(float)
+    if not np.isfinite(M).all():
+        report.add(f"{name}({k}) has non-finite entries")
+        return None
+    return M
 
 
 def validate(model: SystemModel, constraints: ConstraintSet, horizon: int) -> ValidationReport:
     """Walk the horizon and report every violated invariant with its k.
 
-    Checks dimensions, Q PSD, R PD (by Cholesky), rank(C(k) G(k-1)) = n_d,
-    rank of the state-constraint rows strictly below the state dimension,
-    finite constraint data, non-empty feasible sets, and provider
-    determinism at spot-check indices.
+    Checks dimensions, finite model matrices, Q PSD, R PD (by Cholesky),
+    rank(C(k) G(k-1)) = n_d, rank of the state-constraint rows strictly
+    below the state dimension, finite constraint data, non-empty feasible
+    sets, and provider determinism at spot-check indices.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -198,13 +204,14 @@ def validate(model: SystemModel, constraints: ConstraintSet, horizon: int) -> Va
     m, n_u = model.state_dim, model.input_dim
     n_d, n_y = model.attack_dim, model.output_dim
 
+    G = None
     for k in range(horizon + 1):
-        A = _shape_of(model.A, k, m, m, "A", rep)
-        _shape_of(model.B, k, m, n_u, "B", rep)
-        C = _shape_of(model.C, k, n_y, m, "C", rep)
-        G = _shape_of(model.G, k, m, n_d, "G", rep)
-        Q = _shape_of(model.Q, k, m, m, "Q", rep)
-        R = _shape_of(model.R, k, n_y, n_y, "R", rep)
+        _checked(model.A, k, m, m, "A", rep)
+        _checked(model.B, k, m, n_u, "B", rep)
+        C = _checked(model.C, k, n_y, m, "C", rep)
+        Gp, G = G, _checked(model.G, k, m, n_d, "G", rep)
+        Q = _checked(model.Q, k, m, m, "Q", rep)
+        R = _checked(model.R, k, n_y, n_y, "R", rep)
 
         if Q is not None:
             eig = np.linalg.eigvalsh(0.5 * (Q + Q.T))
@@ -215,10 +222,8 @@ def validate(model: SystemModel, constraints: ConstraintSet, horizon: int) -> Va
                 np.linalg.cholesky(0.5 * (R + R.T))
             except np.linalg.LinAlgError:
                 rep.add(f"R({k}) is not positive definite")
-        if k >= 1 and C is not None:
-            Gp = np.asarray(model.G(k - 1), dtype=float)
-            if Gp.shape == (m, n_d) and np.linalg.matrix_rank(C @ Gp) < n_d:
-                rep.add(f"rank(C({k}) G({k - 1})) is below the attack dimension")
+        if C is not None and Gp is not None and np.linalg.matrix_rank(C @ Gp) < n_d:
+            rep.add(f"rank(C({k}) G({k - 1})) is below the attack dimension")
 
         Ad = np.asarray(constraints.input_matrix(k), dtype=float)
         bd = np.asarray(constraints.input_bound(k), dtype=float).ravel()
@@ -244,6 +249,6 @@ def validate(model: SystemModel, constraints: ConstraintSet, horizon: int) -> Va
                                ("G", model.G), ("Q", model.Q), ("R", model.R)):
             first = np.asarray(provider(k))
             second = np.asarray(provider(k))
-            if not np.array_equal(first, second):
+            if not np.array_equal(first, second, equal_nan=True):
                 rep.add(f"provider {name} is not deterministic at k={k}")
     return rep

@@ -324,6 +324,23 @@ class TestEnsemble:
                     "viol_trace_x", "viol_trace_d", "viol_strict_x", "viol_strict_d"):
             assert audit[key] == 0, key
 
+    def test_vehicle_runs_stop_at_their_violated_row_face(self, monkeypatch):
+        # on the vehicle boxes the face of each run's own violated rows is
+        # the optimum, so the face enumeration is never reached
+        calls = []
+        face_project = ensemble._face_project
+
+        def counting(*args):
+            calls.append(args[4].size)
+            return face_project(*args)
+
+        monkeypatch.setattr(ensemble, "_face_project", counting)
+        cfg = ScenarioConfig(horizon=1000, seed=20260819)
+        ens = run_ensemble(cfg, runs=20, projection_audit=True)
+        assert calls == []
+        assert ens.fallback_projections == 0
+        assert ens.audit["active_x"] > 0 and ens.audit["active_d"] > 0
+
     def test_scalar_projector_errors_name_the_run(self, monkeypatch):
         # x + y <= -1 and x + y >= 1 is empty and no box
         A = np.array([[1.0, 1.0], [-1.0, -1.0]])
@@ -333,10 +350,13 @@ class TestEnsemble:
         active = np.zeros(3, dtype=int)
         with pytest.raises(InfeasibleConstraintsError, match="cannot be satisfied.* at k=4, run 0"):
             _box_project(est, cov, A, b, 0, active, lambda r: f"k=4, run {r}")
-        # a wedge that needs two active-set steps, under a budget of one
+        # a wedge that needs two active-set steps, under a budget of one:
+        # run 2 violates row 0 alone, and its projection onto that row
+        # violates row 1, so the batched face solve rejects it
         A = np.array([[1.0, 0.5], [0.5, 1.0]])
         b = np.array([1.0, 1.0])
-        est[:] = [[0.0, 0.0], [0.0, 0.0], [3.0, 3.0]]
+        est[:] = [[0.0, 0.0], [0.0, 0.0], [3.0, -0.95]]
+        cov[2] = [[1.0, -0.9], [-0.9, 1.0]]
         monkeypatch.setattr(ensemble, "_project_core",
                             partial(ensemble._project_core, max_iterations=1))
         with pytest.raises(ActiveSetLimitError, match="iteration cap at k=9, run 2") as info:

@@ -112,6 +112,23 @@ class TestValidate:
             "state constraints at k=3: constraint matrix must be finite",
         ]
 
+    @pytest.mark.parametrize("name, bad", [
+        ("A", np.array([[np.nan, 0.0], [0.0, 1.0]])),
+        ("R", np.diag([1.0, np.nan])),
+        ("Q", np.diag([1.0, np.inf])),
+        ("C", np.array([[np.nan, 0.0], [0.0, 1.0]])),
+    ])
+    def test_non_finite_model_matrix_flagged_with_step(self, name, bad):
+        # NaN != NaN once read as a nondeterministic provider, an infinite
+        # Q passed every check, and a NaN C crashed the rank check
+        base = identity_model()
+        fields = {field: getattr(base, field) for field in "ABCGQR"}
+        good = fields[name]
+        fields[name] = lambda k: bad if k == 1 else good(k)
+        model = SystemModel(2, 1, 1, 2, **fields)
+        rep = validate(model, ConstraintSet.unconstrained(1, 2), horizon=2)
+        assert rep.issues == [f"{name}(1) has non-finite entries"]
+
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):
             validate(identity_model(), ConstraintSet.unconstrained(1, 2), horizon=0)

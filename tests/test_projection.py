@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from care_filter import ensemble
 from care_filter.ensemble import _box_project
 from care_filter.projection import (
     ActiveSetLimitError,
@@ -324,6 +325,67 @@ class TestRankDeficientMetric:
         assert np.trace(res.covariance) <= np.trace(P) + 1e-12
 
 
+def _violating_runs(rng, n, A, b, z0, box, runs):
+    """Estimates violating one to three rows each, and their covariances.
+
+    On a box (lo, hi, coords) each run pushes one to three bounded
+    coordinates past a bound and keeps the others inside; on any other set
+    each run is a random point around the interior point z0 that violates
+    one to three rows. Each covariance is scaled by 1e-13, 1 or 1e13, a
+    factor the projected estimate does not depend on, so runs of one batch
+    differ in scale by up to 26 decades. Returns est, P and the scales.
+    """
+    est = np.empty((runs, n))
+    P = np.empty((runs, n, n))
+    scale = 10.0 ** rng.choice([-13.0, 0.0, 0.0, 13.0], size=runs)
+    for r in range(runs):
+        V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        P[r] = scale[r] * (V @ np.diag(10.0 ** rng.uniform(-2.0, 2.0, size=n)) @ V.T)
+        if box is not None:
+            lo, hi, coords = box
+            est[r] = rng.normal(size=n)
+            for j in coords:
+                est[r, j] = np.clip(rng.normal(), lo[j] + 0.01, hi[j] - 0.01)
+            for j in rng.choice(coords, size=int(rng.integers(1, min(coords.size, 3) + 1)),
+                                replace=False):
+                out = 0.05 + 2.0 * abs(rng.normal())
+                up = np.isinf(lo[j]) or (np.isfinite(hi[j]) and rng.random() < 0.5)
+                est[r, j] = hi[j] + out if up else lo[j] - out
+            continue
+        while True:
+            est[r] = z0 + 3.0 * rng.normal(size=n)
+            viol = A @ est[r] - b
+            if 1 <= (viol > 0.0).sum() <= 3 and np.abs(viol).min() > 1e-6:
+                break
+    return est, P, scale
+
+
+def _project_recording_route(est, P, A, b):
+    """`_box_project` on copies of est and P, recording for each run whether
+    it reached the face enumeration and whether it reached the scalar
+    projector. Returns (estimate, covariance, active counts, counter,
+    face-enumeration mask, scalar-projector mask)."""
+    z, cov = est.copy(), P.copy()
+    active = np.zeros(len(est), dtype=int)
+    faced = np.zeros(len(est), dtype=bool)
+    scalar = np.zeros(len(est), dtype=bool)
+    face_project, project_core = ensemble._face_project, ensemble._project_core
+
+    def face_spy(*args):
+        faced[args[4]] = True
+        return face_project(*args)
+
+    def core_spy(e, *args):
+        scalar[(est == e).all(axis=1)] = True
+        return project_core(e, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ensemble, "_face_project", face_spy)
+        mp.setattr(ensemble, "_project_core", core_spy)
+        counter = _box_project(z, cov, A, b, 0, active, str)
+    return z, cov, active, counter, faced, scalar
+
+
 class TestBatchedBoxProjection:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -355,6 +417,41 @@ class TestBatchedBoxProjection:
             assert np.abs(z[r] - res.estimate).max() <= 1e-8 * (1.0 + np.abs(ref).max()), r
             assert active[r] == len(res.active_set), r
             assert np.abs(cov[r] - res.covariance).max() <= 1e-9, r
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.booleans())
+    def test_violated_row_face_matches_oracle_alone_and_in_a_batch(self, seed, box):
+        # runs violating one to three rows of a box or of a random polytope;
+        # the batch pads every run to its largest violated-row count, which
+        # must change neither a run's route nor its result
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        if box:
+            A, b, coords, lo, hi = _random_box(rng, n)
+            z0, bounds = None, (lo, hi, coords)
+        else:
+            q = int(rng.integers(2, 7))
+            z0 = rng.normal(size=n)
+            A = rng.normal(size=(q, n))
+            b = A @ z0 + np.abs(rng.normal(size=q)) + 0.05
+            bounds = None
+        est, P, scale = _violating_runs(rng, n, A, b, z0, bounds, 8)
+        z, cov, active, counter, faced, scalar = _project_recording_route(est, P, A, b)
+        assert counter == scalar.sum()
+        for r in range(len(est)):
+            ref = qp_oracle(est[r], np.linalg.inv(P[r] / scale[r]), A, b)
+            tol = 1e-8 * (1.0 + np.abs(ref).max())
+            assert np.abs(z[r] - ref).max() <= tol, r
+            res = _project_core(est[r], P[r], A, b)
+            assert np.abs(z[r] - res.estimate).max() <= tol, r
+            assert np.abs(cov[r] - res.covariance).max() <= 1e-9 * scale[r], r
+            assert active[r] == len(res.active_set), r
+            alone = _project_recording_route(est[r:r + 1], P[r:r + 1], A, b)
+            assert (alone[4][0], alone[5][0]) == (faced[r], scalar[r]), r
+            assert alone[2][0] == active[r], r
+            assert np.abs(alone[0][0] - z[r]).max() <= 1e-12 * (1.0 + np.abs(z[r]).max()), r
+            assert np.abs(alone[1][0] - cov[r]).max() <= 1e-12 * scale[r] * (
+                1.0 + np.abs(cov[r] / scale[r]).max()), r
 
     def test_ill_conditioned_metric_goes_to_the_scalar_projector(self):
         # run 0's covariance has condition number 1e13 on the bounded
