@@ -17,18 +17,27 @@ P = R - R W R, so the kernel needs neither R*, the Moore-Penrose gain of
 `simulate`/`monte_carlo` in the harness are the drivers of this one
 kernel.
 
-Projection is where runs genuinely differ. Each run is first solved on
-the face its own violated rows define, all runs in one batch: drive those
-rows to equality and accept the result when it is feasible, the
-multipliers are nonnegative and the rows' covariance block is well
-conditioned, which makes it the exact optimum (the active-set idea of
-Bemporad et al., Automatica 38(1), 2002). On the vehicle boxes that face
-is the optimum for every run. A box's rejected runs are solved exactly by
+Projection is where runs genuinely differ. Both projections of every
+care run, the attack estimate onto the actuator box and the state
+estimate onto the road and speed box, go into one `_box_project` call
+per step as separate entries of one stack, so the call's fixed cost is
+paid once (the batched small QPs of Amos & Kolter, OptNet,
+arXiv:1703.00443). The two sets' rows are stacked in one matrix, and each
+entry carries its own bounds, +inf on the rows of the other set; an
+attack entry fills the leading two of four coordinates and its padding,
+a zero estimate and a zero covariance, stays zero. Each entry is first
+solved on the face its own violated rows define, all entries in one
+batch: drive those rows to equality and accept the result when it is
+feasible, the multipliers are nonnegative and the rows' covariance block
+is well conditioned, which makes it the exact optimum (the active-set
+idea of Bemporad et al., Automatica 38(1), 2002). On the vehicle boxes
+that face is the optimum for every entry. The rejected entries are
+solved on their own rows and coordinates alone: on a box exactly, by
 enumerating its few faces (each bounded coordinate at its lower bound, at
 its upper bound or free) and keeping the feasible KKT point of least
-objective. Only runs the enumeration cannot settle, and the rejected runs
-of a non-box set, drop into the scalar active-set projector one at a
-time; the result records how often that happened.
+objective. Only entries the enumeration cannot settle, and the rejected
+entries of a non-box set, drop into the scalar active-set projector one
+at a time; the result records how often that happened.
 
 The point of `run_ensemble` is stability studies: hundreds of runs over
 ten thousand steps, reduced to per-step error energies and running
@@ -135,10 +144,12 @@ def _face_solve(e, P, A, b, rows, nact, v, tol):
     With A_O those rows and v their violation A_O e - b_O, the multipliers
     solve (A_O P A_O') lam = v and z = e - P A_O' lam. The point is accepted
     (ok) when lam is finite and nonnegative, z meets every row to within
-    tol[h] and A_O P A_O' is positive definite with condition number at
-    most 1e12, which makes it the exact optimum. Slots past nact[h] are
-    padding and change neither ok nor the result. Returns z, lam, ok, the
-    gain P A_O' (A_O P A_O')^{-1} and A_O with zero rows on padded slots.
+    tol[h] (b is one bound vector or one per entry) and A_O P A_O' is
+    positive definite with condition number at most 1e12, which makes it
+    the exact optimum. Slots past nact[h] are padding: their violation is
+    ignored, whatever it is, and they change neither ok nor the result.
+    Returns z, lam, ok, the gain P A_O' (A_O P A_O')^{-1} and A_O with zero
+    rows on padded slots.
     """
     k = rows.shape[1]
     slot = np.arange(k) < nact[:, None]
@@ -152,7 +163,7 @@ def _face_solve(e, P, A, b, rows, nact, v, tol):
     lo, hi = _eig_bounds(S)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         Sinv = _sym_inv(S)
-        lam = (Sinv @ (v * slot)[..., None])[..., 0]
+        lam = (Sinv @ np.where(slot, v, 0.0)[..., None])[..., 0]
         z = e - (PA @ lam[..., None])[..., 0]
         ok = (lam.min(axis=1) >= 0.0) & np.isfinite(lam.sum(axis=1))
         ok &= (lo > 0.0) & (hi <= _COND_LIMIT * lo)
@@ -163,11 +174,11 @@ def _face_solve(e, P, A, b, rows, nact, v, tol):
 def _face_project(est, cov, A, b, runs, viol, tol, faces, active_out, where):
     """Exact projection of est[runs] onto a box by KKT enumeration, in place.
 
-    Every run is solved on every candidate face (`_face_solve`), and the
-    accepted candidate of least objective lam'(A_O e - b_O) wins. Runs whose
-    bounded-coordinate covariance is not positive definite with condition
-    number at most 1e12, or with no accepted candidate, are returned for
-    the scalar projector.
+    b holds each run's bound vector. Every run is solved on every candidate
+    face (`_face_solve`), and the accepted candidate of least objective
+    lam'(A_O e - b_O) wins. Runs whose bounded-coordinate covariance is not
+    positive definite with condition number at most 1e12, or with no
+    accepted candidate, are returned for the scalar projector.
     """
     coords, rows, nact = faces
     H, C = runs.size, len(rows)
@@ -177,8 +188,8 @@ def _face_project(est, cov, A, b, runs, viol, tol, faces, active_out, where):
     rows, nact = np.tile(rows, (H, 1)), np.tile(nact, H)
     v = viol.repeat(C, axis=0)[np.arange(H * C)[:, None], rows]
     P = P.repeat(C, axis=0)
-    z, lam, ok, gain, Ao = _face_solve(est[runs].repeat(C, axis=0), P, A, b, rows, nact,
-                                       v, tol.repeat(C))
+    z, lam, ok, gain, Ao = _face_solve(est[runs].repeat(C, axis=0), P, A, b.repeat(C, axis=0),
+                                       rows, nact, v, tol.repeat(C))
     obj = np.full(H * C, np.inf)
     obj[ok] = np.einsum('hs,hs->h', lam[ok], v[ok])
     obj = obj.reshape(H, C)
@@ -191,34 +202,46 @@ def _face_project(est, cov, A, b, runs, viol, tol, faces, active_out, where):
     return runs[~acc]
 
 
-def _box_project(est, cov, A, b, counter, active_out, where):
-    """Project each run's estimate onto {z : A z <= b}, in place.
+def _box_project(est, cov, A, b, counter, active_out, where, width=None):
+    """Project each entry's estimate onto its set {z : A z <= b_h}, in place.
 
-    est (R, n) and cov (R, n, n) are overwritten. Every run with one to
-    three rows over tolerance is solved on the face of those rows, all runs
-    in one `_face_solve`. When the rows form a box (`_box_faces`), the runs
-    it rejects are solved by one batched enumeration of the box's faces
-    (`_face_project`); runs that cannot settle, and the rejected runs of a
-    non-box set, go through the scalar active-set projector, which the
-    returned counter counts. active_out receives each run's active-row
-    count. Every active projection passes `_check_forms`; a failure names
-    where(r) for run r, and so do the projector's errors and the ValueError
-    raised for a violating run whose estimate or covariance is not finite.
+    est (H, n) and cov (H, n, n) are overwritten. b is one bound vector
+    (q,) that every entry shares, or one per entry (H, q). A bound of +inf
+    takes its row out of that entry's set, so one call serves entries on
+    different sets: stack the sets' rows in A and give each entry +inf on
+    the rows of the others. Sets of different widths are padded: entry h
+    owns its leading width[h] coordinates (all n by default), and its other
+    coordinates carry a zero estimate and a zero covariance, which the
+    projection leaves at zero.
+
+    Every entry with one to three of its rows over tolerance is solved on
+    the face of those rows, all entries in one `_face_solve`. The entries
+    it rejects are solved on their own rows and coordinates alone, those
+    sharing both together: by one batched enumeration of the faces when the
+    rows form a box (`_box_faces`, `_face_project`), and otherwise, or when
+    the enumeration cannot settle them, by the scalar active-set projector,
+    which the returned counter counts. active_out receives each entry's
+    active-row count. Every active projection passes `_check_forms`; a
+    failure names where(h) for entry h, and so do the projector's errors
+    and the ValueError raised for a violating entry whose estimate or
+    covariance is not finite.
     """
+    if b.ndim == 1:
+        b = np.broadcast_to(b, (len(est), b.size))
     viol = est @ A.T - b
     if viol.max(initial=0.0) <= 0.0:
         return counter
     # a NaN estimate counts as violating, to be reported below
     hit = np.flatnonzero(~(viol.max(axis=1) <= 0.0))
-    e_hit, P_hit = est[hit], cov[hit]
-    finite = np.isfinite(e_hit).all(axis=1) & np.isfinite(P_hit).all(axis=(1, 2))
-    if not finite.all():
+    e_hit, P_hit, b_hit = est[hit], cov[hit], b[hit]
+    if not (np.isfinite(e_hit).all() and np.isfinite(P_hit).all()):
+        finite = np.isfinite(e_hit).all(axis=1) & np.isfinite(P_hit).all(axis=(1, 2))
         r = hit[np.argmin(finite)]
         field = "covariance" if np.isfinite(est[r]).all() else "estimate"
         raise ValueError(f"non-finite {field} at {where(r)}")
-    maxb = float(np.abs(b).max())
-    # each flagged run's Euclidean norm, bit for bit what np.linalg.norm
-    # returns, without its per-call overhead
+    # each flagged entry's Euclidean norm, bit for bit what np.linalg.norm
+    # returns, without its per-call overhead, and its largest finite bound
+    maxb = np.abs(b_hit).max(axis=1, initial=0.0, where=np.isfinite(b_hit))
     tol = 1e-10 * (1.0 + np.sqrt(np.add.reduce(e_hit ** 2, axis=1)) + maxb)
     over = viol[hit] > tol[:, None]
     nover = over.sum(axis=1)
@@ -228,7 +251,7 @@ def _box_project(est, cov, A, b, counter, active_out, where):
     if face.any():
         runs, nact, P = hit[face], nover[face], P_hit[face]
         rows = np.argsort(~over[face], axis=1, kind="stable")[:, :int(nact.max())]
-        z, _, ok, gain, Ao = _face_solve(e_hit[face], P, A, b, rows, nact,
+        z, _, ok, gain, Ao = _face_solve(e_hit[face], P, A, b_hit[face], rows, nact,
                                          viol[runs[:, None], rows], tol[face])
         good = runs[ok]
         cov[good] = _check_forms(P[ok], gain[ok], Ao[ok], lambda i: where(good[i]))
@@ -236,15 +259,29 @@ def _box_project(est, cov, A, b, counter, active_out, where):
         active_out[good] = nact[ok]
         left[np.flatnonzero(face)[~ok]] = True
 
-    rest = hit[left]
+    rest, tol = hit[left], tol[left]
     if rest.size:
-        faces = _box_faces(A)
-        if faces is not None:
-            rest = _face_project(est, cov, A, b, rest, viol[rest], tol[left], faces,
-                                 active_out, where)
-    for r in rest:
+        wide = np.full(rest.size, A.shape[1]) if width is None else np.asarray(width)[rest]
+        sets, group = np.unique(np.column_stack([np.isfinite(b[rest]), wide]), axis=0,
+                                return_inverse=True)
+        for g, key in enumerate(sets):
+            rows, w, mine = np.flatnonzero(key[:-1]), key[-1], group == g
+            counter = _backstop(est[:, :w], cov[:, :w, :w], A[rows, :w], b[:, rows],
+                                rest[mine], viol[:, rows], tol[mine], counter, active_out,
+                                where)
+    return counter
+
+
+def _backstop(est, cov, A, b, runs, viol, tol, counter, active_out, where):
+    """Exact projection of the runs the face solve rejected, in place; one
+    set A, b[r] for every run r. Returns the scalar projector counter."""
+    faces = _box_faces(A)
+    if faces is not None:
+        runs = _face_project(est, cov, A, b[runs], runs, viol[runs], tol, faces,
+                             active_out, where)
+    for r in runs:
         try:
-            res = _project_core(est[r], cov[r], A, b)
+            res = _project_core(est[r], cov[r], A, b[r])
         except (ActiveSetLimitError, InfeasibleConstraintsError) as err:
             err.args = (f"{err} at {where(r)}",)
             raise
@@ -274,7 +311,11 @@ class _Batch:
             if name not in _FILTERS:
                 raise ValueError(f"unknown filter {name!r}")
         self.names = [name for name in _FILTERS if name in filters]
+        if not self.names:
+            raise ValueError("filters must name at least one filter")
         self.run_indices = list(run_indices)
+        if not self.run_indices:
+            raise ValueError("runs must be positive")
         R = len(self.run_indices)
         N = R * len(self.names)
         K = config.horizon
@@ -305,10 +346,23 @@ class _Batch:
         self.x_true = np.broadcast_to(x0, (R, 4)).copy()
         self.x = np.broadcast_to(x0, (N, 4)).copy()
         self.P = np.broadcast_to(config.p0_scale * np.eye(4), (N, 4, 4)).copy()
-        self.n_care = R if "care" in self.names else 0
+        self.n_care = n = R if "care" in self.names else 0
         self.fallbacks = 0
         self.in_act = np.zeros(N, dtype=np.int64)
         self.st_act = np.zeros(N, dtype=np.int64)
+
+        # both projections of the care rows in one `_box_project` call: entry
+        # h < n is row h's attack estimate in the leading two coordinates,
+        # entry n + h its state estimate, each on its own rows of [[A_in, 0]; B_st]
+        q_in = len(self.b_in)
+        self.A_box = np.vstack([np.hstack([self.A_in, np.zeros((q_in, 2))]), self.B_st])
+        self.b_box = np.full((2 * n, len(self.A_box)), np.inf)
+        self.b_box[:n, :q_in] = self.b_in
+        self.b_box[n:, q_in:] = self.c_st
+        self.box_width = np.repeat([2, 4], n)
+        self.box_est = np.zeros((2 * n, 4))
+        self.box_cov = np.zeros((2 * n, 4, 4))
+        self.box_act = np.zeros(2 * n, dtype=np.int64)
 
         # constant slots of the scheduled matrices; speed-dependent entries
         # are rewritten every step (separate buffers for plant and filters)
@@ -370,15 +424,20 @@ class _Batch:
 
         self.mcg_dev = np.abs(M @ G_f - _EYE2).max(axis=(1, 2))
         self.x_raw, self.P_raw, self.d_raw, self.Pd_raw = x_u, P_u, d_u, Pd_u
-        self.in_act.fill(0)
-        self.st_act.fill(0)
         n = self.n_care
         if n:
-            x_u, P_u, d_u, Pd_u = x_u.copy(), P_u.copy(), d_u.copy(), Pd_u.copy()
-            self.fallbacks = _box_project(d_u[:n], Pd_u[:n], self.A_in, self.b_in,
-                                          self.fallbacks, self.in_act[:n], where)
-            self.fallbacks = _box_project(x_u[:n], P_u[:n], self.B_st, self.c_st,
-                                          self.fallbacks, self.st_act[:n], where)
+            # the padded coordinates of the attack entries stay zero
+            est, cov, act = self.box_est, self.box_cov, self.box_act
+            est[:n, :2], est[n:] = d_u[:n], x_u[:n]
+            cov[:n, :2, :2], cov[n:] = Pd_u[:n], P_u[:n]
+            act.fill(0)
+            self.fallbacks = _box_project(est, cov, self.A_box, self.b_box, self.fallbacks,
+                                          act, lambda h: where(h % n), self.box_width)
+            d_u = np.concatenate([est[:n, :2], d_u[n:]])
+            Pd_u = np.concatenate([cov[:n, :2, :2], Pd_u[n:]])
+            x_u = np.concatenate([est[n:], x_u[n:]])
+            P_u = np.concatenate([cov[n:], P_u[n:]])
+            self.in_act[:n], self.st_act[:n] = act[:n], act[n:]
         self.x, self.P, self.d, self.Pd = x_u, P_u, d_u, Pd_u
 
 

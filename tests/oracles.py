@@ -17,8 +17,11 @@ def qp_oracle(estimate, W, A, b):
 
     Enumerates every subset of constraint rows as a candidate active set,
     solves the KKT system by least squares, and keeps the feasible candidate
-    with nonnegative multipliers and the smallest objective. Exponential in
-    the row count; intended for verification on small instances only.
+    with nonnegative multipliers and the smallest objective. Rows count as
+    met to within 1e-9 (1 + max |A||z| + |b|), the size of the terms A z - b
+    sums, so an optimum far from e is judged at its own scale.
+    Exponential in the row count; intended for verification on small
+    instances only.
     """
     e = np.asarray(estimate, dtype=float).ravel()
     n = e.size
@@ -27,6 +30,9 @@ def qp_oracle(estimate, W, A, b):
     q = A.shape[0]
     if q > 20:
         raise ValueError("oracle enumeration is limited to 20 constraint rows")
+
+    def tol(A, b, z):
+        return 1e-9 * (1.0 + (np.abs(A) @ np.abs(z) + np.abs(b)).max())
 
     best_z = None
     best_obj = np.inf
@@ -47,11 +53,11 @@ def qp_oracle(estimate, W, A, b):
             rhs = np.concatenate([We, b[rows]])
             sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
             z, mult = sol[:n], sol[n:]
-            if np.max(np.abs(As @ z - b[rows])) > 1e-9 * (1.0 + np.max(np.abs(b[rows]))):
+            if np.max(np.abs(As @ z - b[rows])) > tol(As, b[rows], z):
                 continue
             if mult.size and mult.min() < -1e-9:
                 continue
-        if q and np.max(A @ z - b) > 1e-9 * (1.0 + float(np.max(np.abs(b)))):
+        if q and np.max(A @ z - b) > tol(A, b, z):
             continue
         obj = float((z - e) @ W @ (z - e))
         if obj < best_obj - 1e-15:

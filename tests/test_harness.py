@@ -203,6 +203,18 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(ScenarioConfig(horizon=10), filters=("kalman",))
 
+    @pytest.mark.parametrize("study, override, message", [
+        (run_ensemble, {"runs": 0}, "runs must be positive"),
+        (run_ensemble, {"runs": -2}, "runs must be positive"),
+        (monte_carlo, {"runs": 0}, "runs must be positive"),
+        (monte_carlo, {"runs": -1}, "runs must be positive"),
+        (monte_carlo, {"filters": ()}, "filters must name at least one filter"),
+    ])
+    def test_empty_batch_is_rejected_by_name(self, study, override, message):
+        # the overrides bypass ScenarioConfig's own check of runs
+        with pytest.raises(ValueError, match=message):
+            study(ScenarioConfig(horizon=10), **override)
+
 
 class TestScalarReference:
     """monte_carlo and simulate against a test-side loop over the scalar stages."""
@@ -381,6 +393,18 @@ class TestEnsemble:
         cov[2, 0, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite covariance at k=3, run 2"):
             _box_project(est, cov, B_st, c_st, 0, active, lambda r: f"k=3, run {r}")
+
+    def test_stacked_projection_names_the_care_run(self):
+        # care run 2's state estimate leaves the road through a large
+        # measurement, and its state covariance turns non-finite; in the one
+        # projection call its entry follows the four attack entries, and the
+        # ise rows follow the care rows
+        batch = ensemble._Batch(ScenarioConfig(horizon=5, seed=3), range(4), ("care", "ise"))
+        batch.V[2, 1, 0] = 1e3
+        batch.r_outer = np.tile(batch.r_outer, (8, 1, 1))
+        batch.r_outer[2, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite covariance at k=1, run 2, filter care"):
+            batch.step(1)
 
     def test_default_run_count_comes_from_config(self):
         cfg = ScenarioConfig(horizon=30, seed=6, runs=2)

@@ -86,6 +86,19 @@ class TestOracleEquivalence:
             checked += 1
         assert checked >= 10
 
+    def test_oracle_accepts_a_far_optimum(self):
+        # x + y >= 1 and x + (1 - 2e-4) y <= 0 meet only from y = 5e3 on, so
+        # the optimum (-4999, 5000) lies about 7e3 from e; the KKT solve's
+        # rounding there leaves A z - b near 5e-9, which a bound-only
+        # tolerance of 1e-9 (1 + max|b|) called infeasible
+        A = np.array([[-1.0, -1.0], [1.0, 1.0 - 2e-4]])
+        b = np.array([-1.0, 0.0])
+        ref = qp_oracle(np.zeros(2), np.eye(2), A, b)
+        np.testing.assert_allclose(ref, [-4999.0, 5000.0], rtol=1e-8)
+        res = project(np.zeros(2), np.eye(2), A, b)
+        assert res.active_set == (0, 1)
+        assert np.abs(res.estimate - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
+
     def test_oracle_row_limit(self):
         with pytest.raises(ValueError):
             qp_oracle(np.zeros(2), np.eye(2), np.zeros((21, 2)), np.ones(21))
@@ -280,7 +293,7 @@ def _rank_deficient_instance(rng):
     """Projection instance under a covariance P of rank r < n.
 
     The random rows keep an interior point in e + range(P), so the
-    restricted problem is well posed within the oracle's fixed tolerances.
+    restricted problem is well posed within the oracle's tolerances.
     Some rows lie in null(P), where the estimate cannot move, and some
     repeat the row before them, scaled by +-[0.5, 2], plus a null(P)
     component, which makes them parallel or antiparallel to it in the metric
@@ -360,7 +373,7 @@ def _violating_runs(rng, n, A, b, z0, box, runs):
     return est, P, scale
 
 
-def _project_recording_route(est, P, A, b):
+def _project_recording_route(est, P, A, b, width=None):
     """`_box_project` on copies of est and P, recording for each run whether
     it reached the face enumeration and whether it reached the scalar
     projector. Returns (estimate, covariance, active counts, counter,
@@ -369,6 +382,7 @@ def _project_recording_route(est, P, A, b):
     active = np.zeros(len(est), dtype=int)
     faced = np.zeros(len(est), dtype=bool)
     scalar = np.zeros(len(est), dtype=bool)
+    own = np.full(len(est), est.shape[1]) if width is None else width
     face_project, project_core = ensemble._face_project, ensemble._project_core
 
     def face_spy(*args):
@@ -376,14 +390,42 @@ def _project_recording_route(est, P, A, b):
         return face_project(*args)
 
     def core_spy(e, *args):
-        scalar[(est == e).all(axis=1)] = True
+        scalar[(est[:, :e.size] == e).all(axis=1) & (own == e.size)] = True
         return project_core(e, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ensemble, "_face_project", face_spy)
         mp.setattr(ensemble, "_project_core", core_spy)
-        counter = _box_project(z, cov, A, b, 0, active, str)
+        counter = _box_project(z, cov, A, b, 0, active, str, width)
     return z, cov, active, counter, faced, scalar
+
+
+def _stack_sets(sets, order):
+    """One `_box_project` input for the runs of several sets.
+
+    sets holds (A, b, est, P) per set, est and P holding its runs. The sets'
+    rows are stacked in one matrix padded with zero columns to the widest
+    set; each entry carries its set's bounds and +inf on the other sets'
+    rows, and its estimate and covariance padded with zeros. Entry h is run
+    order[h] in the sets' run order. Returns (est, P, A, b, width, set of
+    each entry).
+    """
+    n = max(A.shape[1] for A, *_ in sets)
+    A_all = np.vstack([np.pad(A, ((0, 0), (0, n - A.shape[1]))) for A, *_ in sets])
+    start = np.cumsum([0] + [len(b) for _, b, *_ in sets])
+    runs = [(s, i) for s, (*_, est, _) in enumerate(sets) for i in range(len(est))]
+    H = len(runs)
+    est_all, P_all = np.zeros((H, n)), np.zeros((H, n, n))
+    b_all = np.full((H, len(A_all)), np.inf)
+    width, which = np.empty(H, dtype=int), np.empty(H, dtype=int)
+    for h, j in enumerate(order):
+        s, i = runs[j]
+        A, b, est, P = sets[s]
+        w = width[h] = A.shape[1]
+        which[h] = s
+        est_all[h, :w], P_all[h, :w, :w] = est[i], P[i]
+        b_all[h, start[s]:start[s + 1]] = b
+    return est_all, P_all, A_all, b_all, width, which
 
 
 class TestBatchedBoxProjection:
@@ -452,6 +494,48 @@ class TestBatchedBoxProjection:
             assert np.abs(alone[0][0] - z[r]).max() <= 1e-12 * (1.0 + np.abs(z[r]).max()), r
             assert np.abs(alone[1][0] - cov[r]).max() <= 1e-12 * scale[r] * (
                 1.0 + np.abs(cov[r] / scale[r]).max()), r
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_stacked_sets_match_each_set_alone(self, seed):
+        # boxes and non-box sets on two to four coordinates in one call, their
+        # runs interleaved; the first two sets always send their run past the
+        # face solve: to the face enumeration (its face of row 0 leaves the
+        # box through row 1) and to the scalar projector (the same on a wedge)
+        rng = np.random.default_rng(seed)
+        skew = np.array([[[1.0, -0.9], [-0.9, 1.0]]])
+        sets = [(np.eye(2), np.ones(2), np.array([[2.0, 0.5]]), skew),
+                (np.array([[1.0, 0.5], [0.5, 1.0]]), np.ones(2), np.array([[3.0, -0.95]]), skew)]
+        for _ in range(int(rng.integers(1, 4))):
+            n = int(rng.integers(2, 5))
+            if rng.random() < 0.5:
+                A, b, coords, lo, hi = _random_box(rng, n)
+                est, P, _ = _violating_runs(rng, n, A, b, None, (lo, hi, coords), 3)
+            else:
+                z0 = rng.normal(size=n)
+                A = rng.normal(size=(int(rng.integers(2, 7)), n))
+                b = A @ z0 + np.abs(rng.normal(size=len(A))) + 0.05
+                est, P, _ = _violating_runs(rng, n, A, b, z0, None, 3)
+            sets.append((A, b, est, P))
+        order = rng.permutation(sum(len(est) for *_, est, _ in sets))
+        est, P, A_all, b_all, width, which = _stack_sets(sets, order)
+        z, cov, active, counter, faced, scalar = _project_recording_route(
+            est, P, A_all, b_all, width)
+        assert faced.any() and scalar.any()
+        total = 0
+        for h, w in enumerate(width):
+            A, b = sets[which[h]][:2]
+            alone = _project_recording_route(est[h:h + 1, :w], P[h:h + 1, :w, :w], A, b)
+            total += alone[3]
+            assert (alone[4][0], alone[5][0]) == (faced[h], scalar[h]), h
+            assert alone[2][0] == active[h], h
+            zh, ch = z[h, :w], cov[h, :w, :w]
+            assert np.abs(alone[0][0] - zh).max() <= 1e-12 * (1.0 + np.abs(zh).max()), h
+            scale = np.abs(P[h]).max()
+            assert np.abs(alone[1][0] - ch).max() <= 1e-12 * (scale + np.abs(ch).max()), h
+            # the padding stays zero
+            assert not z[h, w:].any() and not cov[h, w:].any() and not cov[h, :, w:].any(), h
+        assert counter == total
 
     def test_ill_conditioned_metric_goes_to_the_scalar_projector(self):
         # run 0's covariance has condition number 1e13 on the bounded
