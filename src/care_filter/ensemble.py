@@ -31,13 +31,10 @@ batch: drive those rows to equality and accept the result when it is
 feasible, the multipliers are nonnegative and the rows' covariance block
 is well conditioned, which makes it the exact optimum (the active-set
 idea of Bemporad et al., Automatica 38(1), 2002). On the vehicle boxes
-that face is the optimum for every entry. The rejected entries are
-solved on their own rows and coordinates alone: on a box exactly, by
-enumerating its few faces (each bounded coordinate at its lower bound, at
-its upper bound or free) and keeping the feasible KKT point of least
-objective. Only entries the enumeration cannot settle, and the rejected
-entries of a non-box set, drop into the scalar active-set projector one
-at a time; the result records how often that happened.
+that face is the optimum for every entry. The entries it rejects drop
+into the scalar active-set projector one at a time, on their own rows
+and coordinates alone, which is exact on any set; the result records how
+often that happened.
 
 The point of `run_ensemble` is stability studies: hundreds of runs over
 ten thousand steps, reduced to per-step error energies and running
@@ -45,8 +42,7 @@ covariance extrema instead of full per-step records.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import product
+from functools import partial
 
 import numpy as np
 
@@ -96,48 +92,6 @@ class EnsembleResult:
     audit: dict = None
 
 
-@lru_cache(maxsize=16)
-def _faces(shape, data):
-    A = np.frombuffer(data).reshape(shape)
-    nz = A != 0.0
-    if not (nz.sum(axis=1) == 1).all():
-        return None
-    col = nz.argmax(axis=1)
-    coef = A[np.arange(shape[0]), col]
-    coords = np.flatnonzero(np.bincount(col, minlength=shape[1]))
-    if coords.size > 3:
-        return None
-    choices = []
-    for j in coords:
-        upper = np.flatnonzero((col == j) & (coef > 0.0)).tolist()
-        lower = np.flatnonzero((col == j) & (coef < 0.0)).tolist()
-        if len(upper) > 1 or len(lower) > 1:
-            return None
-        choices.append([-1] + upper + lower)
-    # active rows first, free slots (-1) last
-    rows = -np.sort(-np.array(list(product(*choices))[1:]), axis=1)
-    nact = (rows >= 0).sum(axis=1)
-    rows[rows < 0] = 0
-    for arr in (coords, rows, nact):
-        arr.flags.writeable = False
-    return coords, rows, nact
-
-
-def _box_faces(A):
-    """The candidate faces of {z : A z <= b} when its rows form a box, else None.
-
-    A box has one nonzero per row and at most one upper (positive) and one
-    lower (negative) row per coordinate. Each of its m bounded coordinates
-    is at its lower bound, at its upper bound or free, and the nonempty
-    choices are the candidates: 3^m - 1 for a two-sided box. Returns the
-    bounded coordinates, each candidate's rows (active ones first, in
-    slots of width m) and its active-row count. Boxes on more than three
-    coordinates give None. Tables are cached per constraint matrix and
-    read-only.
-    """
-    return _faces(A.shape, np.ascontiguousarray(A, dtype=float).tobytes())
-
-
 def _face_solve(e, P, A, b, rows, nact, v, tol):
     """The KKT point of each entry h on the face of rows[h, :nact[h]] of A.
 
@@ -148,8 +102,8 @@ def _face_solve(e, P, A, b, rows, nact, v, tol):
     positive definite with condition number at most 1e12, which makes it
     the exact optimum. Slots past nact[h] are padding: their violation is
     ignored, whatever it is, and they change neither ok nor the result.
-    Returns z, lam, ok, the gain P A_O' (A_O P A_O')^{-1} and A_O with zero
-    rows on padded slots.
+    Returns z, ok, the gain P A_O' (A_O P A_O')^{-1} and A_O with zero rows
+    on padded slots.
     """
     k = rows.shape[1]
     slot = np.arange(k) < nact[:, None]
@@ -168,38 +122,7 @@ def _face_solve(e, P, A, b, rows, nact, v, tol):
         ok = (lam.min(axis=1) >= 0.0) & np.isfinite(lam.sum(axis=1))
         ok &= (lo > 0.0) & (hi <= _COND_LIMIT * lo)
         ok &= ((z @ A.T - b) <= tol[:, None]).all(axis=1)
-        return z, lam, ok, PA @ Sinv, Ao
-
-
-def _face_project(est, cov, A, b, runs, viol, tol, faces, active_out, where):
-    """Exact projection of est[runs] onto a box by KKT enumeration, in place.
-
-    b holds each run's bound vector. Every run is solved on every candidate
-    face (`_face_solve`), and the accepted candidate of least objective
-    lam'(A_O e - b_O) wins. Runs whose bounded-coordinate covariance is not
-    positive definite with condition number at most 1e12, or with no
-    accepted candidate, are returned for the scalar projector.
-    """
-    coords, rows, nact = faces
-    H, C = runs.size, len(rows)
-    P = cov[runs]
-    lo, hi = _eig_bounds(P[:, coords][:, :, coords])
-    # entry h * C + c is run h on candidate c
-    rows, nact = np.tile(rows, (H, 1)), np.tile(nact, H)
-    v = viol.repeat(C, axis=0)[np.arange(H * C)[:, None], rows]
-    P = P.repeat(C, axis=0)
-    z, lam, ok, gain, Ao = _face_solve(est[runs].repeat(C, axis=0), P, A, b.repeat(C, axis=0),
-                                       rows, nact, v, tol.repeat(C))
-    obj = np.full(H * C, np.inf)
-    obj[ok] = np.einsum('hs,hs->h', lam[ok], v[ok])
-    obj = obj.reshape(H, C)
-    pick = np.arange(H) * C + obj.argmin(axis=1)
-    acc = (obj.min(axis=1) < np.inf) & (lo > 0.0) & (hi <= _COND_LIMIT * lo)
-    pick, done = pick[acc], runs[acc]
-    cov[done] = _check_forms(P[pick], gain[pick], Ao[pick], lambda i: where(done[i]))
-    est[done] = z[pick]
-    active_out[done] = nact[pick]
-    return runs[~acc]
+        return z, ok, PA @ Sinv, Ao
 
 
 def _box_project(est, cov, A, b, counter, active_out, where, width=None):
@@ -216,15 +139,13 @@ def _box_project(est, cov, A, b, counter, active_out, where, width=None):
 
     Every entry with one to three of its rows over tolerance is solved on
     the face of those rows, all entries in one `_face_solve`. The entries
-    it rejects are solved on their own rows and coordinates alone, those
-    sharing both together: by one batched enumeration of the faces when the
-    rows form a box (`_box_faces`, `_face_project`), and otherwise, or when
-    the enumeration cannot settle them, by the scalar active-set projector,
-    which the returned counter counts. active_out receives each entry's
-    active-row count. Every active projection passes `_check_forms`; a
-    failure names where(h) for entry h, and so do the projector's errors
-    and the ValueError raised for a violating entry whose estimate or
-    covariance is not finite.
+    it rejects, and those with more than three rows over tolerance, go to
+    the scalar active-set projector one at a time, on their own finite-bound
+    rows and their own width[h] coordinates; the returned counter counts
+    them. active_out receives each entry's active-row count. Every active
+    projection passes `_check_forms`; a failure names where(h) for entry h,
+    and so do the projector's errors and the ValueError raised for a
+    violating entry whose estimate or covariance is not finite.
     """
     if b.ndim == 1:
         b = np.broadcast_to(b, (len(est), b.size))
@@ -245,50 +166,32 @@ def _box_project(est, cov, A, b, counter, active_out, where, width=None):
     tol = 1e-10 * (1.0 + np.sqrt(np.add.reduce(e_hit ** 2, axis=1)) + maxb)
     over = viol[hit] > tol[:, None]
     nover = over.sum(axis=1)
-    # `_sym_inv` has closed forms up to size three; more rows go to the backstop
+    # `_sym_inv` has closed forms up to size three; more rows go to the scalar projector
     left = nover > 3
     face = ~left & (nover > 0)
     if face.any():
         runs, nact, P = hit[face], nover[face], P_hit[face]
         rows = np.argsort(~over[face], axis=1, kind="stable")[:, :int(nact.max())]
-        z, _, ok, gain, Ao = _face_solve(e_hit[face], P, A, b_hit[face], rows, nact,
-                                         viol[runs[:, None], rows], tol[face])
+        z, ok, gain, Ao = _face_solve(e_hit[face], P, A, b_hit[face], rows, nact,
+                                      viol[runs[:, None], rows], tol[face])
         good = runs[ok]
         cov[good] = _check_forms(P[ok], gain[ok], Ao[ok], lambda i: where(good[i]))
         est[good] = z[ok]
         active_out[good] = nact[ok]
         left[np.flatnonzero(face)[~ok]] = True
 
-    rest, tol = hit[left], tol[left]
-    if rest.size:
-        wide = np.full(rest.size, A.shape[1]) if width is None else np.asarray(width)[rest]
-        sets, group = np.unique(np.column_stack([np.isfinite(b[rest]), wide]), axis=0,
-                                return_inverse=True)
-        for g, key in enumerate(sets):
-            rows, w, mine = np.flatnonzero(key[:-1]), key[-1], group == g
-            counter = _backstop(est[:, :w], cov[:, :w, :w], A[rows, :w], b[:, rows],
-                                rest[mine], viol[:, rows], tol[mine], counter, active_out,
-                                where)
-    return counter
-
-
-def _backstop(est, cov, A, b, runs, viol, tol, counter, active_out, where):
-    """Exact projection of the runs the face solve rejected, in place; one
-    set A, b[r] for every run r. Returns the scalar projector counter."""
-    faces = _box_faces(A)
-    if faces is not None:
-        runs = _face_project(est, cov, A, b[runs], runs, viol[runs], tol, faces,
-                             active_out, where)
-    for r in runs:
+    for r in hit[left]:
+        w = A.shape[1] if width is None else width[r]
+        rows = np.isfinite(b[r])
         try:
-            res = _project_core(est[r], cov[r], A, b[r])
+            res = _project_core(est[r, :w], cov[r, :w, :w], A[rows, :w], b[r, rows])
         except (ActiveSetLimitError, InfeasibleConstraintsError) as err:
             err.args = (f"{err} at {where(r)}",)
             raise
         except RuntimeError:
             raise RuntimeError(_FORMS_DISAGREE.format(f" at {where(r)}")) from None
-        est[r] = res.estimate
-        cov[r] = res.covariance
+        est[r, :w] = res.estimate
+        cov[r, :w, :w] = res.covariance
         active_out[r] = len(res.active_set)
         counter += 1
     return counter

@@ -145,16 +145,22 @@ def _check_forms(P, gain, Ab, where=None):
     Assembles (I - gain A_bar) P (I - gain A_bar)' in symmetric form and
     compares it with the short form (I - gain A_bar) P, which it equals
     for an exact oblique projection. Raises RuntimeError when they disagree
-    beyond 1e-8 relative, naming where(i) for i the first such stack
-    position when a namer is given; otherwise returns the symmetric form.
+    beyond 1e-8 (1 + max|GA|)(1 + max|P|) at a stack position, GA = gain
+    A_bar, which scales the bound with the term GA P the short form
+    subtracts; names where(i) for i the first such position when a namer
+    is given, and otherwise returns the symmetric form.
     """
     GA = gain @ Ab
     short = P - GA @ P
     sym = _sym(short - short @ GA.swapaxes(-1, -2))
-    bad = np.abs(sym - short).max(axis=(-2, -1)) > 1e-8 * (1.0 + np.abs(P).max(axis=(-2, -1)))
-    if bad.any():
-        at = "" if where is None else f" at {where(np.argmax(bad))}"
-        raise RuntimeError(_FORMS_DISAGREE.format(at))
+    err = np.abs(sym - short).max(axis=(-2, -1))
+    bound = 1e-8 * (1.0 + np.abs(P).max(axis=(-2, -1)))
+    # the factor 1 + max|GA| only widens the bound: the hot path skips it
+    if (err > bound).any():
+        bad = err > bound * (1.0 + np.abs(GA).max(axis=(-2, -1)))
+        if bad.any():
+            at = "" if where is None else f" at {where(np.argmax(bad))}"
+            raise RuntimeError(_FORMS_DISAGREE.format(at))
     return sym
 
 

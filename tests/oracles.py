@@ -16,8 +16,9 @@ def qp_oracle(estimate, W, A, b):
     """Brute-force reference solution of the projection QP.
 
     Enumerates every subset of constraint rows as a candidate active set,
-    solves the KKT system by least squares, and keeps the feasible candidate
-    with nonnegative multipliers and the smallest objective. Rows count as
+    solves the KKT system by least squares with one step of iterative
+    refinement, and keeps the feasible candidate with nonnegative
+    multipliers and the smallest objective. Rows count as
     met to within 1e-9 (1 + max |A||z| + |b|), the size of the terms A z - b
     sums, so an optimum far from e is judged at its own scale.
     Exponential in the row count; intended for verification on small
@@ -52,6 +53,9 @@ def qp_oracle(estimate, W, A, b):
             kkt[n:, :n] = As
             rhs = np.concatenate([We, b[rows]])
             sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+            # one step of iterative refinement: lstsq's error grows with the
+            # multipliers, which nearly parallel rows make large
+            sol += np.linalg.lstsq(kkt, rhs - kkt @ sol, rcond=None)[0]
             z, mult = sol[:n], sol[n:]
             if np.max(np.abs(As @ z - b[rows])) > tol(As, b[rows], z):
                 continue

@@ -313,7 +313,7 @@ class TestEnsemble:
 
     def test_state_box_self_check_names_the_run(self):
         # the vehicle's state box on (x, y, v); run 2 leaves it through
-        # x <= 20 alone and takes the closed-form single-row projection
+        # x <= 20 alone and is solved on the face of that row
         params = VehicleParams()
         B_st, c_st = build_constraints((0.0, 0.0), params)[2:]
         est = np.tile([10.0, 2.5, 0.0, 10.0], (3, 1))
@@ -326,7 +326,7 @@ class TestEnsemble:
 
     def test_vehicle_boxes_need_no_scalar_fallback(self):
         # every constraint set of the vehicle is a box, so runs violating
-        # several rows are settled by the batched face enumeration
+        # several rows are settled by the batched face solve
         cfg = ScenarioConfig(horizon=1000, seed=20260819)
         ens = run_ensemble(cfg, runs=20, projection_audit=True)
         assert ens.fallback_projections == 0
@@ -338,15 +338,15 @@ class TestEnsemble:
 
     def test_vehicle_runs_stop_at_their_violated_row_face(self, monkeypatch):
         # on the vehicle boxes the face of each run's own violated rows is
-        # the optimum, so the face enumeration is never reached
+        # the optimum, so the scalar projector is never reached
         calls = []
-        face_project = ensemble._face_project
+        project_core = ensemble._project_core
 
-        def counting(*args):
-            calls.append(args[4].size)
-            return face_project(*args)
+        def counting(e, *args):
+            calls.append(e.size)
+            return project_core(e, *args)
 
-        monkeypatch.setattr(ensemble, "_face_project", counting)
+        monkeypatch.setattr(ensemble, "_project_core", counting)
         cfg = ScenarioConfig(horizon=1000, seed=20260819)
         ens = run_ensemble(cfg, runs=20, projection_audit=True)
         assert calls == []

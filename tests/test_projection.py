@@ -99,6 +99,30 @@ class TestOracleEquivalence:
         assert res.active_set == (0, 1)
         assert np.abs(res.estimate - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
 
+    def test_nearly_parallel_rows_keep_their_exact_vertex(self):
+        # with 1e-4 in place of 2e-4 the optimum (-9999, 10000) has both rows
+        # active and a gain with entries near 1e4; the covariance self-check
+        # scales its bound with GA = gain A_bar and accepts the exact vertex
+        A = np.array([[-1.0, -1.0], [1.0, 1.0 - 1e-4]])
+        b = np.array([-1.0, 0.0])
+        res = project(np.zeros(2), np.eye(2), A, b)
+        assert res.active_set == (0, 1)
+        np.testing.assert_allclose(res.estimate, [-9999.0, 10000.0], rtol=1e-10)
+        assert np.abs(res.covariance).max() <= 1e-10
+        ref = qp_oracle(np.zeros(2), np.eye(2), A, b)
+        assert np.abs(res.estimate - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
+
+    def test_oracle_is_accurate_at_large_multipliers(self):
+        # multipliers near 1e8: a plain least-squares KKT solve lands 1.5e-8
+        # relative from the vertex (1 - 1/eps, 1/eps), one refinement step
+        # about 1e-13
+        eps = 1.4e-4
+        A = np.array([[-1.0, -1.0], [1.0, 1.0 - eps]])
+        b = np.array([-1.0, 0.0])
+        ref = qp_oracle(np.zeros(2), np.eye(2), A, b)
+        exact = np.array([1.0 - 1.0 / eps, 1.0 / eps])
+        assert np.abs(ref - exact).max() <= 1e-10 * np.abs(exact).max()
+
     def test_oracle_row_limit(self):
         with pytest.raises(ValueError):
             qp_oracle(np.zeros(2), np.eye(2), np.zeros((21, 2)), np.ones(21))
@@ -375,29 +399,22 @@ def _violating_runs(rng, n, A, b, z0, box, runs):
 
 def _project_recording_route(est, P, A, b, width=None):
     """`_box_project` on copies of est and P, recording for each run whether
-    it reached the face enumeration and whether it reached the scalar
-    projector. Returns (estimate, covariance, active counts, counter,
-    face-enumeration mask, scalar-projector mask)."""
+    it reached the scalar projector. Returns (estimate, covariance, active
+    counts, counter, scalar-projector mask)."""
     z, cov = est.copy(), P.copy()
     active = np.zeros(len(est), dtype=int)
-    faced = np.zeros(len(est), dtype=bool)
     scalar = np.zeros(len(est), dtype=bool)
     own = np.full(len(est), est.shape[1]) if width is None else width
-    face_project, project_core = ensemble._face_project, ensemble._project_core
-
-    def face_spy(*args):
-        faced[args[4]] = True
-        return face_project(*args)
+    project_core = ensemble._project_core
 
     def core_spy(e, *args):
         scalar[(est[:, :e.size] == e).all(axis=1) & (own == e.size)] = True
         return project_core(e, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ensemble, "_face_project", face_spy)
         mp.setattr(ensemble, "_project_core", core_spy)
         counter = _box_project(z, cov, A, b, 0, active, str, width)
-    return z, cov, active, counter, faced, scalar
+    return z, cov, active, counter, scalar
 
 
 def _stack_sets(sets, order):
@@ -446,9 +463,8 @@ class TestBatchedBoxProjection:
                 out = 0.05 + 2.0 * abs(rng.normal())
                 up = np.isinf(lo[j]) or (np.isfinite(hi[j]) and rng.random() < 0.5)
                 est[r, j] = hi[j] + out if up else lo[j] - out
-        z, cov = est.copy(), P.copy()
-        active = np.zeros(runs, dtype=int)
-        assert _box_project(z, cov, A, b, 0, active, str) == 0
+        z, cov, active, counter, scalar = _project_recording_route(est, P, A, b)
+        assert counter == scalar.sum()
         for r in range(runs):
             W = np.linalg.inv(P[r])
             ref = qp_oracle(est[r], W, A, b)
@@ -478,7 +494,7 @@ class TestBatchedBoxProjection:
             b = A @ z0 + np.abs(rng.normal(size=q)) + 0.05
             bounds = None
         est, P, scale = _violating_runs(rng, n, A, b, z0, bounds, 8)
-        z, cov, active, counter, faced, scalar = _project_recording_route(est, P, A, b)
+        z, cov, active, counter, scalar = _project_recording_route(est, P, A, b)
         assert counter == scalar.sum()
         for r in range(len(est)):
             ref = qp_oracle(est[r], np.linalg.inv(P[r] / scale[r]), A, b)
@@ -489,7 +505,7 @@ class TestBatchedBoxProjection:
             assert np.abs(cov[r] - res.covariance).max() <= 1e-9 * scale[r], r
             assert active[r] == len(res.active_set), r
             alone = _project_recording_route(est[r:r + 1], P[r:r + 1], A, b)
-            assert (alone[4][0], alone[5][0]) == (faced[r], scalar[r]), r
+            assert alone[4][0] == scalar[r], r
             assert alone[2][0] == active[r], r
             assert np.abs(alone[0][0] - z[r]).max() <= 1e-12 * (1.0 + np.abs(z[r]).max()), r
             assert np.abs(alone[1][0] - cov[r]).max() <= 1e-12 * scale[r] * (
@@ -500,8 +516,8 @@ class TestBatchedBoxProjection:
     def test_stacked_sets_match_each_set_alone(self, seed):
         # boxes and non-box sets on two to four coordinates in one call, their
         # runs interleaved; the first two sets always send their run past the
-        # face solve: to the face enumeration (its face of row 0 leaves the
-        # box through row 1) and to the scalar projector (the same on a wedge)
+        # face solve to the scalar projector: on a box and on a wedge, the face
+        # of row 0 leaves the set through row 1
         rng = np.random.default_rng(seed)
         skew = np.array([[[1.0, -0.9], [-0.9, 1.0]]])
         sets = [(np.eye(2), np.ones(2), np.array([[2.0, 0.5]]), skew),
@@ -519,15 +535,15 @@ class TestBatchedBoxProjection:
             sets.append((A, b, est, P))
         order = rng.permutation(sum(len(est) for *_, est, _ in sets))
         est, P, A_all, b_all, width, which = _stack_sets(sets, order)
-        z, cov, active, counter, faced, scalar = _project_recording_route(
+        z, cov, active, counter, scalar = _project_recording_route(
             est, P, A_all, b_all, width)
-        assert faced.any() and scalar.any()
+        assert scalar.any()
         total = 0
         for h, w in enumerate(width):
             A, b = sets[which[h]][:2]
             alone = _project_recording_route(est[h:h + 1, :w], P[h:h + 1, :w, :w], A, b)
             total += alone[3]
-            assert (alone[4][0], alone[5][0]) == (faced[h], scalar[h]), h
+            assert alone[4][0] == scalar[h], h
             assert alone[2][0] == active[h], h
             zh, ch = z[h, :w], cov[h, :w, :w]
             assert np.abs(alone[0][0] - zh).max() <= 1e-12 * (1.0 + np.abs(zh).max()), h
@@ -537,9 +553,48 @@ class TestBatchedBoxProjection:
             assert not z[h, w:].any() and not cov[h, w:].any() and not cov[h, :, w:].any(), h
         assert counter == total
 
+    def test_more_than_three_violated_rows_go_to_the_scalar_projector(self, monkeypatch):
+        # `_face_solve` stops at three rows: a 4-coordinate box left through
+        # all four coordinates is solved by the scalar projector on its own
+        # eight rows and four coordinates, stacked next to a 2-wide entry
+        # whose one violated row the face solve settles
+        V = np.linalg.qr(np.random.default_rng(41).normal(size=(4, 4)))[0]
+        P4 = V @ np.diag([0.5, 1.0, 2.0, 4.0]) @ V.T
+        box = (np.vstack([np.eye(4), -np.eye(4)]), np.ones(8),
+               np.array([[2.0, -3.0, 1.5, -2.0]]), P4[None])
+        side = (np.eye(2), np.ones(2), np.array([[2.0, 0.5]]), np.eye(2)[None])
+        est, P, A, b, width, _ = _stack_sets([box, side], [1, 0])
+        assert width.tolist() == [2, 4]
+        calls = []
+        project_core = ensemble._project_core
+
+        def counting(e, P, A, b):
+            calls.append((e.size, A.shape))
+            return project_core(e, P, A, b)
+
+        monkeypatch.setattr(ensemble, "_project_core", counting)
+        z, cov = est.copy(), P.copy()
+        active = np.zeros(2, dtype=int)
+        assert _box_project(z, cov, A, b, 0, active, str, width) == 1
+        assert calls == [(4, (8, 4))]
+        for h, (A_h, b_h, *_) in enumerate((side, box)):
+            w = width[h]
+            z1, c1 = est[h:h + 1, :w].copy(), P[h:h + 1, :w, :w].copy()
+            act1 = np.zeros(1, dtype=int)
+            # only the box entry (h = 1) reaches the scalar projector alone
+            assert _box_project(z1, c1, A_h, b_h, 0, act1, str) == h
+            assert act1[0] == active[h], h
+            assert np.abs(z1[0] - z[h, :w]).max() <= 1e-12 * (1.0 + np.abs(z1).max()), h
+            assert np.abs(c1[0] - cov[h, :w, :w]).max() <= 1e-12 * (1.0 + np.abs(c1).max()), h
+        ref = qp_oracle(box[2][0], np.linalg.inv(P4), *box[:2])
+        assert np.abs(z[1] - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
+        np.testing.assert_allclose(z[0, :2], [1.0, 0.5], atol=1e-12)
+        # the 2-wide entry's padding stays zero
+        assert not z[0, 2:].any() and not cov[0, 2:].any() and not cov[0, :, 2:].any()
+
     def test_ill_conditioned_metric_goes_to_the_scalar_projector(self):
         # run 0's covariance has condition number 1e13 on the bounded
-        # coordinates, beyond what the batch enumeration accepts
+        # coordinates, beyond what the batched face solve accepts
         A = np.array([[1.0, 0.0], [0.0, 1.0]])
         b = np.array([1.0, 1.0])
         est = np.array([[2.0, 3.0], [2.0, 3.0]])
