@@ -107,17 +107,22 @@ def _face_solve(e, P, A, b, rows, nact, v, tol):
     """
     k = rows.shape[1]
     slot = np.arange(k) < nact[:, None]
-    Ao = A[rows] * slot[..., None]
+    padded = not slot.all()
+    Ao = A[rows]
+    if padded:
+        Ao *= slot[..., None]
+        v = np.where(slot, v, 0.0)
     PA = P @ Ao.swapaxes(1, 2)
     S = Ao @ PA
-    # a padded slot's diagonal is the entry's first, which lies in the
-    # spectrum of its active block: padding moves neither cond nor lam
-    diag = S.reshape(-1, k * k)[:, ::k + 1]
-    diag += ~slot * diag[:, :1]
+    if padded:
+        # a padded slot's diagonal is the entry's first, which lies in the
+        # spectrum of its active block: padding moves neither cond nor lam
+        diag = S.reshape(-1, k * k)[:, ::k + 1]
+        diag += ~slot * diag[:, :1]
     lo, hi = _eig_bounds(S)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         Sinv = _sym_inv(S)
-        lam = (Sinv @ np.where(slot, v, 0.0)[..., None])[..., 0]
+        lam = (Sinv @ v[..., None])[..., 0]
         z = e - (PA @ lam[..., None])[..., 0]
         ok = (lam.min(axis=1) >= 0.0) & np.isfinite(lam.sum(axis=1))
         ok &= (lo > 0.0) & (hi <= _COND_LIMIT * lo)
@@ -150,10 +155,10 @@ def _box_project(est, cov, A, b, counter, active_out, where, width=None):
     if b.ndim == 1:
         b = np.broadcast_to(b, (len(est), b.size))
     viol = est @ A.T - b
-    if viol.max(initial=0.0) <= 0.0:
-        return counter
     # a NaN estimate counts as violating, to be reported below
-    hit = np.flatnonzero(~(viol.max(axis=1) <= 0.0))
+    hit = np.flatnonzero(~(viol.max(axis=1, initial=0.0) <= 0.0))
+    if not hit.size:
+        return counter
     e_hit, P_hit, b_hit = est[hit], cov[hit], b[hit]
     if not (np.isfinite(e_hit).all() and np.isfinite(P_hit).all()):
         finite = np.isfinite(e_hit).all(axis=1) & np.isfinite(P_hit).all(axis=(1, 2))
@@ -169,16 +174,24 @@ def _box_project(est, cov, A, b, counter, active_out, where, width=None):
     # `_sym_inv` has closed forms up to size three; more rows go to the scalar projector
     left = nover > 3
     face = ~left & (nover > 0)
+    # a mask that selects every entry is a slice, which gathers nothing
+    pick = slice(None) if face.all() else face
     if face.any():
-        runs, nact, P = hit[face], nover[face], P_hit[face]
-        rows = np.argsort(~over[face], axis=1, kind="stable")[:, :int(nact.max())]
-        z, ok, gain, Ao = _face_solve(e_hit[face], P, A, b_hit[face], rows, nact,
-                                      viol[runs[:, None], rows], tol[face])
+        runs, nact, P = hit[pick], nover[pick], P_hit[pick]
+        k = int(nact.max())
+        # violated rows first; with one each, the first is all of the face
+        rows = over[pick].argmax(axis=1)[:, None] if k == 1 else \
+            np.argsort(~over[pick], axis=1, kind="stable")[:, :k]
+        z, ok, gain, Ao = _face_solve(e_hit[pick], P, A, b_hit[pick], rows, nact,
+                                      viol[runs[:, None], rows], tol[pick])
+        if ok.all():
+            ok = slice(None)
+        else:
+            left[np.flatnonzero(face)[~ok]] = True
         good = runs[ok]
         cov[good] = _check_forms(P[ok], gain[ok], Ao[ok], lambda i: where(good[i]))
         est[good] = z[ok]
         active_out[good] = nact[ok]
-        left[np.flatnonzero(face)[~ok]] = True
 
     for r in hit[left]:
         w = A.shape[1] if width is None else width[r]

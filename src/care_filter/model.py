@@ -130,6 +130,17 @@ def _psd_factor(M):
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
+def _factors(provider, ks, n, name):
+    """`_psd_factor` factors of the (n, n) covariances provider(k), k in
+    ks, as a stack: one factor when the provider returns the same array
+    object at every k, else one per k. A wrong shape or a non-finite entry
+    raises `validate`'s message for the first such k as a ValueError."""
+    mats = [provider(k) for k in ks]
+    if all(M is mats[0] for M in mats):
+        ks, mats = ks[:1], mats[:1]
+    return _psd_factor(np.array([_as_matrix(M, k, n, n, name) for k, M in zip(ks, mats)]))
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Seeded Gaussian noise source for simulation.
@@ -139,7 +150,9 @@ class NoiseSpec:
     measurement noise on y_k for k >= 1 (row 0 stays zero; y_0 is never
     consumed). Identical (seed, run_index) pairs reproduce identical arrays
     bit for bit on one platform, and a shorter horizon yields a prefix of a
-    longer one.
+    longer one. A covariance the provider returns as the same array object
+    at every k is factored once; providers must not modify an array they
+    have returned.
     """
 
     seed: int
@@ -150,10 +163,15 @@ class NoiseSpec:
         return np.random.default_rng(ss)
 
     def sample(self, model: SystemModel, horizon: int):
+        if horizon < 1:
+            raise ValueError("horizon must be at least 1")
         m, n_y = model.state_dim, model.output_dim
+        Lq = _factors(model.Q, range(horizon), m, "Q")
+        Lr = _factors(model.R, range(1, horizon + 1), n_y, "R")
+        # one matrix-vector product per step, never one product over the
+        # horizon: BLAS may sum a whole-draw product in an order that
+        # depends on its length, which would break the prefix property
         z = self.generator().standard_normal((horizon, m + n_y, 1))
-        Lq = _psd_factor(np.array([model.Q(k) for k in range(horizon)], dtype=float))
-        Lr = _psd_factor(np.array([model.R(k + 1) for k in range(horizon)], dtype=float))
         V = np.zeros((horizon + 1, n_y))
         V[1:] = (Lr @ z[:, m:])[..., 0]
         return (Lq @ z[:, :m])[..., 0], V
@@ -176,18 +194,27 @@ class ValidationReport:
         return "all checks passed" if self.ok else "\n".join(self.issues)
 
 
+def _as_matrix(M, k, rows, cols, name):
+    """name(k) = M as a float (rows, cols) array; ValueError naming name(k)
+    for a wrong shape or a non-finite entry."""
+    M = np.asarray(M)
+    if M.shape != (rows, cols):
+        raise ValueError(f"{name}({k}) has shape {M.shape}, expected {(rows, cols)}")
+    M = M.astype(float)
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name}({k}) has non-finite entries")
+    return M
+
+
 def _checked(provider, k, rows, cols, name, report):
     """provider(k) as a float array, or None after reporting a wrong shape
     or a non-finite entry, which leaves nothing to derive checks from."""
-    M = np.asarray(provider(k))
-    if M.shape != (rows, cols):
-        report.add(f"{name}({k}) has shape {M.shape}, expected {(rows, cols)}")
+    M = provider(k)
+    try:
+        return _as_matrix(M, k, rows, cols, name)
+    except ValueError as err:
+        report.add(str(err))
         return None
-    M = M.astype(float)
-    if not np.isfinite(M).all():
-        report.add(f"{name}({k}) has non-finite entries")
-        return None
-    return M
 
 
 def validate(model: SystemModel, constraints: ConstraintSet, horizon: int) -> ValidationReport:

@@ -153,10 +153,11 @@ def _check_forms(P, gain, Ab, where=None):
     GA = gain @ Ab
     short = P - GA @ P
     sym = _sym(short - short @ GA.swapaxes(-1, -2))
-    err = np.abs(sym - short).max(axis=(-2, -1))
-    bound = 1e-8 * (1.0 + np.abs(P).max(axis=(-2, -1)))
-    # the factor 1 + max|GA| only widens the bound: the hot path skips it
-    if (err > bound).any():
+    diff = np.abs(sym - short)
+    # 1e-8 is the bound's floor: below it (NaN is not) no bound is computed
+    if not diff.max(initial=0.0) <= 1e-8:
+        err = diff.max(axis=(-2, -1))
+        bound = 1e-8 * (1.0 + np.abs(P).max(axis=(-2, -1)))
         bad = err > bound * (1.0 + np.abs(GA).max(axis=(-2, -1)))
         if bad.any():
             at = "" if where is None else f" at {where(np.argmax(bad))}"

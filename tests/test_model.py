@@ -176,6 +176,17 @@ class TestNoiseSpec:
         W_short, V_short = NoiseSpec(seed=7).sample(model, 30)
         assert np.array_equal(W_long[:30], W_short)
         assert np.array_equal(V_long[:31], V_short)
+        # non-diagonal constant covariances, one factor for every step, on
+        # horizons far apart
+        rng = np.random.default_rng(5)
+        M, N = rng.standard_normal((2, 4, 4))
+        model = replace(identity_model(4), Q=lambda k, Q=M @ M.T + np.eye(4): Q,
+                        R=lambda k, R=N @ N.T + np.eye(4): R)
+        W_long, V_long = NoiseSpec(seed=11).sample(model, 3000)
+        for h in (1, 2, 30):
+            W, V = NoiseSpec(seed=11).sample(model, h)
+            assert np.array_equal(W_long[:h], W), h
+            assert np.array_equal(V_long[:h + 1], V), h
 
     def test_first_measurement_row_zero(self):
         _, V = NoiseSpec(seed=9).sample(identity_model(), 10)
@@ -216,6 +227,56 @@ class TestNoiseSpec:
                                        rtol=1e-13, atol=1e-15)
             np.testing.assert_allclose(V[k + 1], np.linalg.cholesky(model.R(k + 1)) @ z[k, 2:],
                                        rtol=1e-13, atol=1e-15)
+
+    def test_constant_diagonal_q_scales_the_draw_exactly(self):
+        q, r = np.array([4.0, 0.25]), np.array([0.5, 9.0])
+        model = replace(identity_model(), Q=lambda k, Q=np.diag(q): Q,
+                        R=lambda k, R=np.diag(r): R)
+        spec = NoiseSpec(seed=17, run_index=3)
+        W, V = spec.sample(model, 40)
+        z = spec.generator().standard_normal((40, 4))
+        assert np.array_equal(W, np.sqrt(q) * z[:, :2])
+        assert np.array_equal(V[1:], np.sqrt(r) * z[:, 2:])
+
+    def test_constant_non_diagonal_q_matches_a_per_step_draw(self):
+        Q = np.array([[4.0, 1.0], [1.0, 0.5]])
+        model = replace(identity_model(), Q=lambda k: Q)
+        spec = NoiseSpec(seed=43)
+        W, _ = spec.sample(model, 30)
+        z = spec.generator().standard_normal((30, 4))
+        L = np.linalg.cholesky(Q)
+        for k in range(30):
+            np.testing.assert_allclose(W[k], L @ z[k, :2], rtol=1e-13, atol=1e-15)
+
+    def test_fresh_equal_arrays_draw_what_one_array_draws(self):
+        # a provider that builds a new array at every k is factored per step,
+        # one that returns the same object once; the draws agree
+        Q = np.array([[4.0, 1.0], [1.0, 0.5]])
+        R = np.array([[2.0, -0.3], [-0.3, 1.0]])
+        shared = replace(identity_model(), Q=lambda k: Q, R=lambda k: R)
+        fresh = replace(identity_model(), Q=lambda k: Q.copy(), R=lambda k: R.copy())
+        W1, V1 = NoiseSpec(seed=47, run_index=1).sample(shared, 25)
+        W2, V2 = NoiseSpec(seed=47, run_index=1).sample(fresh, 25)
+        np.testing.assert_allclose(W1, W2, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(V1, V2, rtol=1e-13, atol=1e-15)
+
+    def test_zero_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            NoiseSpec(seed=1).sample(identity_model(), 0)
+
+    def test_wrong_shape_named(self):
+        model = replace(identity_model(), Q=lambda k: np.eye(3))
+        with pytest.raises(ValueError, match=r"Q\(0\) has shape \(3, 3\), expected \(2, 2\)"):
+            NoiseSpec(seed=1).sample(model, 5)
+
+    @pytest.mark.parametrize("name, bad", [("Q", np.nan), ("R", np.inf)])
+    def test_non_finite_covariance_named_with_its_step(self, name, bad):
+        # the bad matrix appears from k = 3 on, after a good one
+        good = np.eye(2)
+        worse = np.array([[1.0, 0.0], [0.0, bad]])
+        model = replace(identity_model(), **{name: lambda k: worse if k >= 3 else good})
+        with pytest.raises(ValueError, match=rf"{name}\(3\) has non-finite entries"):
+            NoiseSpec(seed=1).sample(model, 6)
 
 
 def test_report_str_lists_issues():

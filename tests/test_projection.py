@@ -12,6 +12,7 @@ from care_filter.projection import (
     ActiveSetLimitError,
     InfeasibleConstraintsError,
     ProjectionResult,
+    _check_forms,
     _project_core,
     _sym_inv,
     project,
@@ -628,6 +629,38 @@ class TestBatchedBoxProjection:
         with pytest.raises(InfeasibleConstraintsError, match="cannot be satisfied.* at k=5, run 0"):
             _box_project(est, cov, A, b, 0, active, lambda r: f"k=5, run {r}")
 
+    def test_each_route_in_one_call_matches_its_one_entry_call(self, monkeypatch):
+        # three entries on the box z <= 1: entry 0 lies over row 0 by less
+        # than its tolerance, entry 1's face of row 0 is its optimum, and
+        # entry 2's face leaves the box through row 1 under a skewed
+        # covariance, so it goes to the scalar projector
+        A, b = np.eye(2), np.ones(2)
+        skew = np.array([[1.0, -0.9], [-0.9, 1.0]])
+        est = np.array([[1.0 + 5e-11, 0.5], [2.0, 0.5], [2.0, 0.5]])
+        cov = np.array([np.eye(2), np.eye(2), skew])
+        calls = []
+        project_core = ensemble._project_core
+
+        def counting(e, P, A, b):
+            calls.append(e.copy())
+            return project_core(e, P, A, b)
+
+        monkeypatch.setattr(ensemble, "_project_core", counting)
+        z, P = est.copy(), cov.copy()
+        active = np.zeros(3, dtype=int)
+        assert _box_project(z, P, A, b, 0, active, str) == 1
+        assert len(calls) == 1 and np.array_equal(calls[0], est[2])
+        assert np.array_equal(z[0], est[0]) and np.array_equal(P[0], cov[0])
+        assert active[0] == 0
+        for h in (1, 2):
+            z1, P1 = est[h:h + 1].copy(), cov[h:h + 1].copy()
+            act1 = np.zeros(1, dtype=int)
+            assert _box_project(z1, P1, A, b, 0, act1, str) == h - 1
+            assert np.array_equal(z1[0], z[h]) and np.array_equal(P1[0], P[h]), h
+            assert act1[0] == active[h], h
+        np.testing.assert_allclose(z[1], [1.0, 0.5], atol=1e-15)
+        assert active.tolist() == [0, 1, 2]
+
     def test_zero_row_set_leaves_the_runs_untouched(self):
         # as `project` does for q = 0: nothing to violate, counter unchanged
         est = np.array([[2.0, 3.0], [-1.0, 0.5]])
@@ -637,6 +670,33 @@ class TestBatchedBoxProjection:
         assert _box_project(z, P, np.zeros((0, 2)), np.zeros(0), 3, active, str) == 3
         assert np.array_equal(z, est) and np.array_equal(P, cov)
         assert active.tolist() == [0, 0]
+
+
+class TestCheckForms:
+    # on P = s I and the row (1, 0), the gain (1, delta)' is off the exact
+    # oblique gain (1, 0)' by delta, and the two covariance forms then differ
+    # by s delta at most; with max|gain A_bar| = 1 the full bound is
+    # 1e-8 (1 + s) (1 + 1)
+    s = 100.0
+    Ab = np.array([[1.0, 0.0]])
+
+    def forms(self, err):
+        return self.s * np.eye(2), np.array([[1.0], [err / self.s]]), self.Ab
+
+    def test_error_above_the_floor_within_the_scaled_bound_passes(self):
+        # 1e-8 < 5e-7 <= 1e-8 (1 + s)
+        P, gain, Ab = self.forms(5e-7)
+        _check_forms(P, gain, Ab)
+        # and past 1e-8 (1 + s) while within the factor 1 + max|gain A_bar|
+        _check_forms(*self.forms(1.5e-6))
+
+    def test_error_beyond_the_full_bound_raises_and_names_the_entry(self):
+        with pytest.raises(RuntimeError, match="forms disagree"):
+            _check_forms(*self.forms(3e-6))
+        (P0, g0, A0), (P1, g1, A1) = self.forms(5e-7), self.forms(3e-6)
+        with pytest.raises(RuntimeError, match="forms disagree at entry 1;"):
+            _check_forms(np.array([P0, P1]), np.array([g0, g1]), np.array([A0, A1]),
+                         lambda i: f"entry {i}")
 
 
 def test_small_symmetric_inverse_matches_lapack():
