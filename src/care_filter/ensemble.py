@@ -38,7 +38,10 @@ often that happened.
 
 The point of `run_ensemble` is stability studies: hundreds of runs over
 ten thousand steps, reduced to per-step error energies and running
-covariance extrema instead of full per-step records.
+covariance extrema instead of full per-step records. Its optional
+projection audit buffers what it reads of each step and tallies once per
+block of _AUDIT_BLOCK steps in one vectorized pass, so it holds
+O(runs x _AUDIT_BLOCK) extra memory and no per-step tally.
 """
 
 from dataclasses import dataclass
@@ -66,6 +69,10 @@ __all__ = ["EnsembleResult", "run_ensemble"]
 _FILTERS = ("care", "ise")
 _COND_LIMIT = 1e12
 _EYE2 = np.eye(2)
+# steps per vectorized audit pass. In a 50-run, 1,000-step audited call the
+# audit took 0.37 s in blocks of 1 step, 0.12 s of 8, 0.10 s of 16, 0.09 s of
+# 32 and 0.085 s of 64; its buffers hold 320 bytes per run and step
+_AUDIT_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,7 @@ def _face_solve(e, P, A, b, rows, nact, v, tol):
         return z, ok, PA @ Sinv, Ao
 
 
-def _box_project(est, cov, A, b, counter, active_out, where, width=None):
+def _box_project(est, cov, A, b, counter, active_out, where, width=None, maxb=None):
     """Project each entry's estimate onto its set {z : A z <= b_h}, in place.
 
     est (H, n) and cov (H, n, n) are overwritten. b is one bound vector
@@ -140,7 +147,9 @@ def _box_project(est, cov, A, b, counter, active_out, where, width=None):
     the rows of the others. Sets of different widths are padded: entry h
     owns its leading width[h] coordinates (all n by default), and its other
     coordinates carry a zero estimate and a zero covariance, which the
-    projection leaves at zero.
+    projection leaves at zero. maxb, the largest finite |bound| of each
+    entry (or of the shared b), scales the feasibility tolerance; a caller
+    whose bounds never change passes it in, else it is taken from b.
 
     Every entry with one to three of its rows over tolerance is solved on
     the face of those rows, all entries in one `_face_solve`. The entries
@@ -152,8 +161,11 @@ def _box_project(est, cov, A, b, counter, active_out, where, width=None):
     and so do the projector's errors and the ValueError raised for a
     violating entry whose estimate or covariance is not finite.
     """
+    if maxb is None:
+        maxb = np.abs(b).max(axis=-1, initial=0.0, where=np.isfinite(b))
     if b.ndim == 1:
         b = np.broadcast_to(b, (len(est), b.size))
+        maxb = np.broadcast_to(maxb, len(est))
     viol = est @ A.T - b
     # a NaN estimate counts as violating, to be reported below
     hit = np.flatnonzero(~(viol.max(axis=1, initial=0.0) <= 0.0))
@@ -166,9 +178,8 @@ def _box_project(est, cov, A, b, counter, active_out, where, width=None):
         field = "covariance" if np.isfinite(est[r]).all() else "estimate"
         raise ValueError(f"non-finite {field} at {where(r)}")
     # each flagged entry's Euclidean norm, bit for bit what np.linalg.norm
-    # returns, without its per-call overhead, and its largest finite bound
-    maxb = np.abs(b_hit).max(axis=1, initial=0.0, where=np.isfinite(b_hit))
-    tol = 1e-10 * (1.0 + np.sqrt(np.add.reduce(e_hit ** 2, axis=1)) + maxb)
+    # returns, without its per-call overhead
+    tol = 1e-10 * (1.0 + np.sqrt(np.add.reduce(e_hit ** 2, axis=1)) + maxb[hit])
     over = viol[hit] > tol[:, None]
     nover = over.sum(axis=1)
     # `_sym_inv` has closed forms up to size three; more rows go to the scalar projector
@@ -238,6 +249,9 @@ class _Batch:
         params = VehicleParams(l_f=config.l_f, l_r=config.l_r, T_s=config.t_s)
         self.params = params
         self.clamp_truth = config.clamp_truth
+        # the road and speed box of the truth; the heading is free
+        self.truth_lo = np.array([0.0, 0.0, -np.inf, 0.0])
+        self.truth_hi = np.array([params.x_max, params.y_max, np.inf, params.v_max])
 
         noise_model = vehicle_model(lambda k: 0.0, params)
         self.W = np.empty((R, K, 4))
@@ -275,6 +289,8 @@ class _Batch:
         self.b_box = np.full((2 * n, len(self.A_box)), np.inf)
         self.b_box[:n, :q_in] = self.b_in
         self.b_box[n:, q_in:] = self.c_st
+        self.b_box_max = np.abs(self.b_box).max(axis=1, initial=0.0,
+                                                where=np.isfinite(self.b_box))
         self.box_width = np.repeat([2, 4], n)
         self.box_est = np.zeros((2 * n, 4))
         self.box_cov = np.zeros((2 * n, 4, 4))
@@ -303,15 +319,12 @@ class _Batch:
     def step(self, k):
         km1 = k - 1
         where = partial(self._where, k)
-        p = self.params
 
         self._schedule(self.A_t, self.B_t, self.x_true[:, 3])
         x_true = (self.A_t @ self.x_true[..., None])[..., 0] + self.B_t @ self.u_beta \
             + self.B_t @ self.d_true[km1] + self.W[:, km1]
         if self.clamp_truth:
-            np.clip(x_true[:, 0], 0.0, p.x_max, out=x_true[:, 0])
-            np.clip(x_true[:, 1], 0.0, p.y_max, out=x_true[:, 1])
-            np.clip(x_true[:, 3], 0.0, p.v_max, out=x_true[:, 3])
+            np.clip(x_true, self.truth_lo, self.truth_hi, out=x_true)
         self.x_true = x_true
         y = x_true + self.V[:, k]
         if len(self.names) > 1:
@@ -348,7 +361,8 @@ class _Batch:
             cov[:n, :2, :2], cov[n:] = Pd_u[:n], P_u[:n]
             act.fill(0)
             self.fallbacks = _box_project(est, cov, self.A_box, self.b_box, self.fallbacks,
-                                          act, lambda h: where(h % n), self.box_width)
+                                          act, lambda h: where(h % n), self.box_width,
+                                          self.b_box_max)
             d_u = np.concatenate([est[:n, :2], d_u[n:]])
             Pd_u = np.concatenate([cov[:n, :2, :2], Pd_u[n:]])
             x_u = np.concatenate([est[n:], x_u[n:]])
@@ -358,8 +372,8 @@ class _Batch:
 
 
 def _audit_update(audit, which, act, e_con, e_unc, W, tr_pre, tr_post):
-    """Tally norm and trace comparisons for the runs where a projection
-    actually moved the estimate. Norms use the projection's own metric
+    """Tally norm and trace comparisons for the entries act, each one run
+    at one step, where a projection actually moved the estimate. Norms use the projection's own metric
     (weight W, the inverse unconstrained covariance) next to the plain
     Euclidean norm, which the oblique projection does not contract in
     general; both counts are kept so the audit can report the difference.
@@ -394,32 +408,71 @@ def _new_audit():
     return audit
 
 
-def _audit_step(audit, batch, km1):
-    """Tally one step's projections of a constrained batch."""
-    R = len(batch.run_indices)
-    d_true = batch.d_true[km1]
-    x_true = batch.x_true
-    d_feas = bool((batch.A_in @ d_true <= batch.b_in).all())
-    x_feas = (x_true @ batch.B_st.T <= batch.c_st).all(axis=1)
-    if not d_feas:
-        audit["truth_infeasible_steps"] += R
-    audit["truth_infeasible_steps"] += int((~x_feas).sum())
-    ar = np.flatnonzero((batch.in_act > 0) & d_feas)
-    if ar.size:
-        _audit_update(
-            audit, "d", ar,
-            batch.d[ar] - d_true, batch.d_raw[ar] - d_true,
-            _sym_inv(batch.Pd_raw[ar]),
-            np.trace(batch.Pd_raw[ar], axis1=1, axis2=2),
-            np.trace(batch.Pd[ar], axis1=1, axis2=2))
-    ar = np.flatnonzero((batch.st_act > 0) & x_feas)
-    if ar.size:
-        _audit_update(
-            audit, "x", ar,
-            batch.x[ar] - x_true[ar], batch.x_raw[ar] - x_true[ar],
-            np.linalg.inv(batch.P_raw[ar]),
-            np.trace(batch.P_raw[ar], axis1=1, axis2=2),
-            np.trace(batch.P[ar], axis1=1, axis2=2))
+class _BlockAudit:
+    """The projection audit of a constrained batch, tallied once per block.
+
+    `record` copies what the audit reads of a step into (B, R, ...) buffers,
+    B = _AUDIT_BLOCK; the covariances after projection are kept as traces
+    alone. `_flush` tallies the buffered steps in one vectorized pass: two
+    `_audit_update` calls over every audited (step, run) entry of the block.
+    Every tally is a count, a sum or a maximum, and the per-entry arithmetic
+    is that of one step alone, so the result does not depend on where the
+    blocks fall.
+    """
+
+    _FIELDS = {"d": (2,), "d_raw": (2,), "Pd_raw": (2, 2), "x": (4,), "x_raw": (4,),
+               "P_raw": (4, 4), "x_true": (4,), "in_act": (), "st_act": ()}
+
+    def __init__(self, batch):
+        self.batch = batch
+        self.tally = _new_audit()
+        R = len(batch.run_indices)
+        self.buf = {name: np.empty((_AUDIT_BLOCK, R) + shape)
+                    for name, shape in self._FIELDS.items()}
+        self.tr_P = np.empty((_AUDIT_BLOCK, R))
+        self.tr_Pd = np.empty((_AUDIT_BLOCK, R))
+        # the attack's truth is shared by every run, so its feasibility is per step
+        self.d_feas = (batch.d_true @ batch.A_in.T <= batch.b_in).all(axis=1)
+        self.m = 0
+
+    def record(self, km1):
+        """Buffer step km1 + 1 of the batch; tally the block once it is full
+        or the step is the horizon's last."""
+        batch, j = self.batch, self.m
+        for name, buf in self.buf.items():
+            buf[j] = getattr(batch, name)
+        self.tr_P[j] = np.trace(batch.P, axis1=1, axis2=2)
+        self.tr_Pd[j] = np.trace(batch.Pd, axis1=1, axis2=2)
+        self.m += 1
+        # d_true holds one row per step of the horizon
+        if self.m == _AUDIT_BLOCK or km1 + 1 == len(batch.d_true):
+            self._flush(km1 + 1 - self.m)
+
+    def _flush(self, k0):
+        """Tally the buffered steps, k0 + 1 to k0 + m, and empty the buffers."""
+        m, batch, audit = self.m, self.batch, self.tally
+        R = len(batch.run_indices)
+        # entry s * R + i is run i at the block's step s
+        b = {name: buf[:m].reshape((m * R,) + buf.shape[2:]) for name, buf in self.buf.items()}
+        d_feas = self.d_feas[k0:k0 + m]
+        x_true = b["x_true"]
+        x_feas = (x_true @ batch.B_st.T <= batch.c_st).all(axis=1)
+        audit["truth_infeasible_steps"] += R * int((~d_feas).sum()) + int((~x_feas).sum())
+        ar = np.flatnonzero((b["in_act"] > 0) & np.repeat(d_feas, R))
+        if ar.size:
+            d_ar = batch.d_true[k0 + ar // R]
+            Pd_raw = b["Pd_raw"][ar]
+            _audit_update(
+                audit, "d", ar, b["d"][ar] - d_ar, b["d_raw"][ar] - d_ar, _sym_inv(Pd_raw),
+                np.trace(Pd_raw, axis1=1, axis2=2), self.tr_Pd[:m].reshape(-1)[ar])
+        ar = np.flatnonzero((b["st_act"] > 0) & x_feas)
+        if ar.size:
+            P_raw = b["P_raw"][ar]
+            _audit_update(
+                audit, "x", ar, b["x"][ar] - x_true[ar], b["x_raw"][ar] - x_true[ar],
+                np.linalg.inv(P_raw),
+                np.trace(P_raw, axis1=1, axis2=2), self.tr_P[:m].reshape(-1)[ar])
+        self.m = 0
 
 
 def run_ensemble(config: ScenarioConfig, runs: int = None, constrained: bool = True,
@@ -436,8 +489,13 @@ def run_ensemble(config: ScenarioConfig, runs: int = None, constrained: bool = T
     estimate and the true value sits inside its feasible set, the projected
     error against the unconstrained error: norms in the projection metric
     and in the Euclidean metric, plus the covariance traces before and
-    after. The tallies land in the result's audit dict.
+    after. The tallies land in the result's audit dict. It needs
+    constrained=True, since the unconstrained baseline projects nothing;
+    with constrained=False it raises ValueError.
     """
+    if projection_audit and not constrained:
+        raise ValueError("projection_audit=True needs constrained=True: "
+                         "the unconstrained baseline makes no projection to audit")
     R = config.runs if runs is None else int(runs)
     K = config.horizon
     batch = _Batch(config, range(R), ("care",) if constrained else ("ise",))
@@ -446,7 +504,7 @@ def run_ensemble(config: ScenarioConfig, runs: int = None, constrained: bool = T
     max_trace_pxu = 0.0
     max_cov_trace = 0.0
     max_mcg_dev = 0.0
-    audit = _new_audit() if projection_audit else None
+    audit = _BlockAudit(batch) if projection_audit else None
 
     if record_states:
         X_rec = np.empty((R, K + 1, 4))
@@ -470,8 +528,8 @@ def run_ensemble(config: ScenarioConfig, runs: int = None, constrained: bool = T
             trd = float(np.trace(batch.Pd_raw, axis1=1, axis2=2).max())
             max_cov_trace = max(max_cov_trace, tru, trd)
 
-        if constrained and audit is not None:
-            _audit_step(audit, batch, km1)
+        if audit is not None:
+            audit.record(km1)
 
         err = batch.x - batch.x_true
         err_sq[:, km1] = np.einsum('ij,ij->i', err, err)
@@ -485,5 +543,6 @@ def run_ensemble(config: ScenarioConfig, runs: int = None, constrained: bool = T
         runs=R, horizon=K, err_sq=err_sq,
         max_trace_pxu=max_trace_pxu, max_cov_trace=max_cov_trace,
         max_mcg_dev=max_mcg_dev, fallback_projections=batch.fallbacks,
-        x_hat=X_rec, d_hat=D_rec, x_true=XT_rec, audit=audit,
+        x_hat=X_rec, d_hat=D_rec, x_true=XT_rec,
+        audit=None if audit is None else audit.tally,
     )

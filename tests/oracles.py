@@ -4,12 +4,14 @@
 subsets through the KKT system, an independent route to what `project`
 computes; `range_qp_oracle` restricts it to e + range(P) for a positive
 semidefinite P. `transformed_dynamics` is the closed-loop error transition of
-the compensated filter, a stability diagnostic.
+the compensated filter, a stability diagnostic. `audit_reference` tallies
+`run_ensemble`'s projection audit one step at a time.
 """
 
 import numpy as np
 
-from care_filter.projection import InfeasibleConstraintsError, _as_rows
+from care_filter.ensemble import _Batch
+from care_filter.projection import InfeasibleConstraintsError, _as_rows, _sym_inv
 
 
 def qp_oracle(estimate, W, A, b):
@@ -103,3 +105,54 @@ def transformed_dynamics(A, C, G, M, gamma_bar):
     inner = np.linalg.solve(CGM, C)
     A_bar = (np.eye(A.shape[0]) - G @ M @ C) @ A
     return (np.eye(A.shape[0]) - G @ M @ inner) @ A_bar @ gamma_bar
+
+
+def _tally(audit, which, e_con, e_unc, W, tr_pre, tr_post):
+    """Add one step's comparisons of the entries of one constraint set."""
+    m_w = np.sqrt(np.einsum('ri,rij,rj->r', e_con, W, e_con)) \
+        - np.sqrt(np.einsum('ri,rij,rj->r', e_unc, W, e_unc))
+    m_e = np.linalg.norm(e_con, axis=1) - np.linalg.norm(e_unc, axis=1)
+    audit[f"active_{which}"] += len(e_con)
+    audit[f"viol_{which}_weighted"] += int((m_w > 1e-10).sum())
+    audit[f"viol_{which}_euclid"] += int((m_e > 1e-10).sum())
+    audit[f"worst_{which}_weighted"] = max(audit[f"worst_{which}_weighted"], float(m_w.max()))
+    audit[f"worst_{which}_euclid"] = max(audit[f"worst_{which}_euclid"], float(m_e.max()))
+    audit[f"viol_trace_{which}"] += int((tr_post > tr_pre).sum())
+    audit[f"viol_strict_{which}"] += int((tr_post >= tr_pre).sum())
+
+
+def audit_reference(config, runs):
+    """The projection audit of `run_ensemble(config, runs, projection_audit=True)`,
+    tallied one step at a time.
+
+    Steps the kernel's care batch and, after each step, compares every run
+    whose projection was active and whose true value lies in that set: the
+    projected against the unprojected error, in the projection metric (the
+    inverse unprojected covariance) and in the Euclidean one, and the
+    covariance traces after against before. A true value outside its set
+    counts once per run and step in truth_infeasible_steps.
+    """
+    batch = _Batch(config, range(runs), ("care",))
+    audit = {"truth_infeasible_steps": 0}
+    for which in ("x", "d"):
+        audit.update({f"active_{which}": 0, f"viol_{which}_weighted": 0,
+                      f"viol_{which}_euclid": 0, f"worst_{which}_weighted": -np.inf,
+                      f"worst_{which}_euclid": -np.inf, f"viol_trace_{which}": 0,
+                      f"viol_strict_{which}": 0})
+    for k in range(1, config.horizon + 1):
+        batch.step(k)
+        d_true, x_true = batch.d_true[k - 1], batch.x_true
+        d_feas = bool((batch.A_in @ d_true <= batch.b_in).all())
+        x_feas = (x_true @ batch.B_st.T <= batch.c_st).all(axis=1)
+        audit["truth_infeasible_steps"] += (0 if d_feas else runs) + int((~x_feas).sum())
+        ar = np.flatnonzero((batch.in_act > 0) & d_feas)
+        if ar.size:
+            _tally(audit, "d", batch.d[ar] - d_true, batch.d_raw[ar] - d_true,
+                   _sym_inv(batch.Pd_raw[ar]), np.trace(batch.Pd_raw[ar], axis1=1, axis2=2),
+                   np.trace(batch.Pd[ar], axis1=1, axis2=2))
+        ar = np.flatnonzero((batch.st_act > 0) & x_feas)
+        if ar.size:
+            _tally(audit, "x", batch.x[ar] - x_true[ar], batch.x_raw[ar] - x_true[ar],
+                   np.linalg.inv(batch.P_raw[ar]), np.trace(batch.P_raw[ar], axis1=1, axis2=2),
+                   np.trace(batch.P[ar], axis1=1, axis2=2))
+    return audit

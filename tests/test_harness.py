@@ -22,7 +22,7 @@ from care_filter.vehicle import (
     vehicle_model,
 )
 
-from oracles import transformed_dynamics
+from oracles import audit_reference, transformed_dynamics
 
 REF_FLOAT_FIELDS = ("x_hat", "x_hat_raw", "d_hat", "d_hat_raw", "trace_px",
                     "trace_px_raw", "trace_pd", "trace_pd_raw", "stats", "cusum")
@@ -435,6 +435,29 @@ class TestEnsemble:
         assert audit["viol_trace_x"] == 0
         assert audit["viol_strict_d"] == 0
         assert audit["worst_x_weighted"] <= 1e-10
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_block_audit_equals_the_per_step_reference(self, runs):
+        # horizons around the audit's block boundaries, and 100 + B, which
+        # puts a block boundary inside the attack window that opens at k = 100
+        B = ensemble._AUDIT_BLOCK
+        audits = {}
+        for horizon in (1, B - 1, B, B + 1, 2 * B + 3, 100 + B):
+            cfg = ScenarioConfig(horizon=horizon, seed=7)
+            on = run_ensemble(cfg, runs=runs, projection_audit=True, record_states=True)
+            assert on.audit == audit_reference(cfg, runs), horizon
+            off = run_ensemble(cfg, runs=runs, record_states=True)
+            assert np.array_equal(on.err_sq, off.err_sq)
+            assert np.array_equal(on.x_hat, off.x_hat)
+            audits[horizon] = on.audit
+        # projections fire in the first block and again past it
+        for key in ("active_d", "active_x"):
+            assert 0 < audits[B][key] < audits[100 + B][key]
+
+    def test_projection_audit_needs_the_constrained_filter(self):
+        cfg = ScenarioConfig(horizon=5, seed=3)
+        with pytest.raises(ValueError, match="projection_audit=True needs constrained=True"):
+            run_ensemble(cfg, runs=2, constrained=False, projection_audit=True)
 
 
 def _write(path, text):
