@@ -7,15 +7,14 @@ calls instead of a Python loop over runs and filters. Rows are laid out
 filter-major, [care runs | ise runs]: the truth is propagated once per
 realization and every filter block of a realization sees that
 realization's measurement. Per-run noise comes from `NoiseSpec(seed, i)`
-for run index i. The arithmetic is the step of `care_step` specialized to
-the vehicle system (C = I, diagonal Q and R); results agree with that
-general path to floating-point rounding. With C = I the measurement update
-has a closed form (Kitanidis, Automatica 23(6), 1987): for S = P^- + R and
-W = S^{-1} - S^{-1} G P_d G' S^{-1}, the posterior is x = y - R W nu and
-P = R - R W R, so the kernel needs neither R*, the Moore-Penrose gain of
-`measurement_update` nor its eigendecomposition. `run_ensemble` here and
-`simulate`/`monte_carlo` in the harness are the drivers of this one
-kernel.
+for run index i. The prediction and the attack estimate are the stages
+`care_step` runs, `estimator._predict` and `estimator._estimate_attack`,
+called on the stacked rows with C = I. Only the measurement update is the
+kernel's own, the closed form for C = I and diagonal R (Kitanidis,
+Automatica 23(6), 1987): for S = P^- + R and W = S^{-1} - S^{-1} G P_d G'
+S^{-1}, the posterior is x = y - R W nu and P = R - R W R, which needs
+neither R* nor a solve. `run_ensemble` here and `simulate`/`monte_carlo`
+in the harness are the drivers of this one kernel.
 
 Projection is where runs genuinely differ. Both projections of every
 care run, the attack estimate onto the actuator box and the state
@@ -50,7 +49,7 @@ from functools import partial
 import numpy as np
 
 from .config import ScenarioConfig
-from .estimator import _identified_inverse
+from .estimator import _estimate_attack, _predict
 from .model import NoiseSpec
 from .projection import (
     _FORMS_DISAGREE,
@@ -69,6 +68,7 @@ __all__ = ["EnsembleResult", "run_ensemble"]
 _FILTERS = ("care", "ise")
 _COND_LIMIT = 1e12
 _EYE2 = np.eye(2)
+_EYE4 = np.eye(4)
 # steps per vectorized audit pass. In a 50-run, 1,000-step audited call the
 # audit took 0.37 s in blocks of 1 step, 0.12 s of 8, 0.10 s of 16, 0.09 s of
 # 32 and 0.085 s of 64; its buffers hold 320 bytes per run and step
@@ -330,23 +330,12 @@ class _Batch:
         if len(self.names) > 1:
             y = np.tile(y, (len(self.names), 1))
 
-        x_cur, P_cur = self.x, self.P
         A_f, G_f = self.A_f, self.B_f
-        self._schedule(A_f, G_f, x_cur[:, 3])
-        At_f = A_f.transpose(0, 2, 1)
-        Gt_f = G_f.transpose(0, 2, 1)
-
-        pred_x = (A_f @ x_cur[..., None])[..., 0] + G_f @ self.u_beta
-        Pp = _sym(A_f @ P_cur @ At_f + self.Q)
-
-        S = Pp + self.R_mat
-        R_til = _sym(np.linalg.inv(S))
-        T_mat = Gt_f @ R_til
-        Pd_u = _identified_inverse(_sym(T_mat @ G_f), where)
-        M = Pd_u @ T_mat
-        # C = I: S^{-1} is a generalized inverse of R*, so no pseudoinverse is needed
-        nu = y - pred_x
-        d_u = (M @ nu[..., None])[..., 0]
+        self._schedule(A_f, G_f, self.x[:, 3])
+        pred_x, Pp = _predict(A_f, G_f, self.Q, self.x, self.P, self.u_beta)
+        R_til, T_mat, Pd_u, M, nu, d_u = _estimate_attack(_EYE4, G_f, self.R_mat, pred_x, Pp,
+                                                          y, where)
+        # C = I: S^{-1} is a generalized inverse of R*, so the update needs no solve
         W = _sym(R_til - T_mat.transpose(0, 2, 1) @ M)
         x_u = y - self.r_diag * (W @ nu[..., None])[..., 0]
         P_u = self.R_mat - self.r_outer * W  # exactly symmetric, as W is

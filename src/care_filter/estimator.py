@@ -2,12 +2,16 @@
 
 One step consumes the state estimate at time k-1 plus the measurement at
 time k and produces estimates of the attack input d_{k-1} and the state
-x_k. The pipeline is: predict, attack estimation through a weighted
-least-squares gain M, a time update whose covariance carries the
-estimate/attack cross terms, a measurement update with a Moore-Penrose
-gain, and finally projection of both estimates onto their inequality
-constraint sets. `care_step` runs the whole chain; the individual stages
-are exposed for tests and diagnostics.
+x_k: the minimum-variance unbiased filter of Gillijns & De Moor
+(Automatica 43(1), 2007), then projection of both estimates onto their
+inequality constraint sets. Its stages, predict, attack estimation through
+a weighted least-squares gain M, the time update and a measurement update
+with the closed-form gain L = (P* C' - G M R) S~^{-1}, are written once
+over any leading batch axis of the estimates: the public stage functions
+take a stack of estimates as readily as one, and `care_step` is their
+batch of one. Predict and attack estimation are also private functions of
+the matrices alone (`_predict`, `_estimate_attack`), which the vehicle
+kernel `ensemble._Batch` runs on its stacked rows and per-row matrices.
 """
 
 from dataclasses import dataclass
@@ -36,22 +40,6 @@ __all__ = [
 
 class AttackUnidentifiableError(RuntimeError):
     """The attack direction is not observable through C G at this step."""
-
-
-def _identified_inverse(N, where):
-    """Inverse of the stacked attack information matrices N = G'C'R~CG.
-
-    Raises AttackUnidentifiableError naming where(i), i the first stack
-    position whose N is not positive definite or whose condition number
-    exceeds 1e12.
-    """
-    lo, hi = _eig_bounds(N)
-    bad = (lo <= 0.0) | (hi > 1e12 * lo)
-    if bad.any():
-        i = int(np.argmax(bad))
-        why = "is not positive definite" if lo[i] <= 0.0 else "condition number exceeds 1e12"
-        raise AttackUnidentifiableError(f"attack unidentifiable at {where(i)}: G'C'R~CG {why}")
-    return _sym_inv(N)
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,12 +119,58 @@ def initial_state(x0, P0=None, k=0) -> EstimatorState:
     return EstimatorState(x0, np.asarray(P0, dtype=float), k)
 
 
+def _T(X):
+    return X.swapaxes(-1, -2)
+
+
+def _mv(X, v):
+    """X v over the leading axes."""
+    return (X @ v[..., None])[..., 0]
+
+
+def _rows(y, x):
+    """The measurements y as float rows, one per leading index of x."""
+    return np.asarray(y, dtype=float).reshape(x.shape[:-1] + (-1,))
+
+
+def _predict(A, B, Q, x, P, u):
+    """Prior x^- = A x + B u with P^- = A P A' + Q."""
+    return _mv(A, x) + B @ u, _sym(A @ P @ _T(A) + Q)
+
+
+def _estimate_attack(C, G, R, x_pred, P_pred, y, where):
+    """Attack estimate d = M (y - C x^-) with M = P_d G'C'R~ and
+    P_d = N^{-1}, N = G'C'R~CG, R~ = (C P^- C' + R)^{-1}.
+
+    Returns R~, T = G'C'R~, P_d, M, the innovation nu = y - C x^- and d.
+    Raises AttackUnidentifiableError naming where(i), i the first stack
+    position whose N is not positive definite or whose condition number
+    exceeds 1e12, and ValueError when that N is not finite.
+    """
+    R_tilde = _sym(np.linalg.inv(C @ P_pred @ _T(C) + R))
+    CG = C @ G
+    T = _T(CG) @ R_tilde
+    N = _sym(T @ CG)
+    lo, hi = _eig_bounds(N)
+    bad = ~((lo > 0.0) & (hi <= 1e12 * lo))  # NaN bounds count as bad
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not np.isfinite(N.reshape(-1, N.shape[-1] ** 2)[i]).all():
+            raise ValueError(f"non-finite attack information G'C'R~CG at {where(i)}")
+        why = "is not positive definite" if np.ravel(lo)[i] <= 0.0 else \
+            "condition number exceeds 1e12"
+        raise AttackUnidentifiableError(f"attack unidentifiable at {where(i)}: G'C'R~CG {why}")
+    P_d = _sym_inv(N)
+    M = P_d @ T
+    nu = y - x_pred @ _T(C)
+    return R_tilde, T, P_d, M, nu, _mv(M, nu)
+
+
 def predict(state: EstimatorState, model: SystemModel, u) -> Prediction:
     """Propagate the estimate through the nominal dynamics."""
     k = state.k
-    A = model.A(k)
-    x = A @ state.x_hat + model.B(k) @ np.asarray(u, dtype=float).ravel()
-    P = _sym(A @ state.P_x @ A.T + model.Q(k))
+    x, P = _predict(model.A(k), model.B(k), model.Q(k), state.x_hat, state.P_x,
+                    np.asarray(u, dtype=float).ravel())
     return Prediction(x, P, k + 1)
 
 
@@ -148,73 +182,50 @@ def estimate_attack(pred: Prediction, model: SystemModel, prev_cov, y) -> Attack
     """
     k = pred.k
     C = model.C(k)
-    G = model.G(k - 1)
-    S = C @ pred.P_x @ C.T + model.R(k)
-    R_tilde = _sym(np.linalg.inv(S))
-    CG = C @ G
-    T = CG.T @ R_tilde
-    N = _sym(T @ CG)
-    P_d = _sym(_identified_inverse(N[None], lambda _: f"k={k}")[0])
-    M = P_d @ T
-    d_hat = M @ (np.asarray(y, dtype=float).ravel() - C @ pred.x_hat)
-    P_xd = -prev_cov @ model.A(k - 1).T @ C.T @ M.T
-    return AttackEstimate(d_hat, P_d, P_xd, M, R_tilde, k)
+    R_tilde, _, P_d, M, _, d_hat = _estimate_attack(
+        C, model.G(k - 1), model.R(k), pred.x_hat, pred.P_x, _rows(y, pred.x_hat),
+        lambda _: f"k={k}")
+    P_xd = -prev_cov @ model.A(k - 1).T @ C.T @ _T(M)
+    return AttackEstimate(d_hat, _sym(P_d), P_xd, M, R_tilde, k)
 
 
 def time_update(pred: Prediction, atk: AttackEstimate, model: SystemModel,
                 prev: EstimatorState) -> TimeUpdated:
-    """Fold the attack estimate back into the prior for x_k."""
+    """Fold the attack estimate back into the prior for x_k: x* = x^- + G d,
+    P* = P^- - GMCP^- - (GMCP^-)' + G P_d G' and
+    R* = C P* C' - CGMR - (CGMR)' + R."""
     if atk.k != pred.k or prev.k != pred.k - 1:
         raise ValueError("prediction, attack estimate and previous state disagree on k")
-    km1 = prev.k
     k = pred.k
-    A = model.A(km1)
-    G = model.G(km1)
-    C = model.C(k)
-    R = model.R(k)
-    x_star = pred.x_hat + G @ atk.d_hat
-    cross = A @ atk.P_xd @ G.T
+    C, G, R = model.C(k), model.G(k - 1), model.R(k)
     GM = G @ atk.M
-    GMCQ = GM @ C @ model.Q(km1)
-    # pred.P_x already carries A P A' + Q
-    P_star = _sym(
-        pred.P_x + cross + cross.T + G @ atk.P_d @ G.T - GMCQ - GMCQ.T
-    )
+    GMCP = GM @ C @ pred.P_x
+    P_star = _sym(pred.P_x - GMCP - _T(GMCP) + G @ atk.P_d @ G.T)
     CGMR = C @ GM @ R
-    R_star = _sym(C @ P_star @ C.T - CGMR - CGMR.T + R)
-    return TimeUpdated(x_star, P_star, R_star, k)
+    R_star = _sym(C @ P_star @ C.T - CGMR - _T(CGMR) + R)
+    return TimeUpdated(pred.x_hat + _mv(G, atk.d_hat), P_star, R_star, k)
 
 
 def measurement_update(tu: TimeUpdated, atk: AttackEstimate, model: SystemModel,
                        y) -> UnconstrainedUpdate:
-    """Measurement update with a pseudoinverse gain.
+    """Measurement update with the closed-form gain L = H S~^{-1}.
 
-    R* can be singular (it is exactly zero in the noise-free scalar case),
-    so the gain uses a Moore-Penrose inverse with singular values below
-    n_y * ||R*|| * 1e-12 treated as zero.
+    H = P* C' - G M R and S~ = R* + C G P_d G' C', which on consistent
+    inputs is the innovation covariance C P^- C' + R. L R* = H, so L
+    minimizes the trace of the posterior covariance and P = P* - L H'.
+    R* itself can be singular (it is exactly zero in the noise-free scalar
+    case), and nothing inverts it (Yong, Zhu & Frazzoli, Automatica 63,
+    2016, give the general-rank form of this filter).
     """
     if atk.k != tu.k:
         raise ValueError("attack estimate and time update disagree on k")
     k = tu.k
-    C = model.C(k)
-    R = model.R(k)
-    G = model.G(k - 1)
-    n_y = R.shape[0]
-    GMR = G @ atk.M @ R
-    # Moore-Penrose inverse through the eigendecomposition (R* is
-    # symmetric); eigenvalues below n_y * ||R*|| * 1e-12 are treated as 0.
-    w, Vecs = np.linalg.eigh(tu.R_star)
-    absw = np.abs(w)
-    keep = absw > n_y * 1e-12 * absw.max() if absw.max() > 0.0 else absw > 0.0
-    inv_w = np.where(keep, 1.0, 0.0) / np.where(keep, w, 1.0)
-    Rs_pinv = (Vecs * inv_w) @ Vecs.T
-    L = (tu.P_x @ C.T - GMR) @ Rs_pinv
-    y = np.asarray(y, dtype=float).ravel()
-    x_u = tu.x_hat + L @ (y - C @ tu.x_hat)
-    ImLC = np.eye(tu.x_hat.size) - L @ C
-    t1 = ImLC @ GMR @ L.T
-    P_u = _sym(t1 + t1.T + ImLC @ tu.P_x @ ImLC.T + L @ R @ L.T)
-    return UnconstrainedUpdate(x_u, P_u, L, k)
+    C, G, R = model.C(k), model.G(k - 1), model.R(k)
+    CG = C @ G
+    H = tu.P_x @ C.T - G @ atk.M @ R
+    L = _T(np.linalg.solve(_sym(tu.R_star + CG @ atk.P_d @ CG.T), _T(H)))
+    x = tu.x_hat + _mv(L, _rows(y, tu.x_hat) - _mv(C, tu.x_hat))
+    return UnconstrainedUpdate(x, _sym(tu.P_x - L @ _T(H)), L, k)
 
 
 def care_step(state: EstimatorState, model: SystemModel, constraints: ConstraintSet,
@@ -223,24 +234,26 @@ def care_step(state: EstimatorState, model: SystemModel, constraints: Constraint
 
     With unconstrained_baseline=True the projection stage is skipped
     entirely and the returned state carries the unconstrained posterior;
-    the projection fields are then None. A non-finite y raises ValueError
-    naming the step k.
+    the projection fields are then None. A non-finite y, x_hat or P_x
+    raises ValueError naming the field and its step k.
     """
     y = np.asarray(y, dtype=float).ravel()
-    if not np.isfinite(y).all():
-        raise ValueError(f"non-finite measurement y at k={state.k + 1}")
+    for what, v, k in (("measurement y", y, state.k + 1),
+                       ("state estimate x_hat", state.x_hat, state.k),
+                       ("state covariance P_x", state.P_x, state.k)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"non-finite {what} at k={k}")
     pred = predict(state, model, u)
     atk = estimate_attack(pred, model, state.P_x, y)
     tu = time_update(pred, atk, model, state)
     upd = measurement_update(tu, atk, model, y)
     k = pred.k
     if unconstrained_baseline or constraints is None:
-        new_state = EstimatorState(upd.x_hat, upd.P_x, k)
-        return StepOutput(new_state, pred, atk, tu, upd,
+        return StepOutput(EstimatorState(upd.x_hat, upd.P_x, k), pred, atk, tu, upd,
                           atk.d_hat, atk.P_d, None, None)
     d_hat, P_d, in_proj = project_attack(
         atk, constraints.input_matrix(k - 1), constraints.input_bound(k - 1))
     x_hat, P_x, st_proj = project_state(
         upd, constraints.state_matrix(k), constraints.state_bound(k))
-    new_state = EstimatorState(x_hat, P_x, k)
-    return StepOutput(new_state, pred, atk, tu, upd, d_hat, P_d, in_proj, st_proj)
+    return StepOutput(EstimatorState(x_hat, P_x, k), pred, atk, tu, upd,
+                      d_hat, P_d, in_proj, st_proj)

@@ -5,13 +5,30 @@ subsets through the KKT system, an independent route to what `project`
 computes; `range_qp_oracle` restricts it to e + range(P) for a positive
 semidefinite P. `transformed_dynamics` is the closed-loop error transition of
 the compensated filter, a stability diagnostic. `audit_reference` tallies
-`run_ensemble`'s projection audit one step at a time.
+`run_ensemble`'s projection audit one step at a time. `pinv_care_step` is
+`care_step` through an independent general-LTV chain: a time update with
+the estimate/attack cross covariance P_xd and a measurement update with a
+Moore-Penrose gain.
 """
 
 import numpy as np
 
 from care_filter.ensemble import _Batch
-from care_filter.projection import InfeasibleConstraintsError, _as_rows, _sym_inv
+from care_filter.estimator import (
+    AttackEstimate,
+    EstimatorState,
+    Prediction,
+    StepOutput,
+    TimeUpdated,
+    UnconstrainedUpdate,
+)
+from care_filter.projection import (
+    InfeasibleConstraintsError,
+    _as_rows,
+    _sym_inv,
+    project_attack,
+    project_state,
+)
 
 
 def qp_oracle(estimate, W, A, b):
@@ -156,3 +173,100 @@ def audit_reference(config, runs):
                    np.linalg.inv(batch.P_raw[ar]), np.trace(batch.P_raw[ar], axis1=1, axis2=2),
                    np.trace(batch.P[ar], axis1=1, axis2=2))
     return audit
+
+
+def _sym(X):
+    return 0.5 * (X + X.T)
+
+
+def _pinv_predict(state, model, u):
+    k = state.k
+    A = model.A(k)
+    x = A @ state.x_hat + model.B(k) @ np.asarray(u, dtype=float).ravel()
+    P = _sym(A @ state.P_x @ A.T + model.Q(k))
+    return Prediction(x, P, k + 1)
+
+
+def _pinv_estimate_attack(pred, model, prev_cov, y):
+    k = pred.k
+    C = model.C(k)
+    G = model.G(k - 1)
+    S = C @ pred.P_x @ C.T + model.R(k)
+    R_tilde = _sym(np.linalg.inv(S))
+    CG = C @ G
+    T = CG.T @ R_tilde
+    P_d = _sym(np.linalg.inv(_sym(T @ CG)))
+    M = P_d @ T
+    d_hat = M @ (np.asarray(y, dtype=float).ravel() - C @ pred.x_hat)
+    P_xd = -prev_cov @ model.A(k - 1).T @ C.T @ M.T
+    return AttackEstimate(d_hat, P_d, P_xd, M, R_tilde, k)
+
+
+def _pinv_time_update(pred, atk, model, prev):
+    km1 = prev.k
+    k = pred.k
+    A = model.A(km1)
+    G = model.G(km1)
+    C = model.C(k)
+    R = model.R(k)
+    x_star = pred.x_hat + G @ atk.d_hat
+    cross = A @ atk.P_xd @ G.T
+    GM = G @ atk.M
+    GMCQ = GM @ C @ model.Q(km1)
+    # pred.P_x already carries A P A' + Q
+    P_star = _sym(
+        pred.P_x + cross + cross.T + G @ atk.P_d @ G.T - GMCQ - GMCQ.T
+    )
+    CGMR = C @ GM @ R
+    R_star = _sym(C @ P_star @ C.T - CGMR - CGMR.T + R)
+    return TimeUpdated(x_star, P_star, R_star, k)
+
+
+def _pinv_measurement_update(tu, atk, model, y):
+    k = tu.k
+    C = model.C(k)
+    R = model.R(k)
+    G = model.G(k - 1)
+    n_y = R.shape[0]
+    GMR = G @ atk.M @ R
+    # Moore-Penrose inverse through the eigendecomposition (R* is
+    # symmetric); eigenvalues below n_y * ||R*|| * 1e-12 are treated as 0.
+    w, Vecs = np.linalg.eigh(tu.R_star)
+    absw = np.abs(w)
+    keep = absw > n_y * 1e-12 * absw.max() if absw.max() > 0.0 else absw > 0.0
+    inv_w = np.where(keep, 1.0, 0.0) / np.where(keep, w, 1.0)
+    Rs_pinv = (Vecs * inv_w) @ Vecs.T
+    L = (tu.P_x @ C.T - GMR) @ Rs_pinv
+    y = np.asarray(y, dtype=float).ravel()
+    x_u = tu.x_hat + L @ (y - C @ tu.x_hat)
+    ImLC = np.eye(tu.x_hat.size) - L @ C
+    t1 = ImLC @ GMR @ L.T
+    P_u = _sym(t1 + t1.T + ImLC @ tu.P_x @ ImLC.T + L @ R @ L.T)
+    return UnconstrainedUpdate(x_u, P_u, L, k)
+
+
+def pinv_care_step(state, model, constraints, u, y, unconstrained_baseline=False):
+    """One step of `care_step` through the pseudoinverse chain.
+
+    Predict; the weighted least-squares attack estimate with its cross
+    covariance P_xd = -P A' C' M'; the time update
+    P* = P^- + A P_xd G' + (A P_xd G')' + G P_d G' - GMCQ - (GMCQ)'; the
+    gain L = (P* C' - G M R) R*^+ with eigenvalues of R* below
+    n_y ||R*|| 1e-12 dropped; the Joseph-form posterior covariance; then
+    the package's projections. It checks neither identifiability nor
+    finiteness. Returns the package's StepOutput.
+    """
+    pred = _pinv_predict(state, model, u)
+    atk = _pinv_estimate_attack(pred, model, state.P_x, y)
+    tu = _pinv_time_update(pred, atk, model, state)
+    upd = _pinv_measurement_update(tu, atk, model, y)
+    k = pred.k
+    if unconstrained_baseline or constraints is None:
+        return StepOutput(EstimatorState(upd.x_hat, upd.P_x, k), pred, atk, tu, upd,
+                          atk.d_hat, atk.P_d, None, None)
+    d_hat, P_d, in_proj = project_attack(
+        atk, constraints.input_matrix(k - 1), constraints.input_bound(k - 1))
+    x_hat, P_x, st_proj = project_state(
+        upd, constraints.state_matrix(k), constraints.state_bound(k))
+    return StepOutput(EstimatorState(x_hat, P_x, k), pred, atk, tu, upd,
+                      d_hat, P_d, in_proj, st_proj)

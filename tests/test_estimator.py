@@ -2,19 +2,22 @@
 
 Expected values come from independent routes: hand-computed scalar chains,
 a weighted least-squares oracle solved by QR (lstsq), a textbook Kalman
-update, and a vectorized Monte Carlo of the error propagation. The
-implementation's own formulas are never used to generate expectations.
+update, a vectorized Monte Carlo of the error propagation, and a 50-digit
+mpmath evaluation of the filter equations. The implementation's own
+formulas are never used to generate expectations.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from care_filter.estimator import (
     AttackEstimate,
     AttackUnidentifiableError,
     EstimatorState,
+    Prediction,
     care_step,
     estimate_attack,
     initial_state,
@@ -317,10 +320,14 @@ class TestMeasurementUpdate:
             measurement_update(tu, stale, model, y)
 
 
-def random_ltv_setup(rng):
+def random_ltv_setup(rng, cond=None):
     """A two-step LTV model with C != I, p >= m outputs per attack input,
     rank(C_1 G_0) = m with condition number at most 1e3, and
-    non-diagonal SPD Q_k and R_k, plus a consistent filter state."""
+    non-diagonal SPD Q_k and R_k, plus a consistent filter state.
+
+    With cond given, G_0 is rescaled along the right singular vectors of
+    C_1 G_0 so that its singular values fall geometrically from the largest
+    to the largest / cond."""
     n = int(rng.integers(2, 6))
     m = int(rng.integers(1, n + 1))
     p = int(rng.integers(m, 6))
@@ -330,6 +337,10 @@ def random_ltv_setup(rng):
         s = np.linalg.svd(C[1] @ G[0], compute_uv=False)
         if s[-1] > 0.0 and s[0] <= 1e3 * s[-1]:
             break
+    if cond is not None:
+        _, s, Vt = np.linalg.svd(C[1] @ G[0], full_matrices=False)
+        target = s[0] * float(cond) ** -np.linspace(0.0, 1.0, m)
+        G[0] = G[0] @ Vt.T @ np.diag(target / s) @ Vt
     B = rng.normal(size=(2, n, 1))
     Q = np.array([spd(rng, n) for _ in range(2)])
     R = np.array([spd(rng, p) for _ in range(2)])
@@ -340,11 +351,13 @@ def random_ltv_setup(rng):
 
 
 class TestClosedFormIdentities:
-    """The identities behind the batched kernel's closed-form measurement
-    update (x = y - R W nu, P = R - R W R for C = I): with S = C P^- C' + R
-    and R~ = S^{-1}, R* equals S - CG P_d G'C', R~ is a generalized inverse
-    of R*, and P* C' - GMR equals P^- C' (I - CGM)', which vanishes on
-    null(R*)."""
+    """The identities behind the closed-form measurement updates (the gain
+    L = H S~^{-1} of `measurement_update`, and x = y - R W nu, P = R - R W R
+    of the batched kernel for C = I): with S = C P^- C' + R and
+    R~ = S^{-1}, R* equals S - CG P_d G'C', R~ is a generalized inverse of
+    R*, and H = P* C' - GMR equals P^- C' (I - CGM)', which vanishes on
+    null(R*). So L R* = H, the stationarity condition of the posterior
+    trace, and P = P* - L H' equals the Joseph form."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -353,10 +366,15 @@ class TestClosedFormIdentities:
         pred = predict(state, model, u)
         atk = estimate_attack(pred, model, state.P_x, y)
         tu = time_update(pred, atk, model, state)
+        upd = measurement_update(tu, atk, model, y)
         C, G, R = model.C(1), model.G(0), model.R(1)
         S = C @ pred.P_x @ C.T + R
         CG = C @ G
         PC, GMR, CGM = pred.P_x @ C.T, G @ atk.M @ R, CG @ atk.M
+        H, L = tu.P_x @ C.T - GMR, upd.L
+        ImLC = np.eye(C.shape[1]) - L @ C
+        t1 = ImLC @ GMR @ L.T
+        joseph = t1 + t1.T + ImLC @ tu.P_x @ ImLC.T + L @ R @ L.T
         # gaps relative to the size of the terms, since either side may
         # vanish (R* = 0 and P^- C' (I - CGM)' = 0 when p = m)
         gaps = [
@@ -366,12 +384,126 @@ class TestClosedFormIdentities:
             (tu.P_x @ C.T - GMR - PC @ (np.eye(C.shape[0]) - CGM).T,
              max(np.abs(tu.P_x @ C.T).max(), np.abs(GMR).max(),
                  np.abs(PC).max() * (1.0 + np.abs(CGM).max()))),
+            (L @ tu.R_star - H, max(np.abs(tu.P_x @ C.T).max(), np.abs(GMR).max(),
+                                    np.abs(L).max() * np.abs(S).max())),
+            (upd.P_x - joseph,
+             max(np.abs(tu.P_x).max() * (1.0 + np.abs(L @ C).max()) ** 2,
+                 np.abs(GMR).max() * np.abs(L).max() * (1.0 + np.abs(L @ C).max()),
+                 np.abs(R).max() * np.abs(L).max() ** 2)),
         ]
         for i, (gap, size) in enumerate(gaps):
             assert np.abs(gap).max() <= 1e-8 * size, i
 
 
+def mp_unprojected_step(model, state, u, y):
+    """One unprojected step in 50-digit arithmetic, rounded to floats.
+
+    The filter equations in their textbook forms: the time update as the
+    propagated error covariance (I - GMC) P^- (I - GMC)' + G M R M' G', the
+    gain L = (P* C' - G M R) R*^+ through a 50-digit eigendecomposition of
+    R* (eigenvalues below 1e-30 of the norm of C P^- C' + R, the size of
+    the terms R* sums, dropped), and the Joseph-form posterior covariance. Returns the Prediction and AttackEstimate of the
+    step and the posterior x_hat and P_x.
+    """
+    with mp.workdps(50):
+        def mat(X):
+            return mp.matrix(np.atleast_2d(X).tolist())
+
+        def flt(X):
+            return np.array(X.tolist(), dtype=float)
+
+        A, B, Q = mat(model.A(0)), mat(model.B(0)), mat(model.Q(0))
+        C, G, R = mat(model.C(1)), mat(model.G(0)), mat(model.R(1))
+        x, P = mat(state.x_hat).T, mat(state.P_x)
+        u, y = mat(u).T, mat(y).T
+        eye = mp.eye(A.rows)
+        x_m = A * x + B * u
+        P_m = A * P * A.T + Q
+        R_tilde = (C * P_m * C.T + R) ** -1
+        CG = C * G
+        P_d = (CG.T * R_tilde * CG) ** -1
+        M = P_d * CG.T * R_tilde
+        d = M * (y - C * x_m)
+        x_s = x_m + G * d
+        J = eye - G * M * C
+        GMR = G * M * R
+        P_s = J * P_m * J.T + GMR * M.T * G.T
+        R_s = C * P_s * C.T - C * GMR - GMR.T * C.T + R
+        w, V = mp.eigsy(R_s)
+        cutoff = mp.mpf(10) ** -30 * mp.mnorm(C * P_m * C.T + R, 1)
+        R_pinv = mp.zeros(R_s.rows)
+        for i in range(R_s.rows):
+            if abs(w[i]) > cutoff:
+                R_pinv += V[:, i] * V[:, i].T / w[i]
+        L = (P_s * C.T - GMR) * R_pinv
+        x_u = x_s + L * (y - C * x_s)
+        ImLC = eye - L * C
+        t1 = ImLC * GMR * L.T
+        P_u = t1 + t1.T + ImLC * P_s * ImLC.T + L * R * L.T
+        pred = Prediction(flt(x_m).ravel(), flt(P_m), 1)
+        atk = AttackEstimate(flt(d).ravel(), flt(P_d), flt(-P * A.T * C.T * M.T), flt(M),
+                             flt(R_tilde), 1)
+        return pred, atk, flt(x_u).ravel(), flt(P_u)
+
+
+def ill_conditioned_draws(seed, count):
+    """random_ltv_setup draws with cond(C_1 G_0) log-uniform in [30, 1e3]
+    and at least two attack inputs."""
+    rng = np.random.default_rng(seed)
+    while count:
+        draw = random_ltv_setup(rng, cond=10.0 ** rng.uniform(np.log10(30.0), 3.0))
+        if draw[0].G(0).shape[1] >= 2:  # one attack input has cond(C_1 G_0) = 1
+            count -= 1
+            yield draw
+
+
+def rel_gap(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+class TestAgainstHighPrecision:
+    """The unprojected step against `mp_unprojected_step`. A Moore-Penrose
+    gain of R* fails here: rounding leaves R*'s structural null eigenvalues
+    near eps cond(C_1 G_0)^2, above any fixed cutoff once cond(C_1 G_0)
+    nears 1e3, and inverting them put x_hat off by up to 1.5e-5."""
+
+    def test_update_stages_from_50_digit_inputs(self):
+        worst = 0.0
+        for model, state, u, y in ill_conditioned_draws(20261018, 40):
+            pred, atk, x_ref, P_ref = mp_unprojected_step(model, state, u, y)
+            upd = measurement_update(time_update(pred, atk, model, state), atk, model, y)
+            worst = max(worst, rel_gap(upd.x_hat, x_ref), rel_gap(upd.P_x, P_ref))
+        assert worst <= 1e-9, worst
+
+    def test_unprojected_step(self):
+        # the attack estimate inverts G'C'R~CG, whose condition number is
+        # about cond(C_1 G_0)^2; near cond 1e3 that leaves errors of about
+        # 1e-9 in M and a few 1e-9 in x_hat. The bound leaves room for
+        # that, not for the pseudoinverse's 1e-6
+        worst = 0.0
+        for model, state, u, y in ill_conditioned_draws(20261019, 40):
+            out = care_step(state, model, None, u, y)
+            _, _, x_ref, P_ref = mp_unprojected_step(model, state, u, y)
+            worst = max(worst, rel_gap(out.state.x_hat, x_ref), rel_gap(out.state.P_x, P_ref))
+        assert worst <= 1e-7, worst
+
+
 class TestCareStep:
+    def test_stages_take_a_stack_of_estimates(self):
+        rng = np.random.default_rng(56)
+        model, _, u, _ = random_setup(rng, m=4, n_d=2, n_y=4)
+        X = rng.normal(size=(5, 4))
+        P = np.array([spd(rng, 4) for _ in range(5)])
+        Y = rng.normal(size=(5, 4))
+        stack = run_pipeline(model, EstimatorState(X, P, k=0), u, Y)
+        for i in range(5):
+            rows = run_pipeline(model, EstimatorState(X[i], P[i], k=0), u, Y[i])
+            for got, want in zip(stack, rows):
+                for field in ("x_hat", "P_x", "d_hat", "P_d", "P_xd", "M", "R_star", "L"):
+                    if hasattr(want, field):
+                        np.testing.assert_allclose(getattr(got, field)[i], getattr(want, field),
+                                                   rtol=1e-12, atol=1e-12, err_msg=field)
+
     def test_composes_the_stages(self):
         rng = np.random.default_rng(55)
         model, state, u, y = random_setup(rng)
@@ -435,6 +567,22 @@ class TestCareStep:
             y_bad[1] = bad
             with pytest.raises(ValueError, match="non-finite measurement y at k=7"):
                 care_step(state, model, cons, u, y_bad)
+
+    def test_non_finite_state_is_named(self):
+        model = SystemModel.constant(np.eye(2), np.zeros((2, 1)), np.eye(2),
+                                     [[1.0], [0.5]], np.eye(2), np.eye(2))
+        cons = ConstraintSet.unconstrained(attack_dim=1, state_dim=2)
+        with pytest.raises(ValueError, match="non-finite state estimate x_hat at k=0"):
+            care_step(initial_state([np.nan, 0.0]), model, cons, [0.0], [0.0, 0.0])
+        P = np.eye(2)
+        P[1, 0] = np.nan
+        state = EstimatorState(np.zeros(2), P, k=4)
+        with pytest.raises(ValueError, match="non-finite state covariance P_x at k=4"):
+            care_step(state, model, None, [0.0], [0.0, 0.0])
+        # the stage itself names the step of a non-finite information matrix
+        pred = Prediction(np.zeros(2), P, k=5)
+        with pytest.raises(ValueError, match="non-finite attack information G'C'R~CG at k=5"):
+            estimate_attack(pred, model, np.eye(2), [0.0, 0.0])
 
     def test_covariances_symmetric_and_near_psd(self):
         rng = np.random.default_rng(77)

@@ -8,7 +8,7 @@ from care_filter.cli import main
 from care_filter.config import ScenarioConfig
 from care_filter.detector import DetectorConfig, DetectorState, cusum_update, detection_statistic
 from care_filter.ensemble import _box_project, run_ensemble
-from care_filter.estimator import AttackUnidentifiableError, care_step, initial_state
+from care_filter.estimator import AttackUnidentifiableError, initial_state
 from care_filter.harness import monte_carlo, simulate
 from care_filter.model import NoiseSpec
 from care_filter.projection import ActiveSetLimitError, InfeasibleConstraintsError
@@ -22,7 +22,7 @@ from care_filter.vehicle import (
     vehicle_model,
 )
 
-from oracles import audit_reference, transformed_dynamics
+from oracles import audit_reference, pinv_care_step, transformed_dynamics
 
 REF_FLOAT_FIELDS = ("x_hat", "x_hat_raw", "d_hat", "d_hat_raw", "trace_px",
                     "trace_px_raw", "trace_pd", "trace_pd_raw", "stats", "cusum")
@@ -32,10 +32,11 @@ REF_EXACT_FIELDS = ("input_active", "state_active", "alarms")
 def scalar_reference(cfg, run_index, name):
     """One filter on one realization through the scalar general-LTV path.
 
-    care_step, detection_statistic and cusum_update run once per step; the
-    model is scheduled on the filter's own previous speed estimate and the
-    plant on the true speed. Returns the truth, the per-step records and
-    the running maxima of |M C G - I| and (for k > 100) trace P_x raw.
+    The oracle chain `pinv_care_step`, detection_statistic and cusum_update
+    run once per step; the model is scheduled on the filter's own previous
+    speed estimate and the plant on the true speed. Returns the truth, the
+    per-step records and the running maxima of |M C G - I| and (for
+    k > 100) trace P_x raw.
     """
     params = VehicleParams(l_f=cfg.l_f, l_r=cfg.l_r, T_s=cfg.t_s)
     K = cfg.horizon
@@ -65,8 +66,8 @@ def scalar_reference(cfg, run_index, name):
         x[0] = min(max(x[0], 0.0), params.x_max)
         x[1] = min(max(x[1], 0.0), params.y_max)
         x[3] = min(max(x[3], 0.0), params.v_max)
-        out = care_step(state, model, constraints, u, x + V[k],
-                        unconstrained_baseline=name == "ise")
+        out = pinv_care_step(state, model, constraints, u, x + V[k],
+                             unconstrained_baseline=name == "ise")
         state = out.state
         speeds.append(float(state.x_hat[3]))
         stat = detection_statistic(out.d_hat, out.P_d)
@@ -217,7 +218,8 @@ class TestSimulate:
 
 
 class TestScalarReference:
-    """monte_carlo and simulate against a test-side loop over the scalar stages."""
+    """monte_carlo and simulate against a test-side loop over the pseudoinverse
+    oracle chain, which shares no filter algebra with the kernel."""
 
     CFG = ScenarioConfig(horizon=300, seed=20260819)
     RUN = 2
@@ -404,6 +406,14 @@ class TestEnsemble:
         batch.r_outer = np.tile(batch.r_outer, (8, 1, 1))
         batch.r_outer[2, 0, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite covariance at k=1, run 2, filter care"):
+            batch.step(1)
+
+    def test_non_finite_covariance_of_an_ise_row_is_named(self):
+        # ise rows are never projected; the attack stage stops the NaN
+        batch = ensemble._Batch(ScenarioConfig(horizon=5, seed=3), range(3), ("care", "ise"))
+        batch.P[3 + 1, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite attack information G'C'R~CG "
+                                             "at k=1, run 1, filter ise"):
             batch.step(1)
 
     def test_default_run_count_comes_from_config(self):
