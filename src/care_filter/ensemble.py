@@ -25,15 +25,20 @@ arXiv:1703.00443). The two sets' rows are stacked in one matrix, and each
 entry carries its own bounds, +inf on the rows of the other set; an
 attack entry fills the leading two of four coordinates and its padding,
 a zero estimate and a zero covariance, stays zero. Each entry is first
-solved on the face its own violated rows define, all entries in one
-batch: drive those rows to equality and accept the result when it is
-feasible, the multipliers are nonnegative and the rows' covariance block
-is well conditioned, which makes it the exact optimum (the active-set
-idea of Bemporad et al., Automatica 38(1), 2002). On the vehicle boxes
-that face is the optimum for every entry. The entries it rejects drop
-into the scalar active-set projector one at a time, on their own rows
-and coordinates alone, which is exact on any set; the result records how
-often that happened.
+solved on the face its own violated rows define, in one batch per number
+of violated rows: drive those rows to equality and accept the result
+when it is feasible, the multipliers are nonnegative and the rows'
+covariance block is well conditioned, which makes it the exact optimum
+(the active-set idea of Bemporad et al., Automatica 38(1), 2002). On the
+vehicle boxes that face is the optimum for every entry. The entries it
+rejects drop into the scalar active-set projector one at a time, on
+their own rows and coordinates alone, which is exact on any set; the
+result records how often that happened. Every product a result rests on
+is taken one matrix per row, never across rows, so a run's result does
+not depend on its batch, bit for bit: `simulate(run_index=i)` is run i of
+`monte_carlo`, and the leading runs of a `run_ensemble` batch are a
+smaller batch (Demmel & Nguyen, IEEE Trans. Computers 64(7), 2015, on
+results that do not depend on how the work is split).
 
 The point of `run_ensemble` is stability studies: hundreds of runs over
 ten thousand steps, reduced to per-step error energies and running
@@ -49,7 +54,7 @@ from functools import partial
 import numpy as np
 
 from .config import ScenarioConfig
-from .estimator import _estimate_attack, _predict
+from .estimator import _estimate_attack, _mv, _predict
 from .model import NoiseSpec
 from .projection import (
     _FORMS_DISAGREE,
@@ -99,41 +104,29 @@ class EnsembleResult:
     audit: dict = None
 
 
-def _face_solve(e, P, A, b, rows, nact, v, tol):
-    """The KKT point of each entry h on the face of rows[h, :nact[h]] of A.
+def _face_solve(e, P, A, b, rows, v, tol):
+    """The KKT point of each entry h on the face of its rows[h] of A.
 
     With A_O those rows and v their violation A_O e - b_O, the multipliers
     solve (A_O P A_O') lam = v and z = e - P A_O' lam. The point is accepted
     (ok) when lam is finite and nonnegative, z meets every row to within
-    tol[h] (b is one bound vector or one per entry) and A_O P A_O' is
-    positive definite with condition number at most 1e12, which makes it
-    the exact optimum. Slots past nact[h] are padding: their violation is
-    ignored, whatever it is, and they change neither ok nor the result.
-    Returns z, ok, the gain P A_O' (A_O P A_O')^{-1} and A_O with zero rows
-    on padded slots.
+    tol[h] (b holds each entry's bounds) and A_O P A_O' is positive
+    definite with condition number at most 1e12, which makes it the exact
+    optimum. Every entry has the same number of rows, so an entry is solved
+    with the shapes, and the rounding, it would have alone. Returns z, ok,
+    the gain P A_O' (A_O P A_O')^{-1} and A_O.
     """
-    k = rows.shape[1]
-    slot = np.arange(k) < nact[:, None]
-    padded = not slot.all()
     Ao = A[rows]
-    if padded:
-        Ao *= slot[..., None]
-        v = np.where(slot, v, 0.0)
     PA = P @ Ao.swapaxes(1, 2)
     S = Ao @ PA
-    if padded:
-        # a padded slot's diagonal is the entry's first, which lies in the
-        # spectrum of its active block: padding moves neither cond nor lam
-        diag = S.reshape(-1, k * k)[:, ::k + 1]
-        diag += ~slot * diag[:, :1]
     lo, hi = _eig_bounds(S)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         Sinv = _sym_inv(S)
-        lam = (Sinv @ v[..., None])[..., 0]
-        z = e - (PA @ lam[..., None])[..., 0]
+        lam = _mv(Sinv, v)
+        z = e - _mv(PA, lam)
         ok = (lam.min(axis=1) >= 0.0) & np.isfinite(lam.sum(axis=1))
         ok &= (lo > 0.0) & (hi <= _COND_LIMIT * lo)
-        ok &= ((z @ A.T - b) <= tol[:, None]).all(axis=1)
+        ok &= (_mv(A, z) - b <= tol[:, None]).all(axis=1)
         return z, ok, PA @ Sinv, Ao
 
 
@@ -151,24 +144,23 @@ def _box_project(est, cov, A, b, counter, active_out, where, width=None, maxb=No
     entry (or of the shared b), scales the feasibility tolerance; a caller
     whose bounds never change passes it in, else it is taken from b.
 
-    Every entry with one to three of its rows over tolerance is solved on
-    the face of those rows, all entries in one `_face_solve`. The entries
-    it rejects, and those with more than three rows over tolerance, go to
-    the scalar active-set projector one at a time, on their own finite-bound
-    rows and their own width[h] coordinates; the returned counter counts
-    them. active_out receives each entry's active-row count. Every active
-    projection passes `_check_forms`; a failure names where(h) for entry h,
-    and so do the projector's errors and the ValueError raised for a
-    violating entry whose estimate or covariance is not finite.
+    Every entry with rows over tolerance is solved on the face of those
+    rows, in one `_face_solve` per number of such rows, so its result does
+    not depend on the other entries, bit for bit. The entries it rejects go
+    to the scalar active-set projector one at a time, on their own
+    finite-bound rows and their own width[h] coordinates; the returned
+    counter counts them. active_out receives each entry's active-row count.
+    Every active projection passes `_check_forms`; a failure names where(h)
+    for entry h, and so do the projector's errors and the ValueError raised
+    for a violating entry whose estimate or covariance is not finite.
     """
     if maxb is None:
         maxb = np.abs(b).max(axis=-1, initial=0.0, where=np.isfinite(b))
     if b.ndim == 1:
         b = np.broadcast_to(b, (len(est), b.size))
         maxb = np.broadcast_to(maxb, len(est))
-    viol = est @ A.T - b
     # a NaN estimate counts as violating, to be reported below
-    hit = np.flatnonzero(~(viol.max(axis=1, initial=0.0) <= 0.0))
+    hit = np.flatnonzero(~((est @ A.T - b).max(axis=1, initial=0.0) <= 0.0))
     if not hit.size:
         return counter
     e_hit, P_hit, b_hit = est[hit], cov[hit], b[hit]
@@ -180,29 +172,30 @@ def _box_project(est, cov, A, b, counter, active_out, where, width=None, maxb=No
     # each flagged entry's Euclidean norm, bit for bit what np.linalg.norm
     # returns, without its per-call overhead
     tol = 1e-10 * (1.0 + np.sqrt(np.add.reduce(e_hit ** 2, axis=1)) + maxb[hit])
-    over = viol[hit] > tol[:, None]
+    # one matrix-vector product per entry: the product over all entries
+    # above rounds a lone entry otherwise than a row of a larger batch, by
+    # far less than tol, so it serves only to pick the entries to look at
+    viol = _mv(A, e_hit) - b_hit
+    over = viol > tol[:, None]
     nover = over.sum(axis=1)
-    # `_sym_inv` has closed forms up to size three; more rows go to the scalar projector
-    left = nover > 3
-    face = ~left & (nover > 0)
-    # a mask that selects every entry is a slice, which gathers nothing
-    pick = slice(None) if face.all() else face
-    if face.any():
-        runs, nact, P = hit[pick], nover[pick], P_hit[pick]
-        k = int(nact.max())
-        # violated rows first; with one each, the first is all of the face
-        rows = over[pick].argmax(axis=1)[:, None] if k == 1 else \
-            np.argsort(~over[pick], axis=1, kind="stable")[:, :k]
-        z, ok, gain, Ao = _face_solve(e_hit[pick], P, A, b_hit[pick], rows, nact,
-                                      viol[runs[:, None], rows], tol[pick])
+    left = np.zeros(len(hit), dtype=bool)
+    for w in sorted(set(nover.tolist()) - {0}):
+        on = nover == w
+        # a mask that selects every entry is a slice, which gathers nothing
+        pick = slice(None) if on.all() else on
+        runs, P, face = hit[pick], P_hit[pick], over[pick]
+        # each entry's w violated rows in ascending order, and their violations
+        rows = face.nonzero()[1].reshape(-1, w)
+        z, ok, gain, Ao = _face_solve(e_hit[pick], P, A, b_hit[pick], rows,
+                                      viol[pick][face].reshape(-1, w), tol[pick])
         if ok.all():
             ok = slice(None)
         else:
-            left[np.flatnonzero(face)[~ok]] = True
+            left[np.flatnonzero(on)[~ok]] = True
         good = runs[ok]
         cov[good] = _check_forms(P[ok], gain[ok], Ao[ok], lambda i: where(good[i]))
         est[good] = z[ok]
-        active_out[good] = nact[ok]
+        active_out[good] = w
 
     for r in hit[left]:
         w = A.shape[1] if width is None else width[r]

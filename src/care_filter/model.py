@@ -152,11 +152,18 @@ class NoiseSpec:
     bit for bit on one platform, and a shorter horizon yields a prefix of a
     longer one. A covariance the provider returns as the same array object
     at every k is factored once; providers must not modify an array they
-    have returned.
+    have returned. A seed or run index that is not a nonnegative integer
+    (numpy integers included) raises a ValueError naming the field.
     """
 
     seed: int
     run_index: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "run_index"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.run_index,))

@@ -33,15 +33,10 @@ __all__ = [
 _FEAS_REL = 1e-10
 _DEP_REL = 1e-11
 _NULL_REL = 1e-14
-# the adjugates read the upper triangle only, through flat row-major
-# positions: _ADJ2 picks (d, b; b, a) from (a, b; ., d), signed by
-# _ADJ_SIGN; row p of _ADJ3 picks factor p of each 3x3 adjugate entry,
-# adj[i, j] = S[j+1, i+1] S[j+2, i+2] - S[j+1, i+2] S[j+2, i+1], indices mod 3
+# the 2x2 adjugate reads the upper triangle only, through flat row-major
+# positions: _ADJ2 picks (d, b; b, a) from (a, b; ., d), signed by _ADJ_SIGN
 _ADJ2 = np.array([[3, 1], [1, 0]])
 _ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
-_UPPER3 = np.array([3 * min(r, c) + max(r, c) for r in range(3) for c in range(3)])
-_ADJ3 = _UPPER3[[[3 * ((j + p) % 3) + (i + q) % 3 for i in range(3) for j in range(3)]
-                 for p, q in ((1, 1), (2, 2), (1, 2), (2, 1))]]
 
 
 class InfeasibleConstraintsError(ValueError):
@@ -101,23 +96,22 @@ def _sym(X):
 
 def _sym_inv(S):
     """Inverse of a symmetric positive definite matrix or of a stack of
-    them. Sizes up to three use the closed-form adjugate of the upper
+    them. Sizes one and two use the closed-form adjugate of the upper
     triangle, where a singular matrix gives inf or NaN entries; LAPACK
-    inverts the symmetrized matrix beyond that."""
+    inverts the symmetrized matrix beyond that, and a matrix it cannot
+    invert comes back NaN, the stack's other members inverted alone."""
     n = S.shape[-1]
     if n == 1:
         return 1.0 / S
     if n == 2:
         a, c, b = S[..., 0, 0], S[..., 1, 1], S[..., 0, 1]
-        adj = S.reshape(S.shape[:-2] + (4,))[..., _ADJ2] * _ADJ_SIGN
+        # in C order, so a stack's products take the BLAS calls a lone matrix's do
+        adj = np.multiply(S.reshape(S.shape[:-2] + (4,))[..., _ADJ2], _ADJ_SIGN, order="C")
         return adj / (a * c - b * b)[..., None, None]
-    if n == 3:
-        X = S.reshape(S.shape[:-2] + (9,))[..., _ADJ3]
-        adj = X[..., 0, :] * X[..., 1, :]
-        adj -= X[..., 2, :] * X[..., 3, :]
-        adj /= np.einsum('...j,...j->...', S[..., 0, :], adj[..., ::3])[..., None]
-        return adj.reshape(S.shape)
-    return np.linalg.inv(_sym(S))
+    try:
+        return np.linalg.inv(_sym(S))
+    except np.linalg.LinAlgError:
+        return np.array([_sym_inv(Sk) for Sk in S]) if S.ndim > 2 else np.full(S.shape, np.nan)
 
 
 def _eig_bounds(S):

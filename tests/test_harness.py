@@ -134,6 +134,11 @@ class TestSimulate:
         b = simulate(cfg, run_index=1)
         assert not np.array_equal(a.x_true, b.x_true)
 
+    @pytest.mark.parametrize("bad", [-1, 1.5])
+    def test_bad_run_index_is_named(self, bad):
+        with pytest.raises(ValueError, match="^run_index must be a nonnegative integer"):
+            simulate(ScenarioConfig(horizon=10), run_index=bad)
+
     def test_no_attack_keeps_estimates_close(self):
         cfg = ScenarioConfig(horizon=200, seed=5, attack="none")
         res = simulate(cfg)
@@ -274,6 +279,27 @@ class TestEnsemble:
             worst_pxu = max(worst_pxu, fr.metrics.max_trace_pxu)
         assert ens.max_trace_pxu == pytest.approx(worst_pxu, rel=1e-9)
         assert ens.max_mcg_dev < 1e-10
+
+    def test_runs_do_not_depend_on_their_batch(self):
+        # rows 0-4 of a 16-run batch are a 5-run batch, bit for bit
+        cfg = ScenarioConfig(horizon=300, seed=20260819)
+        big = run_ensemble(cfg, runs=16, record_states=True)
+        small = run_ensemble(cfg, runs=5, record_states=True)
+        for f in ("x_hat", "d_hat", "err_sq"):
+            assert np.array_equal(getattr(big, f)[:5], getattr(small, f)), f
+
+    def test_simulate_is_its_run_of_monte_carlo(self):
+        # simulate(run_index=i) is run i of a [care runs | ise runs] batch,
+        # bit for bit, detector included
+        cfg = ScenarioConfig(horizon=300, seed=20260819)
+        batch = monte_carlo(cfg, runs=6)
+        for i in range(6):
+            alone = simulate(cfg, run_index=i)
+            assert np.array_equal(alone.x_true, batch[i].x_true), i
+            for name in ("care", "ise"):
+                for f in REF_FLOAT_FIELDS + REF_EXACT_FIELDS:
+                    assert np.array_equal(getattr(alone.filters[name], f),
+                                          getattr(batch[i].filters[name], f)), (i, name, f)
 
     def test_unconstrained_variant_matches_the_baseline(self):
         cfg = ScenarioConfig(horizon=180, seed=4)

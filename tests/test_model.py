@@ -170,6 +170,18 @@ class TestNoiseSpec:
         W2, _ = NoiseSpec(seed=123, run_index=1).sample(model, 50)
         assert not np.allclose(W1, W2)
 
+    @pytest.mark.parametrize("field, bad", [("seed", -1), ("seed", 1.5), ("seed", True),
+                                            ("run_index", -1), ("run_index", 1.5),
+                                            ("run_index", "0")])
+    def test_bad_seed_or_run_index_is_named(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be a nonnegative integer"):
+            NoiseSpec(**{"seed": 3, field: bad})
+
+    def test_numpy_integers_are_accepted(self):
+        W1, _ = NoiseSpec(seed=np.uint32(3), run_index=np.int64(2)).sample(identity_model(), 5)
+        W2, _ = NoiseSpec(seed=3, run_index=2).sample(identity_model(), 5)
+        assert np.array_equal(W1, W2)
+
     def test_prefix_stability(self):
         model = identity_model()
         W_long, V_long = NoiseSpec(seed=7).sample(model, 80)

@@ -481,8 +481,7 @@ class TestBatchedBoxProjection:
     @given(st.integers(0, 2**31 - 1), st.booleans())
     def test_violated_row_face_matches_oracle_alone_and_in_a_batch(self, seed, box):
         # runs violating one to three rows of a box or of a random polytope;
-        # the batch pads every run to its largest violated-row count, which
-        # must change neither a run's route nor its result
+        # a run's route and result do not depend on its batch, bit for bit
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 5))
         if box:
@@ -508,9 +507,8 @@ class TestBatchedBoxProjection:
             alone = _project_recording_route(est[r:r + 1], P[r:r + 1], A, b)
             assert alone[4][0] == scalar[r], r
             assert alone[2][0] == active[r], r
-            assert np.abs(alone[0][0] - z[r]).max() <= 1e-12 * (1.0 + np.abs(z[r]).max()), r
-            assert np.abs(alone[1][0] - cov[r]).max() <= 1e-12 * scale[r] * (
-                1.0 + np.abs(cov[r] / scale[r]).max()), r
+            assert np.array_equal(alone[0][0], z[r]), r
+            assert np.array_equal(alone[1][0], cov[r]), r
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -554,11 +552,11 @@ class TestBatchedBoxProjection:
             assert not z[h, w:].any() and not cov[h, w:].any() and not cov[h, :, w:].any(), h
         assert counter == total
 
-    def test_more_than_three_violated_rows_go_to_the_scalar_projector(self, monkeypatch):
-        # `_face_solve` stops at three rows: a 4-coordinate box left through
-        # all four coordinates is solved by the scalar projector on its own
-        # eight rows and four coordinates, stacked next to a 2-wide entry
-        # whose one violated row the face solve settles
+    def test_four_violated_rows_stop_at_their_face(self, monkeypatch):
+        # a 4-coordinate box left through all four coordinates, stacked next
+        # to a 2-wide entry with one violated row: each entry is solved on
+        # its own violated rows, the vertex of four and the face of one, and
+        # neither reaches the scalar projector
         V = np.linalg.qr(np.random.default_rng(41).normal(size=(4, 4)))[0]
         P4 = V @ np.diag([0.5, 1.0, 2.0, 4.0]) @ V.T
         box = (np.vstack([np.eye(4), -np.eye(4)]), np.ones(8),
@@ -576,22 +574,38 @@ class TestBatchedBoxProjection:
         monkeypatch.setattr(ensemble, "_project_core", counting)
         z, cov = est.copy(), P.copy()
         active = np.zeros(2, dtype=int)
-        assert _box_project(z, cov, A, b, 0, active, str, width) == 1
-        assert calls == [(4, (8, 4))]
+        assert _box_project(z, cov, A, b, 0, active, str, width) == 0
+        assert calls == []
+        assert active.tolist() == [1, 4]
         for h, (A_h, b_h, *_) in enumerate((side, box)):
             w = width[h]
             z1, c1 = est[h:h + 1, :w].copy(), P[h:h + 1, :w, :w].copy()
             act1 = np.zeros(1, dtype=int)
-            # only the box entry (h = 1) reaches the scalar projector alone
-            assert _box_project(z1, c1, A_h, b_h, 0, act1, str) == h
+            assert _box_project(z1, c1, A_h, b_h, 0, act1, str) == 0
             assert act1[0] == active[h], h
             assert np.abs(z1[0] - z[h, :w]).max() <= 1e-12 * (1.0 + np.abs(z1).max()), h
             assert np.abs(c1[0] - cov[h, :w, :w]).max() <= 1e-12 * (1.0 + np.abs(c1).max()), h
         ref = qp_oracle(box[2][0], np.linalg.inv(P4), *box[:2])
         assert np.abs(z[1] - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
+        np.testing.assert_allclose(z[1], [1.0, -1.0, 1.0, -1.0], atol=1e-12)
         np.testing.assert_allclose(z[0, :2], [1.0, 0.5], atol=1e-12)
         # the 2-wide entry's padding stays zero
         assert not z[0, 2:].any() and not cov[0, 2:].any() and not cov[0, :, 2:].any()
+
+    def test_parallel_violated_rows_go_to_the_scalar_projector(self):
+        # x <= 1, 2x <= 3 and y <= 0 from (5, 1): the first two rows are
+        # parallel, so the face of all three has a singular A_O P A_O'; the
+        # face solve rejects it instead of raising, and the scalar projector
+        # finds the optimum on rows 0 and 2
+        A, b = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]), np.array([1.0, 3.0, 0.0])
+        est, cov = np.array([[5.0, 1.0]]), np.eye(2)[None]
+        z, P = est.copy(), cov.copy()
+        active = np.zeros(1, dtype=int)
+        assert _box_project(z, P, A, b, 0, active, str) == 1
+        ref = qp_oracle(est[0], np.eye(2), A, b)
+        assert np.abs(z[0] - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
+        np.testing.assert_allclose(z[0], [1.0, 0.0], atol=1e-12)
+        assert active[0] == 2
 
     def test_ill_conditioned_metric_goes_to_the_scalar_projector(self):
         # run 0's covariance has condition number 1e13 on the bounded
@@ -707,10 +721,25 @@ def test_small_symmetric_inverse_matches_lapack():
         ref = np.linalg.inv(S)
         np.testing.assert_allclose(_sym_inv(S), ref, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(_sym_inv(S[1, 2]), ref[1, 2], rtol=1e-10, atol=1e-10)
-        if 1 < n <= 3:
-            # the closed forms read the upper triangle only
+        if n == 2:
+            # the closed form reads the upper triangle only
             lower = np.tril(rng.normal(size=(n, n)), -1)
             np.testing.assert_array_equal(_sym_inv(S + lower), _sym_inv(S))
+
+
+def test_symmetric_inverse_of_a_singular_member_is_nan():
+    # LAPACK cannot invert member 1; it comes back NaN and the others get
+    # LAPACK's own inverse, matrix by matrix
+    M = np.random.default_rng(7).normal(size=(4, 3, 3))
+    S = M @ M.swapaxes(-1, -2) + 0.1 * np.eye(3)
+    S[1] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(S)
+    inv = _sym_inv(S)
+    assert np.isnan(inv[1]).all()
+    for i in (0, 2, 3):
+        np.testing.assert_array_equal(inv[i], np.linalg.inv(S[i]))
+    assert np.isnan(_sym_inv(S[1])).all()
 
 
 class TestEstimatorFacingWrappers:
