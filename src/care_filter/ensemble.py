@@ -18,27 +18,19 @@ in the harness are the drivers of this one kernel.
 
 Projection is where runs genuinely differ. Both projections of every
 care run, the attack estimate onto the actuator box and the state
-estimate onto the road and speed box, go into one `_box_project` call
-per step as separate entries of one stack, so the call's fixed cost is
-paid once (the batched small QPs of Amos & Kolter, OptNet,
-arXiv:1703.00443). The two sets' rows are stacked in one matrix, and each
-entry carries its own bounds, +inf on the rows of the other set; an
-attack entry fills the leading two of four coordinates and its padding,
-a zero estimate and a zero covariance, stays zero. Each entry is first
-solved on the face its own violated rows define, in one batch per number
-of violated rows: drive those rows to equality and accept the result
-when it is feasible, the multipliers are nonnegative and the rows'
-covariance block is well conditioned, which makes it the exact optimum
-(the active-set idea of Bemporad et al., Automatica 38(1), 2002). On the
-vehicle boxes that face is the optimum for every entry. The entries it
-rejects drop into the scalar active-set projector one at a time, on
-their own rows and coordinates alone, which is exact on any set; the
-result records how often that happened. Every product a result rests on
-is taken one matrix per row, never across rows, so a run's result does
-not depend on its batch, bit for bit: `simulate(run_index=i)` is run i of
-`monte_carlo`, and the leading runs of a `run_ensemble` batch are a
-smaller batch (Demmel & Nguyen, IEEE Trans. Computers 64(7), 2015, on
-results that do not depend on how the work is split).
+estimate onto the road and speed box, go into one call of
+`projection._box_project` per step as separate entries of one stack, so
+the call's fixed cost is paid once. The two sets' rows are stacked in one
+matrix, and each entry carries its own bounds, +inf on the rows of the
+other set; an attack entry fills the leading two of four coordinates and
+its padding, a zero estimate and a zero covariance, stays zero. The
+projector reports each entry's active rows as a mask, whose sums are the
+active counts. `care_step` takes the same projector as a batch of one,
+and an entry's result does not depend on its batch, bit for bit:
+`simulate(run_index=i)` is run i of `monte_carlo`, and the leading runs of
+a `run_ensemble` batch are a smaller batch. On the vehicle boxes every
+entry stops at the face of its own violated rows, so the scalar
+active-set search is never reached.
 
 The point of `run_ensemble` is stability studies: hundreds of runs over
 ten thousand steps, reduced to per-step error energies and running
@@ -54,24 +46,14 @@ from functools import partial
 import numpy as np
 
 from .config import ScenarioConfig
-from .estimator import _estimate_attack, _mv, _predict
+from .estimator import _estimate_attack, _predict
 from .model import NoiseSpec
-from .projection import (
-    _FORMS_DISAGREE,
-    ActiveSetLimitError,
-    InfeasibleConstraintsError,
-    _check_forms,
-    _eig_bounds,
-    _project_core,
-    _sym,
-    _sym_inv,
-)
+from .projection import _box_project, _sym, _sym_inv
 from .vehicle import VehicleParams, attack_input, build_constraints, slip_angle, vehicle_model
 
 __all__ = ["EnsembleResult", "run_ensemble"]
 
 _FILTERS = ("care", "ise")
-_COND_LIMIT = 1e12
 _EYE2 = np.eye(2)
 _EYE4 = np.eye(4)
 # steps per vectorized audit pass. In a 50-run, 1,000-step audited call the
@@ -102,116 +84,6 @@ class EnsembleResult:
     d_hat: np.ndarray = None
     x_true: np.ndarray = None
     audit: dict = None
-
-
-def _face_solve(e, P, A, b, rows, v, tol):
-    """The KKT point of each entry h on the face of its rows[h] of A.
-
-    With A_O those rows and v their violation A_O e - b_O, the multipliers
-    solve (A_O P A_O') lam = v and z = e - P A_O' lam. The point is accepted
-    (ok) when lam is finite and nonnegative, z meets every row to within
-    tol[h] (b holds each entry's bounds) and A_O P A_O' is positive
-    definite with condition number at most 1e12, which makes it the exact
-    optimum. Every entry has the same number of rows, so an entry is solved
-    with the shapes, and the rounding, it would have alone. Returns z, ok,
-    the gain P A_O' (A_O P A_O')^{-1} and A_O.
-    """
-    Ao = A[rows]
-    PA = P @ Ao.swapaxes(1, 2)
-    S = Ao @ PA
-    lo, hi = _eig_bounds(S)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        Sinv = _sym_inv(S)
-        lam = _mv(Sinv, v)
-        z = e - _mv(PA, lam)
-        ok = (lam.min(axis=1) >= 0.0) & np.isfinite(lam.sum(axis=1))
-        ok &= (lo > 0.0) & (hi <= _COND_LIMIT * lo)
-        ok &= (_mv(A, z) - b <= tol[:, None]).all(axis=1)
-        return z, ok, PA @ Sinv, Ao
-
-
-def _box_project(est, cov, A, b, counter, active_out, where, width=None, maxb=None):
-    """Project each entry's estimate onto its set {z : A z <= b_h}, in place.
-
-    est (H, n) and cov (H, n, n) are overwritten. b is one bound vector
-    (q,) that every entry shares, or one per entry (H, q). A bound of +inf
-    takes its row out of that entry's set, so one call serves entries on
-    different sets: stack the sets' rows in A and give each entry +inf on
-    the rows of the others. Sets of different widths are padded: entry h
-    owns its leading width[h] coordinates (all n by default), and its other
-    coordinates carry a zero estimate and a zero covariance, which the
-    projection leaves at zero. maxb, the largest finite |bound| of each
-    entry (or of the shared b), scales the feasibility tolerance; a caller
-    whose bounds never change passes it in, else it is taken from b.
-
-    Every entry with rows over tolerance is solved on the face of those
-    rows, in one `_face_solve` per number of such rows, so its result does
-    not depend on the other entries, bit for bit. The entries it rejects go
-    to the scalar active-set projector one at a time, on their own
-    finite-bound rows and their own width[h] coordinates; the returned
-    counter counts them. active_out receives each entry's active-row count.
-    Every active projection passes `_check_forms`; a failure names where(h)
-    for entry h, and so do the projector's errors and the ValueError raised
-    for a violating entry whose estimate or covariance is not finite.
-    """
-    if maxb is None:
-        maxb = np.abs(b).max(axis=-1, initial=0.0, where=np.isfinite(b))
-    if b.ndim == 1:
-        b = np.broadcast_to(b, (len(est), b.size))
-        maxb = np.broadcast_to(maxb, len(est))
-    # a NaN estimate counts as violating, to be reported below
-    hit = np.flatnonzero(~((est @ A.T - b).max(axis=1, initial=0.0) <= 0.0))
-    if not hit.size:
-        return counter
-    e_hit, P_hit, b_hit = est[hit], cov[hit], b[hit]
-    if not (np.isfinite(e_hit).all() and np.isfinite(P_hit).all()):
-        finite = np.isfinite(e_hit).all(axis=1) & np.isfinite(P_hit).all(axis=(1, 2))
-        r = hit[np.argmin(finite)]
-        field = "covariance" if np.isfinite(est[r]).all() else "estimate"
-        raise ValueError(f"non-finite {field} at {where(r)}")
-    # each flagged entry's Euclidean norm, bit for bit what np.linalg.norm
-    # returns, without its per-call overhead
-    tol = 1e-10 * (1.0 + np.sqrt(np.add.reduce(e_hit ** 2, axis=1)) + maxb[hit])
-    # one matrix-vector product per entry: the product over all entries
-    # above rounds a lone entry otherwise than a row of a larger batch, by
-    # far less than tol, so it serves only to pick the entries to look at
-    viol = _mv(A, e_hit) - b_hit
-    over = viol > tol[:, None]
-    nover = over.sum(axis=1)
-    left = np.zeros(len(hit), dtype=bool)
-    for w in sorted(set(nover.tolist()) - {0}):
-        on = nover == w
-        # a mask that selects every entry is a slice, which gathers nothing
-        pick = slice(None) if on.all() else on
-        runs, P, face = hit[pick], P_hit[pick], over[pick]
-        # each entry's w violated rows in ascending order, and their violations
-        rows = face.nonzero()[1].reshape(-1, w)
-        z, ok, gain, Ao = _face_solve(e_hit[pick], P, A, b_hit[pick], rows,
-                                      viol[pick][face].reshape(-1, w), tol[pick])
-        if ok.all():
-            ok = slice(None)
-        else:
-            left[np.flatnonzero(on)[~ok]] = True
-        good = runs[ok]
-        cov[good] = _check_forms(P[ok], gain[ok], Ao[ok], lambda i: where(good[i]))
-        est[good] = z[ok]
-        active_out[good] = w
-
-    for r in hit[left]:
-        w = A.shape[1] if width is None else width[r]
-        rows = np.isfinite(b[r])
-        try:
-            res = _project_core(est[r, :w], cov[r, :w, :w], A[rows, :w], b[r, rows])
-        except (ActiveSetLimitError, InfeasibleConstraintsError) as err:
-            err.args = (f"{err} at {where(r)}",)
-            raise
-        except RuntimeError:
-            raise RuntimeError(_FORMS_DISAGREE.format(f" at {where(r)}")) from None
-        est[r, :w] = res.estimate
-        cov[r, :w, :w] = res.covariance
-        active_out[r] = len(res.active_set)
-        counter += 1
-    return counter
 
 
 class _Batch:
@@ -282,12 +154,13 @@ class _Batch:
         self.b_box = np.full((2 * n, len(self.A_box)), np.inf)
         self.b_box[:n, :q_in] = self.b_in
         self.b_box[n:, q_in:] = self.c_st
-        self.b_box_max = np.abs(self.b_box).max(axis=1, initial=0.0,
-                                                where=np.isfinite(self.b_box))
+        # each entry's farthest finite hyperplane from the origin, |b_i| / |a_i|
+        dist = np.abs(self.b_box) / np.linalg.norm(self.A_box, axis=1)
+        self.b_box_max = dist.max(axis=1, initial=0.0, where=np.isfinite(dist))
         self.box_width = np.repeat([2, 4], n)
         self.box_est = np.zeros((2 * n, 4))
         self.box_cov = np.zeros((2 * n, 4, 4))
-        self.box_act = np.zeros(2 * n, dtype=np.int64)
+        self.box_act = np.zeros((2 * n, len(self.A_box)), dtype=bool)
 
         # constant slots of the scheduled matrices; speed-dependent entries
         # are rewritten every step (separate buffers for plant and filters)
@@ -341,7 +214,7 @@ class _Batch:
             est, cov, act = self.box_est, self.box_cov, self.box_act
             est[:n, :2], est[n:] = d_u[:n], x_u[:n]
             cov[:n, :2, :2], cov[n:] = Pd_u[:n], P_u[:n]
-            act.fill(0)
+            act.fill(False)
             self.fallbacks = _box_project(est, cov, self.A_box, self.b_box, self.fallbacks,
                                           act, lambda h: where(h % n), self.box_width,
                                           self.b_box_max)
@@ -349,7 +222,7 @@ class _Batch:
             Pd_u = np.concatenate([cov[:n, :2, :2], Pd_u[n:]])
             x_u = np.concatenate([est[n:], x_u[n:]])
             P_u = np.concatenate([cov[n:], P_u[n:]])
-            self.in_act[:n], self.st_act[:n] = act[:n], act[n:]
+            self.in_act[:n], self.st_act[:n] = act[:n].sum(axis=1), act[n:].sum(axis=1)
         self.x, self.P, self.d, self.Pd = x_u, P_u, d_u, Pd_u
 
 

@@ -19,7 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConstraintSet, SystemModel
-from .projection import ProjectionResult, _eig_bounds, _sym, _sym_inv, project_attack, project_state
+from .projection import (
+    ProjectionResult,
+    _eig_bounds,
+    _mv,
+    _sym,
+    _sym_inv,
+    project_attack,
+    project_state,
+)
 
 __all__ = [
     "AttackEstimate",
@@ -123,11 +131,6 @@ def _T(X):
     return X.swapaxes(-1, -2)
 
 
-def _mv(X, v):
-    """X v over the leading axes."""
-    return (X @ v[..., None])[..., 0]
-
-
 def _rows(y, x):
     """The measurements y as float rows, one per leading index of x."""
     return np.asarray(y, dtype=float).reshape(x.shape[:-1] + (-1,))
@@ -162,7 +165,7 @@ def _estimate_attack(C, G, R, x_pred, P_pred, y, where):
         raise AttackUnidentifiableError(f"attack unidentifiable at {where(i)}: G'C'R~CG {why}")
     P_d = _sym_inv(N)
     M = P_d @ T
-    nu = y - x_pred @ _T(C)
+    nu = y - _mv(C, x_pred)
     return R_tilde, T, P_d, M, nu, _mv(M, nu)
 
 
@@ -252,8 +255,9 @@ def care_step(state: EstimatorState, model: SystemModel, constraints: Constraint
         return StepOutput(EstimatorState(upd.x_hat, upd.P_x, k), pred, atk, tu, upd,
                           atk.d_hat, atk.P_d, None, None)
     d_hat, P_d, in_proj = project_attack(
-        atk, constraints.input_matrix(k - 1), constraints.input_bound(k - 1))
+        atk, constraints.input_matrix(k - 1), constraints.input_bound(k - 1),
+        f"k={k}, attack estimate")
     x_hat, P_x, st_proj = project_state(
-        upd, constraints.state_matrix(k), constraints.state_bound(k))
+        upd, constraints.state_matrix(k), constraints.state_bound(k), f"k={k}, state estimate")
     return StepOutput(EstimatorState(x_hat, P_x, k), pred, atk, tu, upd,
                       d_hat, P_d, in_proj, st_proj)

@@ -108,9 +108,13 @@ class ConstraintSet:
             if Mrows.shape[0]:
                 try:
                     project(np.zeros(Mrows.shape[1]), np.eye(Mrows.shape[1]), Mrows, bound)
-                except (InfeasibleConstraintsError, ActiveSetLimitError) as err:
+                except InfeasibleConstraintsError:
                     raise InfeasibleConstraintsError(
-                        f"{name} constraint set is empty: {err}"
+                        f"{name} constraint set is empty: no point meets all of its rows"
+                    ) from None
+                except ActiveSetLimitError:
+                    raise InfeasibleConstraintsError(
+                        f"{name} constraint set looks empty: the projection onto it did not converge"
                     ) from None
         return cls(lambda k: Ad, lambda k: bd, lambda k: Bx, lambda k: cx)
 

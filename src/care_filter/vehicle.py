@@ -9,7 +9,6 @@ current speed.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 import math
 
 import numpy as np
@@ -53,37 +52,21 @@ def steering_angle(beta: float, params: VehicleParams = VehicleParams()) -> floa
     return math.atan((params.l_f + params.l_r) * math.tan(beta) / params.l_r)
 
 
-@lru_cache(maxsize=8)
-def _matrix_templates(params: VehicleParams):
-    T = params.T_s
-    A0 = np.array([
-        [1.0, 0.0, 0.0, T],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
-    B0 = np.array([
-        [0.0, 0.0],
-        [0.0, 0.0],
-        [0.0, 0.0],
-        [0.0, T],
-    ])
-    return A0, B0, np.eye(4)
-
-
 def bicycle_matrices(v: float, params: VehicleParams = VehicleParams()):
     """Discretized matrices (A, B, G, C) linearized at speed v.
 
     The attack enters through the same channel as the control, so G = B.
     """
-    A0, B0, C0 = _matrix_templates(params)
-    vT = v * params.T_s
-    A = A0.copy()
+    T = params.T_s
+    vT = v * T
+    A = np.eye(4)
+    A[0, 3] = T
     A[1, 2] = vT
-    B = B0.copy()
+    B = np.zeros((4, 2))
     B[1, 0] = vT
     B[2, 0] = vT / params.l_r
-    return A, B, B.copy(), C0.copy()
+    B[3, 1] = T
+    return A, B, B.copy(), np.eye(4)
 
 
 def attack_signal(k: int) -> tuple:
@@ -161,22 +144,9 @@ def vehicle_model(velocity, params: VehicleParams = VehicleParams()) -> SystemMo
 def vehicle_constraints(control, params: VehicleParams = VehicleParams()) -> ConstraintSet:
     """ConstraintSet with the input box tracking the nominal control(k)."""
     A_in, _, B_st, c_st = build_constraints((0.0, 0.0), params)
-    cache = {}
-
-    def input_bound(k):
-        u = control(k)
-        key = (float(u[0]), float(u[1]))
-        b = cache.get(key)
-        if b is None:
-            if len(cache) > 64:
-                cache.clear()
-            b = build_constraints(key, params)[1]
-            cache[key] = b
-        return b
-
     return ConstraintSet(
         input_matrix=lambda k: A_in,
-        input_bound=input_bound,
+        input_bound=lambda k: build_constraints(control(k), params)[1],
         state_matrix=lambda k: B_st,
         state_bound=lambda k: c_st,
     )

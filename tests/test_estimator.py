@@ -18,6 +18,7 @@ from care_filter.estimator import (
     AttackUnidentifiableError,
     EstimatorState,
     Prediction,
+    _estimate_attack,
     care_step,
     estimate_attack,
     initial_state,
@@ -26,6 +27,7 @@ from care_filter.estimator import (
     time_update,
 )
 from care_filter.model import ConstraintSet, SystemModel
+from care_filter.projection import InfeasibleConstraintsError
 
 
 def spd(rng, n, spread=1.0):
@@ -504,6 +506,21 @@ class TestCareStep:
                         np.testing.assert_allclose(getattr(got, field)[i], getattr(want, field),
                                                    rtol=1e-12, atol=1e-12, err_msg=field)
 
+    def test_attack_stage_is_batch_exact(self):
+        # with a general C, row 0 of a stack of three gets the attack
+        # estimate and the innovation it gets alone, bit for bit
+        rng = np.random.default_rng(57)
+        for draw in range(100):
+            model, _, _, _ = random_setup(rng, m=4, n_d=2, n_y=4)
+            C, G, R = model.C(1), model.G(0), model.R(1)
+            X = rng.normal(size=(3, 4))
+            P = np.array([spd(rng, 4) for _ in range(3)])
+            Y = rng.normal(size=(3, 4))
+            *_, nu, d = _estimate_attack(C, G, R, X, P, Y, str)
+            *_, nu_1, d_1 = _estimate_attack(C, G, R, X[:1], P[:1], Y[:1], str)
+            assert np.array_equal(nu[0], nu_1[0]), draw
+            assert np.array_equal(d[0], d_1[0]), draw
+
     def test_composes_the_stages(self):
         rng = np.random.default_rng(55)
         model, state, u, y = random_setup(rng)
@@ -583,6 +600,18 @@ class TestCareStep:
         pred = Prediction(np.zeros(2), P, k=5)
         with pytest.raises(ValueError, match="non-finite attack information G'C'R~CG at k=5"):
             estimate_attack(pred, model, np.eye(2), [0.0, 0.0])
+
+    def test_projection_errors_name_the_step(self):
+        # x_0 <= -1 and x_0 >= 1 is empty; a ConstraintSet built directly
+        # skips the emptiness probe of ConstraintSet.constant
+        rng = np.random.default_rng(64)
+        model, state, u, y = random_setup(rng)
+        Bx = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        cons = ConstraintSet(lambda k: np.zeros((0, 1)), lambda k: np.zeros(0),
+                             lambda k: Bx, lambda k: -np.ones(2))
+        state = EstimatorState(state.x_hat, state.P_x, k=2)
+        with pytest.raises(InfeasibleConstraintsError, match="at k=3, state estimate$"):
+            care_step(state, model, cons, u, y)
 
     def test_covariances_symmetric_and_near_psd(self):
         rng = np.random.default_rng(77)

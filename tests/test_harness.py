@@ -1,17 +1,18 @@
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from care_filter import ensemble
+from care_filter import ensemble, projection
 from care_filter.cli import main
 from care_filter.config import ScenarioConfig
 from care_filter.detector import DetectorConfig, DetectorState, cusum_update, detection_statistic
-from care_filter.ensemble import _box_project, run_ensemble
+from care_filter.ensemble import run_ensemble
 from care_filter.estimator import AttackUnidentifiableError, initial_state
 from care_filter.harness import monte_carlo, simulate
 from care_filter.model import NoiseSpec
-from care_filter.projection import ActiveSetLimitError, InfeasibleConstraintsError
+from care_filter.projection import ActiveSetLimitError, InfeasibleConstraintsError, _box_project
 from care_filter.vehicle import (
     VehicleParams,
     attack_input,
@@ -328,10 +329,10 @@ class TestEnsemble:
         b = np.array([1.0, 3.0])
         est = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
         cov = np.tile(np.eye(2), (3, 1, 1))
-        active = np.zeros(3, dtype=int)
+        active = np.zeros((3, 2), dtype=bool)
         assert _box_project(est, cov, A, b, 0, active, str) == 1
         np.testing.assert_allclose(est[1], [1.0, 0.0])
-        assert active.tolist() == [0, 1, 0]
+        assert active.tolist() == [[False, False], [True, False], [False, False]]
         # an asymmetric covariance makes the symmetric and the short
         # projected forms disagree, as in the scalar project_attack
         est[1] = [2.0, 0.0]
@@ -348,7 +349,7 @@ class TestEnsemble:
         est[2, 0] = 21.0
         cov = np.tile(0.1 * np.eye(4), (3, 1, 1))
         cov[2, 1, 3] = 0.05
-        active = np.zeros(3, dtype=int)
+        active = np.zeros((3, len(B_st)), dtype=bool)
         with pytest.raises(RuntimeError, match="forms disagree at k=7, run 2"):
             _box_project(est, cov, B_st, c_st, 0, active, lambda r: f"k=7, run {r}")
 
@@ -368,13 +369,13 @@ class TestEnsemble:
         # on the vehicle boxes the face of each run's own violated rows is
         # the optimum, so the scalar projector is never reached
         calls = []
-        project_core = ensemble._project_core
+        project_core = projection._project_core
 
         def counting(e, *args):
             calls.append(e.size)
             return project_core(e, *args)
 
-        monkeypatch.setattr(ensemble, "_project_core", counting)
+        monkeypatch.setattr(projection, "_project_core", counting)
         cfg = ScenarioConfig(horizon=1000, seed=20260819)
         ens = run_ensemble(cfg, runs=20, projection_audit=True)
         assert calls == []
@@ -387,7 +388,7 @@ class TestEnsemble:
         b = np.array([-1.0, -1.0])
         est = np.zeros((3, 2))
         cov = np.tile(np.eye(2), (3, 1, 1))
-        active = np.zeros(3, dtype=int)
+        active = np.zeros((3, len(A)), dtype=bool)
         with pytest.raises(InfeasibleConstraintsError, match="cannot be satisfied.* at k=4, run 0"):
             _box_project(est, cov, A, b, 0, active, lambda r: f"k=4, run {r}")
         # a wedge that needs two active-set steps, under a budget of one:
@@ -397,8 +398,8 @@ class TestEnsemble:
         b = np.array([1.0, 1.0])
         est[:] = [[0.0, 0.0], [0.0, 0.0], [3.0, -0.95]]
         cov[2] = [[1.0, -0.9], [-0.9, 1.0]]
-        monkeypatch.setattr(ensemble, "_project_core",
-                            partial(ensemble._project_core, max_iterations=1))
+        monkeypatch.setattr(projection, "_project_core",
+                            partial(projection._project_core, max_iterations=1))
         with pytest.raises(ActiveSetLimitError, match="iteration cap at k=9, run 2") as info:
             _box_project(est, cov, A, b, 0, active, lambda r: f"k=9, run {r}")
         assert info.value.active_set == (0,)
@@ -409,7 +410,7 @@ class TestEnsemble:
         B_st, c_st = build_constraints((0.0, 0.0), params)[2:]
         est = np.tile([21.0, 2.5, 0.0, 10.0], (3, 1))
         cov = np.tile(0.1 * np.eye(4), (3, 1, 1))
-        active = np.zeros(3, dtype=int)
+        active = np.zeros((3, len(B_st)), dtype=bool)
         est[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite estimate at k=3, run 1"):
             _box_project(est, cov, B_st, c_st, 0, active, lambda r: f"k=3, run {r}")
@@ -494,6 +495,24 @@ class TestEnsemble:
         cfg = ScenarioConfig(horizon=5, seed=3)
         with pytest.raises(ValueError, match="projection_audit=True needs constrained=True"):
             run_ensemble(cfg, runs=2, constrained=False, projection_audit=True)
+
+    def test_block_audit_compares_each_trace_with_its_own(self):
+        # a one-run, one-step stub batch whose projection grows the attack
+        # covariance's trace from 2 to 4 and shrinks the state covariance's
+        # from 4 to 1: the attack's projected trace is set against its own
+        # unprojected trace, not against the state's
+        A_in, b_in, B_st, c_st = build_constraints((0.0, 0.0), VehicleParams())
+        x_true = np.array([[10.0, 2.5, 0.0, 10.0]])
+        batch = SimpleNamespace(
+            run_indices=[0], d_true=np.zeros((1, 2)), A_in=A_in, b_in=b_in, B_st=B_st, c_st=c_st,
+            d=np.zeros((1, 2)), d_raw=np.ones((1, 2)), Pd=2.0 * np.eye(2)[None],
+            Pd_raw=np.eye(2)[None], x=x_true, x_raw=x_true + 1.0, P=0.25 * np.eye(4)[None],
+            P_raw=np.eye(4)[None], x_true=x_true, in_act=np.ones(1), st_act=np.ones(1))
+        audit = ensemble._BlockAudit(batch)
+        audit.record(0)
+        assert audit.tally["active_d"] == 1 and audit.tally["active_x"] == 1
+        assert audit.tally["viol_trace_d"] == 1 and audit.tally["viol_strict_d"] == 1
+        assert audit.tally["viol_trace_x"] == 0 and audit.tally["viol_strict_x"] == 0
 
 
 def _write(path, text):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from care_filter import projection
 from care_filter.model import (
     ConstraintSet,
     NoiseSpec,
@@ -12,7 +13,7 @@ from care_filter.model import (
     ValidationReport,
     validate,
 )
-from care_filter.projection import InfeasibleConstraintsError
+from care_filter.projection import ActiveSetLimitError, InfeasibleConstraintsError
 
 
 def identity_model(m=2, n_d=1):
@@ -140,6 +141,22 @@ class TestConstraintSet:
             ConstraintSet.constant(
                 input_matrix=[[1.0], [-1.0]], input_bound=[-2.0, -2.0], state_dim=2,
             )
+
+    def test_empty_set_message_names_the_set(self, monkeypatch):
+        # the probe's own point and metric stay out of the message
+        with pytest.raises(InfeasibleConstraintsError,
+                           match="^state constraint set is empty: no point meets all of its rows$"):
+            ConstraintSet.constant(attack_dim=1, state_matrix=[[1.0, 0.0], [-1.0, 0.0]],
+                                   state_bound=[-1.0, -1.0])
+
+        def capped(*args):
+            raise ActiveSetLimitError("active-set projection exceeded its iteration cap")
+
+        monkeypatch.setattr(projection, "_project_core", capped)
+        with pytest.raises(InfeasibleConstraintsError, match="^input constraint set looks empty: "
+                                                             "the projection onto it did not converge$"):
+            ConstraintSet.constant(input_matrix=[[1.0], [-1.0]], input_bound=[-2.0, -2.0],
+                                   state_dim=2)
 
     def test_unconstrained_has_zero_rows(self):
         cons = ConstraintSet.unconstrained(attack_dim=2, state_dim=4)

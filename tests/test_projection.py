@@ -1,17 +1,19 @@
 """Projection tests: active-set search against the brute-force KKT oracle,
 plus the algebraic identities the constrained update relies on."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from care_filter import ensemble
-from care_filter.ensemble import _box_project
+from care_filter import projection
 from care_filter.projection import (
     ActiveSetLimitError,
     InfeasibleConstraintsError,
     ProjectionResult,
+    _box_project,
     _check_forms,
     _project_core,
     _sym_inv,
@@ -19,6 +21,7 @@ from care_filter.projection import (
     project_attack,
     project_state,
 )
+from care_filter.vehicle import VehicleParams, build_constraints
 
 from conftest import feasible_sample, objective, random_projection_instance
 from oracles import qp_oracle, range_qp_oracle
@@ -29,6 +32,14 @@ class _Duck:
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
+
+
+def _search(e, P, A, b):
+    """The active-set search alone, under the tolerance `_box_project`
+    gives it: (estimate, covariance, active rows)."""
+    dist = np.abs(b) / np.linalg.norm(A, axis=1)
+    tol = projection._FEAS_REL * (1.0 + np.linalg.norm(e) + dist.max())
+    return _project_core(e, P, A, b, tol)
 
 
 class TestOracleEquivalence:
@@ -156,6 +167,26 @@ class TestBasicBehaviour:
         # both coordinates pinned: no remaining variance anywhere
         np.testing.assert_allclose(res.covariance, np.zeros((2, 2)), atol=1e-12)
 
+    def test_row_scale_does_not_change_the_projection(self):
+        # 1e-11 x <= 1e-11 and 1e8 x <= 1e8 are x <= 1: rows far from unit
+        # norm, whose raw violation a z - b is far below or above the
+        # distance beyond the hyperplane that the tolerance bounds
+        for s in (1e-11, 1e8):
+            res = project([3.0, 0.0], np.eye(2), [[s, 0.0]], [s])
+            np.testing.assert_allclose(res.estimate, [1.0, 0.0], atol=1e-12)
+            assert res.active_set == (0,)
+        # random sets with each row scaled by 1e-11 or 1e8; the oracle, whose
+        # tolerance is on a z - b itself, gets the same sets on unit rows
+        rng = np.random.default_rng(2718)
+        for trial in range(60):
+            e, W, A, b, _ = random_projection_instance(rng)
+            norms = np.linalg.norm(A, axis=1)
+            A, b = A / norms[:, None], b / norms
+            ref = qp_oracle(e, W, A, b)
+            scale = rng.choice([1e-11, 1e8], size=len(b))
+            res = project(e, W, scale[:, None] * A, scale * b)
+            assert np.abs(res.estimate - ref).max(initial=0.0) <= 1e-8 * (1.0 + np.linalg.norm(ref)), trial
+
     def test_weight_must_be_spd(self):
         with pytest.raises(ValueError):
             project(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((0, 2)), np.zeros(0))
@@ -185,15 +216,25 @@ class TestFailureModes:
         with pytest.raises(InfeasibleConstraintsError):
             project(np.zeros(2), np.eye(2), A, b)
 
-    def test_iteration_cap_carries_diagnostics(self):
-        # needs two adds to reach the corner; a budget of one trips the cap
+    def test_iteration_cap_carries_diagnostics(self, monkeypatch):
+        # x <= 1, 2x <= 3 and y <= 0 from (5, 1): the face of all three rows
+        # is singular, so the active-set search runs, and it needs two adds;
+        # a budget of one trips the cap
+        monkeypatch.setattr(projection, "_project_core",
+                            partial(projection._project_core, max_iterations=1))
+        A = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+        b = np.array([1.0, 3.0, 0.0])
+        with pytest.raises(ActiveSetLimitError, match="iteration cap at the estimate") as err:
+            project(np.array([5.0, 1.0]), np.eye(2), A, b)
+        assert err.value.max_violation > 0
+        assert err.value.active_set == (0,)
+        # the box corner also needs two adds of the search, but the face of
+        # its two violated rows is the optimum, so the budget is never spent
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         b = np.array([20.0, 0.0, 5.0, 0.0])
-        with pytest.raises(ActiveSetLimitError) as err:
-            project(np.array([25.0, -3.0]), np.eye(2), A, b, max_iterations=1)
-        assert err.value.max_violation is not None
-        assert err.value.max_violation > 0
-        assert err.value.active_set is not None
+        res = project(np.array([25.0, -3.0]), np.eye(2), A, b)
+        assert res.active_set == (0, 3)
+        np.testing.assert_allclose(res.estimate, [20.0, 0.0], atol=1e-12)
 
     def test_non_finite_constraint_data_is_rejected(self):
         # an infinite bound used to switch every row off, a NaN bound to
@@ -352,15 +393,16 @@ class TestRankDeficientMetric:
     @given(st.integers(0, 2**31 - 1))
     def test_matches_oracle_within_range_of_P(self, seed):
         e, P, A, b = _rank_deficient_instance(np.random.default_rng(seed))
+        upd = _Duck(x_hat=e, P_x=P)
         try:
             ref = range_qp_oracle(e, P, A, b)
         except InfeasibleConstraintsError:
             with pytest.raises(InfeasibleConstraintsError, match=r"no point of e \+ range\(P\)"):
-                _project_core(e, P, A, b)
+                project_state(upd, A, b)
             return
-        res = _project_core(e, P, A, b)
-        assert np.abs(res.estimate - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
-        assert np.trace(res.covariance) <= np.trace(P) + 1e-12
+        x_hat, P_x, _ = project_state(upd, A, b)
+        assert np.abs(x_hat - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
+        assert np.trace(P_x) <= np.trace(P) + 1e-12
 
 
 def _violating_runs(rng, n, A, b, z0, box, runs):
@@ -403,19 +445,19 @@ def _project_recording_route(est, P, A, b, width=None):
     it reached the scalar projector. Returns (estimate, covariance, active
     counts, counter, scalar-projector mask)."""
     z, cov = est.copy(), P.copy()
-    active = np.zeros(len(est), dtype=int)
+    active = np.zeros((len(est), len(A)), dtype=bool)
     scalar = np.zeros(len(est), dtype=bool)
     own = np.full(len(est), est.shape[1]) if width is None else width
-    project_core = ensemble._project_core
+    project_core = projection._project_core
 
     def core_spy(e, *args):
         scalar[(est[:, :e.size] == e).all(axis=1) & (own == e.size)] = True
         return project_core(e, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ensemble, "_project_core", core_spy)
+        mp.setattr(projection, "_project_core", core_spy)
         counter = _box_project(z, cov, A, b, 0, active, str, width)
-    return z, cov, active, counter, scalar
+    return z, cov, active.sum(axis=1), counter, scalar
 
 
 def _stack_sets(sets, order):
@@ -472,10 +514,10 @@ class TestBatchedBoxProjection:
             assert np.abs(z[r] - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max()), r
             obj = objective(ref, est[r], W)
             assert abs(objective(z[r], est[r], W) - obj) <= 1e-8 * (1.0 + obj), r
-            res = _project_core(est[r], P[r], A, b)
-            assert np.abs(z[r] - res.estimate).max() <= 1e-8 * (1.0 + np.abs(ref).max()), r
-            assert active[r] == len(res.active_set), r
-            assert np.abs(cov[r] - res.covariance).max() <= 1e-9, r
+            x, P_x, act = _search(est[r], P[r], A, b)
+            assert np.abs(z[r] - x).max() <= 1e-8 * (1.0 + np.abs(ref).max()), r
+            assert active[r] == len(act), r
+            assert np.abs(cov[r] - P_x).max() <= 1e-9, r
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.booleans())
@@ -500,10 +542,10 @@ class TestBatchedBoxProjection:
             ref = qp_oracle(est[r], np.linalg.inv(P[r] / scale[r]), A, b)
             tol = 1e-8 * (1.0 + np.abs(ref).max())
             assert np.abs(z[r] - ref).max() <= tol, r
-            res = _project_core(est[r], P[r], A, b)
-            assert np.abs(z[r] - res.estimate).max() <= tol, r
-            assert np.abs(cov[r] - res.covariance).max() <= 1e-9 * scale[r], r
-            assert active[r] == len(res.active_set), r
+            x, P_x, act = _search(est[r], P[r], A, b)
+            assert np.abs(z[r] - x).max() <= tol, r
+            assert np.abs(cov[r] - P_x).max() <= 1e-9 * scale[r], r
+            assert active[r] == len(act), r
             alone = _project_recording_route(est[r:r + 1], P[r:r + 1], A, b)
             assert alone[4][0] == scalar[r], r
             assert alone[2][0] == active[r], r
@@ -565,24 +607,24 @@ class TestBatchedBoxProjection:
         est, P, A, b, width, _ = _stack_sets([box, side], [1, 0])
         assert width.tolist() == [2, 4]
         calls = []
-        project_core = ensemble._project_core
+        project_core = projection._project_core
 
-        def counting(e, P, A, b):
+        def counting(e, P, A, *args):
             calls.append((e.size, A.shape))
-            return project_core(e, P, A, b)
+            return project_core(e, P, A, *args)
 
-        monkeypatch.setattr(ensemble, "_project_core", counting)
+        monkeypatch.setattr(projection, "_project_core", counting)
         z, cov = est.copy(), P.copy()
-        active = np.zeros(2, dtype=int)
+        active = np.zeros((2, len(A)), dtype=bool)
         assert _box_project(z, cov, A, b, 0, active, str, width) == 0
         assert calls == []
-        assert active.tolist() == [1, 4]
+        assert active.sum(axis=1).tolist() == [1, 4]
         for h, (A_h, b_h, *_) in enumerate((side, box)):
             w = width[h]
             z1, c1 = est[h:h + 1, :w].copy(), P[h:h + 1, :w, :w].copy()
-            act1 = np.zeros(1, dtype=int)
+            act1 = np.zeros((1, len(A_h)), dtype=bool)
             assert _box_project(z1, c1, A_h, b_h, 0, act1, str) == 0
-            assert act1[0] == active[h], h
+            assert act1.sum() == active[h].sum(), h
             assert np.abs(z1[0] - z[h, :w]).max() <= 1e-12 * (1.0 + np.abs(z1).max()), h
             assert np.abs(c1[0] - cov[h, :w, :w]).max() <= 1e-12 * (1.0 + np.abs(c1).max()), h
         ref = qp_oracle(box[2][0], np.linalg.inv(P4), *box[:2])
@@ -600,12 +642,12 @@ class TestBatchedBoxProjection:
         A, b = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]), np.array([1.0, 3.0, 0.0])
         est, cov = np.array([[5.0, 1.0]]), np.eye(2)[None]
         z, P = est.copy(), cov.copy()
-        active = np.zeros(1, dtype=int)
+        active = np.zeros((1, 3), dtype=bool)
         assert _box_project(z, P, A, b, 0, active, str) == 1
         ref = qp_oracle(est[0], np.eye(2), A, b)
         assert np.abs(z[0] - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
         np.testing.assert_allclose(z[0], [1.0, 0.0], atol=1e-12)
-        assert active[0] == 2
+        assert active[0].tolist() == [True, False, True]
 
     def test_ill_conditioned_metric_goes_to_the_scalar_projector(self):
         # run 0's covariance has condition number 1e13 on the bounded
@@ -614,12 +656,13 @@ class TestBatchedBoxProjection:
         b = np.array([1.0, 1.0])
         est = np.array([[2.0, 3.0], [2.0, 3.0]])
         cov = np.array([np.diag([1.0, 1e-13]), np.eye(2)])
-        ref = _project_core(est[0], cov[0], A, b)
-        active = np.zeros(2, dtype=int)
+        ref, _, act = _search(est[0], cov[0], A, b)
+        active = np.zeros((2, 2), dtype=bool)
         assert _box_project(est, cov, A, b, 0, active, str) == 1
-        np.testing.assert_allclose(est[0], ref.estimate, atol=1e-12)
+        np.testing.assert_allclose(est[0], ref, atol=1e-12)
         np.testing.assert_allclose(est[1], [1.0, 1.0], atol=1e-12)
-        assert active.tolist() == [len(ref.active_set), 2]
+        assert np.flatnonzero(active[0]).tolist() == list(act)
+        assert active[1].all()
 
     def test_singular_metric_projects_within_its_range(self):
         # run 0's covariance has no variance along (1, -1): the projection
@@ -627,11 +670,11 @@ class TestBatchedBoxProjection:
         A, b = np.eye(2), np.ones(2)
         est = np.array([[2.0, 3.0], [2.0, 3.0]])
         cov = np.array([[[1.0, 1.0], [1.0, 1.0]], np.eye(2)])
-        active = np.zeros(2, dtype=int)
+        active = np.zeros((2, 2), dtype=bool)
         assert _box_project(est, cov, A, b, 0, active, lambda r: f"k=5, run {r}") == 1
         np.testing.assert_allclose(est, [[0.0, 1.0], [1.0, 1.0]], atol=1e-12)
         np.testing.assert_allclose(cov[0], np.zeros((2, 2)), atol=1e-12)
-        assert active.tolist() == [1, 2]
+        assert active.sum(axis=1).tolist() == [1, 2]
 
     def test_zero_variance_coordinate_is_not_moved(self):
         # the second coordinate of run 0 has no variance, so no point of
@@ -639,9 +682,21 @@ class TestBatchedBoxProjection:
         A, b = np.eye(2), np.ones(2)
         est = np.array([[2.0, 3.0], [2.0, 3.0]])
         cov = np.array([np.diag([1.0, 0.0]), np.eye(2)])
-        active = np.zeros(2, dtype=int)
+        active = np.zeros((2, 2), dtype=bool)
         with pytest.raises(InfeasibleConstraintsError, match="cannot be satisfied.* at k=5, run 0"):
             _box_project(est, cov, A, b, 0, active, lambda r: f"k=5, run {r}")
+
+    def test_row_in_the_null_space_of_P_is_not_solved_on_its_face(self):
+        # P has variance along (cos 1.5, sin 1.5) alone, and the row
+        # (-sin 1.5, cos 1.5) lies in null(P): its a'P a of 7e-20 is rounding
+        # alone. The face solve does not take that for a face, and the
+        # search finds that no point of e + range(P) meets the row
+        t = 1.5
+        u = np.array([np.cos(t), np.sin(t)])
+        upd = _Duck(x_hat=np.zeros(2), P_x=np.outer(u, u))
+        with pytest.raises(InfeasibleConstraintsError,
+                           match=r"no point of e \+ range\(P\) is feasible at the state estimate"):
+            project_state(upd, [[-np.sin(t), np.cos(t)]], [-1.0])
 
     def test_each_route_in_one_call_matches_its_one_entry_call(self, monkeypatch):
         # three entries on the box z <= 1: entry 0 lies over row 0 by less
@@ -653,37 +708,96 @@ class TestBatchedBoxProjection:
         est = np.array([[1.0 + 5e-11, 0.5], [2.0, 0.5], [2.0, 0.5]])
         cov = np.array([np.eye(2), np.eye(2), skew])
         calls = []
-        project_core = ensemble._project_core
+        project_core = projection._project_core
 
-        def counting(e, P, A, b):
+        def counting(e, *args):
             calls.append(e.copy())
-            return project_core(e, P, A, b)
+            return project_core(e, *args)
 
-        monkeypatch.setattr(ensemble, "_project_core", counting)
+        monkeypatch.setattr(projection, "_project_core", counting)
         z, P = est.copy(), cov.copy()
-        active = np.zeros(3, dtype=int)
+        active = np.zeros((3, 2), dtype=bool)
         assert _box_project(z, P, A, b, 0, active, str) == 1
         assert len(calls) == 1 and np.array_equal(calls[0], est[2])
         assert np.array_equal(z[0], est[0]) and np.array_equal(P[0], cov[0])
-        assert active[0] == 0
         for h in (1, 2):
             z1, P1 = est[h:h + 1].copy(), cov[h:h + 1].copy()
-            act1 = np.zeros(1, dtype=int)
+            act1 = np.zeros((1, 2), dtype=bool)
             assert _box_project(z1, P1, A, b, 0, act1, str) == h - 1
             assert np.array_equal(z1[0], z[h]) and np.array_equal(P1[0], P[h]), h
-            assert act1[0] == active[h], h
+            assert np.array_equal(act1[0], active[h]), h
         np.testing.assert_allclose(z[1], [1.0, 0.5], atol=1e-15)
-        assert active.tolist() == [0, 1, 2]
+        assert active.tolist() == [[False, False], [True, False], [True, True]]
 
     def test_zero_row_set_leaves_the_runs_untouched(self):
         # as `project` does for q = 0: nothing to violate, counter unchanged
         est = np.array([[2.0, 3.0], [-1.0, 0.5]])
         cov = np.array([np.eye(2), 2.0 * np.eye(2)])
         z, P = est.copy(), cov.copy()
-        active = np.zeros(2, dtype=int)
+        active = np.zeros((2, 0), dtype=bool)
         assert _box_project(z, P, np.zeros((0, 2)), np.zeros(0), 3, active, str) == 3
         assert np.array_equal(z, est) and np.array_equal(P, cov)
-        assert active.tolist() == [0, 0]
+
+
+class TestOneRoute:
+    """`project_attack` and `project_state` are the batch of one of
+    `_box_project`: an entry's result alone equals its result inside a
+    larger call, bit for bit, in estimate, covariance and active rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_vehicle_boxes_alone_equal_the_stacked_call(self, seed):
+        # the kernel's layout: attack entries in the leading two of four
+        # coordinates, state entries in all four, on the stacked rows of
+        # both boxes, interleaved
+        rng = np.random.default_rng(seed)
+        params = VehicleParams()
+        A_in, b_in, B_st, c_st = build_constraints(rng.uniform(-0.5, 0.5, size=2), params)
+        d_box = (np.array([-b_in[1], -b_in[3]]), np.array([b_in[0], b_in[2]]), np.arange(2))
+        x_box = (np.array([0.0, 0.0, -np.inf, 0.0]),
+                 np.array([params.x_max, params.y_max, np.inf, params.v_max]), np.array([0, 1, 3]))
+        d_est, d_P, _ = _violating_runs(rng, 2, A_in, b_in, None, d_box, 4)
+        x_est, x_P, _ = _violating_runs(rng, 4, B_st, c_st, None, x_box, 4)
+        sets = [(A_in, b_in, d_est, d_P), (B_st, c_st, x_est, x_P)]
+        est, P, A, b, width, which = _stack_sets(sets, rng.permutation(8))
+        z, cov = est.copy(), P.copy()
+        active = np.zeros((8, len(A)), dtype=bool)
+        _box_project(z, cov, A, b, 0, active, str, width)
+        for h, w in enumerate(width):
+            if which[h] == 0:
+                e, P_e, res = project_attack(_Duck(d_hat=est[h, :w], P_d=P[h, :w, :w]), A_in, b_in)
+                rows = np.flatnonzero(active[h])
+            else:
+                e, P_e, res = project_state(_Duck(x_hat=est[h], P_x=P[h]), B_st, c_st)
+                rows = np.flatnonzero(active[h]) - len(b_in)
+            assert np.array_equal(e, z[h, :w]), h
+            assert np.array_equal(P_e, cov[h, :w, :w]), h
+            assert res.active_set == tuple(rows.tolist()), h
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_random_polytopes_alone_equal_the_batch(self, seed):
+        # runs violating one to three rows, several of them past the face
+        # solve, next to runs inside the set
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        z0 = rng.normal(size=n)
+        A = rng.normal(size=(int(rng.integers(2, 7)), n))
+        b = A @ z0 + np.abs(rng.normal(size=len(A))) + 0.05
+        est, P, _ = _violating_runs(rng, n, A, b, z0, None, 6)
+        est[4] = z0
+        z, cov = est.copy(), P.copy()
+        active = np.zeros((6, len(A)), dtype=bool)
+        _box_project(z, cov, A, b, 0, active, str)
+        for r in range(6):
+            x_hat, P_x, res = project_state(_Duck(x_hat=est[r], P_x=P[r]), A, b)
+            assert np.array_equal(x_hat, z[r]), r
+            assert np.array_equal(P_x, cov[r]), r
+            assert res.active_set == tuple(np.flatnonzero(active[r]).tolist()), r
+            d_hat, P_d, _ = project_attack(_Duck(d_hat=est[r], P_d=P[r]), A, b)
+            assert np.array_equal(d_hat, x_hat) and np.array_equal(P_d, P_x), r
+        # the run inside the set is left as it is
+        assert not active[4].any() and np.array_equal(z[4], z0)
 
 
 class TestCheckForms:
@@ -777,6 +891,19 @@ class TestEstimatorFacingWrappers:
         np.testing.assert_allclose(x_hat[1:], [2.0, 0.0, 9.0])
         assert res.active_set == (0,)
         assert np.trace(P_x) < np.trace(upd.P_x)
+
+    def test_asymmetric_covariance_fails_the_self_check(self):
+        # the wrappers project with the caller's covariance as given: a
+        # lopsided one stays lopsided off the active row, where the two
+        # projected covariance forms then disagree
+        P = np.eye(3)
+        P[1, 2] = 0.5
+        atk = _Duck(d_hat=np.array([2.0, 0.0, 0.0]), P_d=P)
+        A, b = np.array([[1.0, 0.0, 0.0]]), np.array([1.0])
+        with pytest.raises(RuntimeError, match="forms disagree at the attack estimate;"):
+            project_attack(atk, A, b)
+        with pytest.raises(RuntimeError, match="forms disagree at k=2, state;"):
+            project_state(_Duck(x_hat=atk.d_hat, P_x=P), A, b, where="k=2, state")
 
     def test_wrappers_passthrough_without_violation(self):
         upd = _Duck(x_hat=np.array([1.0, 1.0]), P_x=np.eye(2))
