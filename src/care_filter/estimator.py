@@ -146,12 +146,15 @@ def _estimate_attack(C, G, R, x_pred, P_pred, y, where):
     P_d = N^{-1}, N = G'C'R~CG, R~ = (C P^- C' + R)^{-1}.
 
     Returns R~, T = G'C'R~, P_d, M, the innovation nu = y - C x^- and d.
-    Raises AttackUnidentifiableError naming where(i), i the first stack
-    position whose N is not positive definite or whose condition number
-    exceeds 1e12, and ValueError when that N is not finite.
+    C = None stands for the identity and skips its products. Raises
+    AttackUnidentifiableError naming where(i), i the first stack position
+    whose N is not positive definite or whose condition number exceeds
+    1e12, and ValueError when that N is not finite.
     """
-    R_tilde = _sym(np.linalg.inv(C @ P_pred @ _T(C) + R))
-    CG = C @ G
+    if C is None:
+        R_tilde, CG, nu = _sym(np.linalg.inv(P_pred + R)), G, y - x_pred
+    else:
+        R_tilde, CG, nu = _sym(np.linalg.inv(C @ P_pred @ _T(C) + R)), C @ G, y - _mv(C, x_pred)
     T = _T(CG) @ R_tilde
     N = _sym(T @ CG)
     lo, hi = _eig_bounds(N)
@@ -165,7 +168,6 @@ def _estimate_attack(C, G, R, x_pred, P_pred, y, where):
         raise AttackUnidentifiableError(f"attack unidentifiable at {where(i)}: G'C'R~CG {why}")
     P_d = _sym_inv(N)
     M = P_d @ T
-    nu = y - _mv(C, x_pred)
     return R_tilde, T, P_d, M, nu, _mv(M, nu)
 
 

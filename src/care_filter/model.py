@@ -145,19 +145,46 @@ def _factors(provider, ks, n, name):
     return _psd_factor(np.array([_as_matrix(M, k, n, n, name) for k, M in zip(ks, mats)]))
 
 
+def _draw_noise(generators, model, k0, z):
+    """Steps k0 ... k0 + c - 1 of each generator's noise stream, c = z.shape[1].
+
+    Fills z[i], a C-contiguous (c, m + n_y, 1) buffer, with the next
+    standard normals of generators[i], then factors Q(k0 ... k0 + c - 1)
+    and R(k0 + 1 ... k0 + c) once for every stream. Returns W (runs, c, m)
+    and V (runs, c, n_y): W[i, j] ~ N(0, Q(k0 + j)) and V[i, j] ~
+    N(0, R(k0 + j + 1)) both come from draw row j. Each factor is applied
+    one matrix-vector product per step, never one product over the draw:
+    BLAS may sum a whole-draw product in an order that depends on its
+    length, which would make a step's noise depend on how the steps are
+    split.
+    """
+    m, n_y = model.state_dim, model.output_dim
+    c = z.shape[1]
+    for gen, z_i in zip(generators, z):
+        gen.standard_normal(out=z_i)
+    Lq = _factors(model.Q, range(k0, k0 + c), m, "Q")
+    Lr = _factors(model.R, range(k0 + 1, k0 + c + 1), n_y, "R")
+    return (Lq @ z[:, :, :m])[..., 0], (Lr @ z[:, :, m:])[..., 0]
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Seeded Gaussian noise source for simulation.
 
-    `sample` draws the whole horizon at once: W[k] ~ N(0, Q(k)) is the
-    process noise applied in the k -> k+1 transition, V[k] ~ N(0, R(k)) the
-    measurement noise on y_k for k >= 1 (row 0 stays zero; y_0 is never
-    consumed). Identical (seed, run_index) pairs reproduce identical arrays
-    bit for bit on one platform, and a shorter horizon yields a prefix of a
-    longer one. A covariance the provider returns as the same array object
-    at every k is factored once; providers must not modify an array they
-    have returned. A seed or run index that is not a nonnegative integer
-    (numpy integers included) raises a ValueError naming the field.
+    W[k] ~ N(0, Q(k)) is the process noise applied in the k -> k+1
+    transition, V[k] ~ N(0, R(k)) the measurement noise on y_k for k >= 1
+    (row 0 stays zero; y_0 is never consumed); W[k] and V[k+1] come from
+    row k of the stream of standard normals of `generator()`. `sample`
+    returns the whole horizon as one chunk of that stream; the vehicle
+    kernel reads the same stream in chunks of `ensemble._NOISE_CHUNK`
+    steps, each drawn as the batch reaches it. The draws do not depend on
+    where the chunks fall: identical (seed, run_index) pairs reproduce
+    identical arrays bit for bit on one platform, a shorter horizon yields
+    a prefix of a longer one, and so does a chunk of the stream. A
+    covariance the provider returns as the same array object at every k of
+    a chunk is factored once; providers must not modify an array they have
+    returned. A seed or run index that is not a nonnegative integer (numpy
+    integers included) raises a ValueError naming the field.
     """
 
     seed: int
@@ -176,16 +203,11 @@ class NoiseSpec:
     def sample(self, model: SystemModel, horizon: int):
         if horizon < 1:
             raise ValueError("horizon must be at least 1")
-        m, n_y = model.state_dim, model.output_dim
-        Lq = _factors(model.Q, range(horizon), m, "Q")
-        Lr = _factors(model.R, range(1, horizon + 1), n_y, "R")
-        # one matrix-vector product per step, never one product over the
-        # horizon: BLAS may sum a whole-draw product in an order that
-        # depends on its length, which would break the prefix property
-        z = self.generator().standard_normal((horizon, m + n_y, 1))
-        V = np.zeros((horizon + 1, n_y))
-        V[1:] = (Lr @ z[:, m:])[..., 0]
-        return (Lq @ z[:, :m])[..., 0], V
+        z = np.empty((1, horizon, model.state_dim + model.output_dim, 1))
+        W, V_next = _draw_noise([self.generator()], model, 0, z)
+        V = np.zeros((horizon + 1, model.output_dim))
+        V[1:] = V_next[0]
+        return W[0], V
 
 
 @dataclass

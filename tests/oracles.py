@@ -39,7 +39,9 @@ def qp_oracle(estimate, W, A, b):
     refinement, and keeps the feasible candidate with nonnegative
     multipliers and the smallest objective. Rows count as
     met to within 1e-9 (1 + max |A||z| + |b|), the size of the terms A z - b
-    sums, so an optimum far from e is judged at its own scale.
+    sums, so an optimum far from e is judged at its own scale. Rows are
+    rescaled to unit norm first, so a row's scale changes neither which
+    points meet it nor the conditioning of the KKT solves.
     Exponential in the row count; intended for verification on small
     instances only.
     """
@@ -50,6 +52,12 @@ def qp_oracle(estimate, W, A, b):
     q = A.shape[0]
     if q > 20:
         raise ValueError("oracle enumeration is limited to 20 constraint rows")
+
+    # a_i z <= b_i on unit rows, a_i / |a_i|: the same set, whose KKT solves
+    # and tolerance do not depend on the rows' scale
+    norms = np.linalg.norm(A, axis=1)
+    norms[norms == 0.0] = 1.0
+    A, b = A / norms[:, None], b / norms
 
     def tol(A, b, z):
         return 1e-9 * (1.0 + (np.abs(A) @ np.abs(z) + np.abs(b)).max())
@@ -104,7 +112,11 @@ def range_qp_oracle(estimate, P, A, b):
     eig, V = np.linalg.eigh(0.5 * (P + P.T))
     keep = eig > 1e-12 * eig[-1]
     U = V[:, keep]
-    y = qp_oracle(np.zeros(U.shape[1]), np.diag(1.0 / eig[keep]), A @ U, b - A @ e)
+    # a row in null(P) keeps only rounding in A U; it is the zero row it
+    # stands for, not a direction for qp_oracle to rescale to unit norm
+    AU = A @ U
+    AU[np.linalg.norm(AU, axis=1) <= 1e-12 * np.linalg.norm(A, axis=1)] = 0.0
+    y = qp_oracle(np.zeros(U.shape[1]), np.diag(1.0 / eig[keep]), AU, b - A @ e)
     return e + U @ y
 
 

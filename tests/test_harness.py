@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 from types import SimpleNamespace
 
@@ -289,6 +290,42 @@ class TestEnsemble:
         for f in ("x_hat", "d_hat", "err_sq"):
             assert np.array_equal(getattr(big, f)[:5], getattr(small, f)), f
 
+    def test_noise_stream_is_each_runs_sample(self):
+        # two full chunks and half of one, on run indices that are not 0 ... R-1:
+        # every streamed row is the run's NoiseSpec.sample, bit for bit
+        C = ensemble._NOISE_CHUNK
+        cfg = ScenarioConfig(horizon=5 * C // 2, seed=20260819)
+        K = cfg.horizon
+        batch = ensemble._Batch(cfg, [3, 7], ("care",))
+        W, V = np.empty((2, K, 4)), np.zeros((2, K + 1, 4))
+        chunks = {}
+        for k in range(1, K + 1):
+            batch.step(k)
+            j = k - 1 - batch.noise_k0
+            chunks[batch.noise_k0] = batch.w_chunk.shape[1]
+            W[:, k - 1], V[:, k] = batch.w_chunk[:, j], batch.v_chunk[:, j]
+        assert chunks == {0: C, C: C, 2 * C: K - 2 * C}
+        for i, run in enumerate([3, 7]):
+            W_ref, V_ref = NoiseSpec(cfg.seed, run).sample(batch.noise_model, K)
+            assert np.array_equal(W[i], W_ref), run
+            assert np.array_equal(V[i], V_ref), run
+
+    def test_noise_memory_does_not_grow_with_the_horizon(self):
+        # six more chunks of horizon may add the err_sq columns and the
+        # shared attack schedule (16 bytes a step), not 64 bytes per run-step
+        C, runs = ensemble._NOISE_CHUNK, 8
+        peaks = {}
+        for K in (2 * C, 8 * C):
+            cfg = ScenarioConfig(horizon=K, seed=11)
+            tracemalloc.start()
+            try:
+                run_ensemble(cfg, runs=runs)
+                peaks[K] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        err_sq_growth = runs * 6 * C * 8
+        assert peaks[8 * C] - peaks[2 * C] <= err_sq_growth + 6 * C * 16 + 16_384, peaks
+
     def test_simulate_is_its_run_of_monte_carlo(self):
         # simulate(run_index=i) is run i of a [care runs | ise runs] batch,
         # bit for bit, detector included
@@ -429,7 +466,8 @@ class TestEnsemble:
         # projection call its entry follows the four attack entries, and the
         # ise rows follow the care rows
         batch = ensemble._Batch(ScenarioConfig(horizon=5, seed=3), range(4), ("care", "ise"))
-        batch.V[2, 1, 0] = 1e3
+        # row 0 of the first noise chunk is the measurement noise on y_1
+        batch.v_chunk[2, 0, 0] = 1e3
         batch.r_outer = np.tile(batch.r_outer, (8, 1, 1))
         batch.r_outer[2, 0, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite covariance at k=1, run 2, filter care"):

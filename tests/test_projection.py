@@ -135,6 +135,13 @@ class TestOracleEquivalence:
         exact = np.array([1.0 - 1.0 / eps, 1.0 / eps])
         assert np.abs(ref - exact).max() <= 1e-10 * np.abs(exact).max()
 
+    def test_oracle_judges_a_row_at_any_scale(self):
+        # 1e-11 x <= 1e-11 is x <= 1; (3, 0) misses it by 2e-11 in a z - b,
+        # below a tolerance on a z - b itself, but by 2 per unit row norm
+        for s in (1e-11, 1.0, 1e8):
+            ref = qp_oracle([3.0, 0.0], np.eye(2), [[s, 0.0]], [s])
+            np.testing.assert_allclose(ref, [1.0, 0.0], atol=1e-12)
+
     def test_oracle_row_limit(self):
         with pytest.raises(ValueError):
             qp_oracle(np.zeros(2), np.eye(2), np.zeros((21, 2)), np.ones(21))
@@ -175,16 +182,16 @@ class TestBasicBehaviour:
             res = project([3.0, 0.0], np.eye(2), [[s, 0.0]], [s])
             np.testing.assert_allclose(res.estimate, [1.0, 0.0], atol=1e-12)
             assert res.active_set == (0,)
-        # random sets with each row scaled by 1e-11 or 1e8; the oracle, whose
-        # tolerance is on a z - b itself, gets the same sets on unit rows
+        # random sets with each row scaled by 1e-11 or 1e8, the oracle on the
+        # same scaled sets
         rng = np.random.default_rng(2718)
         for trial in range(60):
             e, W, A, b, _ = random_projection_instance(rng)
             norms = np.linalg.norm(A, axis=1)
-            A, b = A / norms[:, None], b / norms
+            scale = rng.choice([1e-11, 1e8], size=len(b)) / norms
+            A, b = scale[:, None] * A, scale * b
             ref = qp_oracle(e, W, A, b)
-            scale = rng.choice([1e-11, 1e8], size=len(b))
-            res = project(e, W, scale[:, None] * A, scale * b)
+            res = project(e, W, A, b)
             assert np.abs(res.estimate - ref).max(initial=0.0) <= 1e-8 * (1.0 + np.linalg.norm(ref)), trial
 
     def test_weight_must_be_spd(self):
