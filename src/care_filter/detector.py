@@ -215,18 +215,32 @@ class DetectorState:
             raise ValueError("CUSUM accumulator must be nonnegative")
 
 
+def _cusum(S, stats, config, where):
+    """S' = phi * S + stat from the accumulators S over the steps of a block,
+    the last axis of stats. A negative statistic raises ValueError naming
+    where(j, i), the block's earliest such step j and its first run i (no i
+    in a 1-D block). Returns the accumulators and the alarms of every step."""
+    if (neg := np.less(stats, 0.0)).any():
+        j, *i = np.argwhere(neg.T)[0].tolist()
+        raise ValueError(f"test statistic must be nonnegative at {where(j, *i)}")
+    acc = np.empty(np.broadcast(S, stats[..., 0]).shape + stats.shape[-1:])
+    for j, stat in enumerate(stats.T):
+        S = acc[..., j] = config.phi * S + stat
+    return acc, acc > config.threshold
+
+
 def cusum_update(state: DetectorState, stat, config: DetectorConfig):
     """One CUSUM step: S' = phi * S + stat, alarm when S' exceeds the threshold.
 
     stat may be an array of per-run statistics over a batch accumulator;
-    the alarm then is an array too.
+    the alarm then is an array too. This is `_cusum` on a block of one step.
     """
-    if np.any(np.less(stat, 0.0)):
-        raise ValueError("test statistic must be nonnegative")
-    s_new = config.phi * state.S + stat
-    new_state = DetectorState(S=s_new, step=state.step + 1)
-    alarm = s_new > config.threshold
-    return new_state, alarm if np.ndim(alarm) else bool(alarm)
+    k = state.step + 1
+    S, alarm = _cusum(state.S, np.asarray(stat, dtype=float)[..., None], config,
+                      lambda j, i=None: f"k={k}" if i is None else f"k={k}, run {i}")
+    if S.ndim > 1:
+        return DetectorState(S=S[:, 0], step=k), alarm[:, 0]
+    return DetectorState(S=S.item(), step=k), bool(alarm[0])
 
 
 def false_negative_rate(stats, quantile: float, truth) -> float:

@@ -20,21 +20,21 @@ S^{-1}, the posterior is x = y - R W nu and P = R - R W R, which needs
 neither R* nor a solve. `run_ensemble` here and `simulate`/`monte_carlo`
 in the harness are the drivers of this one kernel.
 
-Projection is where runs genuinely differ. Both projections of every
-care run, the attack estimate onto the actuator box and the state
-estimate onto the road and speed box, go into one call of
-`projection._box_project` per step as separate entries of one stack, so
-the call's fixed cost is paid once. The two sets' rows are stacked in one
-matrix, and each entry carries its own bounds, +inf on the rows of the
-other set; an attack entry fills the leading two of four coordinates and
-its padding, a zero estimate and a zero covariance, stays zero. The
-projector reports each entry's active rows as a mask, whose sums are the
-active counts. `care_step` takes the same projector as a batch of one,
-and an entry's result does not depend on its batch, bit for bit:
+Projection is where runs genuinely differ. Both projections of every care
+run, the attack estimate onto the actuator box and the state estimate onto
+the road and speed box, go into one call of `projection._box_project` per
+step as separate entries of one stack, so the call's fixed cost is paid
+once. The two sets' rows are stacked in one matrix, and each entry carries
+its own bounds, +inf on the rows of the other set, in one constraint table
+the batch builds once; an attack entry fills the leading two of four
+coordinates and its padding, a zero estimate and a zero covariance, stays
+zero. The projector reports each entry's active rows as a mask, whose sums
+are the active counts. `care_step` takes the same projector as a batch of
+one, and an entry's result does not depend on its batch, bit for bit:
 `simulate(run_index=i)` is run i of `monte_carlo`, and the leading runs of
 a `run_ensemble` batch are a smaller batch. On the vehicle boxes every
-entry stops at the face of its own violated rows, so the scalar
-active-set search is never reached.
+entry stops at the face of its own violated rows, so the scalar active-set
+search is never reached.
 
 The point of `run_ensemble` is stability studies: hundreds of runs over
 ten thousand steps, reduced to per-step error energies and running
@@ -54,7 +54,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .estimator import _estimate_attack, _predict
 from .model import NoiseSpec, _draw_noise
-from .projection import _box_project, _sym, _sym_inv
+from .projection import _ConstraintTable, _box_project, _sym, _sym_inv
 from .vehicle import VehicleParams, attack_input, build_constraints, slip_angle, vehicle_model
 
 __all__ = ["EnsembleResult", "run_ensemble"]
@@ -161,17 +161,14 @@ class _Batch:
         # h < n is row h's attack estimate in the leading two coordinates,
         # entry n + h its state estimate, each on its own rows of [[A_in, 0]; B_st]
         q_in = len(self.b_in)
-        self.A_box = np.vstack([np.hstack([self.A_in, np.zeros((q_in, 2))]), self.B_st])
-        self.b_box = np.full((2 * n, len(self.A_box)), np.inf)
-        self.b_box[:n, :q_in] = self.b_in
-        self.b_box[n:, q_in:] = self.c_st
-        # each entry's farthest finite hyperplane from the origin, |b_i| / |a_i|
-        dist = np.abs(self.b_box) / np.linalg.norm(self.A_box, axis=1)
-        self.b_box_max = dist.max(axis=1, initial=0.0, where=np.isfinite(dist))
-        self.box_width = np.repeat([2, 4], n)
+        A_box = np.vstack([np.hstack([self.A_in, np.zeros((q_in, 2))]), self.B_st])
+        b_box = np.full((2 * n, len(A_box)), np.inf)
+        b_box[:n, :q_in] = self.b_in
+        b_box[n:, q_in:] = self.c_st
+        self.box = _ConstraintTable(A_box, b_box, np.repeat([2, 4], n))
         self.box_est = np.zeros((2 * n, 4))
         self.box_cov = np.zeros((2 * n, 4, 4))
-        self.box_act = np.zeros((2 * n, len(self.A_box)), dtype=bool)
+        self.box_act = np.zeros((2 * n, len(A_box)), dtype=bool)
 
         # constant slots of the scheduled matrices; speed-dependent entries
         # are rewritten every step (separate buffers for plant and filters)
@@ -216,7 +213,7 @@ class _Batch:
         self.x_true = x_true
         y = x_true + self.v_chunk[:, j]
         if len(self.names) > 1:
-            y = np.tile(y, (len(self.names), 1))
+            y = np.concatenate([y] * len(self.names))
 
         A_f, G_f = self.A_f, self.B_f
         self._schedule(A_f, G_f, self.x[:, 3])
@@ -237,9 +234,8 @@ class _Batch:
             est[:n, :2], est[n:] = d_u[:n], x_u[:n]
             cov[:n, :2, :2], cov[n:] = Pd_u[:n], P_u[:n]
             act.fill(False)
-            self.fallbacks = _box_project(est, cov, self.A_box, self.b_box, self.fallbacks,
-                                          act, lambda h: where(h % n), self.box_width,
-                                          self.b_box_max)
+            self.fallbacks = _box_project(est, cov, self.box, self.fallbacks, act,
+                                          lambda h: where(h % n))
             d_u = np.concatenate([est[:n, :2], d_u[n:]])
             Pd_u = np.concatenate([cov[:n, :2, :2], Pd_u[n:]])
             x_u = np.concatenate([est[n:], x_u[n:]])

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig
-from .detector import DetectorConfig, DetectorState, cusum_update, detection_statistic, false_negative_rate
-from .ensemble import _Batch
+from .detector import DetectorConfig, _cusum, detection_statistic, false_negative_rate
 # no longer called here; the per-layer hooks of bench/tracing.py resolve
-# these two names on this module
+# these three names on this module
+from .detector import cusum_update  # noqa: F401
+from .ensemble import _Batch
 from .estimator import care_step  # noqa: F401
 from .vehicle import bicycle_matrices  # noqa: F401
 
@@ -126,11 +127,10 @@ def _run(config: ScenarioConfig, run_indices, filters, detector):
     st_act = np.zeros((N, K), dtype=np.int64)
     XT = np.empty((R, K + 1, 4))
     X[:, 0] = X_raw[:, 0] = batch.x
-    TX[:, 0] = TX_raw[:, 0] = np.trace(batch.P, axis1=1, axis2=2)
+    TX[:, 0] = TX_raw[:, 0] = batch.P.trace(axis1=1, axis2=2)
     XT[:, 0] = batch.x_true
     max_mcg = np.zeros(N)
     max_pxu = np.zeros(N)
-    det_state = DetectorState(S=np.zeros(N))
 
     for k in range(1, K + 1):
         km1 = k - 1
@@ -139,10 +139,10 @@ def _run(config: ScenarioConfig, run_indices, filters, detector):
         X_raw[:, k] = batch.x_raw
         D[:, km1] = batch.d
         D_raw[:, km1] = batch.d_raw
-        TX[:, k] = np.trace(batch.P, axis1=1, axis2=2)
-        TX_raw[:, k] = np.trace(batch.P_raw, axis1=1, axis2=2)
-        TD[:, km1] = np.trace(batch.Pd, axis1=1, axis2=2)
-        TD_raw[:, km1] = np.trace(batch.Pd_raw, axis1=1, axis2=2)
+        TX[:, k] = batch.P.trace(axis1=1, axis2=2)
+        TX_raw[:, k] = batch.P_raw.trace(axis1=1, axis2=2)
+        TD[:, km1] = batch.Pd.trace(axis1=1, axis2=2)
+        TD_raw[:, km1] = batch.Pd_raw.trace(axis1=1, axis2=2)
         in_act[:, km1] = batch.in_act
         st_act[:, km1] = batch.st_act
         XT[:, k] = batch.x_true
@@ -154,13 +154,11 @@ def _run(config: ScenarioConfig, run_indices, filters, detector):
 
     if detector:
         # each step's statistic stands alone, so one call covers the whole
-        # study; the CUSUM is a recurrence and stays per step
+        # study, and one CUSUM pass runs its recurrence over every step
         stats[:, 1:] = detection_statistic(D.reshape(N * K, 2),
                                            PD.reshape(N * K, 2, 2)).reshape(N, K)
-        for k in range(1, K + 1):
-            det_state, alarm = cusum_update(det_state, stats[:, k], detector_cfg)
-            cusum[:, k] = det_state.S
-            alarms[:, k] = alarm
+        cusum[:, 1:], alarms[:, 1:] = _cusum(np.zeros(N), stats[:, 1:], detector_cfg,
+                                             lambda j, row: batch._where(j + 1, row))
 
     results = []
     for i in range(R):

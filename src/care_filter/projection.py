@@ -4,27 +4,29 @@ Solves min (z - e)' W (z - e) subject to A z <= b for a stack of entries
 in `_box_project`, the one route every projection of the package takes:
 `project`, `project_attack` and `project_state` are its batch of one, and
 the vehicle kernel `ensemble._Batch` puts both projections of every care
-run into one call. The weight is the inverse of the estimation error
+run into one call. What depends on the set alone is prepared once per set
+in a `_ConstraintTable`. The weight is the inverse of the estimation error
 covariance P, so the projector is oblique: gain = P A_bar' (A_bar P
 A_bar')^{-1} for the active rows A_bar. Each entry is first solved on the
 face its own violated rows define: drive those rows to equality and accept
 the point when it is feasible, its multipliers are nonnegative and the
 rows' covariance block is well conditioned, which makes it the exact
-optimum (the active-set idea of Bemporad et al., Automatica 38(1), 2002;
-batched small QPs as in Amos & Kolter, OptNet, arXiv:1703.00443). The
-entries that face rejects go one at a time to a primal-dual active-set
-search, `_project_core`: start at the unconstrained optimum, repeatedly
-pick the most violated (row-normalized) constraint and drive it to
-equality, dropping working rows whose multipliers would cross zero along
-the way. Partial dual steps make the search finitely convergent, and an
-unbounded dual step is a proof that no feasible point is reachable. Both
-are written in P alone, so they also serve a positive semidefinite P, as
-left by an earlier projection: the estimate then moves only within
-e + range(P), the directions the covariance gives variance to. Every
-product a result rests on is taken one matrix per entry, so an entry's
-result does not depend on its batch, bit for bit (Demmel & Nguyen, IEEE
-Trans. Computers 64(7), 2015, on results that do not depend on how the
-work is split).
+optimum (the active-set idea of Bemporad et al., Automatica 38(1), 2002,
+with the set's data prepared once; batched small QPs as in Amos & Kolter,
+OptNet, arXiv:1703.00443). The accepted entries pass one covariance
+self-check per call, whatever their number of rows. The rejected ones go
+one at a time to a primal-dual active-set search, `_project_core`: start
+at the unconstrained optimum, repeatedly pick the most violated
+(row-normalized) constraint and drive it to equality, dropping working
+rows whose multipliers would cross zero along the way. Partial dual steps
+make the search finitely convergent, and an unbounded dual step is a proof
+that no feasible point is reachable. Both are written in P alone, so they
+also serve a positive semidefinite P, as left by an earlier projection:
+the estimate then moves only within e + range(P), the directions the
+covariance gives variance to. Every product a result rests on is taken
+one matrix per entry, so an entry's result does not depend on its batch,
+bit for bit (Demmel & Nguyen, IEEE Trans. Computers 64(7), 2015, on
+results that do not depend on how the work is split).
 
 The small symmetric-matrix helpers here (`_sym`, `_sym_inv`, `_eig_bounds`,
 `_mv`) take one matrix or a stack alike, and the rest of the package uses
@@ -91,6 +93,28 @@ class ProjectionResult:
     covariance: np.ndarray
 
 
+class _ConstraintTable:
+    """The sets of `_box_project` entries, built once per set.
+
+    A (q, n) holds the rows and b the bounds, one vector (q,) for all
+    entries or one per entry (H, q). A bound of +inf takes its row out of
+    the entry's set, so entries on different sets share a table that
+    stacks the sets' rows. Entry h owns its leading width[h] coordinates
+    (all n when width is None); the rest hold zeros, which stay zero. From
+    A and b alone: A' contiguous, the rows' squared norms and norms, and
+    maxb, each entry's largest finite hyperplane distance |b_i| / |a_i|.
+    """
+
+    def __init__(self, A, b, width=None):
+        self.A, self.b, self.width = A, b, width
+        self.At = np.ascontiguousarray(A.T)
+        self.sq = np.add.reduce(A * A, axis=1)
+        self.norms = norms = np.sqrt(self.sq)
+        # a zero row has no hyperplane: its distance stays inf, left out
+        dist = np.divide(np.abs(b), norms, out=np.full(b.shape, np.inf), where=norms > 0.0)
+        self.maxb = dist.max(axis=-1, initial=0.0, where=np.isfinite(dist))
+
+
 def _as_rows(A, b, n):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -102,7 +126,7 @@ def _as_rows(A, b, n):
         raise ValueError("constraint matrix must be finite")
     if not np.isfinite(b).all():
         raise ValueError("constraint bound must be finite")
-    return A, b
+    return _ConstraintTable(A, b)
 
 
 def _sym(X):
@@ -154,18 +178,16 @@ def _eig_bounds(S):
 _FORMS_DISAGREE = "projected covariance forms disagree{}; active-set solve is unreliable"
 
 
-def _check_forms(P, gain, Ab, where=None):
+def _check_forms(P, GA, where=None):
     """Self-check of projected covariances, one matrix or a stack.
 
-    Assembles (I - gain A_bar) P (I - gain A_bar)' in symmetric form and
-    compares it with the short form (I - gain A_bar) P, which it equals
-    for an exact oblique projection. Raises RuntimeError when they disagree
-    beyond 1e-8 (1 + max|GA|)(1 + max|P|) at a stack position, GA = gain
-    A_bar, which scales the bound with the term GA P the short form
-    subtracts; names where(i) for i the first such position when a namer
-    is given, and otherwise returns the symmetric form.
+    For GA = gain A_bar, compares the symmetric form (I - GA) P (I - GA)'
+    with the short form (I - GA) P, which it equals for an exact oblique
+    projection. Raises RuntimeError when they disagree beyond
+    1e-8 (1 + max|GA|)(1 + max|P|) at a stack position, a bound that scales
+    with the term GA P the short form subtracts, naming where(i) for i the
+    first such position when a namer is given; returns the symmetric form.
     """
-    GA = gain @ Ab
     short = P - GA @ P
     sym = _sym(short - short @ GA.swapaxes(-1, -2))
     diff = np.abs(sym - short)
@@ -178,8 +200,6 @@ def _check_forms(P, gain, Ab, where=None):
             at = "" if where is None else f" at {where(np.argmax(bad))}"
             raise RuntimeError(_FORMS_DISAGREE.format(at))
     return sym
-
-
 
 
 def _project_core(e, P, A, b, tol, max_iterations=None):
@@ -285,7 +305,7 @@ def _project_core(e, P, A, b, tol, max_iterations=None):
     work.sort()
     Ab = A[work]
     gain = Pw @ Ab.T @ _sym_inv(Ab @ Pw @ Ab.T)
-    return x, _check_forms(P, gain, Ab), keep[work]
+    return x, _check_forms(P, gain @ Ab), keep[work]
 
 
 def _face_solve(e, P, A, b, rows, v, tol, floor):
@@ -301,45 +321,34 @@ def _face_solve(e, P, A, b, rows, v, tol, floor):
     rounding level of P: below it a face row may lie in null(P), where
     `_project_core` lets no row enter. Every entry has the same number of
     rows, so an entry is solved with the shapes, and the rounding, it
-    would have alone. Returns z, ok, the gain P A_O' (A_O P A_O')^{-1} and
-    A_O.
+    would have alone. Returns z, ok and G A_O, G = P A_O' (A_O P A_O')^{-1};
+    a rejected face may divide by zero, so the caller sets np.errstate.
     """
     Ao = A[rows]
     PA = P @ Ao.swapaxes(1, 2)
     S = Ao @ PA
     lo, hi = _eig_bounds(S)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        Sinv = _sym_inv(S)
-        lam = _mv(Sinv, v)
-        z = e - _mv(PA, lam)
-        ok = (lam.min(axis=1) >= 0.0) & np.isfinite(lam.sum(axis=1))
-        ok &= (lo > floor) & (hi <= _COND_LIMIT * lo)
-        ok &= (_mv(A, z) - b <= tol).all(axis=1)
-        return z, ok, PA @ Sinv, Ao
+    Sinv = _sym_inv(S)
+    lam = _mv(Sinv, v)
+    z = e - _mv(PA, lam)
+    ok = (lam.min(axis=1) >= 0.0) & np.isfinite(lam.sum(axis=1))
+    ok &= (lo > floor) & (hi <= _COND_LIMIT * lo)
+    ok &= (_mv(A, z) - b <= tol).all(axis=1)
+    return z, ok, PA @ Sinv @ Ao
 
 
-def _box_project(est, cov, A, b, counter, active, where, width=None, maxb=None):
+def _box_project(est, cov, box, counter, active, where):
     """Project each entry's estimate onto its set {z : A z <= b_h}, in place.
 
-    est (H, n) and cov (H, n, n) are overwritten. b is one bound vector
-    (q,) that every entry shares, or one per entry (H, q). A bound of +inf
-    takes its row out of that entry's set, so one call serves entries on
-    different sets: stack the sets' rows in A and give each entry +inf on
-    the rows of the others. Sets of different widths are padded: entry h
-    owns its leading width[h] coordinates (all n by default), and its other
-    coordinates carry a zero estimate and a zero covariance, which the
-    projection leaves at zero. maxb (H,), each entry's largest finite
-    |b_i| / |a_i|, the distance of its farthest hyperplane from the
-    origin, scales the feasibility tolerance; a caller whose bounds never
-    change passes it in, else it is taken from A and b.
-
-    An entry meets its set when no row a_i lies farther than
-    1e-10 (1 + |e| + maxb) beyond its hyperplane, a distance
+    est (H, n) and cov (H, n, n) are overwritten; box is the sets'
+    `_ConstraintTable`. An entry meets its set when no row a_i lies farther
+    than 1e-10 (1 + |e| + maxb) beyond its hyperplane, a distance
     (a_i z - b_i) / |a_i|, so the test does not depend on how the rows are
-    scaled. Every entry with rows over that tolerance is
-    solved on the face of those rows, in one `_face_solve` per number of
-    such rows, so its result does not depend on the other entries, bit for
-    bit. The entries it rejects go to `_project_core` one at a time, on
+    scaled. Every entry with rows over that tolerance is solved on the face
+    of those rows, in one `_face_solve` per number of such rows, so its
+    result does not depend on the other entries, bit for bit; the entries
+    accepted there pass one `_check_forms` together and are written back
+    at once. The entries it rejects go to `_project_core` one at a time, on
     their own finite-bound rows and their own width[h] coordinates; the
     returned counter counts them. active, a boolean (H, q) mask, gets the
     active rows of each entry that violates a row; the caller clears it.
@@ -348,31 +357,24 @@ def _box_project(est, cov, A, b, counter, active, where, width=None, maxb=None):
     raised for a violating entry whose estimate or covariance is not
     finite.
     """
+    A = box.A
     # a NaN estimate counts as violating, to be reported below
-    hit = np.flatnonzero(~((est @ A.T - b).max(axis=1, initial=0.0) <= 0.0))
+    hit = (~((est @ box.At - box.b).max(axis=1, initial=0.0) <= 0.0)).nonzero()[0]
     if not hit.size:
         return counter
-    if b.ndim == 1:
-        b = np.broadcast_to(b, (len(est), b.size))
+    b = box.b if box.b.ndim > 1 else np.broadcast_to(box.b, (len(est), len(A)))
     e_hit, P_hit, b_hit = est[hit], cov[hit], b[hit]
     if not (np.isfinite(e_hit).all() and np.isfinite(P_hit).all()):
         finite = np.isfinite(e_hit).all(axis=1) & np.isfinite(P_hit).all(axis=(1, 2))
         r = hit[np.argmin(finite)]
         field = "covariance" if np.isfinite(est[r]).all() else "estimate"
         raise ValueError(f"non-finite {field} at {where(r)}")
-    sq = np.add.reduce(A * A, axis=1)
-    norms = np.sqrt(sq)
-    if maxb is None:
-        # a zero row has no hyperplane: its distance stays inf, left out
-        dist = np.divide(np.abs(b_hit), norms, out=np.full(b_hit.shape, np.inf), where=norms > 0.0)
-        maxb_hit = dist.max(axis=1, initial=0.0, where=np.isfinite(dist))
-    else:
-        maxb_hit = maxb[hit]
     # each flagged entry's Euclidean norm, bit for bit what np.linalg.norm
     # returns, without its per-call overhead; tol holds each row's
     # tolerance on a z - b, the distance tolerance times |a|
-    tol = _FEAS_REL * (1.0 + np.sqrt(np.add.reduce(e_hit ** 2, axis=1)) + maxb_hit)
-    tol_rows = tol[:, None] * norms
+    maxb = box.maxb[hit] if box.maxb.ndim else box.maxb
+    tol = _FEAS_REL * (1.0 + np.sqrt(np.add.reduce(e_hit ** 2, axis=1)) + maxb)
+    tol_rows = tol[:, None] * box.norms
     # one matrix-vector product per entry: the product over all entries
     # above rounds a lone entry otherwise than a row of a larger batch, by
     # far less than tol, so it serves only to pick the entries to look at
@@ -381,31 +383,36 @@ def _box_project(est, cov, A, b, counter, active, where, width=None, maxb=None):
     nover = over.sum(axis=1)
     # the face solve's null-space floor, _NULL_REL trace(P) |A_O|^2, of
     # each entry's face of violated rows
-    floor = _NULL_REL * np.einsum("hii->h", P_hit) * np.dot(over, sq)
+    floor = _NULL_REL * P_hit.trace(axis1=1, axis2=2) * np.dot(over, box.sq)
     # the violated rows are the active rows of an entry solved on their
     # face; the search below resets those of the entries it projects
     active[hit] = over
     left = np.zeros(len(hit), dtype=bool)
-    for w in sorted(set(nover.tolist()) - {0}):
-        on = nover == w
-        # a mask that selects every entry is a slice, which gathers nothing
-        pick = slice(None) if on.all() else on
-        runs, P, face = hit[pick], P_hit[pick], over[pick]
-        # each entry's w violated rows in ascending order, and their violations
-        rows = face.nonzero()[1].reshape(-1, w)
-        z, ok, gain, Ao = _face_solve(e_hit[pick], P, A, b_hit[pick], rows,
-                                      viol[pick][face].reshape(-1, w), tol_rows[pick], floor[pick])
-        if ok.all():
-            ok = slice(None)
-        else:
-            left[np.flatnonzero(on)[~ok]] = True
-        good = runs[ok]
-        cov[good] = _check_forms(P[ok], gain[ok], Ao[ok], lambda i: where(good[i]))
-        est[good] = z[ok]
+    solved = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for w in sorted(set(nover.tolist()) - {0}):
+            on = nover == w
+            # a mask that selects every entry is a slice, which gathers nothing
+            pick = slice(None) if on.all() else on
+            P, face = P_hit[pick], over[pick]
+            # each entry's w violated rows in ascending order, and their violations
+            rows = face.nonzero()[1].reshape(-1, w)
+            z, ok, GA = _face_solve(e_hit[pick], P, A, b_hit[pick], rows,
+                                    viol[pick][face].reshape(-1, w), tol_rows[pick], floor[pick])
+            if ok.all():
+                ok = slice(None)
+            else:
+                left[np.flatnonzero(on)[~ok]] = True
+            solved.append((hit[pick][ok], z[ok], P[ok], GA[ok]))
+    if solved:
+        # G A_O is n x n whatever the width, so the accepted entries stack
+        good, z, P, GA = solved[0] if len(solved) == 1 else map(np.concatenate, zip(*solved))
+        cov[good] = _check_forms(P, GA, lambda i: where(good[i]))
+        est[good] = z
 
-    for j in np.flatnonzero(left):
+    for j in left.nonzero()[0]:
         r = hit[j]
-        w = A.shape[1] if width is None else width[r]
+        w = A.shape[1] if box.width is None else box.width[r]
         rows = np.flatnonzero(np.isfinite(b[r]))
         try:
             z, P, act = _project_core(est[r, :w], cov[r, :w, :w], A[rows, :w], b[r, rows], tol[j])
@@ -430,15 +437,15 @@ def _project_one(e, P, A, b, where):
     reports: P A_W' (A_W P A_W')^{-1} and (A_W P A_W')^{-1} (A_W e - b_W),
     clipped at 0.
     """
-    A, b = _as_rows(A, b, e.size)
+    box = _as_rows(A, b, e.size)
     est, cov = e[None].copy(), P[None].copy()
-    active = np.zeros((1, b.size), dtype=bool)
-    _box_project(est, cov, A, b, 0, active, lambda _: where)
+    active = np.zeros((1, box.b.size), dtype=bool)
+    _box_project(est, cov, box, 0, active, lambda _: where)
     rows = np.flatnonzero(active[0])
-    Ab = A[rows]
+    Ab = box.A[rows]
     PA = P @ Ab.T
     Sinv = _sym_inv(Ab @ PA)
-    lam = np.maximum(Sinv @ (Ab @ e - b[rows]), 0.0)
+    lam = np.maximum(Sinv @ (Ab @ e - box.b[rows]), 0.0)
     return ProjectionResult(est[0], tuple(rows.tolist()), lam, PA @ Sinv, cov[0])
 
 

@@ -48,7 +48,8 @@ def qp_oracle(estimate, W, A, b):
     e = np.asarray(estimate, dtype=float).ravel()
     n = e.size
     W = np.asarray(W, dtype=float)
-    A, b = _as_rows(A, b, n)
+    rows = _as_rows(A, b, n)
+    A, b = rows.A, rows.b
     q = A.shape[0]
     if q > 20:
         raise ValueError("oracle enumeration is limited to 20 constraint rows")
@@ -108,7 +109,8 @@ def range_qp_oracle(estimate, P, A, b):
     InfeasibleConstraintsError when e + range(P) misses the feasible set.
     """
     e = np.asarray(estimate, dtype=float).ravel()
-    A, b = _as_rows(A, b, e.size)
+    rows = _as_rows(A, b, e.size)
+    A, b = rows.A, rows.b
     eig, V = np.linalg.eigh(0.5 * (P + P.T))
     keep = eig > 1e-12 * eig[-1]
     U = V[:, keep]

@@ -18,15 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from care_filter.config import ScenarioConfig
 from care_filter.detector import (
     DetectorConfig,
     DetectorState,
+    _cusum,
     chi2_cdf,
     chi2_quantile,
     cusum_update,
     detection_statistic,
     false_negative_rate,
 )
+from care_filter.harness import monte_carlo
 
 ALPHAS = (0.001, 0.01, 0.05, 0.1, 0.5)
 
@@ -162,6 +165,38 @@ class TestCusum:
             cusum_update(DetectorState(), -0.1, cfg)
         with pytest.raises(ValueError):
             cusum_update(DetectorState(S=np.zeros(2)), np.array([1.0, -0.1]), cfg)
+
+    def test_negative_statistic_names_the_step_and_the_run(self):
+        cfg = DetectorConfig.from_parameters(0.01, 2, 0.15)
+        with pytest.raises(ValueError, match="test statistic must be nonnegative at k=5, run 1$"):
+            cusum_update(DetectorState(S=np.zeros(3), step=4), np.array([1.0, -0.1, -0.2]), cfg)
+        with pytest.raises(ValueError, match="test statistic must be nonnegative at k=1$"):
+            cusum_update(DetectorState(), -0.1, cfg)
+        # a block names its earliest step holding a negative statistic
+        stats = np.array([[1.0, 2.0, -1.0], [1.0, -0.5, -1.0]])
+        with pytest.raises(ValueError, match="nonnegative at step 1 of run 1$"):
+            _cusum(np.zeros(2), stats, cfg, lambda j, i: f"step {j} of run {i}")
+
+    def test_block_pass_is_the_loop_of_single_steps(self):
+        # on monte_carlo's own statistics, care and ise rows of two runs
+        # through the attack window, the block pass equals the loop of
+        # cusum_update bit for bit, at phi = 0 and at the config's phi,
+        # whose block is what monte_carlo records
+        cfg = ScenarioConfig(horizon=300, seed=11)
+        sims = monte_carlo(cfg, runs=2)
+        recs = [sim.filters[name] for sim in sims for name in ("care", "ise")]
+        stats = np.array([rec.stats[1:] for rec in recs])
+        for phi in (0.0, cfg.phi):
+            det = DetectorConfig.from_parameters(cfg.alpha, 2, phi)
+            acc, alarms = _cusum(np.zeros(len(stats)), stats, det, None)
+            state = DetectorState(S=np.zeros(len(stats)))
+            for k in range(stats.shape[1]):
+                state, alarm = cusum_update(state, stats[:, k], det)
+                assert np.array_equal(acc[:, k], state.S), (phi, k)
+                assert np.array_equal(alarms[:, k], alarm), (phi, k)
+            assert alarms.any() and not alarms.all(), phi
+        assert np.array_equal(acc, [rec.cusum[1:] for rec in recs])
+        assert np.array_equal(alarms, [rec.alarms[1:] for rec in recs])
 
     def test_batch_accumulators_step_independently(self):
         cfg = DetectorConfig.from_parameters(0.01, 2, 0.15)

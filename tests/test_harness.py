@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from care_filter import ensemble, projection
+from care_filter import ensemble, harness, projection
 from care_filter.cli import main
 from care_filter.config import ScenarioConfig
 from care_filter.detector import DetectorConfig, DetectorState, cusum_update, detection_statistic
@@ -13,7 +13,12 @@ from care_filter.ensemble import run_ensemble
 from care_filter.estimator import AttackUnidentifiableError, initial_state
 from care_filter.harness import monte_carlo, simulate
 from care_filter.model import NoiseSpec
-from care_filter.projection import ActiveSetLimitError, InfeasibleConstraintsError, _box_project
+from care_filter.projection import (
+    ActiveSetLimitError,
+    InfeasibleConstraintsError,
+    _box_project,
+    _ConstraintTable,
+)
 from care_filter.vehicle import (
     VehicleParams,
     attack_input,
@@ -367,7 +372,7 @@ class TestEnsemble:
         est = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
         cov = np.tile(np.eye(2), (3, 1, 1))
         active = np.zeros((3, 2), dtype=bool)
-        assert _box_project(est, cov, A, b, 0, active, str) == 1
+        assert _box_project(est, cov, _ConstraintTable(A, b), 0, active, str) == 1
         np.testing.assert_allclose(est[1], [1.0, 0.0])
         assert active.tolist() == [[False, False], [True, False], [False, False]]
         # an asymmetric covariance makes the symmetric and the short
@@ -375,7 +380,21 @@ class TestEnsemble:
         est[1] = [2.0, 0.0]
         cov[1] = [[1.0, 0.5], [0.0, 1.0]]
         with pytest.raises(RuntimeError, match="forms disagree at run 1"):
-            _box_project(est, cov, A, b, 0, active, lambda r: f"run {r}")
+            _box_project(est, cov, _ConstraintTable(A, b), 0, active, lambda r: f"run {r}")
+
+    def test_negative_statistic_names_the_step_run_and_filter(self, monkeypatch):
+        # rows are [care runs | ise runs], each holding its K steps in the
+        # one statistic call: entry 3 K + 2 is run 1's ise filter at k = 3
+        K = 5
+
+        def negative_at(d, P):
+            stat = detection_statistic(d, P)
+            stat[3 * K + 2] = -1.0
+            return stat
+
+        monkeypatch.setattr(harness, "detection_statistic", negative_at)
+        with pytest.raises(ValueError, match="nonnegative at k=3, run 1, filter ise$"):
+            monte_carlo(ScenarioConfig(horizon=K, seed=3), runs=2)
 
     def test_state_box_self_check_names_the_run(self):
         # the vehicle's state box on (x, y, v); run 2 leaves it through
@@ -388,7 +407,8 @@ class TestEnsemble:
         cov[2, 1, 3] = 0.05
         active = np.zeros((3, len(B_st)), dtype=bool)
         with pytest.raises(RuntimeError, match="forms disagree at k=7, run 2"):
-            _box_project(est, cov, B_st, c_st, 0, active, lambda r: f"k=7, run {r}")
+            _box_project(est, cov, _ConstraintTable(B_st, c_st), 0, active,
+                         lambda r: f"k=7, run {r}")
 
     def test_vehicle_boxes_need_no_scalar_fallback(self):
         # every constraint set of the vehicle is a box, so runs violating
@@ -427,7 +447,7 @@ class TestEnsemble:
         cov = np.tile(np.eye(2), (3, 1, 1))
         active = np.zeros((3, len(A)), dtype=bool)
         with pytest.raises(InfeasibleConstraintsError, match="cannot be satisfied.* at k=4, run 0"):
-            _box_project(est, cov, A, b, 0, active, lambda r: f"k=4, run {r}")
+            _box_project(est, cov, _ConstraintTable(A, b), 0, active, lambda r: f"k=4, run {r}")
         # a wedge that needs two active-set steps, under a budget of one:
         # run 2 violates row 0 alone, and its projection onto that row
         # violates row 1, so the batched face solve rejects it
@@ -438,7 +458,7 @@ class TestEnsemble:
         monkeypatch.setattr(projection, "_project_core",
                             partial(projection._project_core, max_iterations=1))
         with pytest.raises(ActiveSetLimitError, match="iteration cap at k=9, run 2") as info:
-            _box_project(est, cov, A, b, 0, active, lambda r: f"k=9, run {r}")
+            _box_project(est, cov, _ConstraintTable(A, b), 0, active, lambda r: f"k=9, run {r}")
         assert info.value.active_set == (0,)
         assert info.value.max_violation > 0.0
 
@@ -450,15 +470,18 @@ class TestEnsemble:
         active = np.zeros((3, len(B_st)), dtype=bool)
         est[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite estimate at k=3, run 1"):
-            _box_project(est, cov, B_st, c_st, 0, active, lambda r: f"k=3, run {r}")
+            _box_project(est, cov, _ConstraintTable(B_st, c_st), 0, active,
+                         lambda r: f"k=3, run {r}")
         # an all-NaN estimate violates no row outright and is caught too
         est[1] = np.nan
         with pytest.raises(ValueError, match="non-finite estimate at k=3, run 1"):
-            _box_project(est, cov, B_st, c_st, 0, active, lambda r: f"k=3, run {r}")
+            _box_project(est, cov, _ConstraintTable(B_st, c_st), 0, active,
+                         lambda r: f"k=3, run {r}")
         est[1] = est[0]
         cov[2, 0, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite covariance at k=3, run 2"):
-            _box_project(est, cov, B_st, c_st, 0, active, lambda r: f"k=3, run {r}")
+            _box_project(est, cov, _ConstraintTable(B_st, c_st), 0, active,
+                         lambda r: f"k=3, run {r}")
 
     def test_stacked_projection_names_the_care_run(self):
         # care run 2's state estimate leaves the road through a large

@@ -15,6 +15,7 @@ from care_filter.projection import (
     ProjectionResult,
     _box_project,
     _check_forms,
+    _ConstraintTable,
     _project_core,
     _sym_inv,
     project,
@@ -463,7 +464,7 @@ def _project_recording_route(est, P, A, b, width=None):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(projection, "_project_core", core_spy)
-        counter = _box_project(z, cov, A, b, 0, active, str, width)
+        counter = _box_project(z, cov, _ConstraintTable(A, b, width), 0, active, str)
     return z, cov, active.sum(axis=1), counter, scalar
 
 
@@ -623,14 +624,14 @@ class TestBatchedBoxProjection:
         monkeypatch.setattr(projection, "_project_core", counting)
         z, cov = est.copy(), P.copy()
         active = np.zeros((2, len(A)), dtype=bool)
-        assert _box_project(z, cov, A, b, 0, active, str, width) == 0
+        assert _box_project(z, cov, _ConstraintTable(A, b, width), 0, active, str) == 0
         assert calls == []
         assert active.sum(axis=1).tolist() == [1, 4]
         for h, (A_h, b_h, *_) in enumerate((side, box)):
             w = width[h]
             z1, c1 = est[h:h + 1, :w].copy(), P[h:h + 1, :w, :w].copy()
             act1 = np.zeros((1, len(A_h)), dtype=bool)
-            assert _box_project(z1, c1, A_h, b_h, 0, act1, str) == 0
+            assert _box_project(z1, c1, _ConstraintTable(A_h, b_h), 0, act1, str) == 0
             assert act1.sum() == active[h].sum(), h
             assert np.abs(z1[0] - z[h, :w]).max() <= 1e-12 * (1.0 + np.abs(z1).max()), h
             assert np.abs(c1[0] - cov[h, :w, :w]).max() <= 1e-12 * (1.0 + np.abs(c1).max()), h
@@ -650,7 +651,7 @@ class TestBatchedBoxProjection:
         est, cov = np.array([[5.0, 1.0]]), np.eye(2)[None]
         z, P = est.copy(), cov.copy()
         active = np.zeros((1, 3), dtype=bool)
-        assert _box_project(z, P, A, b, 0, active, str) == 1
+        assert _box_project(z, P, _ConstraintTable(A, b), 0, active, str) == 1
         ref = qp_oracle(est[0], np.eye(2), A, b)
         assert np.abs(z[0] - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
         np.testing.assert_allclose(z[0], [1.0, 0.0], atol=1e-12)
@@ -665,7 +666,7 @@ class TestBatchedBoxProjection:
         cov = np.array([np.diag([1.0, 1e-13]), np.eye(2)])
         ref, _, act = _search(est[0], cov[0], A, b)
         active = np.zeros((2, 2), dtype=bool)
-        assert _box_project(est, cov, A, b, 0, active, str) == 1
+        assert _box_project(est, cov, _ConstraintTable(A, b), 0, active, str) == 1
         np.testing.assert_allclose(est[0], ref, atol=1e-12)
         np.testing.assert_allclose(est[1], [1.0, 1.0], atol=1e-12)
         assert np.flatnonzero(active[0]).tolist() == list(act)
@@ -678,7 +679,8 @@ class TestBatchedBoxProjection:
         est = np.array([[2.0, 3.0], [2.0, 3.0]])
         cov = np.array([[[1.0, 1.0], [1.0, 1.0]], np.eye(2)])
         active = np.zeros((2, 2), dtype=bool)
-        assert _box_project(est, cov, A, b, 0, active, lambda r: f"k=5, run {r}") == 1
+        assert _box_project(est, cov, _ConstraintTable(A, b), 0, active,
+                            lambda r: f"k=5, run {r}") == 1
         np.testing.assert_allclose(est, [[0.0, 1.0], [1.0, 1.0]], atol=1e-12)
         np.testing.assert_allclose(cov[0], np.zeros((2, 2)), atol=1e-12)
         assert active.sum(axis=1).tolist() == [1, 2]
@@ -691,7 +693,7 @@ class TestBatchedBoxProjection:
         cov = np.array([np.diag([1.0, 0.0]), np.eye(2)])
         active = np.zeros((2, 2), dtype=bool)
         with pytest.raises(InfeasibleConstraintsError, match="cannot be satisfied.* at k=5, run 0"):
-            _box_project(est, cov, A, b, 0, active, lambda r: f"k=5, run {r}")
+            _box_project(est, cov, _ConstraintTable(A, b), 0, active, lambda r: f"k=5, run {r}")
 
     def test_row_in_the_null_space_of_P_is_not_solved_on_its_face(self):
         # P has variance along (cos 1.5, sin 1.5) alone, and the row
@@ -724,17 +726,57 @@ class TestBatchedBoxProjection:
         monkeypatch.setattr(projection, "_project_core", counting)
         z, P = est.copy(), cov.copy()
         active = np.zeros((3, 2), dtype=bool)
-        assert _box_project(z, P, A, b, 0, active, str) == 1
+        assert _box_project(z, P, _ConstraintTable(A, b), 0, active, str) == 1
         assert len(calls) == 1 and np.array_equal(calls[0], est[2])
         assert np.array_equal(z[0], est[0]) and np.array_equal(P[0], cov[0])
         for h in (1, 2):
             z1, P1 = est[h:h + 1].copy(), cov[h:h + 1].copy()
             act1 = np.zeros((1, 2), dtype=bool)
-            assert _box_project(z1, P1, A, b, 0, act1, str) == h - 1
+            assert _box_project(z1, P1, _ConstraintTable(A, b), 0, act1, str) == h - 1
             assert np.array_equal(z1[0], z[h]) and np.array_equal(P1[0], P[h]), h
             assert np.array_equal(act1[0], active[h]), h
         np.testing.assert_allclose(z[1], [1.0, 0.5], atol=1e-15)
         assert active.tolist() == [[False, False], [True, False], [True, True]]
+
+    def test_merged_check_names_the_entry_not_its_stack_position(self):
+        # entries 0, 2 and 3 leave the box z <= 1 through one row each and
+        # pass; entry 1 leaves it through both under a lopsided covariance,
+        # which its face solve accepts (the 2x2 inverse reads the upper
+        # triangle) and on which the covariance forms then disagree. The
+        # accepted entries are checked together, width 1 before width 2,
+        # so entry 1 sits last in that stack and first among its width
+        A, b = np.eye(2), np.ones(2)
+        est = np.array([[2.0, 0.5], [2.0, 2.0], [0.5, 3.0], [1.5, 0.0]])
+        cov = np.tile(np.eye(2), (4, 1, 1))
+        cov[1] = [[1.0, 0.0], [0.5, 1.0]]
+        active = np.zeros((4, 2), dtype=bool)
+        with pytest.raises(RuntimeError, match="forms disagree at entry 1;"):
+            _box_project(est, cov, _ConstraintTable(A, b), 0, active, lambda h: f"entry {h}")
+        assert active.sum(axis=1).tolist() == [1, 2, 1, 1]
+
+    def test_mixed_widths_pay_the_fixed_costs_once(self, monkeypatch):
+        # entries violating one row and two rows: one face solve per width,
+        # but one self-check and one floating-point error state per call
+        calls = {"check": 0, "errstate": 0}
+        check_forms, errstate = projection._check_forms, np.errstate
+
+        def counting_check(*args):
+            calls["check"] += 1
+            return check_forms(*args)
+
+        def counting_errstate(**kwargs):
+            calls["errstate"] += 1
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(projection, "_check_forms", counting_check)
+        monkeypatch.setattr(np, "errstate", counting_errstate)
+        est = np.array([[2.0, 0.5], [2.0, 2.0], [0.5, 3.0]])
+        cov = np.tile(np.eye(2), (3, 1, 1))
+        active = np.zeros((3, 2), dtype=bool)
+        assert _box_project(est, cov, _ConstraintTable(np.eye(2), np.ones(2)), 0, active, str) == 0
+        assert active.sum(axis=1).tolist() == [1, 2, 1]
+        assert calls == {"check": 1, "errstate": 1}
+        np.testing.assert_allclose(est, [[1.0, 0.5], [1.0, 1.0], [0.5, 1.0]], atol=1e-15)
 
     def test_zero_row_set_leaves_the_runs_untouched(self):
         # as `project` does for q = 0: nothing to violate, counter unchanged
@@ -742,7 +784,8 @@ class TestBatchedBoxProjection:
         cov = np.array([np.eye(2), 2.0 * np.eye(2)])
         z, P = est.copy(), cov.copy()
         active = np.zeros((2, 0), dtype=bool)
-        assert _box_project(z, P, np.zeros((0, 2)), np.zeros(0), 3, active, str) == 3
+        empty = _ConstraintTable(np.zeros((0, 2)), np.zeros(0))
+        assert _box_project(z, P, empty, 3, active, str) == 3
         assert np.array_equal(z, est) and np.array_equal(P, cov)
 
 
@@ -769,7 +812,7 @@ class TestOneRoute:
         est, P, A, b, width, which = _stack_sets(sets, rng.permutation(8))
         z, cov = est.copy(), P.copy()
         active = np.zeros((8, len(A)), dtype=bool)
-        _box_project(z, cov, A, b, 0, active, str, width)
+        _box_project(z, cov, _ConstraintTable(A, b, width), 0, active, str)
         for h, w in enumerate(width):
             if which[h] == 0:
                 e, P_e, res = project_attack(_Duck(d_hat=est[h, :w], P_d=P[h, :w, :w]), A_in, b_in)
@@ -795,7 +838,7 @@ class TestOneRoute:
         est[4] = z0
         z, cov = est.copy(), P.copy()
         active = np.zeros((6, len(A)), dtype=bool)
-        _box_project(z, cov, A, b, 0, active, str)
+        _box_project(z, cov, _ConstraintTable(A, b), 0, active, str)
         for r in range(6):
             x_hat, P_x, res = project_state(_Duck(x_hat=est[r], P_x=P[r]), A, b)
             assert np.array_equal(x_hat, z[r]), r
@@ -821,16 +864,18 @@ class TestCheckForms:
     def test_error_above_the_floor_within_the_scaled_bound_passes(self):
         # 1e-8 < 5e-7 <= 1e-8 (1 + s)
         P, gain, Ab = self.forms(5e-7)
-        _check_forms(P, gain, Ab)
+        _check_forms(P, gain @ Ab)
         # and past 1e-8 (1 + s) while within the factor 1 + max|gain A_bar|
-        _check_forms(*self.forms(1.5e-6))
+        P, gain, Ab = self.forms(1.5e-6)
+        _check_forms(P, gain @ Ab)
 
     def test_error_beyond_the_full_bound_raises_and_names_the_entry(self):
+        P, gain, Ab = self.forms(3e-6)
         with pytest.raises(RuntimeError, match="forms disagree"):
-            _check_forms(*self.forms(3e-6))
+            _check_forms(P, gain @ Ab)
         (P0, g0, A0), (P1, g1, A1) = self.forms(5e-7), self.forms(3e-6)
         with pytest.raises(RuntimeError, match="forms disagree at entry 1;"):
-            _check_forms(np.array([P0, P1]), np.array([g0, g1]), np.array([A0, A1]),
+            _check_forms(np.array([P0, P1]), np.array([g0 @ A0, g1 @ A1]),
                          lambda i: f"entry {i}")
 
 
