@@ -211,7 +211,7 @@ class DetectorState:
     step: int = 0
 
     def __post_init__(self):
-        if np.any(np.less(self.S, 0.0)):
+        if np.any(~np.greater_equal(self.S, 0.0)):  # NaN is not nonnegative
             raise ValueError("CUSUM accumulator must be nonnegative")
 
 
@@ -219,8 +219,9 @@ def _cusum(S, stats, config, where):
     """S' = phi * S + stat from the accumulators S over the steps of a block,
     the last axis of stats. A negative statistic raises ValueError naming
     where(j, i), the block's earliest such step j and its first run i (no i
-    in a 1-D block). Returns the accumulators and the alarms of every step."""
-    if (neg := np.less(stats, 0.0)).any():
+    in a 1-D block), and so does a NaN, which would hold S at NaN, alarm
+    off, for good. Returns the accumulators and the alarms of every step."""
+    if (neg := ~np.greater_equal(stats, 0.0)).any():
         j, *i = np.argwhere(neg.T)[0].tolist()
         raise ValueError(f"test statistic must be nonnegative at {where(j, *i)}")
     acc = np.empty(np.broadcast(S, stats[..., 0]).shape + stats.shape[-1:])

@@ -28,9 +28,13 @@ once. The two sets' rows are stacked in one matrix, and each entry carries
 its own bounds, +inf on the rows of the other set, in one constraint table
 the batch builds once; an attack entry fills the leading two of four
 coordinates and its padding, a zero estimate and a zero covariance, stays
-zero. The projector reports each entry's active rows as a mask, whose sums
-are the active counts. `care_step` takes the same projector as a batch of
-one, and an entry's result does not depend on its batch, bit for bit:
+zero. The call projects in place in the batch's buffers of n + N rows,
+[attack entries of the n care rows | the state of all N rows], its
+entries the first 2n: x and P are views of rows n onward, as are d and Pd
+unless ise rows follow, all valid until the next `step`. The projector
+reports each entry's active rows as a mask, whose sums are the active
+counts. `care_step` takes the same projector as a batch of one, and an
+entry's result does not depend on its batch, bit for bit:
 `simulate(run_index=i)` is run i of `monte_carlo`, and the leading runs of
 a `run_ensemble` batch are a smaller batch. On the vehicle boxes every
 entry stops at the face of its own violated rows, so the scalar active-set
@@ -103,7 +107,8 @@ class _Batch:
     Each filter schedules its matrices on its own previous speed estimate;
     the plant uses the true speed. After `step(k)` the attributes hold
     step k for every row: the final estimates x, P, d, Pd (projected on
-    the care rows), the unprojected x_raw, P_raw, d_raw, Pd_raw, the
+    the care rows; views of the projection buffers, valid until the next
+    step), the unprojected x_raw, P_raw, d_raw, Pd_raw, the
     active constraint counts in_act and st_act, and mcg_dev, the largest
     entry of |M C G - I|. x_true holds the truth of each realization.
     """
@@ -166,8 +171,8 @@ class _Batch:
         b_box[:n, :q_in] = self.b_in
         b_box[n:, q_in:] = self.c_st
         self.box = _ConstraintTable(A_box, b_box, np.repeat([2, 4], n))
-        self.box_est = np.zeros((2 * n, 4))
-        self.box_cov = np.zeros((2 * n, 4, 4))
+        self.box_est = np.zeros((n + N, 4))
+        self.box_cov = np.zeros((n + N, 4, 4))
         self.box_act = np.zeros((2 * n, len(A_box)), dtype=bool)
 
         # constant slots of the scheduled matrices; speed-dependent entries
@@ -231,15 +236,16 @@ class _Batch:
         if n:
             # the padded coordinates of the attack entries stay zero
             est, cov, act = self.box_est, self.box_cov, self.box_act
-            est[:n, :2], est[n:] = d_u[:n], x_u[:n]
-            cov[:n, :2, :2], cov[n:] = Pd_u[:n], P_u[:n]
-            act.fill(False)
-            self.fallbacks = _box_project(est, cov, self.box, self.fallbacks, act,
-                                          lambda h: where(h % n))
-            d_u = np.concatenate([est[:n, :2], d_u[n:]])
-            Pd_u = np.concatenate([cov[:n, :2, :2], Pd_u[n:]])
-            x_u = np.concatenate([est[n:], x_u[n:]])
-            P_u = np.concatenate([cov[n:], P_u[n:]])
+            est[:n, :2], est[n:] = d_u[:n], x_u
+            cov[:n, :2, :2], cov[n:] = Pd_u[:n], P_u
+            self.fallbacks = _box_project(est[:2 * n], cov[:2 * n], self.box, self.fallbacks,
+                                          act, lambda h: where(h % n))
+            if n == len(x_u):
+                d_u, Pd_u = est[:n, :2], cov[:n, :2, :2]
+            else:
+                d_u = np.concatenate([est[:n, :2], d_u[n:]])
+                Pd_u = np.concatenate([cov[:n, :2, :2], Pd_u[n:]])
+            x_u, P_u = est[n:], cov[n:]
             self.in_act[:n], self.st_act[:n] = act[:n].sum(axis=1), act[n:].sum(axis=1)
         self.x, self.P, self.d, self.Pd = x_u, P_u, d_u, Pd_u
 
@@ -314,8 +320,8 @@ class _BlockAudit:
         batch, j = self.batch, self.m
         for name, buf in self.buf.items():
             buf[j] = getattr(batch, name)
-        self.tr_P[j] = np.trace(batch.P, axis1=1, axis2=2)
-        self.tr_Pd[j] = np.trace(batch.Pd, axis1=1, axis2=2)
+        self.tr_P[j] = batch.P.trace(axis1=1, axis2=2)
+        self.tr_Pd[j] = batch.Pd.trace(axis1=1, axis2=2)
         self.m += 1
         # d_true holds one row per step of the horizon
         if self.m == _AUDIT_BLOCK or km1 + 1 == len(batch.d_true):
@@ -337,14 +343,14 @@ class _BlockAudit:
             Pd_raw = b["Pd_raw"][ar]
             _audit_update(
                 audit, "d", ar, b["d"][ar] - d_ar, b["d_raw"][ar] - d_ar, _sym_inv(Pd_raw),
-                np.trace(Pd_raw, axis1=1, axis2=2), self.tr_Pd[:m].reshape(-1)[ar])
+                Pd_raw.trace(axis1=1, axis2=2), self.tr_Pd[:m].reshape(-1)[ar])
         ar = np.flatnonzero((b["st_act"] > 0) & x_feas)
         if ar.size:
             P_raw = b["P_raw"][ar]
             _audit_update(
                 audit, "x", ar, b["x"][ar] - x_true[ar], b["x_raw"][ar] - x_true[ar],
                 np.linalg.inv(P_raw),
-                np.trace(P_raw, axis1=1, axis2=2), self.tr_P[:m].reshape(-1)[ar])
+                P_raw.trace(axis1=1, axis2=2), self.tr_P[:m].reshape(-1)[ar])
         self.m = 0
 
 
@@ -396,9 +402,9 @@ def run_ensemble(config: ScenarioConfig, runs: int = None, constrained: bool = T
         # trace extrema come from the unconstrained pair; projection can
         # only shrink a trace, so these also bound the constrained ones
         if k > 100:
-            tru = float(np.trace(batch.P_raw, axis1=1, axis2=2).max())
+            tru = float(batch.P_raw.trace(axis1=1, axis2=2).max())
             max_trace_pxu = max(max_trace_pxu, tru)
-            trd = float(np.trace(batch.Pd_raw, axis1=1, axis2=2).max())
+            trd = float(batch.Pd_raw.trace(axis1=1, axis2=2).max())
             max_cov_trace = max(max_cov_trace, tru, trd)
 
         if audit is not None:

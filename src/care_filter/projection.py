@@ -13,8 +13,10 @@ the point when it is feasible, its multipliers are nonnegative and the
 rows' covariance block is well conditioned, which makes it the exact
 optimum (the active-set idea of Bemporad et al., Automatica 38(1), 2002,
 with the set's data prepared once; batched small QPs as in Amos & Kolter,
-OptNet, arXiv:1703.00443). The accepted entries pass one covariance
-self-check per call, whatever their number of rows. The rejected ones go
+OptNet, arXiv:1703.00443). The violations are one product per entry;
+the violating entries are sorted once by width, their number of violated
+rows, and each width is solved on one contiguous slice. The accepted
+entries pass one covariance self-check per call. The rejected ones go
 one at a time to a primal-dual active-set search, `_project_core`: start
 at the unconstrained optimum, repeatedly pick the most violated
 (row-normalized) constraint and drive it to equality, dropping working
@@ -101,13 +103,12 @@ class _ConstraintTable:
     the entry's set, so entries on different sets share a table that
     stacks the sets' rows. Entry h owns its leading width[h] coordinates
     (all n when width is None); the rest hold zeros, which stay zero. From
-    A and b alone: A' contiguous, the rows' squared norms and norms, and
-    maxb, each entry's largest finite hyperplane distance |b_i| / |a_i|.
+    A and b alone: the rows' squared norms and norms, and maxb, each
+    entry's largest finite hyperplane distance |b_i| / |a_i|.
     """
 
     def __init__(self, A, b, width=None):
         self.A, self.b, self.width = A, b, width
-        self.At = np.ascontiguousarray(A.T)
         self.sq = np.add.reduce(A * A, axis=1)
         self.norms = norms = np.sqrt(self.sq)
         # a zero row has no hyperplane: its distance stays inf, left out
@@ -165,13 +166,13 @@ def _eig_bounds(S):
     n = S.shape[-1]
     if n == 1:
         return S[..., 0, 0], S[..., 0, 0]
-    S = _sym(S)
     if n == 2:
-        a, c, b = S[..., 0, 0], S[..., 1, 1], S[..., 0, 1]
+        # the entries of _sym(S): halving x + x gives x back
+        a, c, b = S[..., 0, 0], S[..., 1, 1], 0.5 * (S[..., 0, 1] + S[..., 1, 0])
         half_tr = 0.5 * (a + c)
         disc = np.hypot(0.5 * (a - c), b)
         return half_tr - disc, half_tr + disc
-    eig = np.linalg.eigvalsh(S)
+    eig = np.linalg.eigvalsh(_sym(S))
     return eig[..., 0], eig[..., -1]
 
 
@@ -308,7 +309,7 @@ def _project_core(e, P, A, b, tol, max_iterations=None):
     return x, _check_forms(P, gain @ Ab), keep[work]
 
 
-def _face_solve(e, P, A, b, rows, v, tol, floor):
+def _face_solve(e, P, A, b, rows, v, tol, floor, z, ok, GA):
     """The KKT point of each entry h on the face of its rows[h] of A.
 
     With A_O those rows and v their violation A_O e - b_O, the multipliers
@@ -321,8 +322,9 @@ def _face_solve(e, P, A, b, rows, v, tol, floor):
     rounding level of P: below it a face row may lie in null(P), where
     `_project_core` lets no row enter. Every entry has the same number of
     rows, so an entry is solved with the shapes, and the rounding, it
-    would have alone. Returns z, ok and G A_O, G = P A_O' (A_O P A_O')^{-1};
-    a rejected face may divide by zero, so the caller sets np.errstate.
+    would have alone. Writes z, ok and G A_O, G = P A_O' (A_O P A_O')^{-1},
+    into the caller's arrays z, ok and GA; a rejected face may divide by
+    zero, so the caller sets np.errstate.
     """
     Ao = A[rows]
     PA = P @ Ao.swapaxes(1, 2)
@@ -330,11 +332,11 @@ def _face_solve(e, P, A, b, rows, v, tol, floor):
     lo, hi = _eig_bounds(S)
     Sinv = _sym_inv(S)
     lam = _mv(Sinv, v)
-    z = e - _mv(PA, lam)
-    ok = (lam.min(axis=1) >= 0.0) & np.isfinite(lam.sum(axis=1))
-    ok &= (lo > floor) & (hi <= _COND_LIMIT * lo)
-    ok &= (_mv(A, z) - b <= tol).all(axis=1)
-    return z, ok, PA @ Sinv @ Ao
+    np.subtract(e, _mv(PA, lam), out=z)
+    good = (lam.min(axis=1) >= 0.0) & np.isfinite(lam.sum(axis=1))
+    good &= (lo > floor) & (hi <= _COND_LIMIT * lo)
+    np.logical_and(good, (_mv(A, z) - b <= tol).all(axis=1), out=ok)
+    np.matmul(PA @ Sinv, Ao, out=GA)
 
 
 def _box_project(est, cov, box, counter, active, where):
@@ -344,78 +346,78 @@ def _box_project(est, cov, box, counter, active, where):
     `_ConstraintTable`. An entry meets its set when no row a_i lies farther
     than 1e-10 (1 + |e| + maxb) beyond its hyperplane, a distance
     (a_i z - b_i) / |a_i|, so the test does not depend on how the rows are
-    scaled. Every entry with rows over that tolerance is solved on the face
-    of those rows, in one `_face_solve` per number of such rows, so its
-    result does not depend on the other entries, bit for bit; the entries
-    accepted there pass one `_check_forms` together and are written back
-    at once. The entries it rejects go to `_project_core` one at a time, on
-    their own finite-bound rows and their own width[h] coordinates; the
-    returned counter counts them. active, a boolean (H, q) mask, gets the
-    active rows of each entry that violates a row; the caller clears it.
+    scaled; the violations A e - b are one product per entry, so the
+    entries looked at do not depend on the batch. Those with rows over the
+    tolerance are sorted once by width, their number of such rows, and
+    each width's contiguous slice is solved on the face of those rows by
+    one `_face_solve` into shared arrays, bit for bit the entry alone; the
+    accepted entries pass one `_check_forms`, widths ascending, and are
+    written back at once. The rejected go to `_project_core` one at a
+    time, in entry order, on their own finite-bound rows and width[h]
+    coordinates; the returned counter counts them. active, a boolean
+    (H, q) mask, is overwritten with each entry's active rows.
     Every active projection passes `_check_forms`; a failure names where(h)
     for entry h, and so do the projector's errors and the ValueError
     raised for a violating entry whose estimate or covariance is not
     finite.
     """
     A = box.A
-    # a NaN estimate counts as violating, to be reported below
-    hit = (~((est @ box.At - box.b).max(axis=1, initial=0.0) <= 0.0)).nonzero()[0]
-    if not hit.size:
-        return counter
     b = box.b if box.b.ndim > 1 else np.broadcast_to(box.b, (len(est), len(A)))
-    e_hit, P_hit, b_hit = est[hit], cov[hit], b[hit]
-    if not (np.isfinite(e_hit).all() and np.isfinite(P_hit).all()):
-        finite = np.isfinite(e_hit).all(axis=1) & np.isfinite(P_hit).all(axis=(1, 2))
-        r = hit[np.argmin(finite)]
-        field = "covariance" if np.isfinite(est[r]).all() else "estimate"
-        raise ValueError(f"non-finite {field} at {where(r)}")
-    # each flagged entry's Euclidean norm, bit for bit what np.linalg.norm
-    # returns, without its per-call overhead; tol holds each row's
-    # tolerance on a z - b, the distance tolerance times |a|
-    maxb = box.maxb[hit] if box.maxb.ndim else box.maxb
-    tol = _FEAS_REL * (1.0 + np.sqrt(np.add.reduce(e_hit ** 2, axis=1)) + maxb)
-    tol_rows = tol[:, None] * box.norms
-    # one matrix-vector product per entry: the product over all entries
-    # above rounds a lone entry otherwise than a row of a larger batch, by
-    # far less than tol, so it serves only to pick the entries to look at
-    viol = _mv(A, e_hit) - b_hit
-    over = viol > tol_rows
-    nover = over.sum(axis=1)
-    # the face solve's null-space floor, _NULL_REL trace(P) |A_O|^2, of
-    # each entry's face of violated rows
-    floor = _NULL_REL * P_hit.trace(axis1=1, axis2=2) * np.dot(over, box.sq)
-    # the violated rows are the active rows of an entry solved on their
-    # face; the search below resets those of the entries it projects
-    active[hit] = over
-    left = np.zeros(len(hit), dtype=bool)
-    solved = []
+    viol = _mv(A, est) - b
+    # a NaN estimate counts as violating, to be reported below
+    hit = (~(viol.max(axis=1, initial=0.0) <= 0.0)).nonzero()[0]
+    if not hit.size:
+        active.fill(False)
+        return counter
+    left = ()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for w in sorted(set(nover.tolist()) - {0}):
-            on = nover == w
-            # a mask that selects every entry is a slice, which gathers nothing
-            pick = slice(None) if on.all() else on
-            P, face = P_hit[pick], over[pick]
-            # each entry's w violated rows in ascending order, and their violations
-            rows = face.nonzero()[1].reshape(-1, w)
-            z, ok, GA = _face_solve(e_hit[pick], P, A, b_hit[pick], rows,
-                                    viol[pick][face].reshape(-1, w), tol_rows[pick], floor[pick])
-            if ok.all():
-                ok = slice(None)
-            else:
-                left[np.flatnonzero(on)[~ok]] = True
-            solved.append((hit[pick][ok], z[ok], P[ok], GA[ok]))
-    if solved:
+        # each entry's Euclidean norm, bit for bit what np.linalg.norm
+        # returns, without its per-call overhead; tol_rows holds each row's
+        # tolerance on a z - b, the distance tolerance times |a|
+        tol = _FEAS_REL * (1.0 + np.sqrt(np.add.reduce(est ** 2, axis=1)) + box.maxb)
+        tol_rows = tol[:, None] * box.norms
+        # the violated rows are the active rows of an entry solved on their
+        # face; the search below resets those of the entries it projects
+        over = np.greater(viol, tol_rows, out=active)
+        width = over.sum(axis=1)[hit]
+        counts = np.bincount(width).tolist()
+        # widths ascending, entry order within a width; within tolerance first
+        if counts[-1] != len(hit):
+            hit = hit[width.argsort(kind="stable")]
+        e, P = est[hit], cov[hit]
+        if not (np.isfinite(e).all() and np.isfinite(P).all()):
+            finite = np.isfinite(e).all(axis=1) & np.isfinite(P).all(axis=(1, 2))
+            r = hit[~finite].min()
+            field = "covariance" if np.isfinite(est[r]).all() else "estimate"
+            raise ValueError(f"non-finite {field} at {where(r)}")
+        start = counts[0]
+        if start == len(hit):
+            return counter
+        hit, e, P = hit[start:], e[start:], P[start:]
+        face, v, tr, bs = over[hit], viol[hit], tol_rows[hit], b[hit]
+        # the face solve's null-space floor, _NULL_REL trace(P) |A_O|^2, of
+        # each entry's face of violated rows
+        floor = _NULL_REL * P.trace(axis1=1, axis2=2) * np.dot(face, box.sq)
+        z, ok, GA = np.empty_like(e), np.empty(len(hit), dtype=bool), np.empty_like(P)
+        stop = 0
+        for w, c in enumerate(counts[1:], 1):
+            if c:
+                s, f = slice(stop, stop + c), face[stop:stop + c]
+                stop += c
+                _face_solve(e[s], P[s], A, bs[s], f.nonzero()[1].reshape(-1, w),
+                            v[s][f].reshape(-1, w), tr[s], floor[s], z[s], ok[s], GA[s])
+        if not ok.all():
+            left = np.sort(hit[~ok])
+            hit, z, P, GA = hit[ok], z[ok], P[ok], GA[ok]
         # G A_O is n x n whatever the width, so the accepted entries stack
-        good, z, P, GA = solved[0] if len(solved) == 1 else map(np.concatenate, zip(*solved))
-        cov[good] = _check_forms(P, GA, lambda i: where(good[i]))
-        est[good] = z
+        cov[hit] = _check_forms(P, GA, lambda i: where(hit[i]))
+        est[hit] = z
 
-    for j in left.nonzero()[0]:
-        r = hit[j]
+    for r in left:
         w = A.shape[1] if box.width is None else box.width[r]
         rows = np.flatnonzero(np.isfinite(b[r]))
         try:
-            z, P, act = _project_core(est[r, :w], cov[r, :w, :w], A[rows, :w], b[r, rows], tol[j])
+            z, P, act = _project_core(est[r, :w], cov[r, :w, :w], A[rows, :w], b[r, rows], tol[r])
         except (ActiveSetLimitError, InfeasibleConstraintsError) as err:
             err.args = (f"{err} at {where(r)}",)
             raise

@@ -177,6 +177,24 @@ class TestCusum:
         with pytest.raises(ValueError, match="nonnegative at step 1 of run 1$"):
             _cusum(np.zeros(2), stats, cfg, lambda j, i: f"step {j} of run {i}")
 
+    def test_nan_statistic_is_rejected_not_accumulated(self):
+        # a NaN statistic would leave S at NaN, which compares false with the
+        # threshold: no alarm, then or ever after
+        cfg = DetectorConfig.from_parameters(0.01, 2, 0.15)
+        with pytest.raises(ValueError, match="test statistic must be nonnegative at k=1$"):
+            cusum_update(DetectorState(), np.nan, cfg)
+        with pytest.raises(ValueError, match="test statistic must be nonnegative at k=3, run 2$"):
+            cusum_update(DetectorState(S=np.zeros(3), step=2), np.array([1.0, 2.0, np.nan]), cfg)
+        stats = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, np.nan, 4.0]])
+        with pytest.raises(ValueError, match="nonnegative at step 2 of run 1$"):
+            _cusum(np.zeros(2), stats, cfg, lambda j, i: f"step {j} of run {i}")
+
+    def test_nan_accumulator_is_rejected(self):
+        with pytest.raises(ValueError, match="CUSUM accumulator must be nonnegative"):
+            DetectorState(S=np.nan)
+        with pytest.raises(ValueError, match="CUSUM accumulator must be nonnegative"):
+            DetectorState(S=np.array([0.0, np.nan]))
+
     def test_block_pass_is_the_loop_of_single_steps(self):
         # on monte_carlo's own statistics, care and ise rows of two runs
         # through the attack window, the block pass equals the loop of

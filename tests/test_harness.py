@@ -295,6 +295,21 @@ class TestEnsemble:
         for f in ("x_hat", "d_hat", "err_sq"):
             assert np.array_equal(getattr(big, f)[:5], getattr(small, f)), f
 
+    @pytest.mark.parametrize("filters", [("care",), ("care", "ise")])
+    def test_final_values_share_no_memory_with_the_raw_ones(self, filters):
+        # x, P, d and Pd are views of the kernel's projection buffers; one
+        # sharing memory with an unprojected value would let the projection
+        # audit compare a projected value with itself and count no violation
+        batch = ensemble._Batch(ScenarioConfig(horizon=160, seed=5), range(3), filters)
+        active = 0
+        for k in range(1, 161):
+            batch.step(k)
+            active += int(batch.in_act.sum() + batch.st_act.sum())
+            for final in (batch.x, batch.P, batch.d, batch.Pd):
+                for raw in (batch.x_raw, batch.P_raw, batch.d_raw, batch.Pd_raw):
+                    assert not np.shares_memory(final, raw), k
+        assert active > 0
+
     def test_noise_stream_is_each_runs_sample(self):
         # two full chunks and half of one, on run indices that are not 0 ... R-1:
         # every streamed row is the run's NoiseSpec.sample, bit for bit

@@ -754,28 +754,65 @@ class TestBatchedBoxProjection:
             _box_project(est, cov, _ConstraintTable(A, b), 0, active, lambda h: f"entry {h}")
         assert active.sum(axis=1).tolist() == [1, 2, 1, 1]
 
+    def test_unsorted_widths_each_get_their_one_entry_result(self, monkeypatch):
+        # flagged entries arriving in width order [2, 1, within tolerance, 2,
+        # face-rejected, 1] on the box z <= 1: each width is solved once, and
+        # every entry ends as it would alone, bit for bit
+        A, b = np.eye(2), np.ones(2)
+        skew = np.array([[1.0, -0.9], [-0.9, 1.0]])
+        est = np.array([[2.0, 3.0], [2.0, 0.5], [1.0 + 5e-11, 0.5], [3.0, 1.5], [2.0, 0.5],
+                        [0.2, 4.0]])
+        cov = np.array([np.eye(2), np.eye(2), np.eye(2), 2.0 * np.eye(2), skew,
+                        [[1.0, 0.3], [0.3, 2.0]]])
+        widths = []
+        face_solve = projection._face_solve
+
+        def spy(e, P, A, b, rows, *args):
+            widths.append(rows.shape[1])
+            return face_solve(e, P, A, b, rows, *args)
+
+        monkeypatch.setattr(projection, "_face_solve", spy)
+        z, P = est.copy(), cov.copy()
+        active = np.zeros((6, 2), dtype=bool)
+        assert _box_project(z, P, _ConstraintTable(A, b), 0, active, str) == 1
+        assert widths == [1, 2]
+        assert active.sum(axis=1).tolist() == [2, 1, 0, 2, 2, 1]
+        for h in range(6):
+            z1, P1 = est[h:h + 1].copy(), cov[h:h + 1].copy()
+            act1 = np.zeros((1, 2), dtype=bool)
+            assert _box_project(z1, P1, _ConstraintTable(A, b), 0, act1, str) == int(h == 4), h
+            assert np.array_equal(z1[0], z[h]) and np.array_equal(P1[0], P[h]), h
+            assert np.array_equal(act1[0], active[h]), h
+        assert np.array_equal(z[2], est[2]) and np.array_equal(P[2], cov[2])
+
     def test_mixed_widths_pay_the_fixed_costs_once(self, monkeypatch):
         # entries violating one row and two rows: one face solve per width,
         # but one self-check and one floating-point error state per call
-        calls = {"check": 0, "errstate": 0}
-        check_forms, errstate = projection._check_forms, np.errstate
+        calls = {"check": 0, "errstate": 0, "face": 0}
+        check_forms, face_solve = projection._check_forms, projection._face_solve
+        errstate = np.errstate
 
         def counting_check(*args):
             calls["check"] += 1
             return check_forms(*args)
+
+        def counting_face(*args):
+            calls["face"] += 1
+            return face_solve(*args)
 
         def counting_errstate(**kwargs):
             calls["errstate"] += 1
             return errstate(**kwargs)
 
         monkeypatch.setattr(projection, "_check_forms", counting_check)
+        monkeypatch.setattr(projection, "_face_solve", counting_face)
         monkeypatch.setattr(np, "errstate", counting_errstate)
         est = np.array([[2.0, 0.5], [2.0, 2.0], [0.5, 3.0]])
         cov = np.tile(np.eye(2), (3, 1, 1))
         active = np.zeros((3, 2), dtype=bool)
         assert _box_project(est, cov, _ConstraintTable(np.eye(2), np.ones(2)), 0, active, str) == 0
         assert active.sum(axis=1).tolist() == [1, 2, 1]
-        assert calls == {"check": 1, "errstate": 1}
+        assert calls == {"check": 1, "errstate": 1, "face": 2}
         np.testing.assert_allclose(est, [[1.0, 0.5], [1.0, 1.0], [0.5, 1.0]], atol=1e-15)
 
     def test_zero_row_set_leaves_the_runs_untouched(self):
