@@ -20,10 +20,8 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .detector import chi2_quantile
-from .estimator import AttackUnidentifiableError
 from .harness import monte_carlo, simulate
 from .model import validate
-from .projection import ActiveSetLimitError, InfeasibleConstraintsError
 from .vehicle import VehicleParams, vehicle_constraints, vehicle_model
 
 __all__ = ["main"]
@@ -212,8 +210,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (AttackUnidentifiableError, InfeasibleConstraintsError,
-            ActiveSetLimitError, ValueError, OSError) as exc:
+    # the package's errors are RuntimeError and ValueError subclasses
+    except (RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

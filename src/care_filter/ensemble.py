@@ -26,12 +26,15 @@ the road and speed box, go into one call of `projection._box_project` per
 step as separate entries of one stack, so the call's fixed cost is paid
 once. The two sets' rows are stacked in one matrix, and each entry carries
 its own bounds, +inf on the rows of the other set, in one constraint table
-the batch builds once; an attack entry fills the leading two of four
-coordinates and its padding, a zero estimate and a zero covariance, stays
-zero. The call projects in place in the batch's buffers of n + N rows,
-[attack entries of the n care rows | the state of all N rows], its
-entries the first 2n: x and P are views of rows n onward, as are d and Pd
-unless ise rows follow, all valid until the next `step`. The projector
+the batch builds once, if it has care rows; an attack entry fills the
+leading two of four coordinates and its padding, a zero estimate and a
+zero covariance, stays zero. The call projects in place in the batch's
+buffers of n + N rows, [attack entries of the n care rows | the state of
+all N rows], its entries the first 2n: x and P are views of rows n
+onward, as are d and Pd unless ise rows follow, all valid until the next
+`step`. The covariances entering it are exactly symmetric (P_d is the
+closed-form inverse of the upper triangle of N, and P = R - R W R with W
+symmetrized), so the kernel needs no symmetry check. The projector
 reports each entry's active rows as a mask, whose sums are the active
 counts. `care_step` takes the same projector as a batch of one, and an
 entry's result does not depend on its batch, bit for bit:
@@ -162,18 +165,20 @@ class _Batch:
         self.in_act = np.zeros(N, dtype=np.int64)
         self.st_act = np.zeros(N, dtype=np.int64)
 
-        # both projections of the care rows in one `_box_project` call: entry
-        # h < n is row h's attack estimate in the leading two coordinates,
-        # entry n + h its state estimate, each on its own rows of [[A_in, 0]; B_st]
-        q_in = len(self.b_in)
-        A_box = np.vstack([np.hstack([self.A_in, np.zeros((q_in, 2))]), self.B_st])
-        b_box = np.full((2 * n, len(A_box)), np.inf)
-        b_box[:n, :q_in] = self.b_in
-        b_box[n:, q_in:] = self.c_st
-        self.box = _ConstraintTable(A_box, b_box, np.repeat([2, 4], n))
-        self.box_est = np.zeros((n + N, 4))
-        self.box_cov = np.zeros((n + N, 4, 4))
-        self.box_act = np.zeros((2 * n, len(A_box)), dtype=bool)
+        if n:
+            # both projections of the care rows in one `_box_project` call:
+            # entry h < n is row h's attack estimate in the leading two
+            # coordinates, entry n + h its state estimate, each on its own
+            # rows of [[A_in, 0]; B_st]
+            q_in = len(self.b_in)
+            A_box = np.vstack([np.hstack([self.A_in, np.zeros((q_in, 2))]), self.B_st])
+            b_box = np.full((2 * n, len(A_box)), np.inf)
+            b_box[:n, :q_in] = self.b_in
+            b_box[n:, q_in:] = self.c_st
+            self.box = _ConstraintTable(A_box, b_box, np.repeat([2, 4], n))
+            self.box_est = np.zeros((n + N, 4))
+            self.box_cov = np.zeros((n + N, 4, 4))
+            self.box_act = np.zeros((2 * n, len(A_box)), dtype=bool)
 
         # constant slots of the scheduled matrices; speed-dependent entries
         # are rewritten every step (separate buffers for plant and filters)

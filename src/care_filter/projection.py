@@ -5,30 +5,30 @@ in `_box_project`, the one route every projection of the package takes:
 `project`, `project_attack` and `project_state` are its batch of one, and
 the vehicle kernel `ensemble._Batch` puts both projections of every care
 run into one call. What depends on the set alone is prepared once per set
-in a `_ConstraintTable`. The weight is the inverse of the estimation error
-covariance P, so the projector is oblique: gain = P A_bar' (A_bar P
-A_bar')^{-1} for the active rows A_bar. Each entry is first solved on the
-face its own violated rows define: drive those rows to equality and accept
-the point when it is feasible, its multipliers are nonnegative and the
-rows' covariance block is well conditioned, which makes it the exact
-optimum (the active-set idea of Bemporad et al., Automatica 38(1), 2002,
-with the set's data prepared once; batched small QPs as in Amos & Kolter,
-OptNet, arXiv:1703.00443). The violations are one product per entry;
-the violating entries are sorted once by width, their number of violated
-rows, and each width is solved on one contiguous slice. The accepted
-entries pass one covariance self-check per call. The rejected ones go
-one at a time to a primal-dual active-set search, `_project_core`: start
-at the unconstrained optimum, repeatedly pick the most violated
-(row-normalized) constraint and drive it to equality, dropping working
-rows whose multipliers would cross zero along the way. Partial dual steps
-make the search finitely convergent, and an unbounded dual step is a proof
-that no feasible point is reachable. Both are written in P alone, so they
-also serve a positive semidefinite P, as left by an earlier projection:
-the estimate then moves only within e + range(P), the directions the
-covariance gives variance to. Every product a result rests on is taken
-one matrix per entry, so an entry's result does not depend on its batch,
-bit for bit (Demmel & Nguyen, IEEE Trans. Computers 64(7), 2015, on
-results that do not depend on how the work is split).
+in a `_ConstraintTable`, its rows scaled by powers of two, exactly the
+same set. The weight is the inverse of the estimation error covariance P,
+so the projector is oblique: gain = P A_bar' (A_bar P A_bar')^{-1} for the
+active rows A_bar. Each entry is first solved on the face its own
+violated rows define (the active-set idea of Bemporad et al., Automatica
+38(1), 2002, with the set's data prepared once; batched small QPs as in
+Amos & Kolter, OptNet, arXiv:1703.00443): the violating entries are
+sorted once by width, their number of violated rows, and each width is
+solved on one contiguous slice. The entries whose face is rejected go one
+at a time to a primal-dual active-set search, `_project_core`, which only
+chooses the rows: start at the unconstrained optimum, repeatedly drive
+the most violated constraint to equality, dropping working rows whose
+multipliers would cross zero. Partial dual steps make it finitely
+convergent, and an unbounded dual step proves that no feasible point is
+reachable. `_face_solve` solves the faces of both tiers and accepts them
+on the KKT conditions of its own output, after at most one step of
+iterative refinement (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 12); the covariances are then assembled once per call in
+the symmetric form (I - G A_O) P (I - G A_O)' (Simon, IET CTA 4(8),
+2010). Both tiers are written in P alone, so they also serve a positive
+semidefinite P, as left by an earlier projection: the estimate then moves
+only within e + range(P). Every product a result rests on is taken one
+matrix per entry, so an entry's result does not depend on its batch, bit
+for bit (Demmel & Nguyen, IEEE Trans. Computers 64(7), 2015).
 
 The small symmetric-matrix helpers here (`_sym`, `_sym_inv`, `_eig_bounds`,
 `_mv`) take one matrix or a stack alike, and the rest of the package uses
@@ -102,17 +102,20 @@ class _ConstraintTable:
     entries or one per entry (H, q). A bound of +inf takes its row out of
     the entry's set, so entries on different sets share a table that
     stacks the sets' rows. Entry h owns its leading width[h] coordinates
-    (all n when width is None); the rest hold zeros, which stay zero. From
-    A and b alone: the rows' squared norms and norms, and maxb, each
-    entry's largest finite hyperplane distance |b_i| / |a_i|.
+    (all n when width is None); the rest hold zeros, which stay zero. Each
+    row and its bounds are divided by scale, the power of two that brings
+    the row's norm into [1/2, 1): exactly the same set (a zero row keeps
+    scale 1). From the scaled rows: their squared norms and norms, and
+    maxb, each entry's largest finite hyperplane distance |b_i| / |a_i|.
     """
 
     def __init__(self, A, b, width=None):
-        self.A, self.b, self.width = A, b, width
-        self.sq = np.add.reduce(A * A, axis=1)
+        self.scale = np.ldexp(1.0, np.frexp(np.sqrt(np.add.reduce(A * A, axis=1)))[1])
+        self.A, self.b, self.width = A / self.scale[:, None], b / self.scale, width
+        self.sq = np.add.reduce(self.A * self.A, axis=1)
         self.norms = norms = np.sqrt(self.sq)
         # a zero row has no hyperplane: its distance stays inf, left out
-        dist = np.divide(np.abs(b), norms, out=np.full(b.shape, np.inf), where=norms > 0.0)
+        dist = np.divide(np.abs(self.b), norms, out=np.full(b.shape, np.inf), where=norms > 0.0)
         self.maxb = dist.max(axis=-1, initial=0.0, where=np.isfinite(dist))
 
 
@@ -176,62 +179,31 @@ def _eig_bounds(S):
     return eig[..., 0], eig[..., -1]
 
 
-_FORMS_DISAGREE = "projected covariance forms disagree{}; active-set solve is unreliable"
-
-
-def _check_forms(P, GA, where=None):
-    """Self-check of projected covariances, one matrix or a stack.
-
-    For GA = gain A_bar, compares the symmetric form (I - GA) P (I - GA)'
-    with the short form (I - GA) P, which it equals for an exact oblique
-    projection. Raises RuntimeError when they disagree beyond
-    1e-8 (1 + max|GA|)(1 + max|P|) at a stack position, a bound that scales
-    with the term GA P the short form subtracts, naming where(i) for i the
-    first such position when a namer is given; returns the symmetric form.
-    """
-    short = P - GA @ P
-    sym = _sym(short - short @ GA.swapaxes(-1, -2))
-    diff = np.abs(sym - short)
-    # 1e-8 is the bound's floor: below it (NaN is not) no bound is computed
-    if not diff.max(initial=0.0) <= 1e-8:
-        err = diff.max(axis=(-2, -1))
-        bound = 1e-8 * (1.0 + np.abs(P).max(axis=(-2, -1)))
-        bad = err > bound * (1.0 + np.abs(GA).max(axis=(-2, -1)))
-        if bad.any():
-            at = "" if where is None else f" at {where(np.argmax(bad))}"
-            raise RuntimeError(_FORMS_DISAGREE.format(at))
-    return sym
-
-
 def _project_core(e, P, A, b, tol, max_iterations=None):
-    """Dual active-set projection of e onto {z : A z <= b} within e + range(P).
+    """Dual active-set search for the rows active at the projection of e
+    onto {z : A z <= b} within e + range(P).
 
-    The route of the entries `_box_project`'s face solve rejects, with
-    that entry's tolerance tol on each row's distance (a z - b) / |a|. The
-    search runs on the rows scaled by powers of two to norms in [1/2, 1),
-    exactly the same set, so none of its thresholds depends on how the
-    rows are scaled. The weight is P^+, and the search uses P itself:
-    P a, A_bar P A_bar' and the gain P A_bar' (A_bar P A_bar')^{-1}. A
+    The route of the entries whose face of violated rows `_box_project`
+    rejects, on the table's rows (norms in [1/2, 1)) with that entry's
+    tolerance tol on each row's distance (a z - b) / |a|. The weight is
+    P^+, and the search uses P itself: P a and A_bar P A_bar'. A
     rank-deficient P therefore needs no special case; every step stays in
-    e + range(P). A row is added to the
-    working set only when its residual variance a'z exceeds _DEP_REL a'P a,
-    the share of it the working rows already explain, plus
-    _NULL_REL trace(P) |a|^2, the rounding level of P, so A_bar P A_bar'
-    stays nonsingular and a row in null(P) never enters. When
-    e + range(P) misses the feasible set, the dual step is unbounded and
-    InfeasibleConstraintsError is raised. max_iterations overrides the
-    add/drop budget of 10 * (rows + 1). `_check_forms` assembles the
-    projected covariance in the symmetric form
-    (I - gain A_bar) P (I - gain A_bar)' and checks it. Returns the
-    estimate, the covariance and the indices of the active rows, ascending.
+    e + range(P). A row is added to the working set only when its residual
+    variance a'z exceeds _DEP_REL a'P a, the share of it the working rows
+    already explain, plus _NULL_REL trace(P) |a|^2, the rounding level of
+    P, so A_bar P A_bar' stays nonsingular and a row in null(P) never
+    enters. When e + range(P) misses the feasible set, the dual step is
+    unbounded and InfeasibleConstraintsError is raised. max_iterations
+    overrides the add/drop budget of 10 * (rows + 1). Returns the indices
+    of the rows the search ends with, ascending; `_face_solve` solves and
+    judges their face.
     """
     row_norms = np.linalg.norm(A, axis=1)
     if (b[row_norms == 0.0] < 0.0).any():
         raise InfeasibleConstraintsError("zero constraint row with negative bound")
     # the rows that can be violated, by their index in A
     keep = np.flatnonzero(row_norms > 0.0)
-    pow2 = np.ldexp(1.0, np.frexp(row_norms[keep])[1])
-    A, b, row_norms = A[keep] / pow2[:, None], b[keep] / pow2, row_norms[keep] / pow2
+    A, b, row_norms = A[keep], b[keep], row_norms[keep]
 
     Pw = _sym(P)
     floor = _NULL_REL * float(np.trace(Pw)) * row_norms ** 2
@@ -303,40 +275,49 @@ def _project_core(e, P, A, b, tol, max_iterations=None):
             work.pop(blocker)
             lam = np.delete(lam, blocker)
 
-    work.sort()
-    Ab = A[work]
-    gain = Pw @ Ab.T @ _sym_inv(Ab @ Pw @ Ab.T)
-    return x, _check_forms(P, gain @ Ab), keep[work]
+    return keep[sorted(work)]
 
 
-def _face_solve(e, P, A, b, rows, v, tol, floor, z, ok, GA):
-    """The KKT point of each entry h on the face of its rows[h] of A.
+def _face_solve(e, P, A, b, face, viol, tol, lower, floor, z, ok, GA, search=False):
+    """The KKT point of each entry h on its face, the rows of A that the
+    boolean mask face[h] selects, as many for every entry.
 
-    With A_O those rows and v their violation A_O e - b_O, the multipliers
-    solve (A_O P A_O') lam = v and z = e - P A_O' lam. The point is accepted
-    (ok) when lam is finite and nonnegative, z meets every row to within
-    tol[h] (b and tol hold each entry's bounds and row tolerances) and
-    A_O P A_O' is positive definite with condition number at most 1e12,
-    which makes it the exact optimum. Its smallest eigenvalue must also
-    exceed floor[h], _NULL_REL trace(P) |A_O|^2 (Frobenius norm), the
-    rounding level of P: below it a face row may lie in null(P), where
-    `_project_core` lets no row enter. Every entry has the same number of
-    rows, so an entry is solved with the shapes, and the rounding, it
-    would have alone. Writes z, ok and G A_O, G = P A_O' (A_O P A_O')^{-1},
-    into the caller's arrays z, ok and GA; a rejected face may divide by
-    zero, so the caller sets np.errstate.
+    With A_O those rows and v = A_O e - b_O their residuals from viol, the
+    multipliers solve (A_O P A_O') lam = v and z = e - P A_O' lam. z is
+    accepted (ok) on the KKT conditions: lam finite and nonnegative, and
+    each row's residual a z - b (b holds each entry's bounds) between
+    lower[h] and tol[h], minus the tolerance on the face's rows and -inf on
+    the others. An entry that misses this gets one refinement step
+    z <- z - G (A_O z - b_O), G = P A_O' (A_O P A_O')^{-1}, and is tested
+    again. A_O P A_O' must be positive definite above floor[h], the
+    rounding level of P, _NULL_REL trace(P) |A_O|^2 (Frobenius norm), for a
+    face of violated rows, which must also have a condition number of at
+    most 1e12. The search's face (search=True) needs neither and always
+    takes the refinement step, which makes its point as accurate as the
+    search's own iterate was, or more. Each entry is solved with the
+    shapes, and the rounding, it would have alone. Writes z, ok and G A_O
+    into the caller's arrays; a rejected face may divide by zero, so the
+    caller sets np.errstate.
     """
-    Ao = A[rows]
+    c = len(face)
+    Ao = A[face.nonzero()[1].reshape(c, -1)]
     PA = P @ Ao.swapaxes(1, 2)
     S = Ao @ PA
     lo, hi = _eig_bounds(S)
     Sinv = _sym_inv(S)
-    lam = _mv(Sinv, v)
+    lam = _mv(Sinv, viol[face].reshape(c, -1))
     np.subtract(e, _mv(PA, lam), out=z)
-    good = (lam.min(axis=1) >= 0.0) & np.isfinite(lam.sum(axis=1))
-    good &= (lo > floor) & (hi <= _COND_LIMIT * lo)
-    np.logical_and(good, (_mv(A, z) - b <= tol).all(axis=1), out=ok)
-    np.matmul(PA @ Sinv, Ao, out=GA)
+    G = PA @ Sinv
+    np.matmul(G, Ao, out=GA)
+    floor, limit = (0.0, np.inf) if search else (floor, _COND_LIMIT)
+    good = ((lam >= 0.0) & (lam < np.inf)).all(axis=1) & (lo > floor) & (hi <= limit * lo)
+    res = _mv(A, z) - b
+    np.logical_and(good, ((res <= tol) & (res >= lower)).all(axis=1), out=ok)
+    if search or np.count_nonzero(ok) < c:
+        off = good if search else good > ok
+        z[off] -= _mv(G[off], res[off][face[off]].reshape(-1, Ao.shape[1]))
+        res = _mv(A, z[off]) - b[off]
+        ok[off] = ((res <= tol[off]) & (res >= lower[off])).all(axis=1)
 
 
 def _box_project(est, cov, box, counter, active, where):
@@ -345,21 +326,21 @@ def _box_project(est, cov, box, counter, active, where):
     est (H, n) and cov (H, n, n) are overwritten; box is the sets'
     `_ConstraintTable`. An entry meets its set when no row a_i lies farther
     than 1e-10 (1 + |e| + maxb) beyond its hyperplane, a distance
-    (a_i z - b_i) / |a_i|, so the test does not depend on how the rows are
-    scaled; the violations A e - b are one product per entry, so the
-    entries looked at do not depend on the batch. Those with rows over the
-    tolerance are sorted once by width, their number of such rows, and
-    each width's contiguous slice is solved on the face of those rows by
-    one `_face_solve` into shared arrays, bit for bit the entry alone; the
-    accepted entries pass one `_check_forms`, widths ascending, and are
-    written back at once. The rejected go to `_project_core` one at a
-    time, in entry order, on their own finite-bound rows and width[h]
-    coordinates; the returned counter counts them. active, a boolean
-    (H, q) mask, is overwritten with each entry's active rows.
-    Every active projection passes `_check_forms`; a failure names where(h)
-    for entry h, and so do the projector's errors and the ValueError
+    (a_i z - b_i) / |a_i|; the violations A e - b are one product per
+    entry, so the entries looked at do not depend on the batch. Those with
+    rows over the tolerance are sorted once by width, their number of such
+    rows, and each width's contiguous slice is solved on the face of those
+    rows by one `_face_solve` into shared arrays, bit for bit the entry
+    alone. The rejected go to `_project_core` one at a time, in entry
+    order, on their own finite-bound rows and width[h] coordinates, and the
+    face of the rows it returns goes through `_face_solve` as a batch of
+    one; the returned counter counts them. The covariances of all of them
+    are assembled at once and, with the estimates, written back. active, a
+    boolean (H, q) mask, is overwritten with each entry's active rows.
+    A search face that fails its KKT test raises RuntimeError naming
+    where(h) for entry h, and so do the search's errors and the ValueError
     raised for a violating entry whose estimate or covariance is not
-    finite.
+    finite. The covariances are taken as symmetric, unchecked.
     """
     A = box.A
     b = box.b if box.b.ndim > 1 else np.broadcast_to(box.b, (len(est), len(A)))
@@ -369,7 +350,6 @@ def _box_project(est, cov, box, counter, active, where):
     if not hit.size:
         active.fill(False)
         return counter
-    left = ()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # each entry's Euclidean norm, bit for bit what np.linalg.norm
         # returns, without its per-call overhead; tol_rows holds each row's
@@ -395,59 +375,71 @@ def _box_project(est, cov, box, counter, active, where):
             return counter
         hit, e, P = hit[start:], e[start:], P[start:]
         face, v, tr, bs = over[hit], viol[hit], tol_rows[hit], b[hit]
+        # each row's least residual: minus its tolerance on the face's rows
+        lw = np.where(face, -tr, -np.inf)
         # the face solve's null-space floor, _NULL_REL trace(P) |A_O|^2, of
         # each entry's face of violated rows
         floor = _NULL_REL * P.trace(axis1=1, axis2=2) * np.dot(face, box.sq)
         z, ok, GA = np.empty_like(e), np.empty(len(hit), dtype=bool), np.empty_like(P)
-        stop = 0
-        for w, c in enumerate(counts[1:], 1):
-            if c:
-                s, f = slice(stop, stop + c), face[stop:stop + c]
-                stop += c
-                _face_solve(e[s], P[s], A, bs[s], f.nonzero()[1].reshape(-1, w),
-                            v[s][f].reshape(-1, w), tr[s], floor[s], z[s], ok[s], GA[s])
-        if not ok.all():
-            left = np.sort(hit[~ok])
-            hit, z, P, GA = hit[ok], z[ok], P[ok], GA[ok]
-        # G A_O is n x n whatever the width, so the accepted entries stack
-        cov[hit] = _check_forms(P, GA, lambda i: where(hit[i]))
-        est[hit] = z
 
-    for r in left:
-        w = A.shape[1] if box.width is None else box.width[r]
-        rows = np.flatnonzero(np.isfinite(b[r]))
-        try:
-            z, P, act = _project_core(est[r, :w], cov[r, :w, :w], A[rows, :w], b[r, rows], tol[r])
-        except (ActiveSetLimitError, InfeasibleConstraintsError) as err:
-            err.args = (f"{err} at {where(r)}",)
-            raise
-        except RuntimeError:
-            raise RuntimeError(_FORMS_DISAGREE.format(f" at {where(r)}")) from None
-        est[r, :w], cov[r, :w, :w] = z, P
-        active[r] = False
-        active[r, rows[act]] = True
-        counter += 1
+        def solve(s, search=False):
+            _face_solve(e[s], P[s], A, bs[s], face[s], v[s], tr[s], lw[s], floor[s], z[s],
+                        ok[s], GA[s], search)
+
+        stop = 0
+        for c in counts[1:]:
+            if c:
+                solve(slice(stop, stop + c))
+                stop += c
+        # the rejected, in entry order: the search chooses the rows, and their
+        # face is held to the KKT conditions alone, as the search admitted
+        # each row above P's rounding level and independent of the others
+        for i in sorted((~ok).nonzero()[0], key=hit.__getitem__):
+            r = hit[i]
+            w = A.shape[1] if box.width is None else box.width[r]
+            rows = np.flatnonzero(np.isfinite(b[r]))
+            try:
+                act = rows[_project_core(e[i, :w], P[i, :w, :w], A[rows, :w], b[r, rows], tol[r])]
+            except (ActiveSetLimitError, InfeasibleConstraintsError) as err:
+                err.args = (f"{err} at {where(r)}",)
+                raise
+            face[i], lw[i] = False, -np.inf
+            face[i, act], lw[i, act] = True, -tr[i, act]
+            active[r] = face[i]
+            solve(slice(i, i + 1), search=True)
+            if not ok[i]:
+                raise RuntimeError(f"the active-set search's face fails its KKT test at {where(r)}")
+            counter += 1
+        # (I - G A_O) P (I - G A_O)'; G A_O is n x n whatever the width
+        short = P - GA @ P
+        cov[hit] = _sym(short - short @ GA.swapaxes(1, 2))
+        est[hit] = z
     return counter
 
 
 def _project_one(e, P, A, b, where):
     """`_box_project`'s batch of one: e onto {z : A z <= b} in the metric
-    of the covariance P, its errors naming `where`. P goes in as given,
-    not symmetrized, so the projected covariance's self-check sees an
-    asymmetric one, and an entry that meets its set keeps it. The
-    result's gain and multipliers are those of the active rows A_W it
+    of the covariance P, its errors naming `where`. P enters the package
+    here, so its symmetry is checked: an asymmetry beyond _FEAS_REL max|P|
+    raises ValueError. An entry that meets its set keeps P. The result's
+    gain and multipliers are those of the caller's active rows A_W it
     reports: P A_W' (A_W P A_W')^{-1} and (A_W P A_W')^{-1} (A_W e - b_W),
     clipped at 0.
     """
     box = _as_rows(A, b, e.size)
+    # a non-finite P is named by `_box_project` once a row is violated
+    bound = _FEAS_REL * np.abs(P).max(initial=0.0)
+    if np.isfinite(P).all() and np.abs(P - P.T).max(initial=0.0) > bound:
+        raise ValueError(f"asymmetric covariance at {where}")
     est, cov = e[None].copy(), P[None].copy()
     active = np.zeros((1, box.b.size), dtype=bool)
     _box_project(est, cov, box, 0, active, lambda _: where)
     rows = np.flatnonzero(active[0])
-    Ab = box.A[rows]
+    # the caller's rows, exactly: the table's times their scale
+    Ab, bW = box.A[rows] * box.scale[rows, None], box.b[rows] * box.scale[rows]
     PA = P @ Ab.T
     Sinv = _sym_inv(Ab @ PA)
-    lam = np.maximum(Sinv @ (Ab @ e - box.b[rows]), 0.0)
+    lam = np.maximum(Sinv @ (Ab @ e - bW), 0.0)
     return ProjectionResult(est[0], tuple(rows.tolist()), lam, PA @ Sinv, cov[0])
 
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from care_filter import ensemble, harness, projection
+from care_filter import cli, ensemble, harness, projection
 from care_filter.cli import main
 from care_filter.config import ScenarioConfig
 from care_filter.detector import DetectorConfig, DetectorState, cusum_update, detection_statistic
@@ -18,6 +18,8 @@ from care_filter.projection import (
     InfeasibleConstraintsError,
     _box_project,
     _ConstraintTable,
+    project_attack,
+    project_state,
 )
 from care_filter.vehicle import (
     VehicleParams,
@@ -390,12 +392,12 @@ class TestEnsemble:
         assert _box_project(est, cov, _ConstraintTable(A, b), 0, active, str) == 1
         np.testing.assert_allclose(est[1], [1.0, 0.0])
         assert active.tolist() == [[False, False], [True, False], [False, False]]
-        # an asymmetric covariance makes the symmetric and the short
-        # projected forms disagree, as in the scalar project_attack
-        est[1] = [2.0, 0.0]
-        cov[1] = [[1.0, 0.5], [0.0, 1.0]]
-        with pytest.raises(RuntimeError, match="forms disagree at run 1"):
-            _box_project(est, cov, _ConstraintTable(A, b), 0, active, lambda r: f"run {r}")
+        # an asymmetric covariance is rejected where it enters, by the
+        # wrappers, named as the caller names it
+        with pytest.raises(ValueError, match="^asymmetric covariance at run 1$"):
+            project_attack(SimpleNamespace(d_hat=np.array([2.0, 0.0]),
+                                           P_d=np.array([[1.0, 0.5], [0.0, 1.0]])),
+                           A, b, where="run 1")
 
     def test_negative_statistic_names_the_step_run_and_filter(self, monkeypatch):
         # rows are [care runs | ise runs], each holding its K steps in the
@@ -413,17 +415,15 @@ class TestEnsemble:
 
     def test_state_box_self_check_names_the_run(self):
         # the vehicle's state box on (x, y, v); run 2 leaves it through
-        # x <= 20 alone and is solved on the face of that row
+        # x <= 20 alone, with a lopsided covariance, which the wrapper
+        # rejects before it is projected
         params = VehicleParams()
         B_st, c_st = build_constraints((0.0, 0.0), params)[2:]
-        est = np.tile([10.0, 2.5, 0.0, 10.0], (3, 1))
-        est[2, 0] = 21.0
-        cov = np.tile(0.1 * np.eye(4), (3, 1, 1))
-        cov[2, 1, 3] = 0.05
-        active = np.zeros((3, len(B_st)), dtype=bool)
-        with pytest.raises(RuntimeError, match="forms disagree at k=7, run 2"):
-            _box_project(est, cov, _ConstraintTable(B_st, c_st), 0, active,
-                         lambda r: f"k=7, run {r}")
+        x_hat = np.array([21.0, 2.5, 0.0, 10.0])
+        P_x = 0.1 * np.eye(4)
+        P_x[1, 3] = 0.05
+        with pytest.raises(ValueError, match="^asymmetric covariance at k=7, run 2$"):
+            project_state(SimpleNamespace(x_hat=x_hat, P_x=P_x), B_st, c_st, where="k=7, run 2")
 
     def test_vehicle_boxes_need_no_scalar_fallback(self):
         # every constraint set of the vehicle is a box, so runs violating
@@ -510,6 +510,33 @@ class TestEnsemble:
         batch.r_outer[2, 0, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite covariance at k=1, run 2, filter care"):
             batch.step(1)
+
+    def test_kernel_covariances_enter_the_projector_exactly_symmetric(self, monkeypatch):
+        # the projector takes a covariance as symmetric and only the
+        # wrappers check it, so every attack and state covariance the kernel
+        # hands it must be symmetric to the bit, over the attack window
+        seen = []
+        box_project = ensemble._box_project
+
+        def spy(est, cov, *args):
+            seen.append(np.array_equal(cov, cov.swapaxes(1, 2)))
+            return box_project(est, cov, *args)
+
+        monkeypatch.setattr(ensemble, "_box_project", spy)
+        batch = ensemble._Batch(ScenarioConfig(horizon=700, seed=8), range(3), ("care", "ise"))
+        active = 0
+        for k in range(1, 701):
+            batch.step(k)
+            active += int(batch.in_act.sum() + batch.st_act.sum())
+        assert len(seen) == 700 and all(seen)
+        assert active > 0
+
+    def test_ise_only_batch_builds_no_projection_buffers(self):
+        batch = ensemble._Batch(ScenarioConfig(horizon=5, seed=3), range(3), ("ise",))
+        for name in ("box", "box_est", "box_cov", "box_act"):
+            assert not hasattr(batch, name), name
+        batch.step(1)
+        assert batch.in_act.sum() == 0 and batch.st_act.sum() == 0
 
     def test_non_finite_covariance_of_an_ise_row_is_named(self):
         # ise rows are never projected; the attack stage stops the NaN
@@ -701,6 +728,17 @@ class TestCli:
         cfg = _write(tmp_path / "phi0.txt", "horizon = 30\nphi = 0\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
+
+    def test_plain_runtime_error_exits_two(self, tmp_path, capsys, monkeypatch):
+        # a RuntimeError that is no named error class, such as a search face
+        # failing its KKT test, is a runtime failure too: one line, exit 2
+        def failing(*args, **kwargs):
+            raise RuntimeError("the active-set search's face fails its KKT test at k=3")
+
+        monkeypatch.setattr(cli, "simulate", failing)
+        assert main(["simulate", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the active-set search's face fails its KKT test at k=3\n")
 
     def test_runtime_failure_exits_two(self, tmp_path, capsys):
         # zero initial speed leaves only one identifiable attack direction

@@ -1,7 +1,10 @@
 """The package namespace against its modules."""
 
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import care_filter
 
@@ -19,3 +22,20 @@ def test_exports_are_the_union_of_the_modules():
     assert sorted(care_filter.__all__) == sorted(union)
     for name, obj in union.items():
         assert getattr(care_filter, name) is obj, name
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency pyproject.toml declares
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    seen = set()
+    for path in Path(care_filter.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            seen.update(name.split(".")[0] for name in names)
+            assert seen <= allowed, (path.name, sorted(seen - allowed))
+    assert "numpy" in seen

@@ -14,7 +14,6 @@ from care_filter.projection import (
     InfeasibleConstraintsError,
     ProjectionResult,
     _box_project,
-    _check_forms,
     _ConstraintTable,
     _project_core,
     _sym_inv,
@@ -37,10 +36,15 @@ class _Duck:
 
 def _search(e, P, A, b):
     """The active-set search alone, under the tolerance `_box_project`
-    gives it: (estimate, covariance, active rows)."""
+    gives it, and a plain solve on the face of the rows it returns:
+    (estimate, covariance, active rows)."""
     dist = np.abs(b) / np.linalg.norm(A, axis=1)
     tol = projection._FEAS_REL * (1.0 + np.linalg.norm(e) + dist.max())
-    return _project_core(e, P, A, b, tol)
+    act = _project_core(e, P, A, b, tol)
+    Aw = A[act]
+    G = P @ Aw.T @ np.linalg.inv(Aw @ P @ Aw.T)
+    shrink = np.eye(e.size) - G @ Aw
+    return e - G @ (Aw @ e - b[act]), shrink @ P @ shrink.T, act
 
 
 class TestOracleEquivalence:
@@ -113,15 +117,17 @@ class TestOracleEquivalence:
         assert np.abs(res.estimate - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
 
     def test_nearly_parallel_rows_keep_their_exact_vertex(self):
-        # with 1e-4 in place of 2e-4 the optimum (-9999, 10000) has both rows
-        # active and a gain with entries near 1e4; the covariance self-check
-        # scales its bound with GA = gain A_bar and accepts the exact vertex
-        A = np.array([[-1.0, -1.0], [1.0, 1.0 - 1e-4]])
-        b = np.array([-1.0, 0.0])
-        res = project(np.zeros(2), np.eye(2), A, b)
-        assert res.active_set == (0, 1)
-        np.testing.assert_allclose(res.estimate, [-9999.0, 10000.0], rtol=1e-10)
-        assert np.abs(res.covariance).max() <= 1e-10
+        # both rows are active at the optimum (1 - 1/eps, 1/eps), where the
+        # gain has entries near 1/eps and A_bar P A_bar' a condition number
+        # near 16/eps^2: one refinement step brings the face solve back
+        # onto the vertex, and no covariance check rejects it
+        for eps in (1e-3, 1.2e-4, 1e-4, 9e-5, 5e-5, 2e-5, 1e-5):
+            A = np.array([[-1.0, -1.0], [1.0, 1.0 - eps]])
+            b = np.array([-1.0, 0.0])
+            res = project(np.zeros(2), np.eye(2), A, b)
+            assert res.active_set == (0, 1), eps
+            np.testing.assert_allclose(res.estimate, [1.0 - 1.0 / eps, 1.0 / eps], rtol=1e-10)
+            assert np.abs(res.covariance).max() <= 1e-10, eps
         ref = qp_oracle(np.zeros(2), np.eye(2), A, b)
         assert np.abs(res.estimate - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
 
@@ -243,6 +249,19 @@ class TestFailureModes:
         res = project(np.array([25.0, -3.0]), np.eye(2), A, b)
         assert res.active_set == (0, 3)
         np.testing.assert_allclose(res.estimate, [20.0, 0.0], atol=1e-12)
+
+    def test_a_wrong_search_face_is_rejected(self, monkeypatch):
+        # the search's rows are judged by the face solve's KKT test: on
+        # either row alone the vertex problem's point misses the other row.
+        # Entry 0 lies inside the set, far out along the wedge
+        A = np.array([[-1.0, -1.0], [1.0, 1.0 - 1e-4]])
+        b = np.array([-1.0, 0.0])
+        for rows in ([0], [1]):
+            monkeypatch.setattr(projection, "_project_core", lambda *args: np.array(rows))
+            with pytest.raises(RuntimeError, match="fails its KKT test at entry 1$"):
+                _box_project(np.array([[-19998.5, 2e4], [0.0, 0.0]]), np.tile(np.eye(2), (2, 1, 1)),
+                             _ConstraintTable(A, b), 0, np.zeros((2, 2), dtype=bool),
+                             lambda h: f"entry {h}")
 
     def test_non_finite_constraint_data_is_rejected(self):
         # an infinite bound used to switch every row off, a NaN bound to
@@ -738,26 +757,29 @@ class TestBatchedBoxProjection:
         np.testing.assert_allclose(z[1], [1.0, 0.5], atol=1e-15)
         assert active.tolist() == [[False, False], [True, False], [True, True]]
 
-    def test_merged_check_names_the_entry_not_its_stack_position(self):
+    def test_merged_check_names_the_entry_not_its_stack_position(self, monkeypatch):
         # entries 0, 2 and 3 leave the box z <= 1 through one row each and
-        # pass; entry 1 leaves it through both under a lopsided covariance,
-        # which its face solve accepts (the 2x2 inverse reads the upper
-        # triangle) and on which the covariance forms then disagree. The
-        # accepted entries are checked together, width 1 before width 2,
-        # so entry 1 sits last in that stack and first among its width
+        # pass; entry 1 leaves it through both, where a multiplier is
+        # negative under its covariance, so it goes to the search, which here
+        # returns row 1 alone, a face whose point misses row 0. The widths
+        # are solved in ascending order, so entry 1 sits last in the stack
+        monkeypatch.setattr(projection, "_project_core", lambda *args: np.array([1]))
         A, b = np.eye(2), np.ones(2)
-        est = np.array([[2.0, 0.5], [2.0, 2.0], [0.5, 3.0], [1.5, 0.0]])
+        est = np.array([[2.0, 0.5], [2.0, 1.2], [0.5, 3.0], [1.5, 0.0]])
         cov = np.tile(np.eye(2), (4, 1, 1))
-        cov[1] = [[1.0, 0.0], [0.5, 1.0]]
+        cov[1] = [[1.0, 0.9], [0.9, 1.0]]
+        z, P = est.copy(), cov.copy()
         active = np.zeros((4, 2), dtype=bool)
-        with pytest.raises(RuntimeError, match="forms disagree at entry 1;"):
-            _box_project(est, cov, _ConstraintTable(A, b), 0, active, lambda h: f"entry {h}")
-        assert active.sum(axis=1).tolist() == [1, 2, 1, 1]
+        with pytest.raises(RuntimeError, match="fails its KKT test at entry 1$"):
+            _box_project(z, P, _ConstraintTable(A, b), 0, active, lambda h: f"entry {h}")
+        # nothing is written back before every entry is accepted
+        assert np.array_equal(z, est) and np.array_equal(P, cov)
 
     def test_unsorted_widths_each_get_their_one_entry_result(self, monkeypatch):
         # flagged entries arriving in width order [2, 1, within tolerance, 2,
-        # face-rejected, 1] on the box z <= 1: each width is solved once, and
-        # every entry ends as it would alone, bit for bit
+        # face-rejected, 1] on the box z <= 1: each width is solved once,
+        # then the face of the two rows the search returns for the rejected
+        # entry, and every entry ends as it would alone, bit for bit
         A, b = np.eye(2), np.ones(2)
         skew = np.array([[1.0, -0.9], [-0.9, 1.0]])
         est = np.array([[2.0, 3.0], [2.0, 0.5], [1.0 + 5e-11, 0.5], [3.0, 1.5], [2.0, 0.5],
@@ -767,15 +789,15 @@ class TestBatchedBoxProjection:
         widths = []
         face_solve = projection._face_solve
 
-        def spy(e, P, A, b, rows, *args):
-            widths.append(rows.shape[1])
-            return face_solve(e, P, A, b, rows, *args)
+        def spy(e, P, A, b, face, *args):
+            widths.append(int(face[0].sum()))
+            return face_solve(e, P, A, b, face, *args)
 
         monkeypatch.setattr(projection, "_face_solve", spy)
         z, P = est.copy(), cov.copy()
         active = np.zeros((6, 2), dtype=bool)
         assert _box_project(z, P, _ConstraintTable(A, b), 0, active, str) == 1
-        assert widths == [1, 2]
+        assert widths == [1, 2, 2]
         assert active.sum(axis=1).tolist() == [2, 1, 0, 2, 2, 1]
         for h in range(6):
             z1, P1 = est[h:h + 1].copy(), cov[h:h + 1].copy()
@@ -787,14 +809,15 @@ class TestBatchedBoxProjection:
 
     def test_mixed_widths_pay_the_fixed_costs_once(self, monkeypatch):
         # entries violating one row and two rows: one face solve per width,
-        # but one self-check and one floating-point error state per call
-        calls = {"check": 0, "errstate": 0, "face": 0}
-        check_forms, face_solve = projection._check_forms, projection._face_solve
+        # but one covariance assembly (its one symmetrization) and one
+        # floating-point error state per call
+        calls = {"assembly": 0, "errstate": 0, "face": 0}
+        sym, face_solve = projection._sym, projection._face_solve
         errstate = np.errstate
 
-        def counting_check(*args):
-            calls["check"] += 1
-            return check_forms(*args)
+        def counting_sym(*args):
+            calls["assembly"] += 1
+            return sym(*args)
 
         def counting_face(*args):
             calls["face"] += 1
@@ -804,7 +827,7 @@ class TestBatchedBoxProjection:
             calls["errstate"] += 1
             return errstate(**kwargs)
 
-        monkeypatch.setattr(projection, "_check_forms", counting_check)
+        monkeypatch.setattr(projection, "_sym", counting_sym)
         monkeypatch.setattr(projection, "_face_solve", counting_face)
         monkeypatch.setattr(np, "errstate", counting_errstate)
         est = np.array([[2.0, 0.5], [2.0, 2.0], [0.5, 3.0]])
@@ -812,7 +835,7 @@ class TestBatchedBoxProjection:
         active = np.zeros((3, 2), dtype=bool)
         assert _box_project(est, cov, _ConstraintTable(np.eye(2), np.ones(2)), 0, active, str) == 0
         assert active.sum(axis=1).tolist() == [1, 2, 1]
-        assert calls == {"check": 1, "errstate": 1, "face": 2}
+        assert calls == {"assembly": 1, "errstate": 1, "face": 2}
         np.testing.assert_allclose(est, [[1.0, 0.5], [1.0, 1.0], [0.5, 1.0]], atol=1e-15)
 
     def test_zero_row_set_leaves_the_runs_untouched(self):
@@ -887,35 +910,6 @@ class TestOneRoute:
         assert not active[4].any() and np.array_equal(z[4], z0)
 
 
-class TestCheckForms:
-    # on P = s I and the row (1, 0), the gain (1, delta)' is off the exact
-    # oblique gain (1, 0)' by delta, and the two covariance forms then differ
-    # by s delta at most; with max|gain A_bar| = 1 the full bound is
-    # 1e-8 (1 + s) (1 + 1)
-    s = 100.0
-    Ab = np.array([[1.0, 0.0]])
-
-    def forms(self, err):
-        return self.s * np.eye(2), np.array([[1.0], [err / self.s]]), self.Ab
-
-    def test_error_above_the_floor_within_the_scaled_bound_passes(self):
-        # 1e-8 < 5e-7 <= 1e-8 (1 + s)
-        P, gain, Ab = self.forms(5e-7)
-        _check_forms(P, gain @ Ab)
-        # and past 1e-8 (1 + s) while within the factor 1 + max|gain A_bar|
-        P, gain, Ab = self.forms(1.5e-6)
-        _check_forms(P, gain @ Ab)
-
-    def test_error_beyond_the_full_bound_raises_and_names_the_entry(self):
-        P, gain, Ab = self.forms(3e-6)
-        with pytest.raises(RuntimeError, match="forms disagree"):
-            _check_forms(P, gain @ Ab)
-        (P0, g0, A0), (P1, g1, A1) = self.forms(5e-7), self.forms(3e-6)
-        with pytest.raises(RuntimeError, match="forms disagree at entry 1;"):
-            _check_forms(np.array([P0, P1]), np.array([g0 @ A0, g1 @ A1]),
-                         lambda i: f"entry {i}")
-
-
 def test_small_symmetric_inverse_matches_lapack():
     rng = np.random.default_rng(31)
     for n in range(1, 5):
@@ -982,16 +976,15 @@ class TestEstimatorFacingWrappers:
         assert np.trace(P_x) < np.trace(upd.P_x)
 
     def test_asymmetric_covariance_fails_the_self_check(self):
-        # the wrappers project with the caller's covariance as given: a
-        # lopsided one stays lopsided off the active row, where the two
-        # projected covariance forms then disagree
+        # the wrappers are where a covariance enters the projector, so they
+        # reject a lopsided one, naming where it came from
         P = np.eye(3)
         P[1, 2] = 0.5
         atk = _Duck(d_hat=np.array([2.0, 0.0, 0.0]), P_d=P)
         A, b = np.array([[1.0, 0.0, 0.0]]), np.array([1.0])
-        with pytest.raises(RuntimeError, match="forms disagree at the attack estimate;"):
+        with pytest.raises(ValueError, match="^asymmetric covariance at the attack estimate$"):
             project_attack(atk, A, b)
-        with pytest.raises(RuntimeError, match="forms disagree at k=2, state;"):
+        with pytest.raises(ValueError, match="^asymmetric covariance at k=2, state$"):
             project_state(_Duck(x_hat=atk.d_hat, P_x=P), A, b, where="k=2, state")
 
     def test_wrappers_passthrough_without_violation(self):
