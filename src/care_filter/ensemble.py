@@ -4,21 +4,22 @@
 the MVU input/state filter (Gillijns & De Moor, Automatica 43(1), 2007)
 over a leading row axis, so each step costs a handful of batched numpy
 calls instead of a Python loop over runs and filters. Rows are laid out
-filter-major, [care runs | ise runs]: the truth is propagated once per
-realization and every filter block of a realization sees that
-realization's measurement. Per-run noise comes from `NoiseSpec(seed, i)`
-for run index i, streamed: the batch draws the next _NOISE_CHUNK steps of
-every run's stream together as it reaches them, bit for bit what
-`NoiseSpec.sample` returns, so noise holds O(runs x _NOISE_CHUNK) memory
-whatever the horizon. The prediction and the attack estimate are the
-stages `care_step` runs, `estimator._predict` and
-`estimator._estimate_attack`, called on the stacked rows with C = I (passed
-as None, which skips its products). Only the measurement update is the
-kernel's own, the closed form for C = I and diagonal R (Kitanidis,
-Automatica 23(6), 1987): for S = P^- + R and W = S^{-1} - S^{-1} G P_d G'
-S^{-1}, the posterior is x = y - R W nu and P = R - R W R, which needs
-neither R* nor a solve. `run_ensemble` here and `simulate`/`monte_carlo`
-in the harness are the drivers of this one kernel.
+filter-major, [care runs | ise runs], and each realization's truth follows
+as a plant row: a step schedules and runs `estimator._predict` once over
+[filter rows | plant rows], the plant's on the true speed and with a zero
+covariance nothing reads, and the truth is that prior plus B d + w,
+clipped. Every filter block of a realization sees its measurement.
+Per-run noise comes from `NoiseSpec(seed, i)` for run index i, streamed:
+the batch draws the next _NOISE_CHUNK steps of every run's stream together
+as it reaches them, bit for bit what `NoiseSpec.sample` returns, so noise
+holds O(runs x _NOISE_CHUNK) memory whatever the horizon. The prediction
+and `estimator._estimate_attack` are stages `care_step` runs, the latter
+on the filter rows with C = I (passed as None, which skips its products).
+Only the measurement update is the kernel's own, the closed form for C = I
+and diagonal R (Kitanidis, Automatica 23(6), 1987): for S = P^- + R and
+W = S^{-1} - S^{-1} G P_d G' S^{-1}, the posterior is x = y - R W nu and
+P = R - R W R, which needs neither R* nor a solve. `run_ensemble` here and
+`simulate`/`monte_carlo` in the harness are the drivers of this one kernel.
 
 Projection is where runs genuinely differ. Both projections of every care
 run, the attack estimate onto the actuator box and the state estimate onto
@@ -28,20 +29,19 @@ once. The two sets' rows are stacked in one matrix, and each entry carries
 its own bounds, +inf on the rows of the other set, in one constraint table
 the batch builds once, if it has care rows; an attack entry fills the
 leading two of four coordinates and its padding, a zero estimate and a
-zero covariance, stays zero. The call projects in place in the batch's
-buffers of n + N rows, [attack entries of the n care rows | the state of
-all N rows], its entries the first 2n: x and P are views of rows n
-onward, as are d and Pd unless ise rows follow, all valid until the next
+zero covariance, stays zero. The batch's buffers hold n + N + R rows,
+[attack entries of the n care rows | the state of all N rows | the
+truth], and the call projects the first 2n in place: x, P and x_true are
+views, as are d and Pd unless ise rows follow, all valid until the next
 `step`. The covariances entering it are exactly symmetric (P_d is the
 closed-form inverse of the upper triangle of N, and P = R - R W R with W
-symmetrized), so the kernel needs no symmetry check. The projector
-reports each entry's active rows as a mask, whose sums are the active
-counts. `care_step` takes the same projector as a batch of one, and an
-entry's result does not depend on its batch, bit for bit:
-`simulate(run_index=i)` is run i of `monte_carlo`, and the leading runs of
-a `run_ensemble` batch are a smaller batch. On the vehicle boxes every
-entry stops at the face of its own violated rows, so the scalar active-set
-search is never reached.
+symmetrized), so the kernel needs no symmetry check. The projector also
+reports each entry's number of active rows, the active counts.
+`care_step` takes the same projector as a batch of one, and an entry's
+result does not depend on its batch, bit for bit: `simulate(run_index=i)`
+is run i of `monte_carlo`, and the leading runs of a `run_ensemble` batch
+are a smaller batch. On the vehicle boxes every entry stops at the face of
+its own violated rows, so the scalar active-set search is never reached.
 
 The point of `run_ensemble` is stability studies: hundreds of runs over
 ten thousand steps, reduced to per-step error energies and running
@@ -110,10 +110,11 @@ class _Batch:
     Each filter schedules its matrices on its own previous speed estimate;
     the plant uses the true speed. After `step(k)` the attributes hold
     step k for every row: the final estimates x, P, d, Pd (projected on
-    the care rows; views of the projection buffers, valid until the next
+    the care rows; views of the kernel's buffers, valid until the next
     step), the unprojected x_raw, P_raw, d_raw, Pd_raw, the
     active constraint counts in_act and st_act, and mcg_dev, the largest
-    entry of |M C G - I|. x_true holds the truth of each realization.
+    entry of |M C G - I|. x_true, the truth of each realization, is a view
+    of the same buffers.
     """
 
     def __init__(self, config: ScenarioConfig, run_indices, filters):
@@ -156,14 +157,13 @@ class _Batch:
         self.Q = np.diag(params.q_diag)
         self.R_mat = np.diag(self.r_diag)
 
-        x0 = np.array(config.x0, dtype=float)
-        self.x_true = np.broadcast_to(x0, (R, 4)).copy()
-        self.x = np.broadcast_to(x0, (N, 4)).copy()
-        self.P = np.broadcast_to(config.p0_scale * np.eye(4), (N, 4, 4)).copy()
         self.n_care = n = R if "care" in self.names else 0
         self.fallbacks = 0
-        self.in_act = np.zeros(N, dtype=np.int64)
-        self.st_act = np.zeros(N, dtype=np.int64)
+        self.in_act, self.st_act = np.zeros((2, N), dtype=np.int64)
+        self.est, self.cov = np.zeros((n + N + R, 4)), np.zeros((n + N + R, 4, 4))
+        self.est[n:] = config.x0
+        self.cov[n:n + N] = config.p0_scale * np.eye(4)
+        self.x, self.P, self.x_true = self.est[n:n + N], self.cov[n:n + N], self.est[n + N:]
 
         if n:
             # both projections of the care rows in one `_box_project` call:
@@ -176,19 +176,16 @@ class _Batch:
             b_box[:n, :q_in] = self.b_in
             b_box[n:, q_in:] = self.c_st
             self.box = _ConstraintTable(A_box, b_box, np.repeat([2, 4], n))
-            self.box_est = np.zeros((n + N, 4))
-            self.box_cov = np.zeros((n + N, 4, 4))
             self.box_act = np.zeros((2 * n, len(A_box)), dtype=bool)
+            self.box_counts = np.zeros(2 * n, dtype=np.int64)
 
-        # constant slots of the scheduled matrices; speed-dependent entries
-        # are rewritten every step (separate buffers for plant and filters)
+        # constant slots of the scheduled matrices of [filter rows | plant
+        # rows]; speed-dependent entries are rewritten every step
         T = params.T_s
-        self.A_t = np.tile(np.eye(4), (R, 1, 1))
-        self.A_t[:, 0, 3] = T
-        self.B_t = np.zeros((R, 4, 2))
-        self.B_t[:, 3, 1] = T
-        self.A_f = np.tile(self.A_t[:1], (N, 1, 1))
-        self.B_f = np.tile(self.B_t[:1], (N, 1, 1))
+        self.A_s = np.tile(np.eye(4), (N + R, 1, 1))
+        self.A_s[:, 0, 3] = T
+        self.B_s = np.zeros((N + R, 4, 2))
+        self.B_s[:, 3, 1] = T
 
     def _draw_chunk(self, k0):
         """Draw the noise of steps k0 + 1 ... k0 + c, c = min(_NOISE_CHUNK, K - k0)."""
@@ -215,21 +212,22 @@ class _Batch:
             self._draw_chunk(km1)
             j = 0
 
-        self._schedule(self.A_t, self.B_t, self.x_true[:, 3])
-        x_true = (self.A_t @ self.x_true[..., None])[..., 0] + self.B_t @ self.u_beta \
-            + self.B_t @ self.d_true[km1] + self.w_chunk[:, j]
+        # one prediction of [filter rows | plant rows]: each filter schedules
+        # on its own speed estimate, the plant on the true speed, and the
+        # truth is its prior plus B d + w
+        n, N, est, cov, B = self.n_care, len(self.x), self.est, self.cov, self.B_s
+        self._schedule(self.A_s, B, est[n:, 3])
+        prior, Pp = _predict(self.A_s, B, self.Q, est[n:], cov[n:], self.u_beta)
+        np.add(prior[N:] + B[N:] @ self.d_true[km1], self.w_chunk[:, j], out=self.x_true)
         if self.clamp_truth:
-            np.clip(x_true, self.truth_lo, self.truth_hi, out=x_true)
-        self.x_true = x_true
-        y = x_true + self.v_chunk[:, j]
+            self.x_true.clip(self.truth_lo, self.truth_hi, out=self.x_true)
+        y = self.x_true + self.v_chunk[:, j]
         if len(self.names) > 1:
             y = np.concatenate([y] * len(self.names))
 
-        A_f, G_f = self.A_f, self.B_f
-        self._schedule(A_f, G_f, self.x[:, 3])
-        pred_x, Pp = _predict(A_f, G_f, self.Q, self.x, self.P, self.u_beta)
-        R_til, T_mat, Pd_u, M, nu, d_u = _estimate_attack(None, G_f, self.R_mat, pred_x, Pp,
-                                                          y, where)
+        G_f = B[:N]
+        R_til, T_mat, Pd_u, M, nu, d_u = _estimate_attack(None, G_f, self.R_mat, prior[:N],
+                                                          Pp[:N], y, where)
         # C = I: S^{-1} is a generalized inverse of R*, so the update needs no solve
         W = _sym(R_til - T_mat.transpose(0, 2, 1) @ M)
         x_u = y - self.r_diag * (W @ nu[..., None])[..., 0]
@@ -237,22 +235,20 @@ class _Batch:
 
         self.mcg_dev = np.abs(M @ G_f - _EYE2).max(axis=(1, 2))
         self.x_raw, self.P_raw, self.d_raw, self.Pd_raw = x_u, P_u, d_u, Pd_u
-        n = self.n_care
+        est[n:n + N], cov[n:n + N] = x_u, P_u
         if n:
             # the padded coordinates of the attack entries stay zero
-            est, cov, act = self.box_est, self.box_cov, self.box_act
-            est[:n, :2], est[n:] = d_u[:n], x_u
-            cov[:n, :2, :2], cov[n:] = Pd_u[:n], P_u
+            est[:n, :2], cov[:n, :2, :2] = d_u[:n], Pd_u[:n]
+            cnt = self.box_counts
             self.fallbacks = _box_project(est[:2 * n], cov[:2 * n], self.box, self.fallbacks,
-                                          act, lambda h: where(h % n))
-            if n == len(x_u):
+                                          self.box_act, lambda h: where(h % n), cnt)
+            if n == N:
                 d_u, Pd_u = est[:n, :2], cov[:n, :2, :2]
             else:
                 d_u = np.concatenate([est[:n, :2], d_u[n:]])
                 Pd_u = np.concatenate([cov[:n, :2, :2], Pd_u[n:]])
-            x_u, P_u = est[n:], cov[n:]
-            self.in_act[:n], self.st_act[:n] = act[:n].sum(axis=1), act[n:].sum(axis=1)
-        self.x, self.P, self.d, self.Pd = x_u, P_u, d_u, Pd_u
+            self.in_act[:n], self.st_act[:n] = cnt[:n], cnt[n:]
+        self.d, self.Pd = d_u, Pd_u
 
 
 def _audit_update(audit, which, act, e_con, e_unc, W, tr_pre, tr_post):

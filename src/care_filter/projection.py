@@ -12,8 +12,8 @@ active rows A_bar. Each entry is first solved on the face its own
 violated rows define (the active-set idea of Bemporad et al., Automatica
 38(1), 2002, with the set's data prepared once; batched small QPs as in
 Amos & Kolter, OptNet, arXiv:1703.00443): the violating entries are
-sorted once by width, their number of violated rows, and each width is
-solved on one contiguous slice. The entries whose face is rejected go one
+sorted once by width, their number of violated rows; widths 1 and 2 share
+one solve, each wider width one on a contiguous slice. Rejected entries go one
 at a time to a primal-dual active-set search, `_project_core`, which only
 chooses the rows: start at the unconstrained optimum, repeatedly drive
 the most violated constraint to equality, dropping working rows whose
@@ -107,15 +107,19 @@ class _ConstraintTable:
     the row's norm into [1/2, 1): exactly the same set (a zero row keeps
     scale 1). From the scaled rows: their squared norms and norms, and
     maxb, each entry's largest finite hyperplane distance |b_i| / |a_i|.
+    A_z and b_z close the scaled rows with a zero row of bound 0, which
+    pads a face of one row in `_face_solve`; A and b are views without it.
     """
 
     def __init__(self, A, b, width=None):
         self.scale = np.ldexp(1.0, np.frexp(np.sqrt(np.add.reduce(A * A, axis=1)))[1])
-        self.A, self.b, self.width = A / self.scale[:, None], b / self.scale, width
-        self.sq = np.add.reduce(self.A * self.A, axis=1)
+        self.A_z = np.vstack([A / self.scale[:, None], np.zeros(A.shape[1])])
+        self.b_z = b_z = np.concatenate([b / self.scale, np.zeros(b.shape[:-1] + (1,))], axis=-1)
+        self.A, self.b, self.width = self.A_z[:-1], b_z[..., :-1], width
+        self.sq = np.add.reduce(self.A_z * self.A_z, axis=1)
         self.norms = norms = np.sqrt(self.sq)
         # a zero row has no hyperplane: its distance stays inf, left out
-        dist = np.divide(np.abs(self.b), norms, out=np.full(b.shape, np.inf), where=norms > 0.0)
+        dist = np.divide(np.abs(b_z), norms, out=np.full(b_z.shape, np.inf), where=norms > 0.0)
         self.maxb = dist.max(axis=-1, initial=0.0, where=np.isfinite(dist))
 
 
@@ -278,7 +282,7 @@ def _project_core(e, P, A, b, tol, max_iterations=None):
     return keep[sorted(work)]
 
 
-def _face_solve(e, P, A, b, face, viol, tol, lower, floor, z, ok, GA, search=False):
+def _face_solve(e, P, A, b, face, viol, tol, lower, floor, z, ok, GA, pad=0, search=False):
     """The KKT point of each entry h on its face, the rows of A that the
     boolean mask face[h] selects, as many for every entry.
 
@@ -294,16 +298,24 @@ def _face_solve(e, P, A, b, face, viol, tol, lower, floor, z, ok, GA, search=Fal
     face of violated rows, which must also have a condition number of at
     most 1e12. The search's face (search=True) needs neither and always
     takes the refinement step, which makes its point as accurate as the
-    search's own iterate was, or more. Each entry is solved with the
-    shapes, and the rounding, it would have alone. Writes z, ok and G A_O
-    into the caller's arrays; a rejected face may divide by zero, so the
-    caller sets np.errstate.
+    search's own iterate was, or more. The leading pad faces of one row a
+    take the table's zero row, last in A and the masks, as their second:
+    P a' and s = a P a' are formed as alone (BLAS may round a product of
+    two columns otherwise), A_O P A_O' = (s, 0; 0, 1) and lo = hi = s; the
+    zero row adds only signed zeros, so each entry is solved with the
+    rounding it would have alone. Writes z, ok and G A_O into the caller's
+    arrays; a rejected face may divide by zero, so the caller sets np.errstate.
     """
     c = len(face)
     Ao = A[face.nonzero()[1].reshape(c, -1)]
     PA = P @ Ao.swapaxes(1, 2)
     S = Ao @ PA
+    if pad:
+        Pa = P[:pad] @ Ao[:pad, :1].swapaxes(1, 2)
+        PA[:pad, :, :1], S[:pad, :1, :1], S[:pad, 1, 1] = Pa, Ao[:pad, :1] @ Pa, 1.0
     lo, hi = _eig_bounds(S)
+    if pad:
+        lo[:pad] = hi[:pad] = S[:pad, 0, 0]
     Sinv = _sym_inv(S)
     lam = _mv(Sinv, viol[face].reshape(c, -1))
     np.subtract(e, _mv(PA, lam), out=z)
@@ -320,7 +332,7 @@ def _face_solve(e, P, A, b, face, viol, tol, lower, floor, z, ok, GA, search=Fal
         ok[off] = ((res <= tol[off]) & (res >= lower[off])).all(axis=1)
 
 
-def _box_project(est, cov, box, counter, active, where):
+def _box_project(est, cov, box, counter, active, where, counts=None):
     """Project each entry's estimate onto its set {z : A z <= b_h}, in place.
 
     est (H, n) and cov (H, n, n) are overwritten; box is the sets'
@@ -329,26 +341,30 @@ def _box_project(est, cov, box, counter, active, where):
     (a_i z - b_i) / |a_i|; the violations A e - b are one product per
     entry, so the entries looked at do not depend on the batch. Those with
     rows over the tolerance are sorted once by width, their number of such
-    rows, and each width's contiguous slice is solved on the face of those
-    rows by one `_face_solve` into shared arrays, bit for bit the entry
+    rows. Widths 1 and 2 share one `_face_solve`, a face of one row padded
+    with the table's zero row when both occur, and each wider width takes
+    one on its contiguous slice, into shared arrays, bit for bit the entry
     alone. The rejected go to `_project_core` one at a time, in entry
     order, on their own finite-bound rows and width[h] coordinates, and the
     face of the rows it returns goes through `_face_solve` as a batch of
     one; the returned counter counts them. The covariances of all of them
     are assembled at once and, with the estimates, written back. active, a
-    boolean (H, q) mask, is overwritten with each entry's active rows.
+    boolean (H, q) mask, and counts, an int (H,) array if given, are
+    overwritten with each entry's active rows and their number.
     A search face that fails its KKT test raises RuntimeError naming
     where(h) for entry h, and so do the search's errors and the ValueError
     raised for a violating entry whose estimate or covariance is not
     finite. The covariances are taken as symmetric, unchecked.
     """
-    A = box.A
-    b = box.b if box.b.ndim > 1 else np.broadcast_to(box.b, (len(est), len(A)))
+    A = box.A_z
+    b = box.b_z if box.b_z.ndim > 1 else np.broadcast_to(box.b_z, (len(est), len(A)))
     viol = _mv(A, est) - b
+    counts = np.empty(len(est), dtype=np.int64) if counts is None else counts
     # a NaN estimate counts as violating, to be reported below
     hit = (~(viol.max(axis=1, initial=0.0) <= 0.0)).nonzero()[0]
     if not hit.size:
         active.fill(False)
+        counts.fill(0)
         return counter
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # each entry's Euclidean norm, bit for bit what np.linalg.norm
@@ -357,12 +373,13 @@ def _box_project(est, cov, box, counter, active, where):
         tol = _FEAS_REL * (1.0 + np.sqrt(np.add.reduce(est ** 2, axis=1)) + box.maxb)
         tol_rows = tol[:, None] * box.norms
         # the violated rows are the active rows of an entry solved on their
-        # face; the search below resets those of the entries it projects
-        over = np.greater(viol, tol_rows, out=active)
-        width = over.sum(axis=1)[hit]
-        counts = np.bincount(width).tolist()
+        # face (never the zero row, last); the search resets those it projects
+        over = viol > tol_rows
+        active[...] = over[:, :-1]
+        width = np.add.reduce(over, axis=1, out=counts)[hit]
+        sizes = np.bincount(width).tolist()
         # widths ascending, entry order within a width; within tolerance first
-        if counts[-1] != len(hit):
+        if sizes[-1] != len(hit):
             hit = hit[width.argsort(kind="stable")]
         e, P = est[hit], cov[hit]
         if not (np.isfinite(e).all() and np.isfinite(P).all()):
@@ -370,7 +387,7 @@ def _box_project(est, cov, box, counter, active, where):
             r = hit[~finite].min()
             field = "covariance" if np.isfinite(est[r]).all() else "estimate"
             raise ValueError(f"non-finite {field} at {where(r)}")
-        start = counts[0]
+        start = sizes[0]
         if start == len(hit):
             return counter
         hit, e, P = hit[start:], e[start:], P[start:]
@@ -382,22 +399,25 @@ def _box_project(est, cov, box, counter, active, where):
         floor = _NULL_REL * P.trace(axis1=1, axis2=2) * np.dot(face, box.sq)
         z, ok, GA = np.empty_like(e), np.empty(len(hit), dtype=bool), np.empty_like(P)
 
-        def solve(s, search=False):
+        def solve(s, pad=0, search=False):
             _face_solve(e[s], P[s], A, bs[s], face[s], v[s], tr[s], lw[s], floor[s], z[s],
-                        ok[s], GA[s], search)
+                        ok[s], GA[s], pad, search)
 
+        # widths 1 and 2 share one solve, a face of one row padded with the zero row
+        pad = sizes[1] if sum(sizes[2:3]) else 0
+        face[:pad, -1] = True
         stop = 0
-        for c in counts[1:]:
+        for c in [sum(sizes[1:3])] + sizes[3:]:
             if c:
-                solve(slice(stop, stop + c))
+                solve(slice(stop, stop + c), pad if stop == 0 else 0)
                 stop += c
         # the rejected, in entry order: the search chooses the rows, and their
         # face is held to the KKT conditions alone, as the search admitted
         # each row above P's rounding level and independent of the others
-        for i in sorted((~ok).nonzero()[0], key=hit.__getitem__):
+        for i in [] if ok.all() else sorted((~ok).nonzero()[0], key=hit.__getitem__):
             r = hit[i]
             w = A.shape[1] if box.width is None else box.width[r]
-            rows = np.flatnonzero(np.isfinite(b[r]))
+            rows = np.flatnonzero(np.isfinite(b[r, :-1]))
             try:
                 act = rows[_project_core(e[i, :w], P[i, :w, :w], A[rows, :w], b[r, rows], tol[r])]
             except (ActiveSetLimitError, InfeasibleConstraintsError) as err:
@@ -405,7 +425,7 @@ def _box_project(est, cov, box, counter, active, where):
                 raise
             face[i], lw[i] = False, -np.inf
             face[i, act], lw[i, act] = True, -tr[i, act]
-            active[r] = face[i]
+            active[r], counts[r] = face[i, :-1], len(act)
             solve(slice(i, i + 1), search=True)
             if not ok[i]:
                 raise RuntimeError(f"the active-set search's face fails its KKT test at {where(r)}")

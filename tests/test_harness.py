@@ -301,16 +301,79 @@ class TestEnsemble:
     def test_final_values_share_no_memory_with_the_raw_ones(self, filters):
         # x, P, d and Pd are views of the kernel's projection buffers; one
         # sharing memory with an unprojected value would let the projection
-        # audit compare a projected value with itself and count no violation
+        # audit compare a projected value with itself and count no violation.
+        # x_true is a view of the same buffers, past the filters' rows: one
+        # overlapping x or P would let the projection move the truth
         batch = ensemble._Batch(ScenarioConfig(horizon=160, seed=5), range(3), filters)
         active = 0
         for k in range(1, 161):
             batch.step(k)
             active += int(batch.in_act.sum() + batch.st_act.sum())
+            raws = (batch.x_raw, batch.P_raw, batch.d_raw, batch.Pd_raw)
             for final in (batch.x, batch.P, batch.d, batch.Pd):
-                for raw in (batch.x_raw, batch.P_raw, batch.d_raw, batch.Pd_raw):
+                for raw in raws:
                     assert not np.shares_memory(final, raw), k
+            for other in (batch.x, batch.P) + raws:
+                assert not np.shares_memory(batch.x_true, other), k
         assert active > 0
+
+    def test_truth_is_each_realizations_plant_recurrence(self):
+        # the plant's rows ride in the filters' prediction; per realization
+        # the truth is still A x + B u + B d + w, clipped to the road and
+        # speed box, bit for bit, through the attack window and the clamp
+        cfg = ScenarioConfig(horizon=300, seed=20260819)
+        runs = [2, 5, 11]
+        batch = ensemble._Batch(cfg, runs, ("care", "ise"))
+        params = VehicleParams(l_f=cfg.l_f, l_r=cfg.l_r, T_s=cfg.t_s)
+        u = np.array([slip_angle(cfg.control_delta, params), cfg.control_accel])
+        lo, hi = [0.0, 0.0, -np.inf, 0.0], [params.x_max, params.y_max, np.inf, params.v_max]
+        W = [NoiseSpec(cfg.seed, run).sample(batch.noise_model, cfg.horizon)[0] for run in runs]
+        x = np.array([cfg.x0] * 3, dtype=float)
+        clamped = 0
+        for k in range(1, cfg.horizon + 1):
+            batch.step(k)
+            for i in range(3):
+                A, B, G, _ = bicycle_matrices(x[i, 3], params)
+                free = A @ x[i] + B @ u + G @ attack_input(k - 1, params) + W[i][k - 1]
+                x[i] = np.clip(free, lo, hi)
+                clamped += int((x[i] != free).any())
+            assert x.tobytes() == batch.x_true.tobytes(), k
+        assert clamped > 0
+
+    def test_each_step_schedules_predicts_and_solves_widths_one_and_two_once(self, monkeypatch):
+        # one scheduling and one prediction for filters and plant, and on a
+        # step whose violated-row widths are all one or two, one face solve
+        # of the first tier
+        calls = {"schedule": 0, "predict": 0, "face": 0}
+        schedule, predict, face_solve = ensemble._Batch._schedule, ensemble._predict, \
+            projection._face_solve
+
+        def count(name, fn):
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            return spy
+
+        def first_tier(*args):
+            # the last argument is search, true for the search's faces
+            calls["face"] += not args[-1]
+            return face_solve(*args)
+
+        monkeypatch.setattr(ensemble._Batch, "_schedule", count("schedule", schedule))
+        monkeypatch.setattr(ensemble, "_predict", count("predict", predict))
+        monkeypatch.setattr(projection, "_face_solve", first_tier)
+        batch = ensemble._Batch(ScenarioConfig(horizon=300, seed=20260819), range(6),
+                                ("care", "ise"))
+        both = 0
+        for k in range(1, 301):
+            calls.update(schedule=0, predict=0, face=0)
+            batch.step(k)
+            assert calls["schedule"] == 1 and calls["predict"] == 1, k
+            widths = batch.box_counts
+            if widths.max() <= 2:
+                assert calls["face"] == int(widths.any()), k
+                both += int((widths == 1).any() and (widths == 2).any())
+        assert both > 0
 
     def test_noise_stream_is_each_runs_sample(self):
         # two full chunks and half of one, on run indices that are not 0 ... R-1:

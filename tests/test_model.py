@@ -11,6 +11,7 @@ from care_filter.model import (
     NoiseSpec,
     SystemModel,
     ValidationReport,
+    _draw_noise,
     validate,
 )
 from care_filter.projection import ActiveSetLimitError, InfeasibleConstraintsError
@@ -276,6 +277,28 @@ class TestNoiseSpec:
         L = np.linalg.cholesky(Q)
         for k in range(30):
             np.testing.assert_allclose(W[k], L @ z[k, :2], rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_chunks_are_the_stream_of_sample(self, diagonal):
+        # a constant diagonal Q and R are applied as their diagonals, full
+        # ones as products; either way each chunk the kernel draws is its
+        # piece of sample's stream, and equals the products L z
+        rng = np.random.default_rng(7)
+        M, N = rng.standard_normal((2, 4, 4))
+        Q, R = (np.diag([0.3, 2.0, 0.7, 1.1]), np.diag([1.5, 0.2, 0.9, 4.0])) if diagonal \
+            else (M @ M.T + np.eye(4), N @ N.T + np.eye(4))
+        model = replace(identity_model(4), Q=lambda k: Q, R=lambda k: R)
+        spec = NoiseSpec(seed=53, run_index=2)
+        W, V = spec.sample(model, 40)
+        gen = spec.generator()
+        Lq, Lr = np.linalg.cholesky(Q), np.linalg.cholesky(R)
+        for k0, c in ((0, 9), (9, 25), (34, 6)):
+            z = np.empty((1, c, 8, 1))
+            Wc, Vc = _draw_noise([gen], model, k0, z)
+            assert np.array_equal(Wc[0], W[k0:k0 + c]), k0
+            assert np.array_equal(Vc[0], V[k0 + 1:k0 + c + 1]), k0
+            assert np.array_equal(Wc, (Lq @ z[:, :, :4])[..., 0]), k0
+            assert np.array_equal(Vc, (Lr @ z[:, :, 4:])[..., 0]), k0
 
     def test_fresh_equal_arrays_draw_what_one_array_draws(self):
         # a provider that builds a new array at every k is factored per step,

@@ -777,27 +777,28 @@ class TestBatchedBoxProjection:
 
     def test_unsorted_widths_each_get_their_one_entry_result(self, monkeypatch):
         # flagged entries arriving in width order [2, 1, within tolerance, 2,
-        # face-rejected, 1] on the box z <= 1: each width is solved once,
-        # then the face of the two rows the search returns for the rejected
-        # entry, and every entry ends as it would alone, bit for bit
+        # face-rejected, 1] on the box z <= 1: widths 1 and 2 are solved in
+        # one call of two rows, the three faces of one row padded, then the
+        # face of the two rows the search returns for the rejected entry,
+        # and every entry ends as it would alone, bit for bit
         A, b = np.eye(2), np.ones(2)
         skew = np.array([[1.0, -0.9], [-0.9, 1.0]])
         est = np.array([[2.0, 3.0], [2.0, 0.5], [1.0 + 5e-11, 0.5], [3.0, 1.5], [2.0, 0.5],
                         [0.2, 4.0]])
         cov = np.array([np.eye(2), np.eye(2), np.eye(2), 2.0 * np.eye(2), skew,
                         [[1.0, 0.3], [0.3, 2.0]]])
-        widths = []
+        solves = []
         face_solve = projection._face_solve
 
-        def spy(e, P, A, b, face, *args):
-            widths.append(int(face[0].sum()))
-            return face_solve(e, P, A, b, face, *args)
+        def spy(e, P, A, b, face, viol, tol, lower, floor, z, ok, GA, pad=0, search=False):
+            solves.append((len(face), int(face[0].sum()), pad, search))
+            return face_solve(e, P, A, b, face, viol, tol, lower, floor, z, ok, GA, pad, search)
 
         monkeypatch.setattr(projection, "_face_solve", spy)
         z, P = est.copy(), cov.copy()
         active = np.zeros((6, 2), dtype=bool)
         assert _box_project(z, P, _ConstraintTable(A, b), 0, active, str) == 1
-        assert widths == [1, 2, 2]
+        assert solves == [(5, 2, 3, False), (1, 2, 0, True)]
         assert active.sum(axis=1).tolist() == [2, 1, 0, 2, 2, 1]
         for h in range(6):
             z1, P1 = est[h:h + 1].copy(), cov[h:h + 1].copy()
@@ -808,8 +809,8 @@ class TestBatchedBoxProjection:
         assert np.array_equal(z[2], est[2]) and np.array_equal(P[2], cov[2])
 
     def test_mixed_widths_pay_the_fixed_costs_once(self, monkeypatch):
-        # entries violating one row and two rows: one face solve per width,
-        # but one covariance assembly (its one symmetrization) and one
+        # entries violating one row and two rows: one face solve for both
+        # widths, one covariance assembly (its one symmetrization) and one
         # floating-point error state per call
         calls = {"assembly": 0, "errstate": 0, "face": 0}
         sym, face_solve = projection._sym, projection._face_solve
@@ -835,8 +836,71 @@ class TestBatchedBoxProjection:
         active = np.zeros((3, 2), dtype=bool)
         assert _box_project(est, cov, _ConstraintTable(np.eye(2), np.ones(2)), 0, active, str) == 0
         assert active.sum(axis=1).tolist() == [1, 2, 1]
-        assert calls == {"assembly": 1, "errstate": 1, "face": 2}
+        assert calls == {"assembly": 1, "errstate": 1, "face": 1}
         np.testing.assert_allclose(est, [[1.0, 0.5], [1.0, 1.0], [0.5, 1.0]], atol=1e-15)
+
+    def test_two_row_solve_gives_each_entry_its_own_bits(self, monkeypatch):
+        # one call on five sets: the near-vertex V(t) = {-x - y <= -1,
+        # x + (1 - t) y <= 0} at t = 1e-5 and t = 4.1e-6 (A_O P A_O' of
+        # condition number 1.6e11 and 9.5e11, under the 1e12 limit; the
+        # one-shot point misses the face by about 1e-6, so the face is
+        # accepted after its refinement step), the half-plane
+        # 0.6 x - 0.8 y <= 1, the box (x, y) <= 1 and, in three coordinates,
+        # the box (y, z) <= 1, under covariances with negative entries.
+        # The faces of one row, entries 1, 3 and 5, share the solve of two
+        # rows with the faces of two, padded with the zero row: entry 1's
+        # point misses row 1 and goes to the search, entry 3's P a' and
+        # a P a' are sums BLAS would round otherwise in a product of two
+        # columns, and entry 5's a P a' of 5e-15 lies just above the null
+        # floor, as does entry 7's two-row face (by 2.5%). Each entry equals
+        # its call alone, where a face of one row is solved in one slot, to
+        # the last bit
+        inf = np.inf
+        A = np.array([[-1.0, -1.0, 0.0], [1.0, 1.0 - 1e-5, 0.0], [-1.0, -1.0, 0.0],
+                      [1.0, 1.0 - 4.1e-6, 0.0], [0.6, -0.8, 0.0], [1.0, 0.0, 0.0],
+                      [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        v1, v2 = [-1.0, 0.0] + [inf] * 7, [inf] * 2 + [-1.0, 0.0] + [inf] * 5
+        tilt, box, box3 = [inf] * 4 + [1.0] + [inf] * 4, [inf] * 5 + [1.0] * 2 + [inf] * 2, \
+            [inf] * 7 + [1.0] * 2
+        b = np.array([v1, box, v2, tilt, box, box, box, box3])
+        width = np.array([2] * 7 + [3])
+        est = np.array([[0.5, 0.0, 0.0], [2.0, 0.5, 0.0], [0.2, 0.3, 0.0], [2.0, 0.0, 0.0],
+                        [1.5, 2.5, 0.0], [2.0, 0.5, 0.0], [0.5, 0.2, 0.0], [0.3, 2.0, 3.0]])
+        cov = np.zeros((8, 3, 3))
+        for h, P2 in enumerate([np.eye(2), [[1.0, -0.9], [-0.9, 1.0]], np.eye(2),
+                                [[2.0, -0.7], [-0.7, 1.0]], [[2.0, -0.7], [-0.7, 1.0]],
+                                np.diag([2e-14, 1.0]), np.eye(2)]):
+            cov[h, :2, :2] = P2
+        cov[7] = np.diag([1.0, 2.05e-14, 2.05e-14])
+        solves = []
+        face_solve = projection._face_solve
+
+        def spy(e, P, A, b, face, viol, tol, lower, floor, z, ok, GA, pad=0, search=False):
+            face_solve(e, P, A, b, face, viol, tol, lower, floor, z, ok, GA, pad, search)
+            solves.append((len(face), pad, search, ok.tolist()))
+
+        monkeypatch.setattr(projection, "_face_solve", spy)
+        z, P = est.copy(), cov.copy()
+        active, counts = np.zeros((8, 9), dtype=bool), np.zeros(8, dtype=np.int64)
+        assert _box_project(z, P, _ConstraintTable(A, b, width), 0, active, str, counts) == 1
+        # widths ascending: entries 1, 3, 5, then 0, 2, 4, 7
+        assert solves == [(7, 3, False, [False] + [True] * 6), (1, 0, True, [True])]
+        assert counts.tolist() == [2, 2, 2, 1, 2, 1, 0, 2]
+        table = _ConstraintTable(A, b, width)
+        for h, rows in ((0, [0, 1]), (2, [2, 3])):
+            Ao, v = table.A[rows], table.A[rows] @ est[h] - table.b[h, rows]
+            one_shot = est[h] - Ao.T @ np.linalg.solve(Ao @ Ao.T, v)
+            assert np.abs(Ao @ one_shot - table.b[h, rows]).max() > 1e-7, h
+        for h in range(8):
+            z1, P1 = est[h:h + 1].copy(), cov[h:h + 1].copy()
+            act1, n1 = np.zeros((1, 9), dtype=bool), np.zeros(1, dtype=np.int64)
+            _box_project(z1, P1, _ConstraintTable(A, b[h:h + 1], width[h:h + 1]), 0, act1, str, n1)
+            assert z1[0].tobytes() == z[h].tobytes(), h
+            assert P1[0].tobytes() == P[h].tobytes(), h
+            assert np.array_equal(act1[0], active[h]) and n1[0] == counts[h], h
+        np.testing.assert_allclose(z[[4, 5, 7]], [[1.0, 1.0, 0.0], [1.0, 0.5, 0.0], [0.3, 1.0, 1.0]],
+                                   atol=1e-12)
+        assert abs(0.6 * z[3, 0] - 0.8 * z[3, 1] - 1.0) <= 1e-12
 
     def test_zero_row_set_leaves_the_runs_untouched(self):
         # as `project` does for q = 0: nothing to violate, counter unchanged
