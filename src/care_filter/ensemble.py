@@ -6,16 +6,20 @@ over a leading row axis, so each step costs a handful of batched numpy
 calls instead of a Python loop over runs and filters. Rows are laid out
 filter-major, [care runs | ise runs], and each realization's truth follows
 as a plant row: a step schedules and runs `estimator._predict` once over
-[filter rows | plant rows], the plant's on the true speed and with a zero
-covariance nothing reads, and the truth is that prior plus B d + w,
-clipped. Every filter block of a realization sees its measurement.
+[filter rows | plant rows], the plant's on the true speed and without a
+covariance, and the truth is that prior plus B d + w, clipped. Every
+filter block of a realization sees its measurement.
 Per-run noise comes from `NoiseSpec(seed, i)` for run index i, streamed:
 the batch draws the next _NOISE_CHUNK steps of every run's stream together
 as it reaches them, bit for bit what `NoiseSpec.sample` returns, so noise
 holds O(runs x _NOISE_CHUNK) memory whatever the horizon. The prediction
-and `estimator._estimate_attack` are stages `care_step` runs, the latter
-on the filter rows with C = I (passed as None, which skips its products).
-Only the measurement update is the kernel's own, the closed form for C = I
+and `estimator._attack_gain` are stages `care_step` runs, the latter on
+the filter rows with C = I and R~ = (P^- + R)^{-1} from `_channel_inv`:
+A couples x only with v and y only with psi, G acts on (y, psi) and on v,
+and Q, R, P0 and the box rows are diagonal or axis-aligned, so every 4 x 4
+covariance here is exactly zero off the channels (x, v) and (y, psi), and
+P_d is diagonal; inverting the two 2 x 2 blocks drops nothing.
+The measurement update is the kernel's own, the closed form for C = I
 and diagonal R (Kitanidis, Automatica 23(6), 1987): for S = P^- + R and
 W = S^{-1} - S^{-1} G P_d G' S^{-1}, the posterior is x = y - R W nu and
 P = R - R W R, which needs neither R* nor a solve. `run_ensemble` here and
@@ -29,14 +33,14 @@ once. The two sets' rows are stacked in one matrix, and each entry carries
 its own bounds, +inf on the rows of the other set, in one constraint table
 the batch builds once, if it has care rows; an attack entry fills the
 leading two of four coordinates and its padding, a zero estimate and a
-zero covariance, stays zero. The batch's buffers hold n + N + R rows,
-[attack entries of the n care rows | the state of all N rows | the
-truth], and the call projects the first 2n in place: x, P and x_true are
-views, as are d and Pd unless ise rows follow, all valid until the next
-`step`. The covariances entering it are exactly symmetric (P_d is the
-closed-form inverse of the upper triangle of N, and P = R - R W R with W
-symmetrized), so the kernel needs no symmetry check. The projector also
-reports each entry's number of active rows, the active counts.
+zero covariance, stays zero. Both buffers hold [attack entries of the n
+care rows | the state of all N rows], the estimate buffer then the truth,
+and the call projects the first 2n in place: x, P and x_true are views, as are
+d and Pd unless ise rows follow, all valid until the next `step`. The
+covariances entering it are exactly symmetric (P_d is the closed-form
+inverse of the upper triangle of N, and P = R - R W R with W symmetrized),
+so the kernel needs no symmetry check. The projector also reports each
+entry's number of active rows, the active counts.
 `care_step` takes the same projector as a batch of one, and an entry's
 result does not depend on its batch, bit for bit: `simulate(run_index=i)`
 is run i of `monte_carlo`, and the leading runs of a `run_ensemble` batch
@@ -59,7 +63,7 @@ from functools import partial
 import numpy as np
 
 from .config import ScenarioConfig
-from .estimator import _estimate_attack, _predict
+from .estimator import _attack_gain, _predict
 from .model import NoiseSpec, _draw_noise
 from .projection import _ConstraintTable, _box_project, _sym, _sym_inv
 from .vehicle import VehicleParams, attack_input, build_constraints, slip_angle, vehicle_model
@@ -68,6 +72,8 @@ __all__ = ["EnsembleResult", "run_ensemble"]
 
 _FILTERS = ("care", "ise")
 _EYE2 = np.eye(2)
+# flat positions of the (x, v) and (y, psi) blocks of a 4 x 4 matrix
+_CHANNELS = np.array([0, 3, 12, 15, 5, 6, 9, 10])
 # steps per vectorized audit pass. In a 50-run, 1,000-step audited call the
 # audit took 0.37 s in blocks of 1 step, 0.12 s of 8, 0.10 s of 16, 0.09 s of
 # 32 and 0.085 s of 64; its buffers hold 320 bytes per run and step
@@ -103,6 +109,14 @@ class EnsembleResult:
     audit: dict = None
 
 
+def _channel_inv(S, out):
+    """Inverse of a stack S of 4 x 4 matrices block-diagonal in (x, v) and (y, psi), by
+    `_sym_inv` on each block, written into the channels of out, a zeroed array like S."""
+    blocks = S.reshape(len(S), 16)[:, _CHANNELS].reshape(-1, 2, 2, 2)
+    out.reshape(len(out), 16)[:, _CHANNELS] = _sym_inv(blocks).reshape(-1, 8)
+    return out
+
+
 class _Batch:
     """Stepping state of realizations x filters of the vehicle scenario.
 
@@ -114,7 +128,7 @@ class _Batch:
     step), the unprojected x_raw, P_raw, d_raw, Pd_raw, the
     active constraint counts in_act and st_act, and mcg_dev, the largest
     entry of |M C G - I|. x_true, the truth of each realization, is a view
-    of the same buffers.
+    of the same buffers; the plant rows carry no covariance.
     """
 
     def __init__(self, config: ScenarioConfig, run_indices, filters):
@@ -130,8 +144,7 @@ class _Batch:
         R = len(self.run_indices)
         N = R * len(self.names)
         K = config.horizon
-        params = VehicleParams(l_f=config.l_f, l_r=config.l_r, T_s=config.t_s)
-        self.params = params
+        self.params = params = VehicleParams(l_f=config.l_f, l_r=config.l_r, T_s=config.t_s)
         self.clamp_truth = config.clamp_truth
         # the road and speed box of the truth; the heading is free
         self.truth_lo = np.array([0.0, 0.0, -np.inf, 0.0])
@@ -160,10 +173,11 @@ class _Batch:
         self.n_care = n = R if "care" in self.names else 0
         self.fallbacks = 0
         self.in_act, self.st_act = np.zeros((2, N), dtype=np.int64)
-        self.est, self.cov = np.zeros((n + N + R, 4)), np.zeros((n + N + R, 4, 4))
+        self.est, self.cov, self.R_til = np.zeros((n + N + R, 4)), np.zeros((n + N, 4, 4)), \
+            np.zeros((N, 4, 4))
         self.est[n:] = config.x0
-        self.cov[n:n + N] = config.p0_scale * np.eye(4)
-        self.x, self.P, self.x_true = self.est[n:n + N], self.cov[n:n + N], self.est[n + N:]
+        self.cov[n:] = config.p0_scale * np.eye(4)
+        self.x, self.P, self.x_true = self.est[n:n + N], self.cov[n:], self.est[n + N:]
 
         if n:
             # both projections of the care rows in one `_box_project` call:
@@ -225,9 +239,9 @@ class _Batch:
         if len(self.names) > 1:
             y = np.concatenate([y] * len(self.names))
 
-        G_f = B[:N]
-        R_til, T_mat, Pd_u, M, nu, d_u = _estimate_attack(None, G_f, self.R_mat, prior[:N],
-                                                          Pp[:N], y, where)
+        G_f, nu = B[:N], y - prior[:N]
+        R_til = _channel_inv(Pp + self.R_mat, self.R_til)
+        T_mat, Pd_u, M, d_u = _attack_gain(G_f, R_til, nu, where)
         # C = I: S^{-1} is a generalized inverse of R*, so the update needs no solve
         W = _sym(R_til - T_mat.transpose(0, 2, 1) @ M)
         x_u = y - self.r_diag * (W @ nu[..., None])[..., 0]
@@ -235,7 +249,7 @@ class _Batch:
 
         self.mcg_dev = np.abs(M @ G_f - _EYE2).max(axis=(1, 2))
         self.x_raw, self.P_raw, self.d_raw, self.Pd_raw = x_u, P_u, d_u, Pd_u
-        est[n:n + N], cov[n:n + N] = x_u, P_u
+        est[n:n + N], cov[n:] = x_u, P_u
         if n:
             # the padded coordinates of the attack entries stay zero
             est[:n, :2], cov[:n, :2, :2] = d_u[:n], Pd_u[:n]
@@ -278,13 +292,9 @@ def _audit_update(audit, which, act, e_con, e_unc, W, tr_pre, tr_post):
 def _new_audit():
     audit = {"truth_infeasible_steps": 0}
     for which in ("x", "d"):
-        audit[f"active_{which}"] = 0
-        audit[f"viol_{which}_weighted"] = 0
-        audit[f"viol_{which}_euclid"] = 0
-        audit[f"worst_{which}_weighted"] = float("-inf")
-        audit[f"worst_{which}_euclid"] = float("-inf")
-        audit[f"viol_trace_{which}"] = 0
-        audit[f"viol_strict_{which}"] = 0
+        audit.update({f"active_{which}": 0, f"viol_{which}_weighted": 0, f"viol_{which}_euclid": 0,
+                      f"worst_{which}_weighted": -np.inf, f"worst_{which}_euclid": -np.inf,
+                      f"viol_trace_{which}": 0, f"viol_strict_{which}": 0})
     return audit
 
 
@@ -350,7 +360,7 @@ class _BlockAudit:
             P_raw = b["P_raw"][ar]
             _audit_update(
                 audit, "x", ar, b["x"][ar] - x_true[ar], b["x_raw"][ar] - x_true[ar],
-                np.linalg.inv(P_raw),
+                _channel_inv(P_raw, np.zeros_like(P_raw)),
                 P_raw.trace(axis1=1, axis2=2), self.tr_P[:m].reshape(-1)[ar])
         self.m = 0
 

@@ -10,8 +10,8 @@ with the closed-form gain L = (P* C' - G M R) S~^{-1}, are written once
 over any leading batch axis of the estimates: the public stage functions
 take a stack of estimates as readily as one, and `care_step` is their
 batch of one. Predict and attack estimation are also private functions of
-the matrices alone (`_predict`, `_estimate_attack`), which the vehicle
-kernel `ensemble._Batch` runs on its stacked rows and per-row matrices.
+the matrices alone (`_predict`, `_attack_gain` on the caller's R~), which
+the vehicle kernel `ensemble._Batch` runs on its stacked rows.
 """
 
 from dataclasses import dataclass
@@ -137,24 +137,17 @@ def _rows(y, x):
 
 
 def _predict(A, B, Q, x, P, u):
-    """Prior x^- = A x + B u with P^- = A P A' + Q."""
-    return _mv(A, x) + B @ u, _sym(A @ P @ _T(A) + Q)
+    """Prior x^- = A x + B u, P^- = A P A' + Q; for stacked A, P^- of its first len(P) rows."""
+    A_P = A[:len(P)] if A.ndim > 2 else A
+    return _mv(A, x) + B @ u, _sym(A_P @ P @ _T(A_P) + Q)
 
 
-def _estimate_attack(C, G, R, x_pred, P_pred, y, where):
-    """Attack estimate d = M (y - C x^-) with M = P_d G'C'R~ and
-    P_d = N^{-1}, N = G'C'R~CG, R~ = (C P^- C' + R)^{-1}.
-
-    Returns R~, T = G'C'R~, P_d, M, the innovation nu = y - C x^- and d.
-    C = None stands for the identity and skips its products. Raises
-    AttackUnidentifiableError naming where(i), i the first stack position
-    whose N is not positive definite or whose condition number exceeds
-    1e12, and ValueError when that N is not finite.
-    """
-    if C is None:
-        R_tilde, CG, nu = _sym(np.linalg.inv(P_pred + R)), G, y - x_pred
-    else:
-        R_tilde, CG, nu = _sym(np.linalg.inv(C @ P_pred @ _T(C) + R)), C @ G, y - _mv(C, x_pred)
+def _attack_gain(CG, R_tilde, nu, where):
+    """T = G'C'R~, P_d = N^{-1} for N = T C G, M = P_d T and d = M nu from the
+    caller's C G, R~ and innovation nu. Raises AttackUnidentifiableError
+    naming where(i), i the first stack position whose N is not positive
+    definite or has condition number above 1e12, and ValueError when that N
+    is not finite."""
     T = _T(CG) @ R_tilde
     N = _sym(T @ CG)
     lo, hi = _eig_bounds(N)
@@ -168,7 +161,14 @@ def _estimate_attack(C, G, R, x_pred, P_pred, y, where):
         raise AttackUnidentifiableError(f"attack unidentifiable at {where(i)}: G'C'R~CG {why}")
     P_d = _sym_inv(N)
     M = P_d @ T
-    return R_tilde, T, P_d, M, nu, _mv(M, nu)
+    return T, P_d, M, _mv(M, nu)
+
+
+def _estimate_attack(C, G, R, x_pred, P_pred, y, where):
+    """`_attack_gain` for R~ = (C P^- C' + R)^{-1}, nu = y - C x^-: R~, T, P_d, M, nu, d."""
+    R_tilde, nu = _sym(np.linalg.inv(C @ P_pred @ _T(C) + R)), y - _mv(C, x_pred)
+    T, P_d, M, d = _attack_gain(C @ G, R_tilde, nu, where)
+    return R_tilde, T, P_d, M, nu, d
 
 
 def predict(state: EstimatorState, model: SystemModel, u) -> Prediction:

@@ -13,7 +13,7 @@ Moore-Penrose gain.
 
 import numpy as np
 
-from care_filter.ensemble import _Batch
+from care_filter.ensemble import _Batch, _channel_inv
 from care_filter.estimator import (
     AttackEstimate,
     EstimatorState,
@@ -159,7 +159,9 @@ def audit_reference(config, runs):
     Steps the kernel's care batch and, after each step, compares every run
     whose projection was active and whose true value lies in that set: the
     projected against the unprojected error, in the projection metric (the
-    inverse unprojected covariance) and in the Euclidean one, and the
+    inverse unprojected covariance, taken as the audit takes it: by
+    `_sym_inv` for the attack and by `_channel_inv` for the state, so that
+    the tallies match to the bit) and in the Euclidean one, and the
     covariance traces after against before. A true value outside its set
     counts once per run and step in truth_infeasible_steps.
     """
@@ -184,7 +186,8 @@ def audit_reference(config, runs):
         ar = np.flatnonzero((batch.st_act > 0) & x_feas)
         if ar.size:
             _tally(audit, "x", batch.x[ar] - x_true[ar], batch.x_raw[ar] - x_true[ar],
-                   np.linalg.inv(batch.P_raw[ar]), np.trace(batch.P_raw[ar], axis1=1, axis2=2),
+                   _channel_inv(batch.P_raw[ar], np.zeros((ar.size, 4, 4))),
+                   np.trace(batch.P_raw[ar], axis1=1, axis2=2),
                    np.trace(batch.P[ar], axis1=1, axis2=2))
     return audit
 

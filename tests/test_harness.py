@@ -10,7 +10,7 @@ from care_filter.cli import main
 from care_filter.config import ScenarioConfig
 from care_filter.detector import DetectorConfig, DetectorState, cusum_update, detection_statistic
 from care_filter.ensemble import run_ensemble
-from care_filter.estimator import AttackUnidentifiableError, initial_state
+from care_filter.estimator import AttackUnidentifiableError, _estimate_attack, initial_state
 from care_filter.harness import monte_carlo, simulate
 from care_filter.model import NoiseSpec
 from care_filter.projection import (
@@ -593,6 +593,78 @@ class TestEnsemble:
             active += int(batch.in_act.sum() + batch.st_act.sum())
         assert len(seen) == 700 and all(seen)
         assert active > 0
+
+    def test_covariances_are_block_diagonal_by_channel(self, monkeypatch):
+        # the kernel inverts P^- + R and the audit P_raw by their (x, v) and
+        # (y, psi) blocks alone, which is exact only while every entry off
+        # those channels is exactly zero: check it at every row and step
+        # through the attack window, projections and the truth clamp included
+        off = np.ones((4, 4), dtype=bool)
+        off[np.ix_([0, 3], [0, 3])] = off[np.ix_([1, 2], [1, 2])] = False
+        seen = []
+        channel_inv = ensemble._channel_inv
+
+        def spy(S, out):
+            seen.append(S.copy())
+            return channel_inv(S, out)
+
+        monkeypatch.setattr(ensemble, "_channel_inv", spy)
+        cfg = ScenarioConfig(horizon=300, seed=20260819)
+        batch = ensemble._Batch(cfg, range(6), ("care", "ise"))
+        active = clamped = 0
+        for k in range(1, 301):
+            seen.clear()
+            batch.step(k)
+            active += int(batch.in_act.sum() + batch.st_act.sum())
+            (S,) = seen
+            for name, X in (("P^- + R", S), ("P_raw", batch.P_raw), ("P", batch.P)):
+                assert not X[:, off].any(), (k, name)
+            for name, X in (("Pd_raw", batch.Pd_raw), ("Pd", batch.Pd)):
+                assert not X[:, 0, 1].any() and not X[:, 1, 0].any(), (k, name)
+            for name, X in (("P^- + R", S), ("P_raw", batch.P_raw)):
+                inv = channel_inv(X, np.zeros_like(X))
+                assert np.array_equal(inv, inv.swapaxes(1, 2)), (k, name)
+                ref = np.linalg.inv(X)
+                gap = np.abs(inv - ref).max(axis=(1, 2))
+                assert (gap <= 1e-14 * np.abs(ref).max(axis=(1, 2))).all(), (k, name)
+            clamped += int(((batch.x_true == batch.truth_lo)
+                            | (batch.x_true == batch.truth_hi)).any())
+        assert active > 0 and clamped > 0 and batch.d_true.any()
+
+    def test_channel_attack_stage_matches_the_general_one(self, monkeypatch):
+        # on priors captured from kernel steps, the kernel's attack stage
+        # (R~ inverted by channel) gives the general stage's d, P_d and M
+        # with C = I, up to rounding
+        seen = {}
+        predict, attack_gain = ensemble._predict, ensemble._attack_gain
+
+        def predict_spy(*args):
+            prior, Pp = predict(*args)
+            seen["prior"] = prior.copy(), Pp.copy()
+            return prior, Pp
+
+        def gain_spy(CG, R_tilde, nu, where):
+            seen["G"] = CG.copy()
+            seen["gain"] = attack_gain(CG, R_tilde, nu, where)
+            return seen["gain"]
+
+        monkeypatch.setattr(ensemble, "_predict", predict_spy)
+        monkeypatch.setattr(ensemble, "_attack_gain", gain_spy)
+        batch = ensemble._Batch(ScenarioConfig(horizon=300, seed=20260819), range(4),
+                                ("care", "ise"))
+        N = len(batch.x)
+        for k in range(1, 301):
+            batch.step(k)
+            prior, Pp = seen["prior"]
+            assert len(Pp) == N, k  # no covariance for the plant rows
+            y = np.tile(batch.x_true + batch.v_chunk[:, k - 1 - batch.noise_k0], (2, 1))
+            _, _, P_d, M, _, d = _estimate_attack(np.eye(4), seen["G"], batch.R_mat,
+                                                  prior[:N], Pp, y, str)
+            _, P_d_k, M_k, d_k = seen["gain"]
+            for name, got, ref in (("d", d_k, d), ("P_d", P_d_k, P_d), ("M", M_k, M)):
+                axes = tuple(range(1, ref.ndim))
+                gap = np.abs(got - ref).max(axis=axes)
+                assert (gap <= 1e-12 * np.abs(ref).max(axis=axes)).all(), (k, name)
 
     def test_ise_only_batch_builds_no_projection_buffers(self):
         batch = ensemble._Batch(ScenarioConfig(horizon=5, seed=3), range(3), ("ise",))

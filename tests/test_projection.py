@@ -431,6 +431,19 @@ class TestRankDeficientMetric:
         assert np.abs(x_hat - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
         assert np.trace(P_x) <= np.trace(P) + 1e-12
 
+    @pytest.mark.xfail(strict=True, raises=InfeasibleConstraintsError,
+                       reason="ROADMAP.md item 4, still open: the active-set search reads an "
+                              "ill-conditioned vertex as an infeasible set")
+    def test_ill_conditioned_vertex_is_not_reported_infeasible(self):
+        # a rank-1 P whose row 1 is about 7.6e-5 times row 0 plus a null(P)
+        # part: the oracle finds a feasible point near 5e15, and the
+        # search's dependence test calls row 1 unsatisfiable
+        e, P, A, b = _rank_deficient_instance(np.random.default_rng(30221206))
+        ref = range_qp_oracle(e, P, A, b)
+        assert np.abs(ref).max() > 1e15
+        x_hat, _, _ = project_state(_Duck(x_hat=e, P_x=P), A, b)
+        assert np.abs(x_hat - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
+
 
 def _violating_runs(rng, n, A, b, z0, box, runs):
     """Estimates violating one to three rows each, and their covariances.
