@@ -1,60 +1,24 @@
-"""The batched filter kernel of the vehicle scenario and `run_ensemble`.
+"""The channel-form filter kernel of the vehicle scenario and `run_ensemble`.
 
-`_Batch` propagates many independent realizations side by side and runs
-the MVU input/state filter (Gillijns & De Moor, Automatica 43(1), 2007)
-over a leading row axis, so each step costs a handful of batched numpy
-calls instead of a Python loop over runs and filters. Rows are laid out
-filter-major, [care runs | ise runs], and each realization's truth follows
-as a plant row: a step schedules and runs `estimator._predict` once over
-[filter rows | plant rows], the plant's on the true speed and without a
-covariance, and the truth is that prior plus B d + w, clipped. Every
-filter block of a realization sees its measurement.
-Per-run noise comes from `NoiseSpec(seed, i)` for run index i, streamed:
-the batch draws the next _NOISE_CHUNK steps of every run's stream together
-as it reaches them, bit for bit what `NoiseSpec.sample` returns, so noise
-holds O(runs x _NOISE_CHUNK) memory whatever the horizon. The prediction
-and `estimator._attack_gain` are stages `care_step` runs, the latter on
-the filter rows with C = I and R~ = (P^- + R)^{-1} from `_channel_inv`:
-A couples x only with v and y only with psi, G acts on (y, psi) and on v,
-and Q, R, P0 and the box rows are diagonal or axis-aligned, so every 4 x 4
-covariance here is exactly zero off the channels (x, v) and (y, psi), and
-P_d is diagonal; inverting the two 2 x 2 blocks drops nothing.
-The measurement update is the kernel's own, the closed form for C = I
-and diagonal R (Kitanidis, Automatica 23(6), 1987): for S = P^- + R and
-W = S^{-1} - S^{-1} G P_d G' S^{-1}, the posterior is x = y - R W nu and
-P = R - R W R, which needs neither R* nor a solve. `run_ensemble` here and
-`simulate`/`monte_carlo` in the harness are the drivers of this one kernel.
-
-Projection is where runs genuinely differ. Both projections of every care
-run, the attack estimate onto the actuator box and the state estimate onto
-the road and speed box, go into one call of `projection._box_project` per
-step as separate entries of one stack, so the call's fixed cost is paid
-once. The two sets' rows are stacked in one matrix, and each entry carries
-its own bounds, +inf on the rows of the other set, in one constraint table
-the batch builds once, if it has care rows; an attack entry fills the
-leading two of four coordinates and its padding, a zero estimate and a
-zero covariance, stays zero. Both buffers hold [attack entries of the n
-care rows | the state of all N rows], the estimate buffer then the truth,
-and the call projects the first 2n in place: x, P and x_true are views, as are
-d and Pd unless ise rows follow, all valid until the next `step`. The
-covariances entering it are exactly symmetric (P_d is the closed-form
-inverse of the upper triangle of N, and P = R - R W R with W symmetrized),
-so the kernel needs no symmetry check. The projector also reports each
-entry's number of active rows, the active counts.
-`care_step` takes the same projector as a batch of one, and an entry's
-result does not depend on its batch, bit for bit: `simulate(run_index=i)`
-is run i of `monte_carlo`, and the leading runs of a `run_ensemble` batch
-are a smaller batch. On the vehicle boxes every entry stops at the face of
-its own violated rows, so the scalar active-set search is never reached.
-
-The point of `run_ensemble` is stability studies: hundreds of runs over
-ten thousand steps, reduced to per-step error energies and running
-covariance extrema instead of full per-step records. The (runs, horizon)
-error energies are the only output that grows with the horizon: 200 runs
-of 10,000 steps peak at 57.6 MB RSS, 16 MB of it err_sq. Its optional
-projection audit buffers what it reads of each step and tallies once per
-block of _AUDIT_BLOCK steps in one vectorized pass, so it holds
-O(runs x _AUDIT_BLOCK) extra memory and no per-step tally.
+`_Batch` runs the MVU input/state filter (Gillijns & De Moor, Automatica
+43(1), 2007) on realizations x filters at once and propagates each
+realization's truth. A couples x only with v and y only with psi, the
+attack's acceleration column (0, T) acts on v and its steering column
+(vT, vT/l_r) on (y, psi), C = I, and Q, R and P0 are diagonal, which
+`__init__` checks. So every covariance is zero off the channels (x, v) and
+(y, psi), N = G'R~G and P_d are diagonal, and a step is a fixed sequence
+of elementwise operations on (channel, run) arrays: R~ = (P^- + R)^{-1} in
+closed form, h = R~ g, N = g'h, P_d = 1/N, M = P_d h', d = M nu, and the
+update for C = I and diagonal R (Kitanidis, Automatica 23(6), 1987):
+W = R~ - h M, x = y - R W nu, P = R - R W R. Each box row bounds one
+coordinate, so the attack's projection is a clip and the state's a 2 x 2
+box problem per channel, `_box_pairs` (Simon, IET CTA 4(8), 2010), with
+`projection._box_project`'s tolerance, so the active counts are the
+general projector's. Every operation acts on one run at a time, so a run's
+result does not depend on its batch, bit for bit. Noise comes from
+`NoiseSpec(seed, i)` in chunks of _NOISE_CHUNK steps, bit for bit
+`NoiseSpec.sample`. `run_ensemble` reduces long studies to per-step error
+energies and covariance extrema, its audit tallied per _AUDIT_BLOCK steps.
 """
 
 from dataclasses import dataclass
@@ -63,20 +27,29 @@ from functools import partial
 import numpy as np
 
 from .config import ScenarioConfig
-from .estimator import _attack_gain, _predict
+from .estimator import _require_identifiable
 from .model import NoiseSpec, _draw_noise
-from .projection import _ConstraintTable, _box_project, _sym, _sym_inv
+from .projection import _FEAS_REL
 from .vehicle import VehicleParams, attack_input, build_constraints, slip_angle, vehicle_model
 
 __all__ = ["EnsembleResult", "run_ensemble"]
 
 _FILTERS = ("care", "ise")
-_EYE2 = np.eye(2)
-# flat positions of the (x, v) and (y, psi) blocks of a 4 x 4 matrix
-_CHANNELS = np.array([0, 3, 12, 15, 5, 6, 9, 10])
+# rows of a kernel block (row, filter, channel, run), the channels (x, v) and
+# (y, psi): first coordinates (x, y), second (v, psi), their variances, the
+# covariances, and the attack estimate and variances acting on each channel,
+# (acceleration, steering)
+_E1, _E2, _P11, _P22, _P12, _D, _PD = range(7)
+_ROWS = 7
+# state indices of the channels' first and second coordinates
+_CH = [[0, 1], [3, 2]]
+# the faces a 2 x 2 box tries after its violated bounds': +1 holds a
+# coordinate at its upper bound, -1 at its lower one
+_FACES = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
+          (1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 # steps per vectorized audit pass. In a 50-run, 1,000-step audited call the
 # audit took 0.37 s in blocks of 1 step, 0.12 s of 8, 0.10 s of 16, 0.09 s of
-# 32 and 0.085 s of 64; its buffers hold 320 bytes per run and step
+# 32 and 0.085 s of 64; its buffers hold 272 bytes per run and step
 _AUDIT_BLOCK = 32
 # steps of noise per chunk. A chunk's draw and factored noise hold 128 bytes
 # per run and step. A 24-run batch's draw took 7-8 us per step in chunks of
@@ -109,26 +82,125 @@ class EnsembleResult:
     audit: dict = None
 
 
-def _channel_inv(S, out):
-    """Inverse of a stack S of 4 x 4 matrices block-diagonal in (x, v) and (y, psi), by
-    `_sym_inv` on each block, written into the channels of out, a zeroed array like S."""
-    blocks = S.reshape(len(S), 16)[:, _CHANNELS].reshape(-1, 2, 2, 2)
-    out.reshape(len(out), 16)[:, _CHANNELS] = _sym_inv(blocks).reshape(-1, 8)
-    return out
+def _states(E):
+    """First and second coordinates E (2, ..., 2, runs) in state order (x, y, psi, v),
+    one row per column."""
+    return np.concatenate((E[0], E[1][..., ::-1, :]), axis=-2).swapaxes(-1, -2).reshape(-1, 4)
+
+
+def _trace(V):
+    """The sum of V (filters, channel, run) over its channels, one column at a time."""
+    return (V[:, 0] + V[:, 1]).reshape(-1)
+
+
+def _state_cov(blk):
+    """The 4 x 4 covariances of a block's columns, zero off the channels."""
+    var = _states(blk[_P11:_P22 + 1])
+    P = np.zeros((len(var), 4, 4))
+    P[:, range(4), range(4)] = var
+    P[:, [0, 3, 1, 2], [3, 0, 2, 1]] = np.repeat(blk[_P12].swapaxes(-1, -2).reshape(-1, 2), 2, 1)
+    return P
+
+
+def _attack_cov(blk):
+    """The diagonal 2 x 2 attack covariances of a block's columns."""
+    var = blk[_PD][:, ::-1].swapaxes(-1, -2).reshape(-1, 2)
+    return var[:, :, None] * np.eye(2)
+
+
+def _schedule(v, T, l_r, sched):
+    """Write the speed-dependent entries, on the speed v, of the schedule
+    (s, g1, g2) = ((T, vT), (0, vT), (T, vT / l_r)) of channels (x, v), (y, psi)."""
+    vT = np.multiply(v, T, out=sched[0, ..., 1, :])
+    sched[1, ..., 1, :] = vT
+    np.divide(vT, l_r, out=sched[2, ..., 1, :])
+
+
+def _diagonal(name, M):
+    """The diagonal of M; ValueError naming the field if M has another nonzero."""
+    if np.count_nonzero(M - np.diag(np.diag(M))):
+        raise ValueError(f"{name} must be diagonal for the channel-form kernel")
+    return np.diag(M).astype(float)
+
+
+def _intervals(name, A, b):
+    """Bounds lo, hi per coordinate of {z : A z <= b}, +-inf where none, and the
+    largest |b_i| / |a_i|; ValueError naming the field unless each row has one nonzero."""
+    if (np.count_nonzero(A, axis=1) != 1).any():
+        raise ValueError(f"each row of {name} must have exactly one nonzero "
+                         "for the channel-form kernel")
+    j = np.abs(A).argmax(axis=1)
+    a = A[range(len(A)), j]
+    lo, hi = np.full(A.shape[1], -np.inf), np.full(A.shape[1], np.inf)
+    np.maximum.at(lo, j[a < 0], (b / a)[a < 0])
+    np.minimum.at(hi, j[a > 0], (b / a)[a > 0])
+    return lo, hi, np.abs(b / a).max(initial=0.0)
+
+
+def _face(E, Q, P12, S, C, lo, hi, tol):
+    """The KKT point Z of pairs E = (e1, e2) on the face holding coordinate i at
+    C_i where its side S_i is 1 (upper bound) or -1 (lower), free where
+    S_i = 0 (C_i = E_i there), for partner variances Q = (P22, P11) and
+    covariance P12; and whether Z passes the KKT test: every bound met within
+    tol, multipliers >= 0, which on the face are S_i [P^{-1} (E - C)]_i det P."""
+    D = E - C
+    Z = np.where(S != 0.0, C, E - P12 / Q * D[::-1])
+    ok = ((S * (Q * D - P12 * D[::-1]) >= 0.0).all(axis=0)
+          & (np.maximum(Z - hi, lo - Z) <= tol).all(axis=0))
+    return Z, ok
+
+
+def _box_pairs(E, P, P12, lo, hi, tol, where):
+    """Project pairs E = (e1, e2) onto boxes lo <= z <= hi in the metrics
+    (P11, P12; P12, P22)^{-1}, P = (P11, P22), in place.
+
+    E, P, lo and hi are (2, c, n), P12 (c, n) and tol (n,): c channels of n
+    entries, +-inf where a coordinate has no bound. A bound is violated when
+    passed by more than tol. A pair stays on the face of its violated bounds
+    if that passes `_face`'s KKT test; otherwise the first face of _FACES
+    that passes is the optimum, unique for a positive definite metric. The
+    covariance becomes (I - G A_O) P (I - G A_O)': a bounded coordinate's
+    variance and covariance drop to 0, a free one's loses P12^2 over the
+    other's. Returns each entry's active bounds, summed over channels, and
+    whether any of its channels left its violated bounds' face.
+    RuntimeError names where(i) for an entry i that no face passes.
+    """
+    C = np.minimum(np.maximum(E, lo), hi)
+    D = E - C
+    F = np.abs(D) > tol
+    if not F.any():
+        return np.zeros(E.shape[-1], dtype=np.int64), np.zeros(E.shape[-1], dtype=bool)
+    S, C, Q = np.sign(D) * F, np.where(F, C, E), P[::-1]
+    Z, ok = _face(E, Q, P12, S, C, lo, hi, tol)
+    with np.errstate(invalid="ignore"):
+        for c, i in zip(*(~ok).nonzero()):
+            pair, box = (E[:, c, i], Q[:, c, i], P12[c, i]), (lo[:, c, i], hi[:, c, i])
+            for side in map(np.array, _FACES):
+                target = np.where(side > 0, box[1], np.where(side < 0, box[0], pair[0]))
+                z, good = _face(*pair, side, target, *box, tol[i])
+                if good:
+                    Z[:, c, i], S[:, c, i] = z, side
+                    break
+            else:
+                raise RuntimeError(f"no face of the box passes the KKT test at {where(i)}")
+    F = S != 0.0
+    E[...] = Z
+    P[...] = np.where(F, 0.0, P - F[::-1] * (P12 * P12 / Q))
+    P12[F.any(axis=0)] = 0.0
+    return F.sum(axis=(0, 1)), (~ok).any(axis=0)
 
 
 class _Batch:
     """Stepping state of realizations x filters of the vehicle scenario.
 
-    Row f * R + i is filter `names[f]` on realization `run_indices[i]`.
-    Each filter schedules its matrices on its own previous speed estimate;
-    the plant uses the true speed. After `step(k)` the attributes hold
-    step k for every row: the final estimates x, P, d, Pd (projected on
-    the care rows; views of the kernel's buffers, valid until the next
-    step), the unprojected x_raw, P_raw, d_raw, Pd_raw, the
-    active constraint counts in_act and st_act, and mcg_dev, the largest
-    entry of |M C G - I|. x_true, the truth of each realization, is a view
-    of the same buffers; the plant rows carry no covariance.
+    Column f * R + i is filter `names[f]` on realization `run_indices[i]`,
+    [:, f, :, i] of the blocks fin (final values, projected for care) and
+    raw (unprojected); truth (2, 2, R) holds the true coordinates. Each
+    filter schedules its matrices on its own speed estimate, the plant on
+    the true speed. After `step(k)` the properties read step k one row per
+    column: x, d, P, Pd, x_raw, d_raw, P_raw, Pd_raw and x_true, the
+    covariances assembled on request, and tr_* their traces. in_act and
+    st_act are the active constraint counts, mcg_dev max |M C G - I|.
     """
 
     def __init__(self, config: ScenarioConfig, run_indices, filters):
@@ -141,65 +213,70 @@ class _Batch:
         self.run_indices = list(run_indices)
         if not self.run_indices:
             raise ValueError("runs must be positive")
-        R = len(self.run_indices)
-        N = R * len(self.names)
-        K = config.horizon
+        R, F, K = len(self.run_indices), len(self.names), config.horizon
         self.params = params = VehicleParams(l_f=config.l_f, l_r=config.l_r, T_s=config.t_s)
         self.clamp_truth = config.clamp_truth
-        # the road and speed box of the truth; the heading is free
-        self.truth_lo = np.array([0.0, 0.0, -np.inf, 0.0])
-        self.truth_hi = np.array([params.x_max, params.y_max, np.inf, params.v_max])
-
         self.horizon = K
         self.noise_model = vehicle_model(lambda k: 0.0, params)
         self.generators = [NoiseSpec(config.seed, run).generator() for run in self.run_indices]
         # one chunk's standard normals, m + n_y = 8 per run and step
         self.z = np.empty((R, min(_NOISE_CHUNK, K), 8, 1))
         self._draw_chunk(0)
-
         self.d_true = np.zeros((K, 2))
         if config.attack == "vehicle":
             for k in range(K):
                 self.d_true[k] = attack_input(k, params)
 
         u_raw = (config.control_delta, config.control_accel)
-        self.u_beta = np.array([slip_angle(u_raw[0], params), u_raw[1]])
         self.A_in, self.b_in, self.B_st, self.c_st = build_constraints(u_raw, params)
-        self.r_diag = np.asarray(params.r_diag, dtype=float)
-        self.r_outer = np.outer(self.r_diag, self.r_diag)
-        self.Q = np.diag(params.q_diag)
-        self.R_mat = np.diag(self.r_diag)
+        q = _diagonal("Q", self.noise_model.Q(0))
+        r = _diagonal("R", self.noise_model.R(1))
+        p0 = _diagonal("P0", config.p0_scale * np.eye(4))
+        d_lo, d_hi, self.d_maxb = _intervals("A_in", self.A_in, self.b_in)
+        x_lo, x_hi, self.x_maxb = _intervals("B_st", self.B_st, self.c_st)
 
-        self.n_care = n = R if "care" in self.names else 0
+        # constants spread to whole arrays: numpy's elementwise calls cost
+        # least on operands of one contiguous shape
+        def spread(values, shape):
+            a = np.asarray(values, dtype=float)  # per channel, or per coordinate and channel
+            a = a.reshape(a.shape[:1] + (1,) * (len(shape) - 3) + a.shape[1:]) if a.ndim == 2 else a
+            return np.broadcast_to(a[..., None], shape).copy()
+
+        both, plant = (2, F, 2, R), (2, 2, R)
+        u = [u_raw[1], slip_angle(u_raw[0], params)]
+        self.u, self.u_plant = spread(u, both), spread(u, plant)
+        self.qr, self.r = spread((q + r)[_CH], both), spread(r[_CH], both)
+        self.r_sq, self.r12 = self.r ** 2, self.r[0] * self.r[1]
+        self.d_box = spread(d_lo[::-1], (2, R)), spread(d_hi[::-1], (2, R))
+        self.x_box = spread(x_lo[_CH], plant), spread(x_hi[_CH], plant)
+        # the road and speed box of the truth; the heading is free
+        self.truth_box = tuple(spread(np.array(b)[_CH], plant) for b in (
+            (0.0, 0.0, -np.inf, 0.0), (params.x_max, params.y_max, np.inf, params.v_max)))
+        self.sched, self.plant_sched = np.zeros((3, F, 2, R)), np.zeros((3, 2, R))
+        self.sched[::2, :, 0], self.plant_sched[::2, 0] = params.T_s, params.T_s
+
+        self.n_care = R if "care" in self.names else 0
         self.fallbacks = 0
-        self.in_act, self.st_act = np.zeros((2, N), dtype=np.int64)
-        self.est, self.cov, self.R_til = np.zeros((n + N + R, 4)), np.zeros((n + N, 4, 4)), \
-            np.zeros((N, 4, 4))
-        self.est[n:] = config.x0
-        self.cov[n:] = config.p0_scale * np.eye(4)
-        self.x, self.P, self.x_true = self.est[n:n + N], self.cov[n:], self.est[n + N:]
+        self.in_act, self.st_act = np.zeros((2, F * R), dtype=np.int64)
+        self.fin, self.raw = np.zeros((2, _ROWS, F, 2, R))
+        x0 = np.asarray(config.x0, dtype=float)
+        self.fin[_E1:_E2 + 1] = spread(x0[_CH], both)
+        self.fin[_P11:_P22 + 1] = spread(p0[_CH], both)
+        self.truth = spread(x0[_CH], plant)
 
-        if n:
-            # both projections of the care rows in one `_box_project` call:
-            # entry h < n is row h's attack estimate in the leading two
-            # coordinates, entry n + h its state estimate, each on its own
-            # rows of [[A_in, 0]; B_st]
-            q_in = len(self.b_in)
-            A_box = np.vstack([np.hstack([self.A_in, np.zeros((q_in, 2))]), self.B_st])
-            b_box = np.full((2 * n, len(A_box)), np.inf)
-            b_box[:n, :q_in] = self.b_in
-            b_box[n:, q_in:] = self.c_st
-            self.box = _ConstraintTable(A_box, b_box, np.repeat([2, 4], n))
-            self.box_act = np.zeros((2 * n, len(A_box)), dtype=bool)
-            self.box_counts = np.zeros(2 * n, dtype=np.int64)
-
-        # constant slots of the scheduled matrices of [filter rows | plant
-        # rows]; speed-dependent entries are rewritten every step
-        T = params.T_s
-        self.A_s = np.tile(np.eye(4), (N + R, 1, 1))
-        self.A_s[:, 0, 3] = T
-        self.B_s = np.zeros((N + R, 4, 2))
-        self.B_s[:, 3, 1] = T
+    x = property(lambda self: _states(self.fin))
+    x_raw = property(lambda self: _states(self.raw))
+    x_true = property(lambda self: _states(self.truth))
+    d = property(lambda self: self.fin[_D][:, ::-1].swapaxes(1, 2).reshape(-1, 2))
+    d_raw = property(lambda self: self.raw[_D][:, ::-1].swapaxes(1, 2).reshape(-1, 2))
+    P = property(lambda self: _state_cov(self.fin))
+    P_raw = property(lambda self: _state_cov(self.raw))
+    Pd = property(lambda self: _attack_cov(self.fin))
+    Pd_raw = property(lambda self: _attack_cov(self.raw))
+    tr_P = property(lambda self: _trace(self.fin[_P11] + self.fin[_P22]))
+    tr_P_raw = property(lambda self: _trace(self.raw[_P11] + self.raw[_P22]))
+    tr_Pd = property(lambda self: _trace(self.fin[_PD]))
+    tr_Pd_raw = property(lambda self: _trace(self.raw[_PD]))
 
     def _draw_chunk(self, k0):
         """Draw the noise of steps k0 + 1 ... k0 + c, c = min(_NOISE_CHUNK, K - k0)."""
@@ -212,129 +289,133 @@ class _Batch:
         R = len(self.run_indices)
         return f"k={k}, run {self.run_indices[row % R]}, filter {self.names[row // R]}"
 
-    def _schedule(self, A, B, v):
-        vT = v * self.params.T_s
-        A[:, 1, 2] = vT
-        B[:, 1, 0] = vT
-        B[:, 2, 0] = vT / self.params.l_r
-
     def step(self, k):
         km1 = k - 1
-        where = partial(self._where, k)
         j = km1 - self.noise_k0
         if j == self.w_chunk.shape[1]:
             self._draw_chunk(km1)
             j = 0
+        fin, raw, T, l_r = self.fin, self.raw, self.params.T_s, self.params.l_r
 
-        # one prediction of [filter rows | plant rows]: each filter schedules
-        # on its own speed estimate, the plant on the true speed, and the
-        # truth is its prior plus B d + w
-        n, N, est, cov, B = self.n_care, len(self.x), self.est, self.cov, self.B_s
-        self._schedule(self.A_s, B, est[n:, 3])
-        prior, Pp = _predict(self.A_s, B, self.Q, est[n:], cov[n:], self.u_beta)
-        np.add(prior[N:] + B[N:] @ self.d_true[km1], self.w_chunk[:, j], out=self.x_true)
+        # the truth, A x + B u + B d + w clipped, in the matrices' order of
+        # sums: A couples each channel's first coordinate to its second by
+        # s, and (g1, g2) is its input column
+        truth, s, G = self.truth, self.plant_sched[0], self.plant_sched[1:]
+        _schedule(truth[1, 0], T, l_r, self.plant_sched)
+        prior = truth.copy()
+        prior[0] += s * truth[1]
+        prior += G * self.u_plant
+        prior += G * self.d_true[km1, ::-1, None]
+        np.add(prior, self.w_chunk[:, j].T[_CH], out=truth)
         if self.clamp_truth:
-            self.x_true.clip(self.truth_lo, self.truth_hi, out=self.x_true)
-        y = self.x_true + self.v_chunk[:, j]
-        if len(self.names) > 1:
-            y = np.concatenate([y] * len(self.names))
+            np.clip(truth, *self.truth_box, out=truth)
+        y = np.repeat((truth + self.v_chunk[:, j].T[_CH])[:, None], len(self.names), axis=1)
 
-        G_f, nu = B[:N], y - prior[:N]
-        R_til = _channel_inv(Pp + self.R_mat, self.R_til)
-        T_mat, Pd_u, M, d_u = _attack_gain(G_f, R_til, nu, where)
-        # C = I: S^{-1} is a generalized inverse of R*, so the update needs no solve
-        W = _sym(R_til - T_mat.transpose(0, 2, 1) @ M)
-        x_u = y - self.r_diag * (W @ nu[..., None])[..., 0]
-        P_u = self.R_mat - self.r_outer * W  # exactly symmetric, as W is
+        # the filters on their own speeds: the innovation and S = A P A' + Q + R
+        E, P, P12 = fin[_E1:_E2 + 1], fin[_P11:_P22 + 1], fin[_P12]
+        s, G = self.sched[0], self.sched[1:]
+        _schedule(E[1, :, 0], T, l_r, self.sched)
+        nu = E + G * self.u
+        nu[0] += s * E[1]
+        np.subtract(y, nu, out=nu)
+        S12 = P12 + s * P[1]
+        S = P + self.qr
+        S[0] += s * (P12 + S12)
+        # R~ = (Rt11, -A12; -A12, Rt22), h = R~ g, N = g'h, P_d, M and d
+        inv_det = 1.0 / (S[0] * S[1] - S12 * S12)
+        Rt, A12 = S[::-1] * inv_det, S12 * inv_det
+        h = Rt * G - A12 * G[::-1]
+        info = (G * h).sum(axis=0)
+        _require_identifiable(info.min(axis=1).reshape(-1), info.max(axis=1).reshape(-1),
+                              partial(self._where, k))
+        M = np.divide(1.0, info, out=raw[_PD]) * h
+        (M * nu).sum(axis=0, out=raw[_D])
+        self.mcg_dev = np.abs((M * G).sum(axis=0) - 1.0).max(axis=1).reshape(-1)
+        # W = R~ - h M = (W11, -B12; -B12, W22), x = y - R W nu, P = R - R W R
+        W, B12 = Rt - h * M, A12 + h[0] * M[1]
+        np.subtract(y, self.r * (W * nu - B12 * nu[::-1]), out=raw[_E1:_E2 + 1])
+        np.subtract(self.r, self.r_sq * W, out=raw[_P11:_P22 + 1])
+        np.multiply(self.r12, B12, out=raw[_P12])
+        fin[...] = raw
+        if self.n_care:
+            self._project(k)
 
-        self.mcg_dev = np.abs(M @ G_f - _EYE2).max(axis=(1, 2))
-        self.x_raw, self.P_raw, self.d_raw, self.Pd_raw = x_u, P_u, d_u, Pd_u
-        est[n:n + N], cov[n:] = x_u, P_u
-        if n:
-            # the padded coordinates of the attack entries stay zero
-            est[:n, :2], cov[:n, :2, :2] = d_u[:n], Pd_u[:n]
-            cnt = self.box_counts
-            self.fallbacks = _box_project(est[:2 * n], cov[:2 * n], self.box, self.fallbacks,
-                                          self.box_act, lambda h: where(h % n), cnt)
-            if n == N:
-                d_u, Pd_u = est[:n, :2], cov[:n, :2, :2]
-            else:
-                d_u = np.concatenate([est[:n, :2], d_u[n:]])
-                Pd_u = np.concatenate([cov[:n, :2, :2], Pd_u[n:]])
-            self.in_act[:n], self.st_act[:n] = cnt[:n], cnt[n:]
-        self.d, self.Pd = d_u, Pd_u
+    def _project(self, k):
+        """Project the care columns of fin onto the attack and state boxes."""
+        blk, where, n = self.fin[:, 0], partial(self._where, k), self.n_care
+        finite = np.isfinite(blk)
+        if not finite.all():
+            i = int((~finite.all(axis=(0, 1))).argmax())
+            field = "covariance" if finite[[_E1, _E2, _D], :, i].all() else "estimate"
+            raise ValueError(f"non-finite {field} at {where(i)}")
+        d, Pd = blk[_D], blk[_PD]
+        tol = _FEAS_REL * (1.0 + np.sqrt(d[1] * d[1] + d[0] * d[0]) + self.d_maxb)
+        clip = np.minimum(np.maximum(d, self.d_box[0]), self.d_box[1])
+        act = np.abs(d - clip) > tol
+        if act.any():
+            np.copyto(d, clip, where=act)
+            Pd[act] = 0.0
+        self.in_act[:n] = act.sum(axis=0)
+        E = blk[_E1:_E2 + 1]
+        (x2, y2), (v2, psi2) = E * E
+        tol = _FEAS_REL * (1.0 + np.sqrt(x2 + y2 + psi2 + v2) + self.x_maxb)
+        self.st_act[:n], left = _box_pairs(E, blk[_P11:_P22 + 1], blk[_P12], *self.x_box, tol,
+                                           where)
+        self.fallbacks += int(left.sum())
 
 
-def _audit_update(audit, which, act, e_con, e_unc, W, tr_pre, tr_post):
-    """Tally norm and trace comparisons for the entries act, each one run
-    at one step, where a projection actually moved the estimate. Norms use the projection's own metric
-    (weight W, the inverse unconstrained covariance) next to the plain
-    Euclidean norm, which the oblique projection does not contract in
-    general; both counts are kept so the audit can report the difference.
+def _audit_update(audit, which, w_con, w_unc, e_con, e_unc, tr_pre, tr_post):
+    """Tally norm and trace comparisons for the audited entries, the columns
+    of e_con and e_unc, each one run at one step where a projection moved the
+    estimate. Norms use the projection's own metric (the inverse
+    unconstrained covariance; w_con and w_unc are the errors' norms in it)
+    next to the Euclidean norm, which the oblique projection does not
+    contract in general; both counts are kept so the audit can report the
+    difference.
     """
-    lhs_w = np.sqrt(np.einsum('ri,rij,rj->r', e_con, W, e_con))
-    rhs_w = np.sqrt(np.einsum('ri,rij,rj->r', e_unc, W, e_unc))
-    m_w = lhs_w - rhs_w
-    lhs_e = np.linalg.norm(e_con, axis=1)
-    rhs_e = np.linalg.norm(e_unc, axis=1)
-    m_e = lhs_e - rhs_e
-    audit[f"active_{which}"] += int(act.size)
+    m_w = w_con - w_unc
+    m_e = np.linalg.norm(e_con, axis=0) - np.linalg.norm(e_unc, axis=0)
+    audit[f"active_{which}"] += int(e_con.shape[1])
     audit[f"viol_{which}_weighted"] += int((m_w > 1e-10).sum())
     audit[f"viol_{which}_euclid"] += int((m_e > 1e-10).sum())
-    audit[f"worst_{which}_weighted"] = max(audit[f"worst_{which}_weighted"],
-                                           float(m_w.max()))
-    audit[f"worst_{which}_euclid"] = max(audit[f"worst_{which}_euclid"],
-                                         float(m_e.max()))
+    audit[f"worst_{which}_weighted"] = max(audit[f"worst_{which}_weighted"], float(m_w.max()))
+    audit[f"worst_{which}_euclid"] = max(audit[f"worst_{which}_euclid"], float(m_e.max()))
     audit[f"viol_trace_{which}"] += int((tr_post > tr_pre).sum())
     audit[f"viol_strict_{which}"] += int((tr_post >= tr_pre).sum())
-
-
-def _new_audit():
-    audit = {"truth_infeasible_steps": 0}
-    for which in ("x", "d"):
-        audit.update({f"active_{which}": 0, f"viol_{which}_weighted": 0, f"viol_{which}_euclid": 0,
-                      f"worst_{which}_weighted": -np.inf, f"worst_{which}_euclid": -np.inf,
-                      f"viol_trace_{which}": 0, f"viol_strict_{which}": 0})
-    return audit
 
 
 class _BlockAudit:
     """The projection audit of a constrained batch, tallied once per block.
 
-    `record` copies what the audit reads of a step into (B, R, ...) buffers,
-    B = _AUDIT_BLOCK; the covariances after projection are kept as traces
-    alone. `_flush` tallies the buffered steps in one vectorized pass: two
-    `_audit_update` calls over every audited (step, run) entry of the block.
-    Every tally is a count, a sum or a maximum, and the per-entry arithmetic
-    is that of one step alone, so the result does not depend on where the
-    blocks fall.
+    `record` copies a step's care blocks, truth and active counts into
+    buffers of _AUDIT_BLOCK steps; `_flush` tallies them in one vectorized
+    pass of two `_audit_update` calls. Every tally is a count, a sum or a
+    maximum of per-entry arithmetic, so it does not depend on the blocks.
     """
-
-    _FIELDS = {"d": (2,), "d_raw": (2,), "Pd_raw": (2, 2), "x": (4,), "x_raw": (4,),
-               "P_raw": (4, 4), "x_true": (4,), "in_act": (), "st_act": ()}
 
     def __init__(self, batch):
         self.batch = batch
-        self.tally = _new_audit()
+        self.tally = {"truth_infeasible_steps": 0}
+        for which in ("x", "d"):
+            self.tally.update({
+                f"active_{which}": 0, f"viol_{which}_weighted": 0, f"viol_{which}_euclid": 0,
+                f"worst_{which}_weighted": -np.inf, f"worst_{which}_euclid": -np.inf,
+                f"viol_trace_{which}": 0, f"viol_strict_{which}": 0})
+        # (..., step, run), so that a block's entries are a view
         R = len(batch.run_indices)
-        self.buf = {name: np.empty((_AUDIT_BLOCK, R) + shape)
-                    for name, shape in self._FIELDS.items()}
-        self.tr_P = np.empty((_AUDIT_BLOCK, R))
-        self.tr_Pd = np.empty((_AUDIT_BLOCK, R))
+        self.fin, self.raw = np.empty((2, _ROWS, 2, _AUDIT_BLOCK, R))
+        self.truth = np.empty((2, 2, _AUDIT_BLOCK, R))
+        self.act = np.empty((2, _AUDIT_BLOCK, R), dtype=np.int64)
         # the attack's truth is shared by every run, so its feasibility is per step
         self.d_feas = (batch.d_true @ batch.A_in.T <= batch.b_in).all(axis=1)
         self.m = 0
 
     def record(self, km1):
-        """Buffer step km1 + 1 of the batch; tally the block once it is full
-        or the step is the horizon's last."""
+        """Buffer step km1 + 1; tally the block once it is full or the horizon ends."""
         batch, j = self.batch, self.m
-        for name, buf in self.buf.items():
-            buf[j] = getattr(batch, name)
-        self.tr_P[j] = batch.P.trace(axis1=1, axis2=2)
-        self.tr_Pd[j] = batch.Pd.trace(axis1=1, axis2=2)
+        self.fin[..., j, :], self.raw[..., j, :] = batch.fin[:, 0], batch.raw[:, 0]
+        self.truth[..., j, :], self.act[:, j] = batch.truth, (batch.in_act, batch.st_act)
         self.m += 1
-        # d_true holds one row per step of the horizon
         if self.m == _AUDIT_BLOCK or km1 + 1 == len(batch.d_true):
             self._flush(km1 + 1 - self.m)
 
@@ -342,26 +423,27 @@ class _BlockAudit:
         """Tally the buffered steps, k0 + 1 to k0 + m, and empty the buffers."""
         m, batch, audit = self.m, self.batch, self.tally
         R = len(batch.run_indices)
-        # entry s * R + i is run i at the block's step s
-        b = {name: buf[:m].reshape((m * R,) + buf.shape[2:]) for name, buf in self.buf.items()}
+        # column s * R + i is run i at the block's step s
+        fin, raw, truth, (in_act, st_act) = (buf[..., :m, :].reshape(buf.shape[:-2] + (-1,))
+                                             for buf in (self.fin, self.raw, self.truth, self.act))
         d_feas = self.d_feas[k0:k0 + m]
-        x_true = b["x_true"]
-        x_feas = (x_true @ batch.B_st.T <= batch.c_st).all(axis=1)
+        x_feas = (_states(truth) @ batch.B_st.T <= batch.c_st).all(axis=1)
         audit["truth_infeasible_steps"] += R * int((~d_feas).sum()) + int((~x_feas).sum())
-        ar = np.flatnonzero((b["in_act"] > 0) & np.repeat(d_feas, R))
+        ar = np.flatnonzero((in_act > 0) & np.repeat(d_feas, R))
         if ar.size:
-            d_ar = batch.d_true[k0 + ar // R]
-            Pd_raw = b["Pd_raw"][ar]
-            _audit_update(
-                audit, "d", ar, b["d"][ar] - d_ar, b["d_raw"][ar] - d_ar, _sym_inv(Pd_raw),
-                Pd_raw.trace(axis1=1, axis2=2), self.tr_Pd[:m].reshape(-1)[ar])
-        ar = np.flatnonzero((b["st_act"] > 0) & x_feas)
+            d_ar, Pd_raw = batch.d_true[k0 + ar // R, ::-1].T, raw[_PD][:, ar]
+            e = fin[_D][:, ar] - d_ar, raw[_D][:, ar] - d_ar
+            _audit_update(audit, "d", *(np.sqrt((x * x / Pd_raw).sum(axis=0)) for x in e), *e,
+                          Pd_raw.sum(axis=0), fin[_PD][:, ar].sum(axis=0))
+        ar = np.flatnonzero((st_act > 0) & x_feas)
         if ar.size:
-            P_raw = b["P_raw"][ar]
-            _audit_update(
-                audit, "x", ar, b["x"][ar] - x_true[ar], b["x_raw"][ar] - x_true[ar],
-                _channel_inv(P_raw, np.zeros_like(P_raw)),
-                P_raw.trace(axis1=1, axis2=2), self.tr_P[:m].reshape(-1)[ar])
+            P11, P22, P12 = raw[_P11:_P12 + 1, :, ar]
+            e = [blk[:2, :, ar] - truth[:, :, ar] for blk in (fin, raw)]
+            # e' P_raw^{-1} e channel by channel, each 2 x 2 block in closed form
+            w = [np.sqrt(((P22 * x[0] ** 2 - 2.0 * P12 * x[0] * x[1] + P11 * x[1] ** 2)
+                          / (P11 * P22 - P12 * P12)).sum(axis=0)) for x in e]
+            _audit_update(audit, "x", *w, *(x.reshape(4, -1) for x in e), (P11 + P22).sum(axis=0),
+                          (fin[_P11] + fin[_P22])[:, ar].sum(axis=0))
         self.m = 0
 
 
@@ -413,16 +495,15 @@ def run_ensemble(config: ScenarioConfig, runs: int = None, constrained: bool = T
         # trace extrema come from the unconstrained pair; projection can
         # only shrink a trace, so these also bound the constrained ones
         if k > 100:
-            tru = float(batch.P_raw.trace(axis1=1, axis2=2).max())
+            tru = float(batch.tr_P_raw.max())
             max_trace_pxu = max(max_trace_pxu, tru)
-            trd = float(batch.Pd_raw.trace(axis1=1, axis2=2).max())
-            max_cov_trace = max(max_cov_trace, tru, trd)
+            max_cov_trace = max(max_cov_trace, tru, float(batch.tr_Pd_raw.max()))
 
         if audit is not None:
             audit.record(km1)
 
-        err = batch.x - batch.x_true
-        err_sq[:, km1] = np.einsum('ij,ij->i', err, err)
+        (x2, y2), (v2, psi2) = np.square(batch.fin[:2, 0] - batch.truth)
+        np.add(x2 + y2 + psi2, v2, out=err_sq[:, km1])
 
         if record_states:
             X_rec[:, k] = batch.x

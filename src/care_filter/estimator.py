@@ -9,9 +9,9 @@ a weighted least-squares gain M, the time update and a measurement update
 with the closed-form gain L = (P* C' - G M R) S~^{-1}, are written once
 over any leading batch axis of the estimates: the public stage functions
 take a stack of estimates as readily as one, and `care_step` is their
-batch of one. Predict and attack estimation are also private functions of
-the matrices alone (`_predict`, `_attack_gain` on the caller's R~), which
-the vehicle kernel `ensemble._Batch` runs on its stacked rows.
+batch of one. The vehicle kernel `ensemble._Batch` runs the same filter
+in a closed form of its own and shares the attack stage's
+identifiability test, `_require_identifiable`.
 """
 
 from dataclasses import dataclass
@@ -136,47 +136,28 @@ def _rows(y, x):
     return np.asarray(y, dtype=float).reshape(x.shape[:-1] + (-1,))
 
 
-def _predict(A, B, Q, x, P, u):
-    """Prior x^- = A x + B u, P^- = A P A' + Q; for stacked A, P^- of its first len(P) rows."""
-    A_P = A[:len(P)] if A.ndim > 2 else A
-    return _mv(A, x) + B @ u, _sym(A_P @ P @ _T(A_P) + Q)
-
-
-def _attack_gain(CG, R_tilde, nu, where):
-    """T = G'C'R~, P_d = N^{-1} for N = T C G, M = P_d T and d = M nu from the
-    caller's C G, R~ and innovation nu. Raises AttackUnidentifiableError
-    naming where(i), i the first stack position whose N is not positive
-    definite or has condition number above 1e12, and ValueError when that N
-    is not finite."""
-    T = _T(CG) @ R_tilde
-    N = _sym(T @ CG)
-    lo, hi = _eig_bounds(N)
+def _require_identifiable(lo, hi, where):
+    """Raise AttackUnidentifiableError naming where(i), i the first stack
+    position whose attack information G'C'R~CG, with least and largest
+    eigenvalues lo and hi, is not positive definite or has condition number
+    above 1e12, and ValueError when those are not finite, as they are not
+    for an information matrix with a non-finite entry."""
     bad = ~((lo > 0.0) & (hi <= 1e12 * lo))  # NaN bounds count as bad
     if bad.any():
         i = int(np.argmax(bad))
-        if not np.isfinite(N.reshape(-1, N.shape[-1] ** 2)[i]).all():
+        lo, hi = np.ravel(lo)[i], np.ravel(hi)[i]
+        if not np.isfinite([lo, hi]).all():
             raise ValueError(f"non-finite attack information G'C'R~CG at {where(i)}")
-        why = "is not positive definite" if np.ravel(lo)[i] <= 0.0 else \
-            "condition number exceeds 1e12"
+        why = "is not positive definite" if lo <= 0.0 else "condition number exceeds 1e12"
         raise AttackUnidentifiableError(f"attack unidentifiable at {where(i)}: G'C'R~CG {why}")
-    P_d = _sym_inv(N)
-    M = P_d @ T
-    return T, P_d, M, _mv(M, nu)
-
-
-def _estimate_attack(C, G, R, x_pred, P_pred, y, where):
-    """`_attack_gain` for R~ = (C P^- C' + R)^{-1}, nu = y - C x^-: R~, T, P_d, M, nu, d."""
-    R_tilde, nu = _sym(np.linalg.inv(C @ P_pred @ _T(C) + R)), y - _mv(C, x_pred)
-    T, P_d, M, d = _attack_gain(C @ G, R_tilde, nu, where)
-    return R_tilde, T, P_d, M, nu, d
 
 
 def predict(state: EstimatorState, model: SystemModel, u) -> Prediction:
     """Propagate the estimate through the nominal dynamics."""
     k = state.k
-    x, P = _predict(model.A(k), model.B(k), model.Q(k), state.x_hat, state.P_x,
-                    np.asarray(u, dtype=float).ravel())
-    return Prediction(x, P, k + 1)
+    A = model.A(k)
+    x = _mv(A, state.x_hat) + model.B(k) @ np.asarray(u, dtype=float).ravel()
+    return Prediction(x, _sym(A @ state.P_x @ A.T + model.Q(k)), k + 1)
 
 
 def estimate_attack(pred: Prediction, model: SystemModel, prev_cov, y) -> AttackEstimate:
@@ -187,11 +168,17 @@ def estimate_attack(pred: Prediction, model: SystemModel, prev_cov, y) -> Attack
     """
     k = pred.k
     C = model.C(k)
-    R_tilde, _, P_d, M, _, d_hat = _estimate_attack(
-        C, model.G(k - 1), model.R(k), pred.x_hat, pred.P_x, _rows(y, pred.x_hat),
-        lambda _: f"k={k}")
+    R_tilde = _sym(np.linalg.inv(C @ pred.P_x @ _T(C) + model.R(k)))
+    nu = _rows(y, pred.x_hat) - _mv(C, pred.x_hat)
+    CG = C @ model.G(k - 1)
+    T = _T(CG) @ R_tilde
+    N = _sym(T @ CG)
+    lo, hi = _eig_bounds(N)
+    _require_identifiable(lo, hi, lambda _: f"k={k}")
+    P_d = _sym_inv(N)
+    M = P_d @ T
     P_xd = -prev_cov @ model.A(k - 1).T @ C.T @ _T(M)
-    return AttackEstimate(d_hat, _sym(P_d), P_xd, M, R_tilde, k)
+    return AttackEstimate(_mv(M, nu), _sym(P_d), P_xd, M, R_tilde, k)
 
 
 def time_update(pred: Prediction, atk: AttackEstimate, model: SystemModel,

@@ -127,7 +127,7 @@ def _run(config: ScenarioConfig, run_indices, filters, detector):
     st_act = np.zeros((N, K), dtype=np.int64)
     XT = np.empty((R, K + 1, 4))
     X[:, 0] = X_raw[:, 0] = batch.x
-    TX[:, 0] = TX_raw[:, 0] = batch.P.trace(axis1=1, axis2=2)
+    TX[:, 0] = TX_raw[:, 0] = batch.tr_P
     XT[:, 0] = batch.x_true
     max_mcg = np.zeros(N)
     max_pxu = np.zeros(N)
@@ -139,10 +139,10 @@ def _run(config: ScenarioConfig, run_indices, filters, detector):
         X_raw[:, k] = batch.x_raw
         D[:, km1] = batch.d
         D_raw[:, km1] = batch.d_raw
-        TX[:, k] = batch.P.trace(axis1=1, axis2=2)
-        TX_raw[:, k] = batch.P_raw.trace(axis1=1, axis2=2)
-        TD[:, km1] = batch.Pd.trace(axis1=1, axis2=2)
-        TD_raw[:, km1] = batch.Pd_raw.trace(axis1=1, axis2=2)
+        TX[:, k] = batch.tr_P
+        TX_raw[:, k] = batch.tr_P_raw
+        TD[:, km1] = batch.tr_Pd
+        TD_raw[:, km1] = batch.tr_Pd_raw
         in_act[:, km1] = batch.in_act
         st_act[:, km1] = batch.st_act
         XT[:, k] = batch.x_true

@@ -1,10 +1,10 @@
 """Covariance-weighted projection onto linear inequality constraints.
 
 Solves min (z - e)' W (z - e) subject to A z <= b for a stack of entries
-in `_box_project`, the one route every projection of the package takes:
-`project`, `project_attack` and `project_state` are its batch of one, and
-the vehicle kernel `ensemble._Batch` puts both projections of every care
-run into one call. What depends on the set alone is prepared once per set
+in `_box_project`, the route of every projection on a general linear
+model: `project`, `project_attack` and `project_state` are its batch of
+one. (The vehicle kernel `ensemble._Batch` projects onto its boxes in a
+closed form of its own.) What depends on the set alone is prepared once per set
 in a `_ConstraintTable`, its rows scaled by powers of two, exactly the
 same set. The weight is the inverse of the estimation error covariance P,
 so the projector is oblique: gain = P A_bar' (A_bar P A_bar')^{-1} for the

@@ -13,7 +13,7 @@ Moore-Penrose gain.
 
 import numpy as np
 
-from care_filter.ensemble import _Batch, _channel_inv
+from care_filter.ensemble import _Batch
 from care_filter.estimator import (
     AttackEstimate,
     EstimatorState,
@@ -25,7 +25,6 @@ from care_filter.estimator import (
 from care_filter.projection import (
     InfeasibleConstraintsError,
     _as_rows,
-    _sym_inv,
     project_attack,
     project_state,
 )
@@ -159,11 +158,11 @@ def audit_reference(config, runs):
     Steps the kernel's care batch and, after each step, compares every run
     whose projection was active and whose true value lies in that set: the
     projected against the unprojected error, in the projection metric (the
-    inverse unprojected covariance, taken as the audit takes it: by
-    `_sym_inv` for the attack and by `_channel_inv` for the state, so that
-    the tallies match to the bit) and in the Euclidean one, and the
-    covariance traces after against before. A true value outside its set
-    counts once per run and step in truth_infeasible_steps.
+    inverse unprojected covariance, by `np.linalg.inv` of the assembled 2 x 2
+    and 4 x 4 matrices, so no inverse is shared with the kernel's audit) and
+    in the Euclidean one, and the covariance traces after against before. A
+    true value outside its set counts once per run and step in
+    truth_infeasible_steps.
     """
     batch = _Batch(config, range(runs), ("care",))
     audit = {"truth_infeasible_steps": 0}
@@ -181,12 +180,12 @@ def audit_reference(config, runs):
         ar = np.flatnonzero((batch.in_act > 0) & d_feas)
         if ar.size:
             _tally(audit, "d", batch.d[ar] - d_true, batch.d_raw[ar] - d_true,
-                   _sym_inv(batch.Pd_raw[ar]), np.trace(batch.Pd_raw[ar], axis1=1, axis2=2),
+                   np.linalg.inv(batch.Pd_raw[ar]), np.trace(batch.Pd_raw[ar], axis1=1, axis2=2),
                    np.trace(batch.Pd[ar], axis1=1, axis2=2))
         ar = np.flatnonzero((batch.st_act > 0) & x_feas)
         if ar.size:
             _tally(audit, "x", batch.x[ar] - x_true[ar], batch.x_raw[ar] - x_true[ar],
-                   _channel_inv(batch.P_raw[ar], np.zeros((ar.size, 4, 4))),
+                   np.linalg.inv(batch.P_raw[ar]),
                    np.trace(batch.P_raw[ar], axis1=1, axis2=2),
                    np.trace(batch.P[ar], axis1=1, axis2=2))
     return audit

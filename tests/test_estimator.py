@@ -18,7 +18,6 @@ from care_filter.estimator import (
     AttackUnidentifiableError,
     EstimatorState,
     Prediction,
-    _estimate_attack,
     care_step,
     estimate_attack,
     initial_state,
@@ -508,18 +507,17 @@ class TestCareStep:
 
     def test_attack_stage_is_batch_exact(self):
         # with a general C, row 0 of a stack of three gets the attack
-        # estimate and the innovation it gets alone, bit for bit
+        # estimate and the gain it gets alone, bit for bit
         rng = np.random.default_rng(57)
         for draw in range(100):
             model, _, _, _ = random_setup(rng, m=4, n_d=2, n_y=4)
-            C, G, R = model.C(1), model.G(0), model.R(1)
             X = rng.normal(size=(3, 4))
             P = np.array([spd(rng, 4) for _ in range(3)])
             Y = rng.normal(size=(3, 4))
-            *_, nu, d = _estimate_attack(C, G, R, X, P, Y, str)
-            *_, nu_1, d_1 = _estimate_attack(C, G, R, X[:1], P[:1], Y[:1], str)
-            assert np.array_equal(nu[0], nu_1[0]), draw
-            assert np.array_equal(d[0], d_1[0]), draw
+            atk = estimate_attack(Prediction(X, P, k=1), model, P, Y)
+            alone = estimate_attack(Prediction(X[:1], P[:1], k=1), model, P[:1], Y[:1])
+            assert np.array_equal(atk.d_hat[0], alone.d_hat[0]), draw
+            assert np.array_equal(atk.M[0], alone.M[0]), draw
 
     def test_composes_the_stages(self):
         rng = np.random.default_rng(55)

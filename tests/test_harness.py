@@ -1,21 +1,34 @@
+import dataclasses
 import tracemalloc
 from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from care_filter import cli, ensemble, harness, projection
 from care_filter.cli import main
 from care_filter.config import ScenarioConfig
 from care_filter.detector import DetectorConfig, DetectorState, cusum_update, detection_statistic
 from care_filter.ensemble import run_ensemble
-from care_filter.estimator import AttackUnidentifiableError, _estimate_attack, initial_state
+from care_filter.estimator import (
+    AttackUnidentifiableError,
+    EstimatorState,
+    care_step,
+    estimate_attack,
+    initial_state,
+    measurement_update,
+    predict,
+    time_update,
+)
 from care_filter.harness import monte_carlo, simulate
 from care_filter.model import NoiseSpec
 from care_filter.projection import (
     ActiveSetLimitError,
     InfeasibleConstraintsError,
+    _FEAS_REL,
     _box_project,
     _ConstraintTable,
     project_attack,
@@ -38,14 +51,15 @@ REF_FLOAT_FIELDS = ("x_hat", "x_hat_raw", "d_hat", "d_hat_raw", "trace_px",
 REF_EXACT_FIELDS = ("input_active", "state_active", "alarms")
 
 
-def scalar_reference(cfg, run_index, name):
+def scalar_reference(cfg, run_index, name, step=pinv_care_step, outputs=None):
     """One filter on one realization through the scalar general-LTV path.
 
-    The oracle chain `pinv_care_step`, detection_statistic and cusum_update
-    run once per step; the model is scheduled on the filter's own previous
-    speed estimate and the plant on the true speed. Returns the truth, the
-    per-step records and the running maxima of |M C G - I| and (for
-    k > 100) trace P_x raw.
+    step (the oracle chain `pinv_care_step`, or the package's `care_step`),
+    detection_statistic and cusum_update run once per step; the model is
+    scheduled on the filter's own previous speed estimate and the plant on
+    the true speed. Returns the truth, the per-step records and the running
+    maxima of |M C G - I| and (for k > 100) trace P_x raw; each step's
+    StepOutput is appended to the list outputs, if given.
     """
     params = VehicleParams(l_f=cfg.l_f, l_r=cfg.l_r, T_s=cfg.t_s)
     K = cfg.horizon
@@ -75,8 +89,9 @@ def scalar_reference(cfg, run_index, name):
         x[0] = min(max(x[0], 0.0), params.x_max)
         x[1] = min(max(x[1], 0.0), params.y_max)
         x[3] = min(max(x[3], 0.0), params.v_max)
-        out = pinv_care_step(state, model, constraints, u, x + V[k],
-                             unconstrained_baseline=name == "ise")
+        out = step(state, model, constraints, u, x + V[k], unconstrained_baseline=name == "ise")
+        if outputs is not None:
+            outputs.append(out)
         state = out.state
         speeds.append(float(state.x_hat[3]))
         stat = detection_statistic(out.d_hat, out.P_d)
@@ -271,6 +286,42 @@ class TestScalarReference:
         care = reference["care"]
         assert care["input_active"].any() and care["state_active"].any()
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           x0=st.tuples(st.floats(-5.0, 25.0), st.floats(-2.0, 7.0), st.floats(-3.2, 3.2),
+                        st.just(0.0) | st.floats(1.0, 30.0)),
+           control_delta=st.floats(-1.2, 1.2), control_accel=st.floats(-3.0, 3.0),
+           l_f=st.floats(0.2, 5.0), l_r=st.floats(0.2, 5.0), t_s=st.floats(1e-3, 0.1),
+           p0_scale=st.floats(1e-2, 1e3))
+    def test_simulate_matches_care_step_over_the_config_domain(self, **fields):
+        # the channel-form kernel against a loop of the public care_step on
+        # vehicle_model, over a box inside each field's declared domain: the
+        # start on or off the road box, at rest (attack unidentifiable from
+        # k = 1) or at 1 to 30 m/s, steering past its bound. Both paths reject
+        # the same configs with the same error class; otherwise every record
+        # agrees within 1e-8 of its scale (about 3e-10 seen over 260 draws),
+        # the truth to 1e-12 and the active counts exactly
+        cfg = ScenarioConfig(horizon=50, **fields)
+        outcomes = []
+        for run in (lambda: simulate(cfg, detector=False),
+                    lambda: {name: scalar_reference(cfg, 0, name, step=care_step)
+                             for name in ("care", "ise")}):
+            try:
+                outcomes.append(run())
+            except (AttackUnidentifiableError, ValueError, RuntimeError) as err:
+                outcomes.append(type(err))
+        got, ref = outcomes
+        if isinstance(got, type) or isinstance(ref, type):
+            assert got is ref
+            return
+        for name, fr in got.filters.items():
+            np.testing.assert_allclose(got.x_true, ref[name]["x_true"], rtol=0, atol=1e-12)
+            for f in REF_FLOAT_FIELDS[:-2]:
+                gap = np.abs(getattr(fr, f) - ref[name][f]).max()
+                assert gap <= 1e-8 * (1.0 + np.abs(ref[name][f]).max()), (name, f, gap)
+            for f in ("input_active", "state_active"):
+                np.testing.assert_array_equal(getattr(fr, f), ref[name][f], err_msg=f"{name} {f}")
+
 
 class TestEnsemble:
     def test_matches_sequential_runs(self):
@@ -340,40 +391,27 @@ class TestEnsemble:
             assert x.tobytes() == batch.x_true.tobytes(), k
         assert clamped > 0
 
-    def test_each_step_schedules_predicts_and_solves_widths_one_and_two_once(self, monkeypatch):
-        # one scheduling and one prediction for filters and plant, and on a
-        # step whose violated-row widths are all one or two, one face solve
-        # of the first tier
-        calls = {"schedule": 0, "predict": 0, "face": 0}
-        schedule, predict, face_solve = ensemble._Batch._schedule, ensemble._predict, \
-            projection._face_solve
+    def test_each_step_solves_one_face_of_the_violated_bounds(self, monkeypatch):
+        # the state projection of every care run is one face solve per step
+        # over both channels, none on a step whose estimates meet the box,
+        # and the vehicle boxes never send a run to the other faces
+        calls = []
+        face = ensemble._face
 
-        def count(name, fn):
-            def spy(*args):
-                calls[name] += 1
-                return fn(*args)
-            return spy
+        def counting(E, *args):
+            calls.append(E.shape)
+            return face(E, *args)
 
-        def first_tier(*args):
-            # the last argument is search, true for the search's faces
-            calls["face"] += not args[-1]
-            return face_solve(*args)
-
-        monkeypatch.setattr(ensemble._Batch, "_schedule", count("schedule", schedule))
-        monkeypatch.setattr(ensemble, "_predict", count("predict", predict))
-        monkeypatch.setattr(projection, "_face_solve", first_tier)
+        monkeypatch.setattr(ensemble, "_face", counting)
         batch = ensemble._Batch(ScenarioConfig(horizon=300, seed=20260819), range(6),
                                 ("care", "ise"))
-        both = 0
+        active = 0
         for k in range(1, 301):
-            calls.update(schedule=0, predict=0, face=0)
+            calls.clear()
             batch.step(k)
-            assert calls["schedule"] == 1 and calls["predict"] == 1, k
-            widths = batch.box_counts
-            if widths.max() <= 2:
-                assert calls["face"] == int(widths.any()), k
-                both += int((widths == 1).any() and (widths == 2).any())
-        assert both > 0
+            assert calls == ([(2, 2, 6)] if batch.st_act.any() else []), k
+            active += int(batch.st_act.any())
+        assert active > 0 and batch.fallbacks == 0
 
     def test_noise_stream_is_each_runs_sample(self):
         # two full chunks and half of one, on run indices that are not 0 ... R-1:
@@ -562,121 +600,82 @@ class TestEnsemble:
                          lambda r: f"k=3, run {r}")
 
     def test_stacked_projection_names_the_care_run(self):
-        # care run 2's state estimate leaves the road through a large
-        # measurement, and its state covariance turns non-finite; in the one
-        # projection call its entry follows the four attack entries, and the
-        # ise rows follow the care rows
+        # care run 2's state covariance Pxv turns non-finite in the update;
+        # the projection of the care columns names its run and filter, and
+        # the ise columns, which follow, are never projected
         batch = ensemble._Batch(ScenarioConfig(horizon=5, seed=3), range(4), ("care", "ise"))
-        # row 0 of the first noise chunk is the measurement noise on y_1
-        batch.v_chunk[2, 0, 0] = 1e3
-        batch.r_outer = np.tile(batch.r_outer, (8, 1, 1))
-        batch.r_outer[2, 0, 1] = np.nan
+        batch.r12 = batch.r12.copy()
+        batch.r12[0, 0, 2] = np.nan  # filter care, channel (x, v), run 2
         with pytest.raises(ValueError, match="non-finite covariance at k=1, run 2, filter care"):
             batch.step(1)
+        # a non-finite measurement is named as an estimate
+        batch = ensemble._Batch(ScenarioConfig(horizon=5, seed=3), range(4), ("care", "ise"))
+        batch.v_chunk[3, 0, 1] = np.nan  # run 3's measurement of y_1
+        with pytest.raises(ValueError, match="non-finite estimate at k=1, run 3, filter care"):
+            batch.step(1)
 
-    def test_kernel_covariances_enter_the_projector_exactly_symmetric(self, monkeypatch):
-        # the projector takes a covariance as symmetric and only the
-        # wrappers check it, so every attack and state covariance the kernel
-        # hands it must be symmetric to the bit, over the attack window
-        seen = []
-        box_project = ensemble._box_project
-
-        def spy(est, cov, *args):
-            seen.append(np.array_equal(cov, cov.swapaxes(1, 2)))
-            return box_project(est, cov, *args)
-
-        monkeypatch.setattr(ensemble, "_box_project", spy)
-        batch = ensemble._Batch(ScenarioConfig(horizon=700, seed=8), range(3), ("care", "ise"))
-        active = 0
-        for k in range(1, 701):
-            batch.step(k)
-            active += int(batch.in_act.sum() + batch.st_act.sum())
-        assert len(seen) == 700 and all(seen)
-        assert active > 0
-
-    def test_covariances_are_block_diagonal_by_channel(self, monkeypatch):
-        # the kernel inverts P^- + R and the audit P_raw by their (x, v) and
-        # (y, psi) blocks alone, which is exact only while every entry off
-        # those channels is exactly zero: check it at every row and step
-        # through the attack window, projections and the truth clamp included
+    def test_covariances_are_block_diagonal_by_channel(self):
+        # the channel-form kernel keeps only the (x, v) and (y, psi) blocks of
+        # every covariance and the diagonal of P_d, which is exact only while
+        # the filter leaves every other entry exactly zero: check it on the
+        # general stages, care_step on vehicle_model, at every step through
+        # the attack window, projections and the truth clamp included
         off = np.ones((4, 4), dtype=bool)
         off[np.ix_([0, 3], [0, 3])] = off[np.ix_([1, 2], [1, 2])] = False
-        seen = []
-        channel_inv = ensemble._channel_inv
-
-        def spy(S, out):
-            seen.append(S.copy())
-            return channel_inv(S, out)
-
-        monkeypatch.setattr(ensemble, "_channel_inv", spy)
         cfg = ScenarioConfig(horizon=300, seed=20260819)
-        batch = ensemble._Batch(cfg, range(6), ("care", "ise"))
-        active = clamped = 0
+        outputs = []
+        ref = scalar_reference(cfg, 2, "care", step=care_step, outputs=outputs)
+        for k, out in enumerate(outputs, 1):
+            for name, X in (("P^-", out.prediction.P_x), ("R~", out.attack.R_tilde),
+                            ("P_raw", out.update.P_x), ("P", out.state.P_x)):
+                assert not X[off].any(), (k, name)
+            for name, X in (("Pd_raw", out.attack.P_d), ("Pd", out.P_d)):
+                assert not X[0, 1] and not X[1, 0], (k, name)
+        assert ref["input_active"].any() and ref["state_active"].any()
+        x_true = ref["x_true"]
+        assert (x_true[:, [0, 1, 3]] == 0.0).any() or (x_true[:, :2] == [20.0, 5.0]).any()
+
+    def test_channel_attack_stage_matches_the_general_one(self):
+        # from the kernel's own state before each step, the general stages
+        # (predict, estimate_attack, time_update, measurement_update; C = I)
+        # on the same measurement give the kernel's unprojected d, P_d, x and
+        # P, and its |M C G - I|, up to rounding, for care and ise rows alike
+        cfg = ScenarioConfig(horizon=300, seed=20260819)
+        batch = ensemble._Batch(cfg, range(2), ("care", "ise"))
+        params = batch.params
+        u = np.array([slip_angle(cfg.control_delta, params), cfg.control_accel])
         for k in range(1, 301):
-            seen.clear()
+            x, P = batch.x, batch.P
             batch.step(k)
-            active += int(batch.in_act.sum() + batch.st_act.sum())
-            (S,) = seen
-            for name, X in (("P^- + R", S), ("P_raw", batch.P_raw), ("P", batch.P)):
-                assert not X[:, off].any(), (k, name)
-            for name, X in (("Pd_raw", batch.Pd_raw), ("Pd", batch.Pd)):
-                assert not X[:, 0, 1].any() and not X[:, 1, 0].any(), (k, name)
-            for name, X in (("P^- + R", S), ("P_raw", batch.P_raw)):
-                inv = channel_inv(X, np.zeros_like(X))
-                assert np.array_equal(inv, inv.swapaxes(1, 2)), (k, name)
-                ref = np.linalg.inv(X)
-                gap = np.abs(inv - ref).max(axis=(1, 2))
-                assert (gap <= 1e-14 * np.abs(ref).max(axis=(1, 2))).all(), (k, name)
-            clamped += int(((batch.x_true == batch.truth_lo)
-                            | (batch.x_true == batch.truth_hi)).any())
-        assert active > 0 and clamped > 0 and batch.d_true.any()
-
-    def test_channel_attack_stage_matches_the_general_one(self, monkeypatch):
-        # on priors captured from kernel steps, the kernel's attack stage
-        # (R~ inverted by channel) gives the general stage's d, P_d and M
-        # with C = I, up to rounding
-        seen = {}
-        predict, attack_gain = ensemble._predict, ensemble._attack_gain
-
-        def predict_spy(*args):
-            prior, Pp = predict(*args)
-            seen["prior"] = prior.copy(), Pp.copy()
-            return prior, Pp
-
-        def gain_spy(CG, R_tilde, nu, where):
-            seen["G"] = CG.copy()
-            seen["gain"] = attack_gain(CG, R_tilde, nu, where)
-            return seen["gain"]
-
-        monkeypatch.setattr(ensemble, "_predict", predict_spy)
-        monkeypatch.setattr(ensemble, "_attack_gain", gain_spy)
-        batch = ensemble._Batch(ScenarioConfig(horizon=300, seed=20260819), range(4),
-                                ("care", "ise"))
-        N = len(batch.x)
-        for k in range(1, 301):
-            batch.step(k)
-            prior, Pp = seen["prior"]
-            assert len(Pp) == N, k  # no covariance for the plant rows
             y = np.tile(batch.x_true + batch.v_chunk[:, k - 1 - batch.noise_k0], (2, 1))
-            _, _, P_d, M, _, d = _estimate_attack(np.eye(4), seen["G"], batch.R_mat,
-                                                  prior[:N], Pp, y, str)
-            _, P_d_k, M_k, d_k = seen["gain"]
-            for name, got, ref in (("d", d_k, d), ("P_d", P_d_k, P_d), ("M", M_k, M)):
-                axes = tuple(range(1, ref.ndim))
-                gap = np.abs(got - ref).max(axis=axes)
-                assert (gap <= 1e-12 * np.abs(ref).max(axis=axes)).all(), (k, name)
+            for row in range(4):
+                model = vehicle_model(lambda _: x[row, 3], params)
+                state = EstimatorState(x[row], P[row], k - 1)
+                pred = predict(state, model, u)
+                atk = estimate_attack(pred, model, P[row], y[row])
+                upd = measurement_update(time_update(pred, atk, model, state), atk, model, y[row])
+                mcg = np.abs(atk.M @ model.G(k - 1) - np.eye(2)).max()
+                for name, got, ref in (("d", batch.d_raw[row], atk.d_hat),
+                                       ("P_d", batch.Pd_raw[row], atk.P_d),
+                                       ("x", batch.x_raw[row], upd.x_hat),
+                                       ("P", batch.P_raw[row], upd.P_x)):
+                    gap = np.abs(got - ref).max()
+                    assert gap <= 1e-12 * np.abs(ref).max(), (k, row, name, gap)
+                assert abs(batch.mcg_dev[row] - mcg) <= 1e-14, (k, row)
 
-    def test_ise_only_batch_builds_no_projection_buffers(self):
+    def test_ise_only_batch_builds_no_projection_buffers(self, monkeypatch):
+        # an ise-only batch has no care columns and never reaches a projector
+        monkeypatch.setattr(ensemble, "_box_pairs", None)
         batch = ensemble._Batch(ScenarioConfig(horizon=5, seed=3), range(3), ("ise",))
-        for name in ("box", "box_est", "box_cov", "box_act"):
-            assert not hasattr(batch, name), name
-        batch.step(1)
+        assert batch.n_care == 0
+        for k in range(1, 6):
+            batch.step(k)
         assert batch.in_act.sum() == 0 and batch.st_act.sum() == 0
 
     def test_non_finite_covariance_of_an_ise_row_is_named(self):
         # ise rows are never projected; the attack stage stops the NaN
         batch = ensemble._Batch(ScenarioConfig(horizon=5, seed=3), range(3), ("care", "ise"))
-        batch.P[3 + 1, 2, 2] = np.nan
+        batch.fin[ensemble._P22, 1, 1, 1] = np.nan  # P_psipsi of filter ise, run 1
         with pytest.raises(ValueError, match="non-finite attack information G'C'R~CG "
                                              "at k=1, run 1, filter ise"):
             batch.step(1)
@@ -720,7 +719,10 @@ class TestEnsemble:
         for horizon in (1, B - 1, B, B + 1, 2 * B + 3, 100 + B):
             cfg = ScenarioConfig(horizon=horizon, seed=7)
             on = run_ensemble(cfg, runs=runs, projection_audit=True, record_states=True)
-            assert on.audit == audit_reference(cfg, runs), horizon
+            # the counts exactly; the worst margins up to the rounding of the
+            # reference's own inverses
+            assert on.audit == pytest.approx(audit_reference(cfg, runs), rel=1e-9, abs=1e-12), \
+                horizon
             off = run_ensemble(cfg, runs=runs, record_states=True)
             assert np.array_equal(on.err_sq, off.err_sq)
             assert np.array_equal(on.x_hat, off.x_hat)
@@ -740,17 +742,120 @@ class TestEnsemble:
         # from 4 to 1: the attack's projected trace is set against its own
         # unprojected trace, not against the state's
         A_in, b_in, B_st, c_st = build_constraints((0.0, 0.0), VehicleParams())
-        x_true = np.array([[10.0, 2.5, 0.0, 10.0]])
+        fin, raw = np.zeros((2, ensemble._ROWS, 1, 2, 1))
+        truth = np.array([10.0, 2.5, 10.0, 0.0]).reshape(2, 2, 1)  # (x, y), (v, psi)
+        fin[:2, 0], raw[:2, 0] = truth, truth + 1.0
+        raw[ensemble._D] = 1.0
+        fin[ensemble._PD], raw[ensemble._PD] = 2.0, 1.0
+        fin[ensemble._P11:ensemble._P22 + 1], raw[ensemble._P11:ensemble._P22 + 1] = 0.25, 1.0
         batch = SimpleNamespace(
             run_indices=[0], d_true=np.zeros((1, 2)), A_in=A_in, b_in=b_in, B_st=B_st, c_st=c_st,
-            d=np.zeros((1, 2)), d_raw=np.ones((1, 2)), Pd=2.0 * np.eye(2)[None],
-            Pd_raw=np.eye(2)[None], x=x_true, x_raw=x_true + 1.0, P=0.25 * np.eye(4)[None],
-            P_raw=np.eye(4)[None], x_true=x_true, in_act=np.ones(1), st_act=np.ones(1))
+            fin=fin, raw=raw, truth=truth, in_act=np.ones(1), st_act=np.ones(1))
         audit = ensemble._BlockAudit(batch)
         audit.record(0)
         assert audit.tally["active_d"] == 1 and audit.tally["active_x"] == 1
         assert audit.tally["viol_trace_d"] == 1 and audit.tally["viol_strict_d"] == 1
         assert audit.tally["viol_trace_x"] == 0 and audit.tally["viol_strict_x"] == 0
+
+
+
+def channel_projection(e, P, lo, hi):
+    """`ensemble._box_pairs` on one pair e, metric P^{-1} and box lo <= z <= hi,
+    with the general projector's tolerance: (estimate, covariance, active count)."""
+    bounds = np.concatenate([lo, hi])
+    tol = _FEAS_REL * (1.0 + np.linalg.norm(e) + np.abs(bounds[np.isfinite(bounds)]).max())
+    E, V = np.array(e, dtype=float).reshape(2, 1, 1), P.diagonal().reshape(2, 1, 1).copy()
+    P12 = np.array([[P[0, 1]]])
+    count, _ = ensemble._box_pairs(E, V, P12, np.reshape(lo, (2, 1, 1)), np.reshape(hi, (2, 1, 1)),
+                                   np.array([tol]), str)
+    return E.ravel(), np.array([[V[0, 0, 0], P12[0, 0]], [P12[0, 0], V[1, 0, 0]]]), int(count[0])
+
+
+def general_projection(e, P, lo, hi):
+    """`project_state` on the same problem, its box as rows of A z <= b."""
+    rows = [(sign * np.eye(2)[i], sign * bound) for i in range(2)
+            for sign, bound in ((1.0, hi[i]), (-1.0, lo[i])) if np.isfinite(bound)]
+    A, b = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    z, Pz, res = project_state(SimpleNamespace(x_hat=np.array(e, dtype=float), P_x=P), A, b)
+    return z, Pz, len(res.active_set)
+
+
+class TestChannelForm:
+    """The kernel's closed forms against the general stages they replace."""
+
+    @pytest.mark.parametrize("e, lo, hi, active", [
+        # x alone is violated, and its face leaves the box through v >= 0:
+        # the optimum is the corner (1, 0)
+        ((2.0, 0.5), (0.0, 0.0), (1.0, 1.0), 2),
+        # both are violated, but the corner's multiplier of v <= 1 is
+        # negative: the optimum is the face of x <= 1 alone, at v = 0.6
+        ((2.0, 1.5), (0.0, 0.0), (1.0, 1.0), 1),
+        # x passes its bound by less than the tolerance: nothing moves
+        ((1.0 + 5e-11, 0.5), (0.0, 0.0), (1.0, 1.0), 0),
+    ])
+    def test_pair_projection_cases(self, e, lo, hi, active):
+        P = np.array([[1.0, 0.9], [0.9, 1.0]])
+        got, ref = channel_projection(e, P, lo, hi), general_projection(e, P, lo, hi)
+        assert got[2] == ref[2] == active
+        np.testing.assert_allclose(got[0], ref[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[1], ref[1], rtol=0, atol=1e-12)
+        if active == 0:
+            assert np.array_equal(got[0], e) and np.array_equal(got[1], P)
+
+    def test_pair_projection_matches_project_state(self):
+        # random 2 x 2 metrics (correlation up to 0.99, variances over four
+        # decades), boxes with an open side now and then, and estimates in,
+        # near and far outside them
+        rng = np.random.default_rng(20261020)
+        moved = 0
+        for draw in range(400):
+            sd = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
+            rho = rng.uniform(-0.99, 0.99)
+            P = np.outer(sd, sd) * np.array([[1.0, rho], [rho, 1.0]])
+            lo = rng.uniform(-3.0, 0.0, size=2)
+            hi = lo + rng.uniform(0.1, 4.0, size=2)
+            lo[rng.random(2) < 0.15] = -np.inf
+            hi[rng.random(2) < 0.15] = np.inf
+            e = rng.uniform(-6.0, 6.0, size=2) * 10.0 ** rng.uniform(-1.0, 1.0)
+            got, ref = channel_projection(e, P, lo, hi), general_projection(e, P, lo, hi)
+            scale = 1.0 + np.abs(ref[0]).max()
+            assert got[2] == ref[2], draw
+            assert np.abs(got[0] - ref[0]).max() <= 1e-10 * scale, draw
+            assert np.abs(got[1] - ref[1]).max() <= 1e-10 * np.abs(P).max(), draw
+            moved += got[2] > 0
+        assert moved > 100
+
+    @pytest.mark.parametrize("field", ["Q", "R", "A_in", "B_st"])
+    def test_batch_rejects_what_the_channel_form_cannot_hold(self, field, monkeypatch):
+        # the kernel keeps two channels and a box of intervals; a coupled
+        # noise covariance or a box row on two coordinates is refused where
+        # it enters, by name
+        def coupled(velocity, params):
+            model = vehicle_model(velocity, params)
+            M = (model.Q(0) if field == "Q" else model.R(1)).copy()
+            M[0, 3] = M[3, 0] = 1e-4
+            return dataclasses.replace(model, **{field: lambda k: M})
+
+        def tilted(u, params):
+            A_in, b_in, B_st, c_st = build_constraints(u, params)
+            if field == "A_in":
+                A_in = A_in + [[0.0, 0.5], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+            else:
+                B_st = B_st.copy()
+                B_st[0, 3] = 0.1
+            return A_in, b_in, B_st, c_st
+
+        if field in ("Q", "R"):
+            monkeypatch.setattr(ensemble, "vehicle_model", coupled)
+            message = f"^{field} must be diagonal"
+        else:
+            monkeypatch.setattr(ensemble, "build_constraints", tilted)
+            message = f"^each row of {field} must have exactly one nonzero"
+        with pytest.raises(ValueError, match=message):
+            ensemble._Batch(ScenarioConfig(horizon=5), range(2), ("care",))
+        # P0 = p0_scale I is diagonal for every config; the check it passes
+        with pytest.raises(ValueError, match="^P0 must be diagonal"):
+            ensemble._diagonal("P0", np.full((4, 4), 0.5))
 
 
 def _write(path, text):
