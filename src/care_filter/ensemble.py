@@ -17,8 +17,9 @@ box problem per channel, `_box_pairs` (Simon, IET CTA 4(8), 2010), with
 general projector's. Every operation acts on one run at a time, so a run's
 result does not depend on its batch, bit for bit. Noise comes from
 `NoiseSpec(seed, i)` in chunks of _NOISE_CHUNK steps, bit for bit
-`NoiseSpec.sample`. `run_ensemble` reduces long studies to per-step error
-energies and covariance extrema, its audit tallied per _AUDIT_BLOCK steps.
+`NoiseSpec.sample`. `_blocks` records _BLOCK steps at a time, and every
+output of `harness._run` and `run_ensemble`, its audit included, is
+assembled from these blocks.
 """
 
 from dataclasses import dataclass
@@ -47,10 +48,12 @@ _CH = [[0, 1], [3, 2]]
 # coordinate at its upper bound, -1 at its lower one
 _FACES = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
           (1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
-# steps per vectorized audit pass. In a 50-run, 1,000-step audited call the
-# audit took 0.37 s in blocks of 1 step, 0.12 s of 8, 0.10 s of 16, 0.09 s of
-# 32 and 0.085 s of 64; its buffers hold 272 bytes per run and step
-_AUDIT_BLOCK = 32
+# steps per block of `_blocks`, whose buffers hold 32 + 248 bytes per run-step
+# and filter. On 2 x86-64 cores, recording and assembling the outputs took 23 us
+# per run-step over the bare steps in blocks of 1 and 5.4 in 32 or 64 (monte_carlo
+# 4 x 1,000); 5.3 and 0.5-1.0 us in an audited 50 x 1,000 run_ensemble
+_BLOCK = 32
+_TRANSIENT = 100  # steps the trace maxima skip: the initial covariance's transient
 # steps of noise per chunk. A chunk's draw and factored noise hold 128 bytes
 # per run and step. A 24-run batch's draw took 7-8 us per step in chunks of
 # 64 and 6.7 us in chunks of 128; 200 runs over 10,000 steps peaked at
@@ -63,8 +66,8 @@ class EnsembleResult:
     """Per-step error energies and running covariance extrema for a batch.
 
     err_sq[i, k-1] holds ||x_hat_k - x_k||^2 for run i using the final
-    (projected) estimate. The trace maxima are taken over steps k > 100,
-    where the transient from the inflated initial covariance has died out;
+    (projected) estimate. The trace maxima are taken over steps k > 100
+    (_TRANSIENT), where the inflated initial covariance has died out;
     every tracked covariance is positive semidefinite, so its largest
     eigenvalue is bounded by the trace.
     """
@@ -82,30 +85,45 @@ class EnsembleResult:
     audit: dict = None
 
 
+def _columns(S):
+    """S (..., c, steps, runs) as (columns, steps, c), column f * R + i for filter f, run i."""
+    return np.moveaxis(S, -3, -1).swapaxes(-2, -3).reshape(-1, S.shape[-2], S.shape[-3])
+
+
 def _states(E):
-    """First and second coordinates E (2, ..., 2, runs) in state order (x, y, psi, v),
-    one row per column."""
-    return np.concatenate((E[0], E[1][..., ::-1, :]), axis=-2).swapaxes(-1, -2).reshape(-1, 4)
+    """First and second coordinates E (2, ..., 2, steps, runs) of the channels
+    in state order (x, y, psi, v), as (columns, steps, 4)."""
+    return _columns(np.concatenate((E[0], E[1][..., ::-1, :, :]), axis=-3))
 
 
-def _trace(V):
-    """The sum of V (filters, channel, run) over its channels, one column at a time."""
-    return (V[:, 0] + V[:, 1]).reshape(-1)
+def _attacks(V):
+    """V (..., 2, steps, runs) acting on the channels, (acceleration, steering),
+    in the attack's order (steering, acceleration), as (columns, steps, 2)."""
+    return _columns(V[..., ::-1, :, :])
+
+
+def _traces(V):
+    """The sum of V (..., 2, steps, runs) over its channels, as (columns, steps)."""
+    return (V[..., 0, :, :] + V[..., 1, :, :]).swapaxes(-1, -2).reshape(-1, V.shape[-2])
+
+
+def _now(rows, S):
+    """rows(S) of a step, S (..., runs) without the step axis: one row per column."""
+    return rows(S[..., None, :])[:, 0]
 
 
 def _state_cov(blk):
-    """The 4 x 4 covariances of a block's columns, zero off the channels."""
-    var = _states(blk[_P11:_P22 + 1])
+    """The 4 x 4 covariances of a step's columns, zero off the channels."""
+    var = _now(_states, blk[_P11:_P22 + 1])
     P = np.zeros((len(var), 4, 4))
     P[:, range(4), range(4)] = var
     P[:, [0, 3, 1, 2], [3, 0, 2, 1]] = np.repeat(blk[_P12].swapaxes(-1, -2).reshape(-1, 2), 2, 1)
     return P
 
 
-def _attack_cov(blk):
-    """The diagonal 2 x 2 attack covariances of a block's columns."""
-    var = blk[_PD][:, ::-1].swapaxes(-1, -2).reshape(-1, 2)
-    return var[:, :, None] * np.eye(2)
+def _attack_cov(var):
+    """The diagonal 2 x 2 attack covariances of variances var (..., 2)."""
+    return var[..., None] * np.eye(2)
 
 
 def _schedule(v, T, l_r, sched):
@@ -195,12 +213,12 @@ class _Batch:
 
     Column f * R + i is filter `names[f]` on realization `run_indices[i]`,
     [:, f, :, i] of the blocks fin (final values, projected for care) and
-    raw (unprojected); truth (2, 2, R) holds the true coordinates. Each
-    filter schedules its matrices on its own speed estimate, the plant on
-    the true speed. After `step(k)` the properties read step k one row per
-    column: x, d, P, Pd, x_raw, d_raw, P_raw, Pd_raw and x_true, the
-    covariances assembled on request, and tr_* their traces. in_act and
-    st_act are the active constraint counts, mcg_dev max |M C G - I|.
+    raw (unprojected), the two halves of fin_raw; truth (2, 2, R) holds the
+    true coordinates. Each filter schedules its matrices on its own speed
+    estimate, the plant on the true speed. After `step(k)` the properties
+    read step k one row per column: x, d, P, Pd, x_raw, d_raw, P_raw,
+    Pd_raw and x_true, assembled on request. in_act and st_act, the halves
+    of act, are the active constraint counts, mcg_dev max |M C G - I|.
     """
 
     def __init__(self, config: ScenarioConfig, run_indices, filters):
@@ -257,26 +275,22 @@ class _Batch:
 
         self.n_care = R if "care" in self.names else 0
         self.fallbacks = 0
-        self.in_act, self.st_act = np.zeros((2, F * R), dtype=np.int64)
-        self.fin, self.raw = np.zeros((2, _ROWS, F, 2, R))
+        self.in_act, self.st_act = self.act = np.zeros((2, F * R), dtype=np.int64)
+        self.fin, self.raw = self.fin_raw = np.zeros((2, _ROWS, F, 2, R))
         x0 = np.asarray(config.x0, dtype=float)
         self.fin[_E1:_E2 + 1] = spread(x0[_CH], both)
         self.fin[_P11:_P22 + 1] = spread(p0[_CH], both)
         self.truth = spread(x0[_CH], plant)
 
-    x = property(lambda self: _states(self.fin))
-    x_raw = property(lambda self: _states(self.raw))
-    x_true = property(lambda self: _states(self.truth))
-    d = property(lambda self: self.fin[_D][:, ::-1].swapaxes(1, 2).reshape(-1, 2))
-    d_raw = property(lambda self: self.raw[_D][:, ::-1].swapaxes(1, 2).reshape(-1, 2))
+    x = property(lambda self: _now(_states, self.fin))
+    x_raw = property(lambda self: _now(_states, self.raw))
+    x_true = property(lambda self: _now(_states, self.truth))
+    d = property(lambda self: _now(_attacks, self.fin[_D]))
+    d_raw = property(lambda self: _now(_attacks, self.raw[_D]))
     P = property(lambda self: _state_cov(self.fin))
     P_raw = property(lambda self: _state_cov(self.raw))
-    Pd = property(lambda self: _attack_cov(self.fin))
-    Pd_raw = property(lambda self: _attack_cov(self.raw))
-    tr_P = property(lambda self: _trace(self.fin[_P11] + self.fin[_P22]))
-    tr_P_raw = property(lambda self: _trace(self.raw[_P11] + self.raw[_P22]))
-    tr_Pd = property(lambda self: _trace(self.fin[_PD]))
-    tr_Pd_raw = property(lambda self: _trace(self.raw[_PD]))
+    Pd = property(lambda self: _attack_cov(_now(_attacks, self.fin[_PD])))
+    Pd_raw = property(lambda self: _attack_cov(_now(_attacks, self.raw[_PD])))
 
     def _draw_chunk(self, k0):
         """Draw the noise of steps k0 + 1 ... k0 + c, c = min(_NOISE_CHUNK, K - k0)."""
@@ -364,6 +378,29 @@ class _Batch:
         self.fallbacks += int(left.sum())
 
 
+def _blocks(batch):
+    """Step `batch` through its horizon, copying each step's fin_raw, truth,
+    act and mcg_dev into buffers of _BLOCK steps laid out (..., step, run).
+    Yields each full block, and the horizon's last, as (k0, fin_raw, truth,
+    act, mcg_dev) of steps k0 + 1 ... k0 + m: views that the next overwrites.
+    """
+    K, R, N = batch.horizon, len(batch.run_indices), batch.act.shape[1]
+    B = min(_BLOCK, K)
+    fin_raw, truth = np.empty(batch.fin_raw.shape[:-1] + (B, R)), np.empty((2, 2, B, R))
+    act, mcg = np.empty((2, B, N), dtype=np.int64), np.empty((B, N))
+    m = 0
+    for k in range(1, K + 1):
+        batch.step(k)
+        fin_raw[..., m, :] = batch.fin_raw
+        truth[..., m, :] = batch.truth
+        act[:, m] = batch.act
+        mcg[m] = batch.mcg_dev
+        m += 1
+        if m == B or k == K:
+            yield k - m, fin_raw[..., :m, :], truth[..., :m, :], act[:, :m], mcg[:m]
+            m = 0
+
+
 def _audit_update(audit, which, w_con, w_unc, e_con, e_unc, tr_pre, tr_post):
     """Tally norm and trace comparisons for the audited entries, the columns
     of e_con and e_unc, each one run at one step where a projection moved the
@@ -384,67 +421,35 @@ def _audit_update(audit, which, w_con, w_unc, e_con, e_unc, tr_pre, tr_post):
     audit[f"viol_strict_{which}"] += int((tr_post >= tr_pre).sum())
 
 
-class _BlockAudit:
-    """The projection audit of a constrained batch, tallied once per block.
-
-    `record` copies a step's care blocks, truth and active counts into
-    buffers of _AUDIT_BLOCK steps; `_flush` tallies them in one vectorized
-    pass of two `_audit_update` calls. Every tally is a count, a sum or a
-    maximum of per-entry arithmetic, so it does not depend on the blocks.
-    """
-
-    def __init__(self, batch):
-        self.batch = batch
-        self.tally = {"truth_infeasible_steps": 0}
-        for which in ("x", "d"):
-            self.tally.update({
-                f"active_{which}": 0, f"viol_{which}_weighted": 0, f"viol_{which}_euclid": 0,
-                f"worst_{which}_weighted": -np.inf, f"worst_{which}_euclid": -np.inf,
-                f"viol_trace_{which}": 0, f"viol_strict_{which}": 0})
-        # (..., step, run), so that a block's entries are a view
-        R = len(batch.run_indices)
-        self.fin, self.raw = np.empty((2, _ROWS, 2, _AUDIT_BLOCK, R))
-        self.truth = np.empty((2, 2, _AUDIT_BLOCK, R))
-        self.act = np.empty((2, _AUDIT_BLOCK, R), dtype=np.int64)
-        # the attack's truth is shared by every run, so its feasibility is per step
-        self.d_feas = (batch.d_true @ batch.A_in.T <= batch.b_in).all(axis=1)
-        self.m = 0
-
-    def record(self, km1):
-        """Buffer step km1 + 1; tally the block once it is full or the horizon ends."""
-        batch, j = self.batch, self.m
-        self.fin[..., j, :], self.raw[..., j, :] = batch.fin[:, 0], batch.raw[:, 0]
-        self.truth[..., j, :], self.act[:, j] = batch.truth, (batch.in_act, batch.st_act)
-        self.m += 1
-        if self.m == _AUDIT_BLOCK or km1 + 1 == len(batch.d_true):
-            self._flush(km1 + 1 - self.m)
-
-    def _flush(self, k0):
-        """Tally the buffered steps, k0 + 1 to k0 + m, and empty the buffers."""
-        m, batch, audit = self.m, self.batch, self.tally
-        R = len(batch.run_indices)
-        # column s * R + i is run i at the block's step s
-        fin, raw, truth, (in_act, st_act) = (buf[..., :m, :].reshape(buf.shape[:-2] + (-1,))
-                                             for buf in (self.fin, self.raw, self.truth, self.act))
-        d_feas = self.d_feas[k0:k0 + m]
-        x_feas = (_states(truth) @ batch.B_st.T <= batch.c_st).all(axis=1)
-        audit["truth_infeasible_steps"] += R * int((~d_feas).sum()) + int((~x_feas).sum())
-        ar = np.flatnonzero((in_act > 0) & np.repeat(d_feas, R))
-        if ar.size:
-            d_ar, Pd_raw = batch.d_true[k0 + ar // R, ::-1].T, raw[_PD][:, ar]
-            e = fin[_D][:, ar] - d_ar, raw[_D][:, ar] - d_ar
-            _audit_update(audit, "d", *(np.sqrt((x * x / Pd_raw).sum(axis=0)) for x in e), *e,
-                          Pd_raw.sum(axis=0), fin[_PD][:, ar].sum(axis=0))
-        ar = np.flatnonzero((st_act > 0) & x_feas)
-        if ar.size:
-            P11, P22, P12 = raw[_P11:_P12 + 1, :, ar]
-            e = [blk[:2, :, ar] - truth[:, :, ar] for blk in (fin, raw)]
-            # e' P_raw^{-1} e channel by channel, each 2 x 2 block in closed form
-            w = [np.sqrt(((P22 * x[0] ** 2 - 2.0 * P12 * x[0] * x[1] + P11 * x[1] ** 2)
-                          / (P11 * P22 - P12 * P12)).sum(axis=0)) for x in e]
-            _audit_update(audit, "x", *w, *(x.reshape(4, -1) for x in e), (P11 + P22).sum(axis=0),
-                          (fin[_P11] + fin[_P22])[:, ar].sum(axis=0))
-        self.m = 0
+def _audit_block(audit, batch, k0, fin, raw, truth, act):
+    """Tally the projection audit of steps k0 + 1 ... k0 + m in one
+    vectorized pass of two `_audit_update` calls, from the care blocks fin
+    and raw (rows, channel, m, run), the truth (2, 2, m, run) and the active
+    counts act (2, m, run). Every tally is a count, a sum or a maximum of
+    per-entry arithmetic, so it does not depend on the blocks."""
+    m, R = truth.shape[-2:]
+    # column s * R + i is run i at the block's step s
+    fin, raw, truth, (in_act, st_act) = (a.reshape(a.shape[:-2] + (-1,))
+                                         for a in (fin, raw, truth, act))
+    # the attack's truth is shared by every run, so its feasibility is per step
+    d_feas = (batch.d_true[k0:k0 + m] @ batch.A_in.T <= batch.b_in).all(axis=1)
+    x_feas = (_now(_states, truth) @ batch.B_st.T <= batch.c_st).all(axis=1)
+    audit["truth_infeasible_steps"] += R * int((~d_feas).sum()) + int((~x_feas).sum())
+    ar = np.flatnonzero((in_act > 0) & np.repeat(d_feas, R))
+    if ar.size:
+        d_ar, Pd_raw = batch.d_true[k0 + ar // R, ::-1].T, raw[_PD][:, ar]
+        e = fin[_D][:, ar] - d_ar, raw[_D][:, ar] - d_ar
+        _audit_update(audit, "d", *(np.sqrt((x * x / Pd_raw).sum(axis=0)) for x in e), *e,
+                      Pd_raw.sum(axis=0), fin[_PD][:, ar].sum(axis=0))
+    ar = np.flatnonzero((st_act > 0) & x_feas)
+    if ar.size:
+        P11, P22, P12 = raw[_P11:_P12 + 1, :, ar]
+        e = [blk[:2, :, ar] - truth[:, :, ar] for blk in (fin, raw)]
+        # e' P_raw^{-1} e channel by channel, each 2 x 2 block in closed form
+        w = [np.sqrt(((P22 * x[0] ** 2 - 2.0 * P12 * x[0] * x[1] + P11 * x[1] ** 2)
+                      / (P11 * P22 - P12 * P12)).sum(axis=0)) for x in e]
+        _audit_update(audit, "x", *w, *(x.reshape(4, -1) for x in e), (P11 + P22).sum(axis=0),
+                      (fin[_P11] + fin[_P22])[:, ar].sum(axis=0))
 
 
 def run_ensemble(config: ScenarioConfig, runs: int = None, constrained: bool = True,
@@ -473,47 +478,43 @@ def run_ensemble(config: ScenarioConfig, runs: int = None, constrained: bool = T
     batch = _Batch(config, range(R), ("care",) if constrained else ("ise",))
 
     err_sq = np.empty((R, K))
-    max_trace_pxu = 0.0
-    max_cov_trace = 0.0
-    max_mcg_dev = 0.0
-    audit = _BlockAudit(batch) if projection_audit else None
-
+    max_trace_pxu = max_cov_trace = max_mcg_dev = 0.0
+    audit = None
+    if projection_audit:
+        audit = {"truth_infeasible_steps": 0}
+        for which in ("x", "d"):
+            audit.update({
+                f"active_{which}": 0, f"viol_{which}_weighted": 0, f"viol_{which}_euclid": 0,
+                f"worst_{which}_weighted": -np.inf, f"worst_{which}_euclid": -np.inf,
+                f"viol_trace_{which}": 0, f"viol_strict_{which}": 0})
     if record_states:
-        X_rec = np.empty((R, K + 1, 4))
-        D_rec = np.empty((R, K, 2))
-        XT_rec = np.empty((R, K + 1, 4))
-        X_rec[:, 0] = batch.x
-        XT_rec[:, 0] = batch.x_true
+        X_rec, D_rec, XT_rec = np.empty((R, K + 1, 4)), np.empty((R, K, 2)), np.empty((R, K + 1, 4))
+        X_rec[:, 0], XT_rec[:, 0] = batch.x, batch.x_true
     else:
         X_rec = D_rec = XT_rec = None
 
-    for k in range(1, K + 1):
-        km1 = k - 1
-        batch.step(k)
-        max_mcg_dev = max(max_mcg_dev, float(batch.mcg_dev.max()))
-
+    for k0, (fin, raw), truth, act, mcg in _blocks(batch):
+        m = truth.shape[-2]
+        max_mcg_dev = max(max_mcg_dev, float(mcg.max()))
         # trace extrema come from the unconstrained pair; projection can
         # only shrink a trace, so these also bound the constrained ones
-        if k > 100:
-            tru = float(batch.tr_P_raw.max())
+        late = max(_TRANSIENT - k0, 0)
+        if late < m:
+            tru = float(_traces(raw[_P11] + raw[_P22])[:, late:].max())
             max_trace_pxu = max(max_trace_pxu, tru)
-            max_cov_trace = max(max_cov_trace, tru, float(batch.tr_Pd_raw.max()))
-
+            max_cov_trace = max(max_cov_trace, tru, float(_traces(raw[_PD])[:, late:].max()))
         if audit is not None:
-            audit.record(km1)
-
-        (x2, y2), (v2, psi2) = np.square(batch.fin[:2, 0] - batch.truth)
-        np.add(x2 + y2 + psi2, v2, out=err_sq[:, km1])
-
+            _audit_block(audit, batch, k0, fin[:, 0], raw[:, 0], truth, act)
+        (x2, y2), (v2, psi2) = np.square(fin[:2, 0] - truth)
+        err_sq[:, k0:k0 + m] = (x2 + y2 + psi2 + v2).T
         if record_states:
-            X_rec[:, k] = batch.x
-            D_rec[:, km1] = batch.d
-            XT_rec[:, k] = batch.x_true
+            X_rec[:, k0 + 1:k0 + m + 1], XT_rec[:, k0 + 1:k0 + m + 1] = _states(fin), _states(truth)
+            D_rec[:, k0:k0 + m] = _attacks(fin[_D])
 
     return EnsembleResult(
         runs=R, horizon=K, err_sq=err_sq,
         max_trace_pxu=max_trace_pxu, max_cov_trace=max_cov_trace,
         max_mcg_dev=max_mcg_dev, fallback_projections=batch.fallbacks,
         x_hat=X_rec, d_hat=D_rec, x_true=XT_rec,
-        audit=None if audit is None else audit.tally,
+        audit=audit,
     )

@@ -6,9 +6,10 @@ propagated under attack once per realization, and the constrained filter
 and the unconstrained baseline see the identical noise realization. Both
 filters schedule their matrices on their own previous speed estimate; the
 plant uses the true speed. `simulate` is the batch of one realization.
-Per-step detector statistics, CUSUM state and covariance traces are
-recorded alongside the estimates, and windowed error metrics are reduced
-at the end.
+Each block of the kernel's record (`ensemble._blocks`) fills its steps of
+every per-step array at once; the detector statistics of the whole study
+are one `detection_statistic` call and one CUSUM pass, and the windowed
+error metrics are reduced at the end.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,8 @@ from .detector import DetectorConfig, _cusum, detection_statistic, false_negativ
 # no longer called here; the per-layer hooks of bench/tracing.py resolve
 # these three names on this module
 from .detector import cusum_update  # noqa: F401
-from .ensemble import _Batch
+from .ensemble import (_D, _P11, _P22, _PD, _TRANSIENT, _Batch, _attack_cov, _attacks, _blocks,
+                       _now, _states, _traces)
 from .estimator import care_step  # noqa: F401
 from .vehicle import bicycle_matrices  # noqa: F401
 
@@ -118,45 +120,36 @@ def _run(config: ScenarioConfig, run_indices, filters, detector):
 
     X, X_raw = np.empty((N, K + 1, 4)), np.empty((N, K + 1, 4))
     D, D_raw = np.empty((N, K, 2)), np.empty((N, K, 2))
-    PD = np.empty((N, K, 2, 2)) if detector else None
+    VD = np.empty((N, K, 2)) if detector else None
     TX, TX_raw = np.empty((N, K + 1)), np.empty((N, K + 1))
     TD, TD_raw = np.empty((N, K)), np.empty((N, K))
     stats, cusum = np.zeros((N, K + 1)), np.zeros((N, K + 1))
     alarms = np.zeros((N, K + 1), dtype=bool)
-    in_act = np.zeros((N, K), dtype=np.int64)
-    st_act = np.zeros((N, K), dtype=np.int64)
+    in_act, st_act = act_rec = np.empty((2, N, K), dtype=np.int64)
     XT = np.empty((R, K + 1, 4))
     X[:, 0] = X_raw[:, 0] = batch.x
-    TX[:, 0] = TX_raw[:, 0] = batch.tr_P
+    TX[:, 0] = TX_raw[:, 0] = _now(_traces, batch.fin[_P11] + batch.fin[_P22])
     XT[:, 0] = batch.x_true
     max_mcg = np.zeros(N)
-    max_pxu = np.zeros(N)
 
-    for k in range(1, K + 1):
-        km1 = k - 1
-        batch.step(k)
-        X[:, k] = batch.x
-        X_raw[:, k] = batch.x_raw
-        D[:, km1] = batch.d
-        D_raw[:, km1] = batch.d_raw
-        TX[:, k] = batch.tr_P
-        TX_raw[:, k] = batch.tr_P_raw
-        TD[:, km1] = batch.tr_Pd
-        TD_raw[:, km1] = batch.tr_Pd_raw
-        in_act[:, km1] = batch.in_act
-        st_act[:, km1] = batch.st_act
-        XT[:, k] = batch.x_true
-        np.maximum(max_mcg, batch.mcg_dev, out=max_mcg)
-        if k > 100:
-            np.maximum(max_pxu, TX_raw[:, k], out=max_pxu)
+    for k0, (fin, raw), truth, act, mcg in _blocks(batch):
+        m = truth.shape[-2]
+        new, old = slice(k0 + 1, k0 + m + 1), slice(k0, k0 + m)
+        X[:, new], X_raw[:, new], XT[:, new] = _states(fin), _states(raw), _states(truth)
+        D[:, old], D_raw[:, old] = _attacks(fin[_D]), _attacks(raw[_D])
         if detector:
-            PD[:, km1] = batch.Pd
+            VD[:, old] = _attacks(fin[_PD])
+        TX[:, new], TX_raw[:, new] = _traces(fin[_P11] + fin[_P22]), _traces(raw[_P11] + raw[_P22])
+        TD[:, old], TD_raw[:, old] = _traces(fin[_PD]), _traces(raw[_PD])
+        act_rec[..., old] = act.swapaxes(1, 2)
+        np.maximum(max_mcg, mcg.max(axis=0), out=max_mcg)
+    max_pxu = TX_raw[:, _TRANSIENT + 1:].max(axis=1, initial=0.0)
 
     if detector:
         # each step's statistic stands alone, so one call covers the whole
         # study, and one CUSUM pass runs its recurrence over every step
         stats[:, 1:] = detection_statistic(D.reshape(N * K, 2),
-                                           PD.reshape(N * K, 2, 2)).reshape(N, K)
+                                           _attack_cov(VD.reshape(N * K, 2))).reshape(N, K)
         cusum[:, 1:], alarms[:, 1:] = _cusum(np.zeros(N), stats[:, 1:], detector_cfg,
                                              lambda j, row: batch._where(j + 1, row))
 

@@ -97,7 +97,12 @@ def build_constraints(u, params: VehicleParams = VehicleParams()):
 
     `u = (delta_u, a_u)` is the nominal control; the attacker's share of
     each actuator budget is what remains after the nominal command:
-    |delta_u + delta_d| <= steer_max and |a_u + a_d| <= accel_max.
+    |delta_u + d_1| <= steer_max and |a_u + d_2| <= accel_max, in mixed
+    units: d_1 is a slip angle (rad), the model's input coordinate, and
+    steer_max and delta_u are steering angles. In slip units the limit is
+    slip_angle(steer_max) = 0.714; the scenario's attack reaches a slip of
+    0.777, inside this box. Criteria 2-4 of the acceptance gate are set on
+    this box, so it stays.
     Returns (A_in, b_in, B_st, c_st).
     """
     delta_u, a_u = float(u[0]), float(u[1])

@@ -5,7 +5,9 @@ subsets through the KKT system, an independent route to what `project`
 computes; `range_qp_oracle` restricts it to e + range(P) for a positive
 semidefinite P. `transformed_dynamics` is the closed-loop error transition of
 the compensated filter, a stability diagnostic. `audit_reference` tallies
-`run_ensemble`'s projection audit one step at a time. `pinv_care_step` is
+`run_ensemble`'s projection audit one step at a time; `step_reference` and
+`ensemble_reference` record `simulate`/`monte_carlo`'s and `run_ensemble`'s
+outputs one step at a time from the kernel's properties. `pinv_care_step` is
 `care_step` through an independent general-LTV chain: a time update with
 the estimate/attack cross covariance P_xd and a measurement update with a
 Moore-Penrose gain.
@@ -13,7 +15,8 @@ Moore-Penrose gain.
 
 import numpy as np
 
-from care_filter.ensemble import _Batch
+from care_filter.detector import DetectorConfig, DetectorState, cusum_update, detection_statistic
+from care_filter.ensemble import _TRANSIENT, _Batch
 from care_filter.estimator import (
     AttackEstimate,
     EstimatorState,
@@ -189,6 +192,88 @@ def audit_reference(config, runs):
                    np.trace(batch.P_raw[ar], axis1=1, axis2=2),
                    np.trace(batch.P[ar], axis1=1, axis2=2))
     return audit
+
+
+def _trace_x(P):
+    """Traces of the 4 x 4 covariances P summed in the kernel's channel order,
+    (x + v) + (y + psi), so that they are the same floating-point numbers."""
+    return (P[:, 0, 0] + P[:, 3, 3]) + (P[:, 1, 1] + P[:, 2, 2])
+
+
+def _trace_d(Pd):
+    return Pd[:, 1, 1] + Pd[:, 0, 0]
+
+
+def step_reference(config, run_indices, filters, detector):
+    """The records of `simulate` and `monte_carlo` on `run_indices`, read from
+    `_Batch`'s properties after every step.
+
+    Returns a dict: each FilterRun field of `harness` ((columns, steps, ...),
+    column f * R + i as in the batch), x_true (runs, K + 1, 4), and per column
+    max_mcg_dev and max_trace_pxu, the largest trace of P_raw past step
+    _TRANSIENT. With the detector on, detection_statistic and cusum_update
+    run once per step on that step's columns; off, stats, cusum and alarms
+    stay zero.
+    """
+    batch = _Batch(config, run_indices, filters)
+    N = len(batch.in_act)
+    det_cfg = DetectorConfig.from_parameters(config.alpha, df=2, phi=config.phi)
+    det = DetectorState(S=np.zeros(N))
+    zero = np.zeros(N)
+    rec = {"x_true": [batch.x_true], "x_hat": [batch.x], "x_hat_raw": [batch.x],
+           "trace_px": [_trace_x(batch.P)], "trace_px_raw": [_trace_x(batch.P)],
+           "stats": [zero], "cusum": [zero], "alarms": [zero > 0.0]}
+    for f in ("d_hat", "d_hat_raw", "trace_pd", "trace_pd_raw", "input_active", "state_active"):
+        rec[f] = []
+    max_mcg, max_pxu = np.zeros(N), np.zeros(N)
+    for k in range(1, config.horizon + 1):
+        batch.step(k)
+        stat, alarm = zero, zero > 0.0
+        if detector:
+            stat = detection_statistic(batch.d, batch.Pd)
+            det, alarm = cusum_update(det, stat, det_cfg)
+        for f, v in (("x_true", batch.x_true), ("x_hat", batch.x), ("x_hat_raw", batch.x_raw),
+                     ("d_hat", batch.d), ("d_hat_raw", batch.d_raw),
+                     ("trace_px", _trace_x(batch.P)), ("trace_px_raw", _trace_x(batch.P_raw)),
+                     ("trace_pd", _trace_d(batch.Pd)), ("trace_pd_raw", _trace_d(batch.Pd_raw)),
+                     ("stats", stat), ("cusum", det.S if detector else zero), ("alarms", alarm),
+                     ("input_active", batch.in_act), ("state_active", batch.st_act)):
+            rec[f].append(np.array(v))  # a property may be a view of the kernel's state
+        np.maximum(max_mcg, batch.mcg_dev, out=max_mcg)
+        if k > _TRANSIENT:
+            np.maximum(max_pxu, _trace_x(batch.P_raw), out=max_pxu)
+    out = {f: np.stack(v, axis=1) for f, v in rec.items()}
+    out["max_mcg_dev"], out["max_trace_pxu"] = max_mcg, max_pxu
+    return out
+
+
+def ensemble_reference(config, runs, constrained):
+    """`run_ensemble(config, runs, constrained, record_states=True)`'s err_sq,
+    maxima, trajectories and fallback count, read from `_Batch`'s properties
+    after every step: err_sq from the state rows in state order, the trace
+    maxima of P_raw and P_d raw past step _TRANSIENT, as `step_reference`
+    sums them."""
+    batch = _Batch(config, range(runs), ("care",) if constrained else ("ise",))
+    K = config.horizon
+    err_sq = np.empty((runs, K))
+    X, D, XT = [batch.x], [], [batch.x_true]
+    max_pxu = max_cov = max_mcg = 0.0
+    for k in range(1, K + 1):
+        batch.step(k)
+        e2 = (batch.x - batch.x_true) ** 2
+        err_sq[:, k - 1] = ((e2[:, 0] + e2[:, 1]) + e2[:, 2]) + e2[:, 3]
+        X.append(np.array(batch.x))
+        D.append(np.array(batch.d))
+        XT.append(np.array(batch.x_true))
+        max_mcg = max(max_mcg, float(batch.mcg_dev.max()))
+        if k > _TRANSIENT:
+            tru = float(_trace_x(batch.P_raw).max())
+            max_pxu = max(max_pxu, tru)
+            max_cov = max(max_cov, tru, float(_trace_d(batch.Pd_raw).max()))
+    return {"err_sq": err_sq, "max_trace_pxu": max_pxu, "max_cov_trace": max_cov,
+            "max_mcg_dev": max_mcg, "fallback_projections": batch.fallbacks,
+            "x_hat": np.stack(X, axis=1), "d_hat": np.stack(D, axis=1),
+            "x_true": np.stack(XT, axis=1)}
 
 
 def _sym(X):

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from collections import Counter, defaultdict
 from functools import partial
 from types import SimpleNamespace
 
@@ -44,7 +45,13 @@ from care_filter.vehicle import (
     vehicle_model,
 )
 
-from oracles import audit_reference, pinv_care_step, transformed_dynamics
+from oracles import (
+    audit_reference,
+    ensemble_reference,
+    pinv_care_step,
+    step_reference,
+    transformed_dynamics,
+)
 
 REF_FLOAT_FIELDS = ("x_hat", "x_hat_raw", "d_hat", "d_hat_raw", "trace_px",
                     "trace_px_raw", "trace_pd", "trace_pd_raw", "stats", "cusum")
@@ -714,7 +721,7 @@ class TestEnsemble:
     def test_block_audit_equals_the_per_step_reference(self, runs):
         # horizons around the audit's block boundaries, and 100 + B, which
         # puts a block boundary inside the attack window that opens at k = 100
-        B = ensemble._AUDIT_BLOCK
+        B = ensemble._BLOCK
         audits = {}
         for horizon in (1, B - 1, B, B + 1, 2 * B + 3, 100 + B):
             cfg = ScenarioConfig(horizon=horizon, seed=7)
@@ -742,20 +749,20 @@ class TestEnsemble:
         # from 4 to 1: the attack's projected trace is set against its own
         # unprojected trace, not against the state's
         A_in, b_in, B_st, c_st = build_constraints((0.0, 0.0), VehicleParams())
-        fin, raw = np.zeros((2, ensemble._ROWS, 1, 2, 1))
-        truth = np.array([10.0, 2.5, 10.0, 0.0]).reshape(2, 2, 1)  # (x, y), (v, psi)
-        fin[:2, 0], raw[:2, 0] = truth, truth + 1.0
+        # care blocks (row, channel, step, run) of one step and one run
+        fin, raw = np.zeros((2, ensemble._ROWS, 2, 1, 1))
+        truth = np.array([10.0, 2.5, 10.0, 0.0]).reshape(2, 2, 1, 1)  # (x, y), (v, psi)
+        fin[:2], raw[:2] = truth, truth + 1.0
         raw[ensemble._D] = 1.0
         fin[ensemble._PD], raw[ensemble._PD] = 2.0, 1.0
         fin[ensemble._P11:ensemble._P22 + 1], raw[ensemble._P11:ensemble._P22 + 1] = 0.25, 1.0
-        batch = SimpleNamespace(
-            run_indices=[0], d_true=np.zeros((1, 2)), A_in=A_in, b_in=b_in, B_st=B_st, c_st=c_st,
-            fin=fin, raw=raw, truth=truth, in_act=np.ones(1), st_act=np.ones(1))
-        audit = ensemble._BlockAudit(batch)
-        audit.record(0)
-        assert audit.tally["active_d"] == 1 and audit.tally["active_x"] == 1
-        assert audit.tally["viol_trace_d"] == 1 and audit.tally["viol_strict_d"] == 1
-        assert audit.tally["viol_trace_x"] == 0 and audit.tally["viol_strict_x"] == 0
+        batch = SimpleNamespace(d_true=np.zeros((1, 2)), A_in=A_in, b_in=b_in, B_st=B_st,
+                                c_st=c_st)
+        tally = defaultdict(int)
+        ensemble._audit_block(tally, batch, 0, fin, raw, truth, np.ones((2, 1, 1), dtype=np.int64))
+        assert tally["active_d"] == 1 and tally["active_x"] == 1
+        assert tally["viol_trace_d"] == 1 and tally["viol_strict_d"] == 1
+        assert tally["viol_trace_x"] == 0 and tally["viol_strict_x"] == 0
 
 
 
@@ -778,6 +785,87 @@ def general_projection(e, P, lo, hi):
     A, b = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
     z, Pz, res = project_state(SimpleNamespace(x_hat=np.array(e, dtype=float), P_x=P), A, b)
     return z, Pz, len(res.active_set)
+
+
+def _same(a, b):
+    """Bit for bit: shape, dtype and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestBlockRecord:
+    """The drivers assemble their outputs from `ensemble._blocks`' record of
+    _BLOCK steps at a time; a per-step reading of the kernel's properties
+    gives the same numbers, bit for bit, around the block boundaries and the
+    transient cutoff of the trace maxima."""
+
+    B, T = ensemble._BLOCK, ensemble._TRANSIENT
+    HORIZONS = (1, B - 1, B, B + 1, 2 * B + 3, T, T + 1, T + B)
+
+    @pytest.mark.parametrize("detector", [True, False])
+    @pytest.mark.parametrize("filters", [("care",), ("ise",), ("care", "ise")])
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_harness_equals_the_per_step_reference(self, runs, filters, detector):
+        names = [name for name in ("care", "ise") if name in filters]
+        for horizon in self.HORIZONS:
+            cfg = ScenarioConfig(horizon=horizon, seed=7)
+            ref = step_reference(cfg, range(runs), filters, detector)
+            sims = (monte_carlo(cfg, runs=runs, filters=filters) if detector else
+                    [simulate(cfg, run_index=i, filters=filters, detector=False)
+                     for i in range(runs)])
+            for i, sim in enumerate(sims):
+                assert _same(sim.x_true, ref["x_true"][i]), (horizon, i)
+                for name in filters:
+                    fr, col = sim.filters[name], names.index(name) * runs + i
+                    for f in REF_FLOAT_FIELDS + REF_EXACT_FIELDS:
+                        assert _same(getattr(fr, f), ref[f][col]), (horizon, i, name, f)
+                    for f in ("max_mcg_dev", "max_trace_pxu"):
+                        assert _same(getattr(fr.metrics, f), ref[f][col]), (horizon, i, name, f)
+            if horizon > self.T:
+                assert (ref["max_trace_pxu"] > 0.0).all()
+            else:
+                assert not ref["max_trace_pxu"].any()
+
+    @pytest.mark.parametrize("constrained", [True, False])
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_run_ensemble_equals_the_per_step_reference(self, runs, constrained):
+        for horizon in self.HORIZONS:
+            cfg = ScenarioConfig(horizon=horizon, seed=7)
+            ref = ensemble_reference(cfg, runs, constrained)
+            rec = run_ensemble(cfg, runs=runs, constrained=constrained, record_states=True)
+            plain = run_ensemble(cfg, runs=runs, constrained=constrained)
+            for f, want in ref.items():
+                assert _same(getattr(rec, f), want), (horizon, f)
+                if f not in ("x_hat", "d_hat", "x_true"):
+                    assert _same(getattr(plain, f), want), (horizon, f)
+            assert (ref["max_trace_pxu"] > 0.0) == (horizon > self.T), horizon
+
+    def test_state_assembly_runs_per_block_not_per_step(self, monkeypatch):
+        # the helpers that assemble state rows and covariances from the
+        # kernel's channel blocks run a bounded number of times per block,
+        # so their count stays below the horizon
+        K = 4 * self.B + 3
+        blocks = -(-K // self.B)
+        calls = Counter()
+
+        def spy(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        for name in ("_states", "_state_cov", "_attack_cov"):
+            counted = spy(name, getattr(ensemble, name))
+            for module in (ensemble, harness):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        cfg = ScenarioConfig(horizon=K, seed=7)
+        for study in (partial(monte_carlo, cfg, runs=2),
+                      partial(run_ensemble, cfg, runs=2, record_states=True,
+                              projection_audit=True)):
+            calls.clear()
+            study()
+            assert 0 < sum(calls.values()) <= 4 * blocks + 4 < K, calls
 
 
 class TestChannelForm:
