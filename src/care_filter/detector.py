@@ -152,7 +152,9 @@ def detection_statistic(d: np.ndarray, P: np.ndarray):
 
     d of shape (B, n) with P of shape (B, n, n) gives the B statistics of a
     batch as an array; a single vector d with its (n, n) covariance is the
-    batch of one and gives a float.
+    batch of one and gives a float. P of d's own shape holds diagonal
+    covariances by their variances, which are the eigenvalues, with the
+    components d itself; for n = 2 that equals the full form bit for bit.
     """
     d = np.asarray(d, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -160,12 +162,14 @@ def detection_statistic(d: np.ndarray, P: np.ndarray):
     if single:
         d = d.reshape(1, -1)
         P = P[None]
-    if P.shape != d.shape + d.shape[-1:]:
+    if P.shape == d.shape:
+        lam, comp, trace = P, d, P.sum(axis=-1)
+    elif P.shape == d.shape + d.shape[-1:]:
+        lam, vecs = np.linalg.eigh(0.5 * (P + P.swapaxes(-1, -2)))
+        comp, trace = (d[:, None, :] @ vecs)[:, 0], np.trace(P, axis1=-2, axis2=-1)
+    else:
         raise ValueError("covariance shape does not match the estimate")
-    lam, vecs = np.linalg.eigh(0.5 * (P + P.swapaxes(-1, -2)))
-    floor = 1e-12 * (1.0 + np.maximum(np.trace(P, axis1=-2, axis2=-1), 0.0))
-    lam = np.maximum(lam, floor[:, None])
-    comp = (d[:, None, :] @ vecs)[:, 0]
+    lam = np.maximum(lam, 1e-12 * (1.0 + np.maximum(trace, 0.0))[:, None])
     stat = np.where(d.any(axis=-1), np.sum(comp**2 / lam, axis=-1), 0.0)
     return float(stat[0]) if single else stat
 

@@ -1,25 +1,22 @@
 """The channel-form filter kernel of the vehicle scenario and `run_ensemble`.
 
-`_Batch` runs the MVU input/state filter (Gillijns & De Moor, Automatica
-43(1), 2007) on realizations x filters at once and propagates each
-realization's truth. A couples x only with v and y only with psi, the
-attack's acceleration column (0, T) acts on v and its steering column
-(vT, vT/l_r) on (y, psi), C = I, and Q, R and P0 are diagonal, which
-`__init__` checks. So every covariance is zero off the channels (x, v) and
-(y, psi), N = G'R~G and P_d are diagonal, and a step is a fixed sequence
-of elementwise operations on (channel, run) arrays: R~ = (P^- + R)^{-1} in
-closed form, h = R~ g, N = g'h, P_d = 1/N, M = P_d h', d = M nu, and the
-update for C = I and diagonal R (Kitanidis, Automatica 23(6), 1987):
-W = R~ - h M, x = y - R W nu, P = R - R W R. Each box row bounds one
-coordinate, so the attack's projection is a clip and the state's a 2 x 2
-box problem per channel, `_box_pairs` (Simon, IET CTA 4(8), 2010), with
-`projection._box_project`'s tolerance, so the active counts are the
-general projector's. Every operation acts on one run at a time, so a run's
-result does not depend on its batch, bit for bit. Noise comes from
-`NoiseSpec(seed, i)` in chunks of _NOISE_CHUNK steps, bit for bit
-`NoiseSpec.sample`. `_blocks` records _BLOCK steps at a time, and every
-output of `harness._run` and `run_ensemble`, its audit included, is
-assembled from these blocks.
+`_Batch` runs the MVU input/state filter (Gillijns & De Moor, Automatica 43(1), 2007) on
+realizations x filters at once and propagates each realization's truth. A couples x only
+with v and y only with psi, the attack's acceleration column (0, T) acts on v and its
+steering column (vT, vT/l_r) on (y, psi), C = I, and Q, R and P0 are diagonal, which
+`__init__` checks. So every covariance is zero off the channels (x, v) and (y, psi),
+N = G'R~G and P_d are diagonal, and a step is a fixed sequence of elementwise operations
+on (channel, run) arrays: R~ = (P^- + R)^{-1} in closed form, h = R~ g, N = g'h,
+P_d = 1/N, M = P_d h', d = M nu, and the update for C = I and diagonal R (Kitanidis,
+Automatica 23(6), 1987): W = R~ - h M, x = y - R W nu, P = R - R W R. Each box row bounds
+one coordinate, so the attack's projection is a clip and the state's a 2 x 2 box problem
+per channel, `_box_pairs` (Simon, IET CTA 4(8), 2010), with `projection._box_project`'s
+tolerance, so the active counts are the general projector's. Every operation acts on one
+run at a time, so a run's result does not depend on its batch, bit for bit. Noise comes
+from `NoiseSpec(seed, i)` in chunks of _NOISE_CHUNK steps, bit for bit `NoiseSpec.sample`,
+each held in channel form. A step's checks test the whole batch first and run the exact
+per-column test, naming the column, only when that fails. `_blocks` records _BLOCK steps
+at a time, and every output of `harness._run` and `run_ensemble` is assembled from them.
 """
 
 from dataclasses import dataclass
@@ -36,28 +33,27 @@ from .vehicle import VehicleParams, attack_input, build_constraints, slip_angle,
 __all__ = ["EnsembleResult", "run_ensemble"]
 
 _FILTERS = ("care", "ise")
-# rows of a kernel block (row, filter, channel, run), the channels (x, v) and
-# (y, psi): first coordinates (x, y), second (v, psi), their variances, the
-# covariances, and the attack estimate and variances acting on each channel,
-# (acceleration, steering)
+# rows of a kernel block (row, filter, channel, run), the channels (x, v) and (y, psi):
+# first coordinates (x, y), second (v, psi), their variances, the covariances, and the
+# attack estimate and variances acting on each channel, (acceleration, steering)
 _E1, _E2, _P11, _P22, _P12, _D, _PD = range(7)
 _ROWS = 7
 # state indices of the channels' first and second coordinates
 _CH = [[0, 1], [3, 2]]
+_CH_POS = np.argsort(np.ravel(_CH))  # each state's place in (coordinate, channel)
 # the faces a 2 x 2 box tries after its violated bounds': +1 holds a
 # coordinate at its upper bound, -1 at its lower one
 _FACES = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
           (1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
-# steps per block of `_blocks`, whose buffers hold 32 + 248 bytes per run-step
-# and filter. On 2 x86-64 cores, recording and assembling the outputs took 23 us
-# per run-step over the bare steps in blocks of 1 and 5.4 in 32 or 64 (monte_carlo
-# 4 x 1,000); 5.3 and 0.5-1.0 us in an audited 50 x 1,000 run_ensemble
+# steps per block of `_blocks`, whose buffers hold 32 + 248 bytes per run-step and filter.
+# On 2 x86-64 cores, recording and assembly added 23 us per run-step in blocks of 1 and 5.4
+# in 32 or 64 (monte_carlo 4 x 1,000), 5.3 and 0.5-1.0 (audited run_ensemble 50 x 1,000)
 _BLOCK = 32
 _TRANSIENT = 100  # steps the trace maxima skip: the initial covariance's transient
-# steps of noise per chunk. A chunk's draw and factored noise hold 128 bytes
-# per run and step. A 24-run batch's draw took 7-8 us per step in chunks of
-# 64 and 6.7 us in chunks of 128; 200 runs over 10,000 steps peaked at
-# 54.6 MB RSS with 64, 57.6 MB with 128 and 63.0 MB with 256
+# steps of noise per chunk. A chunk's draw and channel-form noise hold 128 bytes per
+# run and step, 64 more while drawn. A 24-run batch's draw took 6.1, 4.3 and 3.9 us
+# per step in chunks of 64, 128 and 256 (best of 3), and 200 runs over 10,000 steps
+# peaked at 55.6, 58.3 and 63.0 MB RSS
 _NOISE_CHUNK = 128
 
 
@@ -65,11 +61,10 @@ _NOISE_CHUNK = 128
 class EnsembleResult:
     """Per-step error energies and running covariance extrema for a batch.
 
-    err_sq[i, k-1] holds ||x_hat_k - x_k||^2 for run i using the final
-    (projected) estimate. The trace maxima are taken over steps k > 100
-    (_TRANSIENT), where the inflated initial covariance has died out;
-    every tracked covariance is positive semidefinite, so its largest
-    eigenvalue is bounded by the trace.
+    err_sq[i, k-1] holds ||x_hat_k - x_k||^2 for run i using the final (projected) estimate.
+    The trace maxima are taken over steps k > 100 (_TRANSIENT), where the inflated initial
+    covariance has died out; every tracked covariance is positive semidefinite, so its
+    largest eigenvalue is bounded by the trace.
     """
 
     runs: int
@@ -156,69 +151,76 @@ def _intervals(name, A, b):
 
 
 def _face(E, Q, P12, S, C, lo, hi, tol):
-    """The KKT point Z of pairs E = (e1, e2) on the face holding coordinate i at
-    C_i where its side S_i is 1 (upper bound) or -1 (lower), free where
-    S_i = 0 (C_i = E_i there), for partner variances Q = (P22, P11) and
-    covariance P12; and whether Z passes the KKT test: every bound met within
-    tol, multipliers >= 0, which on the face are S_i [P^{-1} (E - C)]_i det P."""
+    """The KKT point Z of pairs E = (e1, e2) on the face holding coordinate i at C_i where
+    its side S_i is 1 (upper bound) or -1 (lower), free where S_i = 0 (C_i = E_i there), for
+    partner variances Q = (P22, P11) and covariance P12; and whether Z passes the KKT test:
+    every bound met within tol, multipliers >= 0, on the face S_i [P^{-1} (E - C)]_i det P."""
     D = E - C
     Z = np.where(S != 0.0, C, E - P12 / Q * D[::-1])
-    ok = ((S * (Q * D - P12 * D[::-1]) >= 0.0).all(axis=0)
-          & (np.maximum(Z - hi, lo - Z) <= tol).all(axis=0))
-    return Z, ok
+    ok = (S * (Q * D - P12 * D[::-1]) >= 0.0) & (np.maximum(Z - hi, lo - Z) <= tol)
+    return Z, ok[0] & ok[1]
+
+
+def _require_information(info, where, k):
+    """`_require_identifiable` on the attack information info (filter, channel, run) of step
+    k. The batch passes if its least entry is positive and its largest within 1e12 of it,
+    which implies each column passes; if not, or NaN, each column, where(k, column), is tested."""
+    least = info.min()
+    if not (least > 0.0 and info.max() <= 1e12 * least):
+        _require_identifiable(info.min(axis=1).reshape(-1), info.max(axis=1).reshape(-1),
+                              partial(where, k))
 
 
 def _box_pairs(E, P, P12, lo, hi, tol, where):
     """Project pairs E = (e1, e2) onto boxes lo <= z <= hi in the metrics
     (P11, P12; P12, P22)^{-1}, P = (P11, P22), in place.
 
-    E, P, lo and hi are (2, c, n), P12 (c, n) and tol (n,): c channels of n
-    entries, +-inf where a coordinate has no bound. A bound is violated when
-    passed by more than tol. A pair stays on the face of its violated bounds
-    if that passes `_face`'s KKT test; otherwise the first face of _FACES
-    that passes is the optimum, unique for a positive definite metric. The
-    covariance becomes (I - G A_O) P (I - G A_O)': a bounded coordinate's
-    variance and covariance drop to 0, a free one's loses P12^2 over the
-    other's. Returns each entry's active bounds, summed over channels, and
-    whether any of its channels left its violated bounds' face.
-    RuntimeError names where(i) for an entry i that no face passes.
+    E, P, lo and hi are (2, 2, n), P12 (2, n) and tol (n,): the two channels of n entries,
+    +-inf where a coordinate has no bound. A bound is violated when passed by more than tol.
+    A pair stays on the face of its violated bounds if that passes `_face`'s KKT test;
+    otherwise the first face of _FACES that passes is the optimum, unique for a positive
+    definite metric. The covariance becomes (I - G A_O) P (I - G A_O)': a bounded
+    coordinate's variance and covariance drop to 0, a free one's loses P12^2 over the
+    other's. Returns each entry's active bounds, summed over channels, and whether any of its
+    channels left its violated bounds' face; RuntimeError names where(i) if no face passes.
     """
     C = np.minimum(np.maximum(E, lo), hi)
     D = E - C
     F = np.abs(D) > tol
-    if not F.any():
+    if not np.count_nonzero(F):
         return np.zeros(E.shape[-1], dtype=np.int64), np.zeros(E.shape[-1], dtype=bool)
     S, C, Q = np.sign(D) * F, np.where(F, C, E), P[::-1]
     Z, ok = _face(E, Q, P12, S, C, lo, hi, tol)
-    with np.errstate(invalid="ignore"):
-        for c, i in zip(*(~ok).nonzero()):
-            pair, box = (E[:, c, i], Q[:, c, i], P12[c, i]), (lo[:, c, i], hi[:, c, i])
-            for side in map(np.array, _FACES):
-                target = np.where(side > 0, box[1], np.where(side < 0, box[0], pair[0]))
-                z, good = _face(*pair, side, target, *box, tol[i])
-                if good:
-                    Z[:, c, i], S[:, c, i] = z, side
-                    break
-            else:
-                raise RuntimeError(f"no face of the box passes the KKT test at {where(i)}")
-    F = S != 0.0
+    left = ~ok
+    if np.count_nonzero(left):
+        with np.errstate(invalid="ignore"):
+            for c, i in zip(*left.nonzero()):
+                pair, box = (E[:, c, i], Q[:, c, i], P12[c, i]), (lo[:, c, i], hi[:, c, i])
+                for side in map(np.array, _FACES):
+                    target = np.where(side > 0, box[1], np.where(side < 0, box[0], pair[0]))
+                    z, good = _face(*pair, side, target, *box, tol[i])
+                    if good:
+                        Z[:, c, i], S[:, c, i] = z, side
+                        break
+                else:
+                    raise RuntimeError(f"no face of the box passes the KKT test at {where(i)}")
+        F = S != 0.0
     E[...] = Z
     P[...] = np.where(F, 0.0, P - F[::-1] * (P12 * P12 / Q))
-    P12[F.any(axis=0)] = 0.0
-    return F.sum(axis=(0, 1)), (~ok).any(axis=0)
+    np.putmask(P12, F[0] | F[1], 0.0)
+    return F.sum(axis=(0, 1)), left[0] | left[1]
 
 
 class _Batch:
     """Stepping state of realizations x filters of the vehicle scenario.
 
-    Column f * R + i is filter `names[f]` on realization `run_indices[i]`,
-    [:, f, :, i] of the blocks fin (final values, projected for care) and
-    raw (unprojected), the two halves of fin_raw; truth (2, 2, R) holds the
-    true coordinates. Each filter schedules its matrices on its own speed
-    estimate, the plant on the true speed. After `step(k)` the properties
-    read step k one row per column: x, d, P, Pd, x_raw, d_raw, P_raw,
-    Pd_raw and x_true, assembled on request. in_act and st_act, the halves
-    of act, are the active constraint counts, mcg_dev max |M C G - I|.
+    Column f * R + i is filter `names[f]` on realization `run_indices[i]`, [:, f, :, i] of
+    the blocks fin (final values, projected for care) and raw (unprojected), the two halves
+    of fin_raw; truth (2, 2, R) holds the true coordinates. Each filter schedules its
+    matrices on its own speed estimate, the plant on the true speed. After `step(k)` the
+    properties read step k one row per column: x, d, P, Pd, x_raw, d_raw, P_raw, Pd_raw and
+    x_true, each a new array assembled on request. in_act and st_act, the halves of act, are
+    the active constraint counts, mcg_dev max |M C G - I|.
     """
 
     def __init__(self, config: ScenarioConfig, run_indices, filters):
@@ -237,8 +239,9 @@ class _Batch:
         self.horizon = K
         self.noise_model = vehicle_model(lambda k: 0.0, params)
         self.generators = [NoiseSpec(config.seed, run).generator() for run in self.run_indices]
-        # one chunk's standard normals, m + n_y = 8 per run and step
+        # one chunk's standard normals, m + n_y = 8 per run and step, and its w and v
         self.z = np.empty((R, min(_NOISE_CHUNK, K), 8, 1))
+        self.noise = np.empty((2, min(_NOISE_CHUNK, K), 2, 2, R))
         self._draw_chunk(0)
         self.d_true = np.zeros((K, 2))
         if config.attack == "vehicle":
@@ -276,6 +279,7 @@ class _Batch:
         self.n_care = R if "care" in self.names else 0
         self.fallbacks = 0
         self.in_act, self.st_act = self.act = np.zeros((2, F * R), dtype=np.int64)
+        self.y = np.empty(both)
         self.fin, self.raw = self.fin_raw = np.zeros((2, _ROWS, F, 2, R))
         x0 = np.asarray(config.x0, dtype=float)
         self.fin[_E1:_E2 + 1] = spread(x0[_CH], both)
@@ -285,19 +289,21 @@ class _Batch:
     x = property(lambda self: _now(_states, self.fin))
     x_raw = property(lambda self: _now(_states, self.raw))
     x_true = property(lambda self: _now(_states, self.truth))
-    d = property(lambda self: _now(_attacks, self.fin[_D]))
-    d_raw = property(lambda self: _now(_attacks, self.raw[_D]))
+    d = property(lambda self: _now(_attacks, self.fin[_D]).copy())
+    d_raw = property(lambda self: _now(_attacks, self.raw[_D]).copy())
     P = property(lambda self: _state_cov(self.fin))
     P_raw = property(lambda self: _state_cov(self.raw))
     Pd = property(lambda self: _attack_cov(_now(_attacks, self.fin[_PD])))
     Pd_raw = property(lambda self: _attack_cov(_now(_attacks, self.raw[_PD])))
 
     def _draw_chunk(self, k0):
-        """Draw the noise of steps k0 + 1 ... k0 + c, c = min(_NOISE_CHUNK, K - k0)."""
+        """Draw the noise of steps k0 + 1 ... k0 + c, c = min(_NOISE_CHUNK, K - k0), as
+        w and v (c, coordinate, channel, run): w[j] enters x_{k0 + j + 1}, v[j] y_{k0 + j + 1}."""
         c = min(self.z.shape[1], self.horizon - k0)
         self.noise_k0 = k0
-        self.w_chunk, self.v_chunk = _draw_noise(self.generators, self.noise_model, k0,
-                                                 self.z[:, :c])
+        self.w, self.v = noise = self.noise[:, :c]
+        for X, out in zip(_draw_noise(self.generators, self.noise_model, k0, self.z[:, :c]), noise):
+            out.reshape(c, 4, -1)[:, _CH_POS] = np.moveaxis(X, 0, -1)
 
     def _where(self, k, row):
         R = len(self.run_indices)
@@ -306,24 +312,23 @@ class _Batch:
     def step(self, k):
         km1 = k - 1
         j = km1 - self.noise_k0
-        if j == self.w_chunk.shape[1]:
+        if j == len(self.w):
             self._draw_chunk(km1)
             j = 0
         fin, raw, T, l_r = self.fin, self.raw, self.params.T_s, self.params.l_r
 
-        # the truth, A x + B u + B d + w clipped, in the matrices' order of
-        # sums: A couples each channel's first coordinate to its second by
-        # s, and (g1, g2) is its input column
+        # the truth, A x + B u + B d + w clipped, in the matrices' order of sums: A couples
+        # each channel's first coordinate to its second by s, and (g1, g2) is its input column
         truth, s, G = self.truth, self.plant_sched[0], self.plant_sched[1:]
         _schedule(truth[1, 0], T, l_r, self.plant_sched)
         prior = truth.copy()
         prior[0] += s * truth[1]
         prior += G * self.u_plant
         prior += G * self.d_true[km1, ::-1, None]
-        np.add(prior, self.w_chunk[:, j].T[_CH], out=truth)
+        np.add(prior, self.w[j], out=truth)
         if self.clamp_truth:
-            np.clip(truth, *self.truth_box, out=truth)
-        y = np.repeat((truth + self.v_chunk[:, j].T[_CH])[:, None], len(self.names), axis=1)
+            np.minimum(np.maximum(truth, self.truth_box[0], out=truth), self.truth_box[1], out=truth)
+        y = np.add(truth[:, None], self.v[j][:, None], out=self.y)  # one y per filter
 
         # the filters on their own speeds: the innovation and S = A P A' + Q + R
         E, P, P12 = fin[_E1:_E2 + 1], fin[_P11:_P22 + 1], fin[_P12]
@@ -339,12 +344,14 @@ class _Batch:
         inv_det = 1.0 / (S[0] * S[1] - S12 * S12)
         Rt, A12 = S[::-1] * inv_det, S12 * inv_det
         h = Rt * G - A12 * G[::-1]
-        info = (G * h).sum(axis=0)
-        _require_identifiable(info.min(axis=1).reshape(-1), info.max(axis=1).reshape(-1),
-                              partial(self._where, k))
+        Gh = G * h
+        info = Gh[0] + Gh[1]
+        _require_information(info, self._where, k)
         M = np.divide(1.0, info, out=raw[_PD]) * h
-        (M * nu).sum(axis=0, out=raw[_D])
-        self.mcg_dev = np.abs((M * G).sum(axis=0) - 1.0).max(axis=1).reshape(-1)
+        Mnu, MG = M * nu, M * G
+        np.add(Mnu[0], Mnu[1], out=raw[_D])
+        dev = np.abs(MG[0] + MG[1] - 1.0)
+        self.mcg_dev = np.maximum(dev[:, 0], dev[:, 1]).reshape(-1)
         # W = R~ - h M = (W11, -B12; -B12, W22), x = y - R W nu, P = R - R W R
         W, B12 = Rt - h * M, A12 + h[0] * M[1]
         np.subtract(y, self.r * (W * nu - B12 * nu[::-1]), out=raw[_E1:_E2 + 1])
@@ -356,33 +363,33 @@ class _Batch:
 
     def _project(self, k):
         """Project the care columns of fin onto the attack and state boxes."""
-        blk, where, n = self.fin[:, 0], partial(self._where, k), self.n_care
+        blk, n = self.fin[:, 0], self.n_care
         finite = np.isfinite(blk)
-        if not finite.all():
+        if np.count_nonzero(finite) != finite.size:
             i = int((~finite.all(axis=(0, 1))).argmax())
             field = "covariance" if finite[[_E1, _E2, _D], :, i].all() else "estimate"
-            raise ValueError(f"non-finite {field} at {where(i)}")
+            raise ValueError(f"non-finite {field} at {self._where(k, i)}")
         d, Pd = blk[_D], blk[_PD]
         tol = _FEAS_REL * (1.0 + np.sqrt(d[1] * d[1] + d[0] * d[0]) + self.d_maxb)
         clip = np.minimum(np.maximum(d, self.d_box[0]), self.d_box[1])
         act = np.abs(d - clip) > tol
-        if act.any():
+        if np.count_nonzero(act):
             np.copyto(d, clip, where=act)
-            Pd[act] = 0.0
+            np.putmask(Pd, act, 0.0)
         self.in_act[:n] = act.sum(axis=0)
         E = blk[_E1:_E2 + 1]
-        (x2, y2), (v2, psi2) = E * E
-        tol = _FEAS_REL * (1.0 + np.sqrt(x2 + y2 + psi2 + v2) + self.x_maxb)
+        E2 = E * E  # summed in state order, x, y, psi, v
+        tol = _FEAS_REL * (1.0 + np.sqrt(E2[0, 0] + E2[0, 1] + E2[1, 1] + E2[1, 0]) + self.x_maxb)
         self.st_act[:n], left = _box_pairs(E, blk[_P11:_P22 + 1], blk[_P12], *self.x_box, tol,
-                                           where)
-        self.fallbacks += int(left.sum())
+                                           lambda i: self._where(k, i))
+        self.fallbacks += int(np.count_nonzero(left))
 
 
 def _blocks(batch):
-    """Step `batch` through its horizon, copying each step's fin_raw, truth,
-    act and mcg_dev into buffers of _BLOCK steps laid out (..., step, run).
-    Yields each full block, and the horizon's last, as (k0, fin_raw, truth,
-    act, mcg_dev) of steps k0 + 1 ... k0 + m: views that the next overwrites.
+    """Step `batch` through its horizon, copying each step's fin_raw, truth, act and mcg_dev
+    into buffers of _BLOCK steps laid out (..., step, run). Yields each full block, and the
+    horizon's last, as (k0, fin_raw, truth, act, mcg_dev) of steps k0 + 1 ... k0 + m: views
+    that the next overwrites.
     """
     K, R, N = batch.horizon, len(batch.run_indices), batch.act.shape[1]
     B = min(_BLOCK, K)
@@ -402,13 +409,11 @@ def _blocks(batch):
 
 
 def _audit_update(audit, which, w_con, w_unc, e_con, e_unc, tr_pre, tr_post):
-    """Tally norm and trace comparisons for the audited entries, the columns
-    of e_con and e_unc, each one run at one step where a projection moved the
-    estimate. Norms use the projection's own metric (the inverse
-    unconstrained covariance; w_con and w_unc are the errors' norms in it)
-    next to the Euclidean norm, which the oblique projection does not
-    contract in general; both counts are kept so the audit can report the
-    difference.
+    """Tally norm and trace comparisons for the audited entries, the columns of e_con and
+    e_unc, each one run at one step where a projection moved the estimate. Norms use the
+    projection's own metric (the inverse unconstrained covariance; w_con and w_unc are the
+    errors' norms in it) next to the Euclidean norm, which the oblique projection does not
+    contract in general; both counts are kept so the audit can report the difference.
     """
     m_w = w_con - w_unc
     m_e = np.linalg.norm(e_con, axis=0) - np.linalg.norm(e_unc, axis=0)
@@ -422,11 +427,10 @@ def _audit_update(audit, which, w_con, w_unc, e_con, e_unc, tr_pre, tr_post):
 
 
 def _audit_block(audit, batch, k0, fin, raw, truth, act):
-    """Tally the projection audit of steps k0 + 1 ... k0 + m in one
-    vectorized pass of two `_audit_update` calls, from the care blocks fin
-    and raw (rows, channel, m, run), the truth (2, 2, m, run) and the active
-    counts act (2, m, run). Every tally is a count, a sum or a maximum of
-    per-entry arithmetic, so it does not depend on the blocks."""
+    """Tally the projection audit of steps k0 + 1 ... k0 + m in one vectorized pass of two
+    `_audit_update` calls, from the care blocks fin and raw (rows, channel, m, run), the
+    truth (2, 2, m, run) and the active counts act (2, m, run). Every tally is a count, a
+    sum or a maximum of per-entry arithmetic, so it does not depend on the blocks."""
     m, R = truth.shape[-2:]
     # column s * R + i is run i at the block's step s
     fin, raw, truth, (in_act, st_act) = (a.reshape(a.shape[:-2] + (-1,))
@@ -457,18 +461,17 @@ def run_ensemble(config: ScenarioConfig, runs: int = None, constrained: bool = T
                  projection_audit: bool = False) -> EnsembleResult:
     """Run `runs` independent vehicle realizations as one stacked batch.
 
-    constrained=False skips both projections (the unconstrained baseline).
-    record_states additionally returns the full estimate, attack-estimate
-    and truth trajectories, which costs memory on long horizons and is
-    meant for cross-checks against the sequential harness.
+    constrained=False skips both projections (the unconstrained baseline). record_states
+    additionally returns the full estimate, attack-estimate and truth trajectories, which
+    costs memory on long horizons and is meant for cross-checks against the sequential
+    harness.
 
-    projection_audit compares, at every step where a projection moved an
-    estimate and the true value sits inside its feasible set, the projected
-    error against the unconstrained error: norms in the projection metric
-    and in the Euclidean metric, plus the covariance traces before and
-    after. The tallies land in the result's audit dict. It needs
-    constrained=True, since the unconstrained baseline projects nothing;
-    with constrained=False it raises ValueError.
+    projection_audit compares, at every step where a projection moved an estimate and the
+    true value sits inside its feasible set, the projected error against the unconstrained
+    error: norms in the projection metric and in the Euclidean metric, plus the covariance
+    traces before and after. The tallies land in the result's audit dict. It needs
+    constrained=True, since the unconstrained baseline projects nothing; with
+    constrained=False it raises ValueError.
     """
     if projection_audit and not constrained:
         raise ValueError("projection_audit=True needs constrained=True: "
@@ -511,10 +514,7 @@ def run_ensemble(config: ScenarioConfig, runs: int = None, constrained: bool = T
             X_rec[:, k0 + 1:k0 + m + 1], XT_rec[:, k0 + 1:k0 + m + 1] = _states(fin), _states(truth)
             D_rec[:, k0:k0 + m] = _attacks(fin[_D])
 
-    return EnsembleResult(
-        runs=R, horizon=K, err_sq=err_sq,
-        max_trace_pxu=max_trace_pxu, max_cov_trace=max_cov_trace,
-        max_mcg_dev=max_mcg_dev, fallback_projections=batch.fallbacks,
-        x_hat=X_rec, d_hat=D_rec, x_true=XT_rec,
-        audit=audit,
-    )
+    return EnsembleResult(runs=R, horizon=K, err_sq=err_sq, max_trace_pxu=max_trace_pxu,
+                          max_cov_trace=max_cov_trace, max_mcg_dev=max_mcg_dev,
+                          fallback_projections=batch.fallbacks, x_hat=X_rec, d_hat=D_rec,
+                          x_true=XT_rec, audit=audit)

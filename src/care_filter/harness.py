@@ -21,8 +21,8 @@ from .detector import DetectorConfig, _cusum, detection_statistic, false_negativ
 # no longer called here; the per-layer hooks of bench/tracing.py resolve
 # these three names on this module
 from .detector import cusum_update  # noqa: F401
-from .ensemble import (_D, _P11, _P22, _PD, _TRANSIENT, _Batch, _attack_cov, _attacks, _blocks,
-                       _now, _states, _traces)
+from .ensemble import (_D, _P11, _P22, _PD, _TRANSIENT, _Batch, _attacks, _blocks, _now, _states,
+                       _traces)
 from .estimator import care_step  # noqa: F401
 from .vehicle import bicycle_matrices  # noqa: F401
 
@@ -148,8 +148,7 @@ def _run(config: ScenarioConfig, run_indices, filters, detector):
     if detector:
         # each step's statistic stands alone, so one call covers the whole
         # study, and one CUSUM pass runs its recurrence over every step
-        stats[:, 1:] = detection_statistic(D.reshape(N * K, 2),
-                                           _attack_cov(VD.reshape(N * K, 2))).reshape(N, K)
+        stats[:, 1:] = detection_statistic(D.reshape(N * K, 2), VD.reshape(N * K, 2)).reshape(N, K)
         cusum[:, 1:], alarms[:, 1:] = _cusum(np.zeros(N), stats[:, 1:], detector_cfg,
                                              lambda j, row: batch._where(j + 1, row))
 

@@ -136,6 +136,32 @@ class TestDetectionStatistic:
         with pytest.raises(ValueError):
             detection_statistic(d, P[:5])
 
+    def test_diagonal_variances_give_the_full_statistic_bit_for_bit(self):
+        # P of d's shape holds each covariance's diagonal: its closed form is
+        # the eigh path on the diagonal matrices bit for bit, also at zero
+        # variances, zero estimates, equal variances and variances below the floor
+        rng = np.random.default_rng(11)
+        n = 20_000
+        d = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-8, 4, size=(n, 2))
+        v = rng.exponential(size=(n, 2)) * 10.0 ** rng.integers(-16, 3, size=(n, 2))
+        pick = rng.random((n, 2))
+        v[pick < 0.1], d[pick > 0.9], d[:50] = 0.0, 0.0, 0.0
+        v[50:100, 1] = v[50:100, 0]
+        v[100:150] = 1e-30
+        diag = detection_statistic(d, v)
+        assert diag.tobytes() == detection_statistic(d, v[..., None] * np.eye(2)).tobytes()
+        assert (diag[:50] == 0.0).all() and (diag > 1e10).any()
+        for i in range(0, n, 997):
+            assert detection_statistic(d[i], v[i]) == detection_statistic(d[i], np.diag(v[i]))
+
+    def test_shape_matching_neither_form_is_rejected(self):
+        d = np.ones((6, 2))
+        for P in (np.ones((6, 3)), np.ones((5, 2)), np.ones((6, 2, 3)), np.ones(2)):
+            with pytest.raises(ValueError, match="^covariance shape does not match the estimate$"):
+                detection_statistic(d, P)
+        with pytest.raises(ValueError, match="^covariance shape does not match the estimate$"):
+            detection_statistic(np.ones(2), np.ones(3))
+
 
 class TestCusum:
     def test_trivial_steps(self):

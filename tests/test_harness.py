@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 from collections import Counter, defaultdict
 from functools import partial
@@ -13,10 +14,11 @@ from care_filter import cli, ensemble, harness, projection
 from care_filter.cli import main
 from care_filter.config import ScenarioConfig
 from care_filter.detector import DetectorConfig, DetectorState, cusum_update, detection_statistic
-from care_filter.ensemble import run_ensemble
+from care_filter.ensemble import _now, _states, run_ensemble
 from care_filter.estimator import (
     AttackUnidentifiableError,
     EstimatorState,
+    _require_identifiable,
     care_step,
     estimate_attack,
     initial_state,
@@ -375,6 +377,21 @@ class TestEnsemble:
                 assert not np.shares_memory(batch.x_true, other), k
         assert active > 0
 
+    @pytest.mark.parametrize("filters", [("care",), ("care", "ise")])
+    def test_properties_are_copies_of_the_kernel_state(self, filters):
+        # every property is a new array, sharing no memory with the kernel's
+        # state, so a value kept across a step keeps its value
+        batch = ensemble._Batch(ScenarioConfig(horizon=3, seed=5), range(3), filters)
+        batch.step(1)
+        state = [a for a in vars(batch).values() if isinstance(a, np.ndarray)]
+        names = ("x", "d", "P", "Pd", "x_raw", "d_raw", "P_raw", "Pd_raw", "x_true")
+        kept = {name: getattr(batch, name) for name in names}
+        for name, value in kept.items():
+            assert not any(np.shares_memory(value, a) for a in state), name
+        d = kept["d"].copy()
+        batch.step(2)
+        assert np.array_equal(kept["d"], d) and not np.array_equal(batch.d, d)
+
     def test_truth_is_each_realizations_plant_recurrence(self):
         # the plant's rows ride in the filters' prediction; per realization
         # the truth is still A x + B u + B d + w, clipped to the road and
@@ -432,8 +449,8 @@ class TestEnsemble:
         for k in range(1, K + 1):
             batch.step(k)
             j = k - 1 - batch.noise_k0
-            chunks[batch.noise_k0] = batch.w_chunk.shape[1]
-            W[:, k - 1], V[:, k] = batch.w_chunk[:, j], batch.v_chunk[:, j]
+            chunks[batch.noise_k0] = len(batch.w)
+            W[:, k - 1], V[:, k] = (_now(_states, x[j]) for x in (batch.w, batch.v))
         assert chunks == {0: C, C: C, 2 * C: K - 2 * C}
         for i, run in enumerate([3, 7]):
             W_ref, V_ref = NoiseSpec(cfg.seed, run).sample(batch.noise_model, K)
@@ -488,6 +505,56 @@ class TestEnsemble:
             simulate(cfg, run_index=3, filters=("ise",))
         with pytest.raises(AttackUnidentifiableError, match="k=1, run 0, filter care"):
             run_ensemble(cfg, runs=2)
+
+    def test_identifiability_tests_the_whole_batch_first(self, monkeypatch):
+        # the batch passes at once when its least information is positive and
+        # its largest within 1e12 of it; otherwise every column takes the
+        # exact test, which names the first failing one by step, run and filter
+        batch = ensemble._Batch(ScenarioConfig(horizon=5, seed=3), [4, 9, 11], ("care", "ise"))
+        exact = []
+        monkeypatch.setattr(ensemble, "_require_identifiable",
+                            lambda *args: exact.append(args) or _require_identifiable(*args))
+        require = partial(ensemble._require_information, where=batch._where, k=7)
+        info = np.full((2, 2, 3), 2.0)  # (filter, channel, run)
+        require(info)
+        assert exact == []
+        # the batch spans a factor of 1e13, each column 1: every column passes
+        info[0, :, 0], info[1, :, 2] = 1e-7, 1e6
+        require(info)
+        assert len(exact) == 1
+        for value, error, why in ((2e12, AttackUnidentifiableError,
+                                   "attack unidentifiable at k=7, run 9, filter ise: "
+                                   "G'C'R~CG condition number exceeds 1e12"),
+                                  (np.nan, ValueError, "non-finite attack information "
+                                                       "G'C'R~CG at k=7, run 9, filter ise"),
+                                  (0.0, AttackUnidentifiableError,
+                                   "attack unidentifiable at k=7, run 9, filter ise: "
+                                   "G'C'R~CG is not positive definite"),
+                                  (-1.0, AttackUnidentifiableError,
+                                   "attack unidentifiable at k=7, run 9, filter ise: "
+                                   "G'C'R~CG is not positive definite")):
+            bad = np.full((2, 2, 3), 1.0)
+            bad[1, 1, 1] = value
+            with pytest.raises(error, match=f"^{re.escape(why)}$"):
+                require(bad)
+
+    def test_non_finite_run_of_a_batch_is_named(self, monkeypatch):
+        # run 2's measurement of x turns NaN at step C + 6, in the second
+        # noise chunk: the batch fails the finiteness test, and the column
+        # test names the run
+        C = ensemble._NOISE_CHUNK
+        draw = ensemble._draw_noise
+
+        def poisoned(generators, model, k0, z):
+            W, V = draw(generators, model, k0, z)
+            if k0 == C:
+                V[2, 5, 0] = np.nan
+            return W, V
+
+        monkeypatch.setattr(ensemble, "_draw_noise", poisoned)
+        with pytest.raises(ValueError,
+                           match=f"^non-finite estimate at k={C + 6}, run 2, filter care$"):
+            run_ensemble(ScenarioConfig(horizon=2 * C, seed=3), runs=4)
 
     def test_covariance_self_check_names_the_run(self):
         # run 1 violates both rows and goes to the active-set projector,
@@ -617,7 +684,7 @@ class TestEnsemble:
             batch.step(1)
         # a non-finite measurement is named as an estimate
         batch = ensemble._Batch(ScenarioConfig(horizon=5, seed=3), range(4), ("care", "ise"))
-        batch.v_chunk[3, 0, 1] = np.nan  # run 3's measurement of y_1
+        batch.v[0, 0, 1, 3] = np.nan  # run 3's measurement of y_1
         with pytest.raises(ValueError, match="non-finite estimate at k=1, run 3, filter care"):
             batch.step(1)
 
@@ -654,7 +721,8 @@ class TestEnsemble:
         for k in range(1, 301):
             x, P = batch.x, batch.P
             batch.step(k)
-            y = np.tile(batch.x_true + batch.v_chunk[:, k - 1 - batch.noise_k0], (2, 1))
+            v = _now(_states, batch.v[k - 1 - batch.noise_k0])
+            y = np.tile(batch.x_true + v, (2, 1))
             for row in range(4):
                 model = vehicle_model(lambda _: x[row, 3], params)
                 state = EstimatorState(x[row], P[row], k - 1)
@@ -768,14 +836,18 @@ class TestEnsemble:
 
 def channel_projection(e, P, lo, hi):
     """`ensemble._box_pairs` on one pair e, metric P^{-1} and box lo <= z <= hi,
-    with the general projector's tolerance: (estimate, covariance, active count)."""
+    with the general projector's tolerance: (estimate, covariance, active count).
+    The pair is channel 0 of the kernel's two; channel 1, unbounded, stays put."""
     bounds = np.concatenate([lo, hi])
     tol = _FEAS_REL * (1.0 + np.linalg.norm(e) + np.abs(bounds[np.isfinite(bounds)]).max())
-    E, V = np.array(e, dtype=float).reshape(2, 1, 1), P.diagonal().reshape(2, 1, 1).copy()
-    P12 = np.array([[P[0, 1]]])
-    count, _ = ensemble._box_pairs(E, V, P12, np.reshape(lo, (2, 1, 1)), np.reshape(hi, (2, 1, 1)),
-                                   np.array([tol]), str)
-    return E.ravel(), np.array([[V[0, 0, 0], P12[0, 0]], [P12[0, 0], V[1, 0, 0]]]), int(count[0])
+    free = [1.0, 2.0], [3.0, 4.0], 0.5
+    E, V = (np.stack([x, y], axis=1)[..., None] for x, y in zip((e, P.diagonal()), free))
+    P12 = np.array([[P[0, 1]], [free[2]]])
+    lo, hi = (np.stack([b, np.full(2, inf)], axis=1)[..., None] for b, inf in ((lo, -np.inf),
+                                                                              (hi, np.inf)))
+    count, _ = ensemble._box_pairs(E, V, P12, lo, hi, np.array([tol]), str)
+    assert (E[:, 1, 0].tolist(), V[:, 1, 0].tolist(), P12[1, 0]) == free
+    return E[:, 0, 0], np.array([[V[0, 0, 0], P12[0, 0]], [P12[0, 0], V[1, 0, 0]]]), int(count[0])
 
 
 def general_projection(e, P, lo, hi):
