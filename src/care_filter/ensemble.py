@@ -10,13 +10,14 @@ on (channel, run) arrays: R~ = (P^- + R)^{-1} in closed form, h = R~ g, N = g'h,
 P_d = 1/N, M = P_d h', d = M nu, and the update for C = I and diagonal R (Kitanidis,
 Automatica 23(6), 1987): W = R~ - h M, x = y - R W nu, P = R - R W R. Each box row bounds
 one coordinate, so the attack's projection is a clip and the state's a 2 x 2 box problem
-per channel, `_box_pairs` (Simon, IET CTA 4(8), 2010), with `projection._box_project`'s
-tolerance, so the active counts are the general projector's. Every operation acts on one
-run at a time, so a run's result does not depend on its batch, bit for bit. Noise comes
-from `NoiseSpec(seed, i)` in chunks of _NOISE_CHUNK steps, bit for bit `NoiseSpec.sample`,
-each held in channel form. A step's checks test the whole batch first and run the exact
-per-column test, naming the column, only when that fails. `_blocks` records _BLOCK steps
-at a time, and every output of `harness._run` and `run_ensemble` is assembled from them.
+per channel, `_box_pairs` (Simon, IET CTA 4(8), 2010), with the general projector's
+tolerance `projection._FEAS_REL`, so the active counts are the general projector's. Every
+operation acts on one run at a time, so a run's result does not depend on its batch, bit
+for bit. Noise comes from `NoiseSpec(seed, i)` in chunks of _NOISE_CHUNK steps, bit for
+bit `NoiseSpec.sample`, each held in channel form. A step's checks test the whole batch
+first and run the exact per-column test, naming the column, only when that fails.
+`_blocks` records _BLOCK steps at a time, and every output of `harness._run` and
+`run_ensemble` is assembled from them.
 """
 
 from dataclasses import dataclass
@@ -105,20 +106,6 @@ def _traces(V):
 def _now(rows, S):
     """rows(S) of a step, S (..., runs) without the step axis: one row per column."""
     return rows(S[..., None, :])[:, 0]
-
-
-def _state_cov(blk):
-    """The 4 x 4 covariances of a step's columns, zero off the channels."""
-    var = _now(_states, blk[_P11:_P22 + 1])
-    P = np.zeros((len(var), 4, 4))
-    P[:, range(4), range(4)] = var
-    P[:, [0, 3, 1, 2], [3, 0, 2, 1]] = np.repeat(blk[_P12].swapaxes(-1, -2).reshape(-1, 2), 2, 1)
-    return P
-
-
-def _attack_cov(var):
-    """The diagonal 2 x 2 attack covariances of variances var (..., 2)."""
-    return var[..., None] * np.eye(2)
 
 
 def _schedule(v, T, l_r, sched):
@@ -218,9 +205,9 @@ class _Batch:
     the blocks fin (final values, projected for care) and raw (unprojected), the two halves
     of fin_raw; truth (2, 2, R) holds the true coordinates. Each filter schedules its
     matrices on its own speed estimate, the plant on the true speed. After `step(k)` the
-    properties read step k one row per column: x, d, P, Pd, x_raw, d_raw, P_raw, Pd_raw and
-    x_true, each a new array assembled on request. in_act and st_act, the halves of act, are
-    the active constraint counts, mcg_dev max |M C G - I|.
+    properties x and x_true read step k's final and true states one row per column, each a
+    new array assembled on request. in_act and st_act, the halves of act, are the active
+    constraint counts, mcg_dev max |M C G - I|.
     """
 
     def __init__(self, config: ScenarioConfig, run_indices, filters):
@@ -287,14 +274,7 @@ class _Batch:
         self.truth = spread(x0[_CH], plant)
 
     x = property(lambda self: _now(_states, self.fin))
-    x_raw = property(lambda self: _now(_states, self.raw))
     x_true = property(lambda self: _now(_states, self.truth))
-    d = property(lambda self: _now(_attacks, self.fin[_D]).copy())
-    d_raw = property(lambda self: _now(_attacks, self.raw[_D]).copy())
-    P = property(lambda self: _state_cov(self.fin))
-    P_raw = property(lambda self: _state_cov(self.raw))
-    Pd = property(lambda self: _attack_cov(_now(_attacks, self.fin[_PD])))
-    Pd_raw = property(lambda self: _attack_cov(_now(_attacks, self.raw[_PD])))
 
     def _draw_chunk(self, k0):
         """Draw the noise of steps k0 + 1 ... k0 + c, c = min(_NOISE_CHUNK, K - k0), as

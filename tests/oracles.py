@@ -7,16 +7,28 @@ semidefinite P. `transformed_dynamics` is the closed-loop error transition of
 the compensated filter, a stability diagnostic. `audit_reference` tallies
 `run_ensemble`'s projection audit one step at a time; `step_reference` and
 `ensemble_reference` record `simulate`/`monte_carlo`'s and `run_ensemble`'s
-outputs one step at a time from the kernel's properties. `pinv_care_step` is
-`care_step` through an independent general-LTV chain: a time update with
-the estimate/attack cross covariance P_xd and a measurement update with a
-Moore-Penrose gain.
+outputs one step at a time from the kernel's state, read through `x`,
+`x_true` and the views `batch_x_raw` ... `batch_Pd_raw`, which the package
+does not need. `pinv_care_step` is `care_step` through an independent
+general-LTV chain: a time update with the estimate/attack cross covariance
+P_xd and a measurement update with a Moore-Penrose gain.
 """
 
 import numpy as np
 
 from care_filter.detector import DetectorConfig, DetectorState, cusum_update, detection_statistic
-from care_filter.ensemble import _TRANSIENT, _Batch
+from care_filter.ensemble import (
+    _D,
+    _P11,
+    _P12,
+    _P22,
+    _PD,
+    _TRANSIENT,
+    _Batch,
+    _attacks,
+    _now,
+    _states,
+)
 from care_filter.estimator import (
     AttackEstimate,
     EstimatorState,
@@ -50,8 +62,7 @@ def qp_oracle(estimate, W, A, b):
     e = np.asarray(estimate, dtype=float).ravel()
     n = e.size
     W = np.asarray(W, dtype=float)
-    rows = _as_rows(A, b, n)
-    A, b = rows.A, rows.b
+    A, b, _ = _as_rows(A, b, n)
     q = A.shape[0]
     if q > 20:
         raise ValueError("oracle enumeration is limited to 20 constraint rows")
@@ -111,8 +122,7 @@ def range_qp_oracle(estimate, P, A, b):
     InfeasibleConstraintsError when e + range(P) misses the feasible set.
     """
     e = np.asarray(estimate, dtype=float).ravel()
-    rows = _as_rows(A, b, e.size)
-    A, b = rows.A, rows.b
+    A, b, _ = _as_rows(A, b, e.size)
     eig, V = np.linalg.eigh(0.5 * (P + P.T))
     keep = eig > 1e-12 * eig[-1]
     U = V[:, keep]
@@ -138,6 +148,51 @@ def transformed_dynamics(A, C, G, M, gamma_bar):
     inner = np.linalg.solve(CGM, C)
     A_bar = (np.eye(A.shape[0]) - G @ M @ C) @ A
     return (np.eye(A.shape[0]) - G @ M @ inner) @ A_bar @ gamma_bar
+
+
+def _state_cov(blk):
+    """The 4 x 4 covariances of a step's columns, zero off the channels."""
+    var = _now(_states, blk[_P11:_P22 + 1])
+    P = np.zeros((len(var), 4, 4))
+    P[:, range(4), range(4)] = var
+    P[:, [0, 3, 1, 2], [3, 0, 2, 1]] = np.repeat(blk[_P12].swapaxes(-1, -2).reshape(-1, 2), 2, 1)
+    return P
+
+
+def _attack_cov(var):
+    """The diagonal 2 x 2 attack covariances of variances var (..., 2)."""
+    return var[..., None] * np.eye(2)
+
+
+# `_Batch`'s values of its last step beside its own x and x_true, one row per
+# column, each a new array: the unprojected state, the final and unprojected
+# attack estimates, and the covariances of all four
+def batch_x_raw(batch):
+    return _now(_states, batch.raw)
+
+
+def batch_d(batch):
+    return _now(_attacks, batch.fin[_D]).copy()
+
+
+def batch_d_raw(batch):
+    return _now(_attacks, batch.raw[_D]).copy()
+
+
+def batch_P(batch):
+    return _state_cov(batch.fin)
+
+
+def batch_P_raw(batch):
+    return _state_cov(batch.raw)
+
+
+def batch_Pd(batch):
+    return _attack_cov(_now(_attacks, batch.fin[_PD]))
+
+
+def batch_Pd_raw(batch):
+    return _attack_cov(_now(_attacks, batch.raw[_PD]))
 
 
 def _tally(audit, which, e_con, e_unc, W, tr_pre, tr_post):
@@ -182,15 +237,15 @@ def audit_reference(config, runs):
         audit["truth_infeasible_steps"] += (0 if d_feas else runs) + int((~x_feas).sum())
         ar = np.flatnonzero((batch.in_act > 0) & d_feas)
         if ar.size:
-            _tally(audit, "d", batch.d[ar] - d_true, batch.d_raw[ar] - d_true,
-                   np.linalg.inv(batch.Pd_raw[ar]), np.trace(batch.Pd_raw[ar], axis1=1, axis2=2),
-                   np.trace(batch.Pd[ar], axis1=1, axis2=2))
+            _tally(audit, "d", batch_d(batch)[ar] - d_true, batch_d_raw(batch)[ar] - d_true,
+                   np.linalg.inv(batch_Pd_raw(batch)[ar]), np.trace(batch_Pd_raw(batch)[ar], axis1=1, axis2=2),
+                   np.trace(batch_Pd(batch)[ar], axis1=1, axis2=2))
         ar = np.flatnonzero((batch.st_act > 0) & x_feas)
         if ar.size:
-            _tally(audit, "x", batch.x[ar] - x_true[ar], batch.x_raw[ar] - x_true[ar],
-                   np.linalg.inv(batch.P_raw[ar]),
-                   np.trace(batch.P_raw[ar], axis1=1, axis2=2),
-                   np.trace(batch.P[ar], axis1=1, axis2=2))
+            _tally(audit, "x", batch.x[ar] - x_true[ar], batch_x_raw(batch)[ar] - x_true[ar],
+                   np.linalg.inv(batch_P_raw(batch)[ar]),
+                   np.trace(batch_P_raw(batch)[ar], axis1=1, axis2=2),
+                   np.trace(batch_P(batch)[ar], axis1=1, axis2=2))
     return audit
 
 
@@ -221,7 +276,7 @@ def step_reference(config, run_indices, filters, detector):
     det = DetectorState(S=np.zeros(N))
     zero = np.zeros(N)
     rec = {"x_true": [batch.x_true], "x_hat": [batch.x], "x_hat_raw": [batch.x],
-           "trace_px": [_trace_x(batch.P)], "trace_px_raw": [_trace_x(batch.P)],
+           "trace_px": [_trace_x(batch_P(batch))], "trace_px_raw": [_trace_x(batch_P(batch))],
            "stats": [zero], "cusum": [zero], "alarms": [zero > 0.0]}
     for f in ("d_hat", "d_hat_raw", "trace_pd", "trace_pd_raw", "input_active", "state_active"):
         rec[f] = []
@@ -230,18 +285,18 @@ def step_reference(config, run_indices, filters, detector):
         batch.step(k)
         stat, alarm = zero, zero > 0.0
         if detector:
-            stat = detection_statistic(batch.d, batch.Pd)
+            stat = detection_statistic(batch_d(batch), batch_Pd(batch))
             det, alarm = cusum_update(det, stat, det_cfg)
-        for f, v in (("x_true", batch.x_true), ("x_hat", batch.x), ("x_hat_raw", batch.x_raw),
-                     ("d_hat", batch.d), ("d_hat_raw", batch.d_raw),
-                     ("trace_px", _trace_x(batch.P)), ("trace_px_raw", _trace_x(batch.P_raw)),
-                     ("trace_pd", _trace_d(batch.Pd)), ("trace_pd_raw", _trace_d(batch.Pd_raw)),
+        for f, v in (("x_true", batch.x_true), ("x_hat", batch.x), ("x_hat_raw", batch_x_raw(batch)),
+                     ("d_hat", batch_d(batch)), ("d_hat_raw", batch_d_raw(batch)),
+                     ("trace_px", _trace_x(batch_P(batch))), ("trace_px_raw", _trace_x(batch_P_raw(batch))),
+                     ("trace_pd", _trace_d(batch_Pd(batch))), ("trace_pd_raw", _trace_d(batch_Pd_raw(batch))),
                      ("stats", stat), ("cusum", det.S if detector else zero), ("alarms", alarm),
                      ("input_active", batch.in_act), ("state_active", batch.st_act)):
             rec[f].append(np.array(v))  # a property may be a view of the kernel's state
         np.maximum(max_mcg, batch.mcg_dev, out=max_mcg)
         if k > _TRANSIENT:
-            np.maximum(max_pxu, _trace_x(batch.P_raw), out=max_pxu)
+            np.maximum(max_pxu, _trace_x(batch_P_raw(batch)), out=max_pxu)
     out = {f: np.stack(v, axis=1) for f, v in rec.items()}
     out["max_mcg_dev"], out["max_trace_pxu"] = max_mcg, max_pxu
     return out
@@ -263,13 +318,13 @@ def ensemble_reference(config, runs, constrained):
         e2 = (batch.x - batch.x_true) ** 2
         err_sq[:, k - 1] = ((e2[:, 0] + e2[:, 1]) + e2[:, 2]) + e2[:, 3]
         X.append(np.array(batch.x))
-        D.append(np.array(batch.d))
+        D.append(np.array(batch_d(batch)))
         XT.append(np.array(batch.x_true))
         max_mcg = max(max_mcg, float(batch.mcg_dev.max()))
         if k > _TRANSIENT:
-            tru = float(_trace_x(batch.P_raw).max())
+            tru = float(_trace_x(batch_P_raw(batch)).max())
             max_pxu = max(max_pxu, tru)
-            max_cov = max(max_cov, tru, float(_trace_d(batch.Pd_raw).max()))
+            max_cov = max(max_cov, tru, float(_trace_d(batch_Pd_raw(batch)).max()))
     return {"err_sq": err_sq, "max_trace_pxu": max_pxu, "max_cov_trace": max_cov,
             "max_mcg_dev": max_mcg, "fallback_projections": batch.fallbacks,
             "x_hat": np.stack(X, axis=1), "d_hat": np.stack(D, axis=1),

@@ -32,8 +32,6 @@ from care_filter.projection import (
     ActiveSetLimitError,
     InfeasibleConstraintsError,
     _FEAS_REL,
-    _box_project,
-    _ConstraintTable,
     project_attack,
     project_state,
 )
@@ -49,6 +47,13 @@ from care_filter.vehicle import (
 
 from oracles import (
     audit_reference,
+    batch_d,
+    batch_d_raw,
+    batch_P,
+    batch_P_raw,
+    batch_Pd,
+    batch_Pd_raw,
+    batch_x_raw,
     ensemble_reference,
     pinv_care_step,
     step_reference,
@@ -369,11 +374,11 @@ class TestEnsemble:
         for k in range(1, 161):
             batch.step(k)
             active += int(batch.in_act.sum() + batch.st_act.sum())
-            raws = (batch.x_raw, batch.P_raw, batch.d_raw, batch.Pd_raw)
-            for final in (batch.x, batch.P, batch.d, batch.Pd):
+            raws = (batch_x_raw(batch), batch_P_raw(batch), batch_d_raw(batch), batch_Pd_raw(batch))
+            for final in (batch.x, batch_P(batch), batch_d(batch), batch_Pd(batch)):
                 for raw in raws:
                     assert not np.shares_memory(final, raw), k
-            for other in (batch.x, batch.P) + raws:
+            for other in (batch.x, batch_P(batch)) + raws:
                 assert not np.shares_memory(batch.x_true, other), k
         assert active > 0
 
@@ -384,13 +389,12 @@ class TestEnsemble:
         batch = ensemble._Batch(ScenarioConfig(horizon=3, seed=5), range(3), filters)
         batch.step(1)
         state = [a for a in vars(batch).values() if isinstance(a, np.ndarray)]
-        names = ("x", "d", "P", "Pd", "x_raw", "d_raw", "P_raw", "Pd_raw", "x_true")
-        kept = {name: getattr(batch, name) for name in names}
+        kept = {name: getattr(batch, name) for name in ("x", "x_true")}
         for name, value in kept.items():
             assert not any(np.shares_memory(value, a) for a in state), name
-        d = kept["d"].copy()
+        x = kept["x"].copy()
         batch.step(2)
-        assert np.array_equal(kept["d"], d) and not np.array_equal(batch.d, d)
+        assert np.array_equal(kept["x"], x) and not np.array_equal(batch.x, x)
 
     def test_truth_is_each_realizations_plant_recurrence(self):
         # the plant's rows ride in the filters' prediction; per realization
@@ -556,17 +560,24 @@ class TestEnsemble:
                            match=f"^non-finite estimate at k={C + 6}, run 2, filter care$"):
             run_ensemble(ScenarioConfig(horizon=2 * C, seed=3), runs=4)
 
-    def test_covariance_self_check_names_the_run(self):
+    def test_covariance_self_check_names_the_run(self, monkeypatch):
         # run 1 violates both rows and goes to the active-set projector,
         # which ends with row 0 alone active
         A = np.array([[1.0, 0.0], [2.0, 0.0]])
         b = np.array([1.0, 3.0])
-        est = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
-        cov = np.tile(np.eye(2), (3, 1, 1))
-        active = np.zeros((3, 2), dtype=bool)
-        assert _box_project(est, cov, _ConstraintTable(A, b), 0, active, str) == 1
-        np.testing.assert_allclose(est[1], [1.0, 0.0])
-        assert active.tolist() == [[False, False], [True, False], [False, False]]
+        calls = []
+        project_core = projection._project_core
+
+        def counting(*args):
+            calls.append(args[0])
+            return project_core(*args)
+
+        monkeypatch.setattr(projection, "_project_core", counting)
+        x_hat, _, res = project_state(SimpleNamespace(x_hat=np.array([2.0, 0.0]), P_x=np.eye(2)),
+                                      A, b, where="run 1")
+        assert len(calls) == 1
+        np.testing.assert_allclose(x_hat, [1.0, 0.0])
+        assert res.active_set == (0,)
         # an asymmetric covariance is rejected where it enters, by the
         # wrappers, named as the caller names it
         with pytest.raises(ValueError, match="^asymmetric covariance at run 1$"):
@@ -633,45 +644,36 @@ class TestEnsemble:
         # x + y <= -1 and x + y >= 1 is empty and no box
         A = np.array([[1.0, 1.0], [-1.0, -1.0]])
         b = np.array([-1.0, -1.0])
-        est = np.zeros((3, 2))
-        cov = np.tile(np.eye(2), (3, 1, 1))
-        active = np.zeros((3, len(A)), dtype=bool)
+        upd = SimpleNamespace(x_hat=np.zeros(2), P_x=np.eye(2))
         with pytest.raises(InfeasibleConstraintsError, match="cannot be satisfied.* at k=4, run 0"):
-            _box_project(est, cov, _ConstraintTable(A, b), 0, active, lambda r: f"k=4, run {r}")
+            project_state(upd, A, b, where="k=4, run 0")
         # a wedge that needs two active-set steps, under a budget of one:
-        # run 2 violates row 0 alone, and its projection onto that row
-        # violates row 1, so the batched face solve rejects it
+        # the run violates row 0 alone, and its projection onto that row
+        # violates row 1, so the face solve rejects it
         A = np.array([[1.0, 0.5], [0.5, 1.0]])
         b = np.array([1.0, 1.0])
-        est[:] = [[0.0, 0.0], [0.0, 0.0], [3.0, -0.95]]
-        cov[2] = [[1.0, -0.9], [-0.9, 1.0]]
+        upd = SimpleNamespace(x_hat=np.array([3.0, -0.95]), P_x=np.array([[1.0, -0.9], [-0.9, 1.0]]))
         monkeypatch.setattr(projection, "_project_core",
                             partial(projection._project_core, max_iterations=1))
         with pytest.raises(ActiveSetLimitError, match="iteration cap at k=9, run 2") as info:
-            _box_project(est, cov, _ConstraintTable(A, b), 0, active, lambda r: f"k=9, run {r}")
+            project_state(upd, A, b, where="k=9, run 2")
         assert info.value.active_set == (0,)
         assert info.value.max_violation > 0.0
 
     def test_non_finite_input_is_named(self):
         params = VehicleParams()
         B_st, c_st = build_constraints((0.0, 0.0), params)[2:]
-        est = np.tile([21.0, 2.5, 0.0, 10.0], (3, 1))
-        cov = np.tile(0.1 * np.eye(4), (3, 1, 1))
-        active = np.zeros((3, len(B_st)), dtype=bool)
-        est[1, 2] = np.nan
+        x_hat, P_x = np.array([21.0, 2.5, np.nan, 10.0]), 0.1 * np.eye(4)
         with pytest.raises(ValueError, match="non-finite estimate at k=3, run 1"):
-            _box_project(est, cov, _ConstraintTable(B_st, c_st), 0, active,
-                         lambda r: f"k=3, run {r}")
+            project_state(SimpleNamespace(x_hat=x_hat, P_x=P_x), B_st, c_st, where="k=3, run 1")
         # an all-NaN estimate violates no row outright and is caught too
-        est[1] = np.nan
         with pytest.raises(ValueError, match="non-finite estimate at k=3, run 1"):
-            _box_project(est, cov, _ConstraintTable(B_st, c_st), 0, active,
-                         lambda r: f"k=3, run {r}")
-        est[1] = est[0]
-        cov[2, 0, 1] = np.inf
+            project_state(SimpleNamespace(x_hat=np.full(4, np.nan), P_x=P_x), B_st, c_st,
+                          where="k=3, run 1")
+        x_hat[2] = 0.0
+        P_x[0, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite covariance at k=3, run 2"):
-            _box_project(est, cov, _ConstraintTable(B_st, c_st), 0, active,
-                         lambda r: f"k=3, run {r}")
+            project_state(SimpleNamespace(x_hat=x_hat, P_x=P_x), B_st, c_st, where="k=3, run 2")
 
     def test_stacked_projection_names_the_care_run(self):
         # care run 2's state covariance Pxv turns non-finite in the update;
@@ -719,7 +721,7 @@ class TestEnsemble:
         params = batch.params
         u = np.array([slip_angle(cfg.control_delta, params), cfg.control_accel])
         for k in range(1, 301):
-            x, P = batch.x, batch.P
+            x, P = batch.x, batch_P(batch)
             batch.step(k)
             v = _now(_states, batch.v[k - 1 - batch.noise_k0])
             y = np.tile(batch.x_true + v, (2, 1))
@@ -730,10 +732,10 @@ class TestEnsemble:
                 atk = estimate_attack(pred, model, P[row], y[row])
                 upd = measurement_update(time_update(pred, atk, model, state), atk, model, y[row])
                 mcg = np.abs(atk.M @ model.G(k - 1) - np.eye(2)).max()
-                for name, got, ref in (("d", batch.d_raw[row], atk.d_hat),
-                                       ("P_d", batch.Pd_raw[row], atk.P_d),
-                                       ("x", batch.x_raw[row], upd.x_hat),
-                                       ("P", batch.P_raw[row], upd.P_x)):
+                for name, got, ref in (("d", batch_d_raw(batch)[row], atk.d_hat),
+                                       ("P_d", batch_Pd_raw(batch)[row], atk.P_d),
+                                       ("x", batch_x_raw(batch)[row], upd.x_hat),
+                                       ("P", batch_P_raw(batch)[row], upd.P_x)):
                     gap = np.abs(got - ref).max()
                     assert gap <= 1e-12 * np.abs(ref).max(), (k, row, name, gap)
                 assert abs(batch.mcg_dev[row] - mcg) <= 1e-14, (k, row)
@@ -913,9 +915,9 @@ class TestBlockRecord:
             assert (ref["max_trace_pxu"] > 0.0) == (horizon > self.T), horizon
 
     def test_state_assembly_runs_per_block_not_per_step(self, monkeypatch):
-        # the helpers that assemble state rows and covariances from the
-        # kernel's channel blocks run a bounded number of times per block,
-        # so their count stays below the horizon
+        # the helpers that assemble state and attack rows and covariance
+        # traces from the kernel's channel blocks each run a bounded number
+        # of times per block, so their counts stay below the horizon
         K = 4 * self.B + 3
         blocks = -(-K // self.B)
         calls = Counter()
@@ -926,7 +928,8 @@ class TestBlockRecord:
                 return fn(*args)
             return counted
 
-        for name in ("_states", "_state_cov", "_attack_cov"):
+        names = ("_states", "_attacks", "_traces")
+        for name in names:
             counted = spy(name, getattr(ensemble, name))
             for module in (ensemble, harness):
                 if hasattr(module, name):
@@ -937,7 +940,8 @@ class TestBlockRecord:
                               projection_audit=True)):
             calls.clear()
             study()
-            assert 0 < sum(calls.values()) <= 4 * blocks + 4 < K, calls
+            for name in names:
+                assert 0 < calls[name] <= 4 * blocks + 4 < K, calls
 
 
 class TestChannelForm:

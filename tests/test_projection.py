@@ -13,15 +13,12 @@ from care_filter.projection import (
     ActiveSetLimitError,
     InfeasibleConstraintsError,
     ProjectionResult,
-    _box_project,
-    _ConstraintTable,
     _project_core,
     _sym_inv,
     project,
     project_attack,
     project_state,
 )
-from care_filter.vehicle import VehicleParams, build_constraints
 
 from conftest import feasible_sample, objective, random_projection_instance
 from oracles import qp_oracle, range_qp_oracle
@@ -35,7 +32,7 @@ class _Duck:
 
 
 def _search(e, P, A, b):
-    """The active-set search alone, under the tolerance `_box_project`
+    """The active-set search alone, under the tolerance `project_state`
     gives it, and a plain solve on the face of the rows it returns:
     (estimate, covariance, active rows)."""
     dist = np.abs(b) / np.linalg.norm(A, axis=1)
@@ -121,7 +118,7 @@ class TestOracleEquivalence:
         # gain has entries near 1/eps and A_bar P A_bar' a condition number
         # near 16/eps^2: one refinement step brings the face solve back
         # onto the vertex, and no covariance check rejects it
-        for eps in (1e-3, 1.2e-4, 1e-4, 9e-5, 5e-5, 2e-5, 1e-5):
+        for eps in (1e-3, 1.2e-4, 1e-4, 9e-5, 5e-5, 2e-5, 1e-5, 6e-6, 5e-6):
             A = np.array([[-1.0, -1.0], [1.0, 1.0 - eps]])
             b = np.array([-1.0, 0.0])
             res = project(np.zeros(2), np.eye(2), A, b)
@@ -252,16 +249,13 @@ class TestFailureModes:
 
     def test_a_wrong_search_face_is_rejected(self, monkeypatch):
         # the search's rows are judged by the face solve's KKT test: on
-        # either row alone the vertex problem's point misses the other row.
-        # Entry 0 lies inside the set, far out along the wedge
+        # either row alone the vertex problem's point misses the other row
         A = np.array([[-1.0, -1.0], [1.0, 1.0 - 1e-4]])
         b = np.array([-1.0, 0.0])
         for rows in ([0], [1]):
             monkeypatch.setattr(projection, "_project_core", lambda *args: np.array(rows))
             with pytest.raises(RuntimeError, match="fails its KKT test at entry 1$"):
-                _box_project(np.array([[-19998.5, 2e4], [0.0, 0.0]]), np.tile(np.eye(2), (2, 1, 1)),
-                             _ConstraintTable(A, b), 0, np.zeros((2, 2), dtype=bool),
-                             lambda h: f"entry {h}")
+                project_state(_Duck(x_hat=np.zeros(2), P_x=np.eye(2)), A, b, where="entry 1")
 
     def test_non_finite_constraint_data_is_rejected(self):
         # an infinite bound used to switch every row off, a NaN bound to
@@ -452,8 +446,8 @@ def _violating_runs(rng, n, A, b, z0, box, runs):
     coordinates past a bound and keeps the others inside; on any other set
     each run is a random point around the interior point z0 that violates
     one to three rows. Each covariance is scaled by 1e-13, 1 or 1e13, a
-    factor the projected estimate does not depend on, so runs of one batch
-    differ in scale by up to 26 decades. Returns est, P and the scales.
+    factor the projected estimate does not depend on, so the runs differ in
+    scale by up to 26 decades. Returns est, P and the scales.
     """
     est = np.empty((runs, n))
     P = np.empty((runs, n, n))
@@ -480,90 +474,28 @@ def _violating_runs(rng, n, A, b, z0, box, runs):
     return est, P, scale
 
 
-def _project_recording_route(est, P, A, b, width=None):
-    """`_box_project` on copies of est and P, recording for each run whether
-    it reached the scalar projector. Returns (estimate, covariance, active
-    counts, counter, scalar-projector mask)."""
-    z, cov = est.copy(), P.copy()
-    active = np.zeros((len(est), len(A)), dtype=bool)
-    scalar = np.zeros(len(est), dtype=bool)
-    own = np.full(len(est), est.shape[1]) if width is None else width
-    project_core = projection._project_core
+class TestOneEntryRoutes:
+    """Each route of the projector: an estimate within its set's tolerance
+    keeps its value, a face of violated rows that passes its KKT test is the
+    result, and any other estimate goes to the active-set search."""
 
-    def core_spy(e, *args):
-        scalar[(est[:, :e.size] == e).all(axis=1) & (own == e.size)] = True
-        return project_core(e, *args)
+    @staticmethod
+    def _spy_on_search(monkeypatch):
+        calls = []
+        project_core = projection._project_core
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(projection, "_project_core", core_spy)
-        counter = _box_project(z, cov, _ConstraintTable(A, b, width), 0, active, str)
-    return z, cov, active.sum(axis=1), counter, scalar
+        def spy(e, *args):
+            calls.append(e.copy())
+            return project_core(e, *args)
 
-
-def _stack_sets(sets, order):
-    """One `_box_project` input for the runs of several sets.
-
-    sets holds (A, b, est, P) per set, est and P holding its runs. The sets'
-    rows are stacked in one matrix padded with zero columns to the widest
-    set; each entry carries its set's bounds and +inf on the other sets'
-    rows, and its estimate and covariance padded with zeros. Entry h is run
-    order[h] in the sets' run order. Returns (est, P, A, b, width, set of
-    each entry).
-    """
-    n = max(A.shape[1] for A, *_ in sets)
-    A_all = np.vstack([np.pad(A, ((0, 0), (0, n - A.shape[1]))) for A, *_ in sets])
-    start = np.cumsum([0] + [len(b) for _, b, *_ in sets])
-    runs = [(s, i) for s, (*_, est, _) in enumerate(sets) for i in range(len(est))]
-    H = len(runs)
-    est_all, P_all = np.zeros((H, n)), np.zeros((H, n, n))
-    b_all = np.full((H, len(A_all)), np.inf)
-    width, which = np.empty(H, dtype=int), np.empty(H, dtype=int)
-    for h, j in enumerate(order):
-        s, i = runs[j]
-        A, b, est, P = sets[s]
-        w = width[h] = A.shape[1]
-        which[h] = s
-        est_all[h, :w], P_all[h, :w, :w] = est[i], P[i]
-        b_all[h, start[s]:start[s + 1]] = b
-    return est_all, P_all, A_all, b_all, width, which
-
-
-class TestBatchedBoxProjection:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_matches_oracle_and_scalar_projector(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 5))
-        A, b, coords, lo, hi = _random_box(rng, n)
-        runs = 8
-        P = np.empty((runs, n, n))
-        est = rng.normal(size=(runs, n))
-        for r in range(runs):
-            V = np.linalg.qr(rng.normal(size=(n, n)))[0]
-            P[r] = V @ np.diag(10.0 ** rng.uniform(-2.0, 2.0, size=n)) @ V.T
-            # push every bounded coordinate past one of its bounds
-            for j in coords:
-                out = 0.05 + 2.0 * abs(rng.normal())
-                up = np.isinf(lo[j]) or (np.isfinite(hi[j]) and rng.random() < 0.5)
-                est[r, j] = hi[j] + out if up else lo[j] - out
-        z, cov, active, counter, scalar = _project_recording_route(est, P, A, b)
-        assert counter == scalar.sum()
-        for r in range(runs):
-            W = np.linalg.inv(P[r])
-            ref = qp_oracle(est[r], W, A, b)
-            assert np.abs(z[r] - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max()), r
-            obj = objective(ref, est[r], W)
-            assert abs(objective(z[r], est[r], W) - obj) <= 1e-8 * (1.0 + obj), r
-            x, P_x, act = _search(est[r], P[r], A, b)
-            assert np.abs(z[r] - x).max() <= 1e-8 * (1.0 + np.abs(ref).max()), r
-            assert active[r] == len(act), r
-            assert np.abs(cov[r] - P_x).max() <= 1e-9, r
+        monkeypatch.setattr(projection, "_project_core", spy)
+        return calls
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.booleans())
-    def test_violated_row_face_matches_oracle_alone_and_in_a_batch(self, seed, box):
-        # runs violating one to three rows of a box or of a random polytope;
-        # a run's route and result do not depend on its batch, bit for bit
+    def test_violated_rows_match_the_oracle_and_the_search(self, seed, box):
+        # estimates violating one to three rows of a box or of a random
+        # polytope, whichever route each takes
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 5))
         if box:
@@ -575,157 +507,129 @@ class TestBatchedBoxProjection:
             A = rng.normal(size=(q, n))
             b = A @ z0 + np.abs(rng.normal(size=q)) + 0.05
             bounds = None
-        est, P, scale = _violating_runs(rng, n, A, b, z0, bounds, 8)
-        z, cov, active, counter, scalar = _project_recording_route(est, P, A, b)
-        assert counter == scalar.sum()
+        est, P, scale = _violating_runs(rng, n, A, b, z0, bounds, 4)
         for r in range(len(est)):
-            ref = qp_oracle(est[r], np.linalg.inv(P[r] / scale[r]), A, b)
+            z, cov, res = project_state(_Duck(x_hat=est[r], P_x=P[r]), A, b)
+            W = np.linalg.inv(P[r] / scale[r])
+            ref = qp_oracle(est[r], W, A, b)
             tol = 1e-8 * (1.0 + np.abs(ref).max())
-            assert np.abs(z[r] - ref).max() <= tol, r
+            assert np.abs(z - ref).max() <= tol, r
+            obj = objective(ref, est[r], W)
+            assert abs(objective(z, est[r], W) - obj) <= 1e-8 * (1.0 + obj), r
             x, P_x, act = _search(est[r], P[r], A, b)
-            assert np.abs(z[r] - x).max() <= tol, r
-            assert np.abs(cov[r] - P_x).max() <= 1e-9 * scale[r], r
-            assert active[r] == len(act), r
-            alone = _project_recording_route(est[r:r + 1], P[r:r + 1], A, b)
-            assert alone[4][0] == scalar[r], r
-            assert alone[2][0] == active[r], r
-            assert np.array_equal(alone[0][0], z[r]), r
-            assert np.array_equal(alone[1][0], cov[r]), r
+            assert np.abs(z - x).max() <= tol, r
+            assert np.abs(cov - P_x).max() <= 1e-9 * scale[r], r
+            assert len(res.active_set) == len(act), r
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_stacked_sets_match_each_set_alone(self, seed):
-        # boxes and non-box sets on two to four coordinates in one call, their
-        # runs interleaved; the first two sets always send their run past the
-        # face solve to the scalar projector: on a box and on a wedge, the face
-        # of row 0 leaves the set through row 1
-        rng = np.random.default_rng(seed)
-        skew = np.array([[[1.0, -0.9], [-0.9, 1.0]]])
-        sets = [(np.eye(2), np.ones(2), np.array([[2.0, 0.5]]), skew),
-                (np.array([[1.0, 0.5], [0.5, 1.0]]), np.ones(2), np.array([[3.0, -0.95]]), skew)]
-        for _ in range(int(rng.integers(1, 4))):
-            n = int(rng.integers(2, 5))
-            if rng.random() < 0.5:
-                A, b, coords, lo, hi = _random_box(rng, n)
-                est, P, _ = _violating_runs(rng, n, A, b, None, (lo, hi, coords), 3)
-            else:
-                z0 = rng.normal(size=n)
-                A = rng.normal(size=(int(rng.integers(2, 7)), n))
-                b = A @ z0 + np.abs(rng.normal(size=len(A))) + 0.05
-                est, P, _ = _violating_runs(rng, n, A, b, z0, None, 3)
-            sets.append((A, b, est, P))
-        order = rng.permutation(sum(len(est) for *_, est, _ in sets))
-        est, P, A_all, b_all, width, which = _stack_sets(sets, order)
-        z, cov, active, counter, scalar = _project_recording_route(
-            est, P, A_all, b_all, width)
-        assert scalar.any()
-        total = 0
-        for h, w in enumerate(width):
-            A, b = sets[which[h]][:2]
-            alone = _project_recording_route(est[h:h + 1, :w], P[h:h + 1, :w, :w], A, b)
-            total += alone[3]
-            assert alone[4][0] == scalar[h], h
-            assert alone[2][0] == active[h], h
-            zh, ch = z[h, :w], cov[h, :w, :w]
-            assert np.abs(alone[0][0] - zh).max() <= 1e-12 * (1.0 + np.abs(zh).max()), h
-            scale = np.abs(P[h]).max()
-            assert np.abs(alone[1][0] - ch).max() <= 1e-12 * (scale + np.abs(ch).max()), h
-            # the padding stays zero
-            assert not z[h, w:].any() and not cov[h, w:].any() and not cov[h, :, w:].any(), h
-        assert counter == total
+    def test_each_route_is_taken_where_it_applies(self, monkeypatch):
+        # on the box z <= 1: an estimate over row 0 by less than its
+        # tolerance, 1e-10 (1 + |e| + 1), keeps its value, and one over it by
+        # 1e-9 does not; the face of row 0 is the optimum of (2, 0.5) under
+        # I, but leaves the box through row 1 under a skewed covariance, so
+        # the search runs
+        calls = self._spy_on_search(monkeypatch)
+        A, b = np.eye(2), np.ones(2)
+        e = np.array([1.0 + 5e-11, 0.5])
+        z, P_z, res = project_state(_Duck(x_hat=e, P_x=np.eye(2)), A, b)
+        assert np.array_equal(z, e) and np.array_equal(P_z, np.eye(2)) and res.active_set == ()
+        z, _, res = project_state(_Duck(x_hat=np.array([1.0 + 1e-9, 0.5]), P_x=np.eye(2)), A, b)
+        assert res.active_set == (0,) and z[0] == 1.0
+        z, _, res = project_state(_Duck(x_hat=np.array([2.0, 0.5]), P_x=np.eye(2)), A, b)
+        np.testing.assert_allclose(z, [1.0, 0.5], atol=1e-15)
+        assert res.active_set == (0,) and calls == []
+        skew = np.array([[1.0, -0.9], [-0.9, 1.0]])
+        z, _, res = project_state(_Duck(x_hat=np.array([2.0, 0.5]), P_x=skew), A, b)
+        assert len(calls) == 1 and res.active_set == (0, 1)
+        np.testing.assert_allclose(z, [1.0, 1.0], atol=1e-12)
 
     def test_four_violated_rows_stop_at_their_face(self, monkeypatch):
-        # a 4-coordinate box left through all four coordinates, stacked next
-        # to a 2-wide entry with one violated row: each entry is solved on
-        # its own violated rows, the vertex of four and the face of one, and
-        # neither reaches the scalar projector
+        # a 4-coordinate box left through all four coordinates: the face of
+        # the four violated rows is the optimum, and the search never runs
+        calls = self._spy_on_search(monkeypatch)
         V = np.linalg.qr(np.random.default_rng(41).normal(size=(4, 4)))[0]
         P4 = V @ np.diag([0.5, 1.0, 2.0, 4.0]) @ V.T
-        box = (np.vstack([np.eye(4), -np.eye(4)]), np.ones(8),
-               np.array([[2.0, -3.0, 1.5, -2.0]]), P4[None])
-        side = (np.eye(2), np.ones(2), np.array([[2.0, 0.5]]), np.eye(2)[None])
-        est, P, A, b, width, _ = _stack_sets([box, side], [1, 0])
-        assert width.tolist() == [2, 4]
-        calls = []
-        project_core = projection._project_core
+        A, b = np.vstack([np.eye(4), -np.eye(4)]), np.ones(8)
+        e = np.array([2.0, -3.0, 1.5, -2.0])
+        z, _, res = project_state(_Duck(x_hat=e, P_x=P4), A, b)
+        assert calls == [] and res.active_set == (0, 2, 5, 7)
+        ref = qp_oracle(e, np.linalg.inv(P4), A, b)
+        assert np.abs(z - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
+        np.testing.assert_allclose(z, [1.0, -1.0, 1.0, -1.0], atol=1e-12)
 
-        def counting(e, P, A, *args):
-            calls.append((e.size, A.shape))
-            return project_core(e, P, A, *args)
+    def test_faces_at_the_edges_of_the_first_tier_need_no_search(self, monkeypatch):
+        # the near-vertex {-x - y <= -1, x + (1 - t) y <= 0} at t = 1e-5 and
+        # 4.1e-6, where A_O P A_O' has condition number 1.6e11 and 9.5e11,
+        # under the 1e12 limit, and the one-shot point misses the face by
+        # over 1e-7, so the face passes after its refinement step; a face of
+        # one row whose a P a' of 5e-15 lies twice the null floor, and one of
+        # two rows 2.5% above it
+        calls = self._spy_on_search(monkeypatch)
+        for t, e in ((1e-5, [0.5, 0.0]), (4.1e-6, [0.2, 0.3])):
+            A, b = np.array([[-1.0, -1.0], [1.0, 1.0 - t]]), np.array([-1.0, 0.0])
+            e = np.array(e)
+            one_shot = e - A.T @ np.linalg.solve(A @ A.T, A @ e - b)
+            assert np.abs(A @ one_shot - b).max() > 1e-7, t
+            z, _, res = project_state(_Duck(x_hat=e, P_x=np.eye(2)), A, b)
+            assert res.active_set == (0, 1), t
+            np.testing.assert_allclose(z, [1.0 - 1.0 / t, 1.0 / t], rtol=1e-10)
+        z, _, res = project_state(_Duck(x_hat=np.array([2.0, 0.5]), P_x=np.diag([2e-14, 1.0])),
+                                  np.eye(2), np.ones(2))
+        assert res.active_set == (0,)
+        np.testing.assert_allclose(z, [1.0, 0.5], atol=1e-12)
+        z, _, res = project_state(_Duck(x_hat=np.array([0.3, 2.0, 3.0]),
+                                        P_x=np.diag([1.0, 2.05e-14, 2.05e-14])),
+                                  np.eye(3)[1:], np.ones(2))
+        assert res.active_set == (0, 1) and calls == []
+        np.testing.assert_allclose(z, [0.3, 1.0, 1.0], atol=1e-12)
 
-        monkeypatch.setattr(projection, "_project_core", counting)
-        z, cov = est.copy(), P.copy()
-        active = np.zeros((2, len(A)), dtype=bool)
-        assert _box_project(z, cov, _ConstraintTable(A, b, width), 0, active, str) == 0
-        assert calls == []
-        assert active.sum(axis=1).tolist() == [1, 4]
-        for h, (A_h, b_h, *_) in enumerate((side, box)):
-            w = width[h]
-            z1, c1 = est[h:h + 1, :w].copy(), P[h:h + 1, :w, :w].copy()
-            act1 = np.zeros((1, len(A_h)), dtype=bool)
-            assert _box_project(z1, c1, _ConstraintTable(A_h, b_h), 0, act1, str) == 0
-            assert act1.sum() == active[h].sum(), h
-            assert np.abs(z1[0] - z[h, :w]).max() <= 1e-12 * (1.0 + np.abs(z1).max()), h
-            assert np.abs(c1[0] - cov[h, :w, :w]).max() <= 1e-12 * (1.0 + np.abs(c1).max()), h
-        ref = qp_oracle(box[2][0], np.linalg.inv(P4), *box[:2])
-        assert np.abs(z[1] - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
-        np.testing.assert_allclose(z[1], [1.0, -1.0, 1.0, -1.0], atol=1e-12)
-        np.testing.assert_allclose(z[0, :2], [1.0, 0.5], atol=1e-12)
-        # the 2-wide entry's padding stays zero
-        assert not z[0, 2:].any() and not cov[0, 2:].any() and not cov[0, :, 2:].any()
-
-    def test_parallel_violated_rows_go_to_the_scalar_projector(self):
+    def test_parallel_violated_rows_go_to_the_search(self, monkeypatch):
         # x <= 1, 2x <= 3 and y <= 0 from (5, 1): the first two rows are
         # parallel, so the face of all three has a singular A_O P A_O'; the
-        # face solve rejects it instead of raising, and the scalar projector
-        # finds the optimum on rows 0 and 2
+        # face solve rejects it instead of raising, and the search finds
+        # the optimum on rows 0 and 2
+        calls = self._spy_on_search(monkeypatch)
         A, b = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]), np.array([1.0, 3.0, 0.0])
-        est, cov = np.array([[5.0, 1.0]]), np.eye(2)[None]
-        z, P = est.copy(), cov.copy()
-        active = np.zeros((1, 3), dtype=bool)
-        assert _box_project(z, P, _ConstraintTable(A, b), 0, active, str) == 1
-        ref = qp_oracle(est[0], np.eye(2), A, b)
-        assert np.abs(z[0] - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
-        np.testing.assert_allclose(z[0], [1.0, 0.0], atol=1e-12)
-        assert active[0].tolist() == [True, False, True]
+        e = np.array([5.0, 1.0])
+        res = project(e, np.eye(2), A, b)
+        assert len(calls) == 1
+        ref = qp_oracle(e, np.eye(2), A, b)
+        assert np.abs(res.estimate - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
+        np.testing.assert_allclose(res.estimate, [1.0, 0.0], atol=1e-12)
+        assert res.active_set == (0, 2)
 
-    def test_ill_conditioned_metric_goes_to_the_scalar_projector(self):
-        # run 0's covariance has condition number 1e13 on the bounded
-        # coordinates, beyond what the batched face solve accepts
-        A = np.array([[1.0, 0.0], [0.0, 1.0]])
-        b = np.array([1.0, 1.0])
-        est = np.array([[2.0, 3.0], [2.0, 3.0]])
-        cov = np.array([np.diag([1.0, 1e-13]), np.eye(2)])
-        ref, _, act = _search(est[0], cov[0], A, b)
-        active = np.zeros((2, 2), dtype=bool)
-        assert _box_project(est, cov, _ConstraintTable(A, b), 0, active, str) == 1
-        np.testing.assert_allclose(est[0], ref, atol=1e-12)
-        np.testing.assert_allclose(est[1], [1.0, 1.0], atol=1e-12)
-        assert np.flatnonzero(active[0]).tolist() == list(act)
-        assert active[1].all()
-
-    def test_singular_metric_projects_within_its_range(self):
-        # run 0's covariance has no variance along (1, -1): the projection
-        # moves along (1, 1) only, and one row suffices
+    def test_ill_conditioned_metric_goes_to_the_search(self, monkeypatch):
+        # covariances of condition number 1e13 and 2e12 on the bounded
+        # coordinates, beyond the 1e12 the face solve accepts; under I the
+        # same estimate stops at its face
+        calls = self._spy_on_search(monkeypatch)
         A, b = np.eye(2), np.ones(2)
-        est = np.array([[2.0, 3.0], [2.0, 3.0]])
-        cov = np.array([[[1.0, 1.0], [1.0, 1.0]], np.eye(2)])
-        active = np.zeros((2, 2), dtype=bool)
-        assert _box_project(est, cov, _ConstraintTable(A, b), 0, active,
-                            lambda r: f"k=5, run {r}") == 1
-        np.testing.assert_allclose(est, [[0.0, 1.0], [1.0, 1.0]], atol=1e-12)
-        np.testing.assert_allclose(cov[0], np.zeros((2, 2)), atol=1e-12)
-        assert active.sum(axis=1).tolist() == [1, 2]
+        e = np.array([2.0, 3.0])
+        for P in (np.diag([1.0, 1e-13]), np.diag([1.0, 5e-13])):
+            ref, _, act = _search(e, P, A, b)
+            z, _, res = project_state(_Duck(x_hat=e, P_x=P), A, b)
+            assert res.active_set == tuple(act)
+            np.testing.assert_allclose(z, ref, atol=1e-12)
+        assert len(calls) == 2
+        z, _, res = project_state(_Duck(x_hat=e, P_x=np.eye(2)), A, b)
+        assert len(calls) == 2 and res.active_set == (0, 1)
+        np.testing.assert_allclose(z, [1.0, 1.0], atol=1e-12)
+
+    def test_singular_metric_projects_within_its_range(self, monkeypatch):
+        # the covariance has no variance along (1, -1): the projection moves
+        # along (1, 1) only, and one row suffices
+        calls = self._spy_on_search(monkeypatch)
+        upd = _Duck(x_hat=np.array([2.0, 3.0]), P_x=np.ones((2, 2)))
+        z, P_z, res = project_state(upd, np.eye(2), np.ones(2))
+        assert len(calls) == 1 and len(res.active_set) == 1
+        np.testing.assert_allclose(z, [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(P_z, np.zeros((2, 2)), atol=1e-12)
 
     def test_zero_variance_coordinate_is_not_moved(self):
-        # the second coordinate of run 0 has no variance, so no point of
-        # e + range(P) satisfies z_2 <= 1
-        A, b = np.eye(2), np.ones(2)
-        est = np.array([[2.0, 3.0], [2.0, 3.0]])
-        cov = np.array([np.diag([1.0, 0.0]), np.eye(2)])
-        active = np.zeros((2, 2), dtype=bool)
+        # the second coordinate has no variance, so no point of e + range(P)
+        # satisfies z_2 <= 1
+        upd = _Duck(x_hat=np.array([2.0, 3.0]), P_x=np.diag([1.0, 0.0]))
         with pytest.raises(InfeasibleConstraintsError, match="cannot be satisfied.* at k=5, run 0"):
-            _box_project(est, cov, _ConstraintTable(A, b), 0, active, lambda r: f"k=5, run {r}")
+            project_state(upd, np.eye(2), np.ones(2), where="k=5, run 0")
 
     def test_row_in_the_null_space_of_P_is_not_solved_on_its_face(self):
         # P has variance along (cos 1.5, sin 1.5) alone, and the row
@@ -738,254 +642,6 @@ class TestBatchedBoxProjection:
         with pytest.raises(InfeasibleConstraintsError,
                            match=r"no point of e \+ range\(P\) is feasible at the state estimate"):
             project_state(upd, [[-np.sin(t), np.cos(t)]], [-1.0])
-
-    def test_each_route_in_one_call_matches_its_one_entry_call(self, monkeypatch):
-        # three entries on the box z <= 1: entry 0 lies over row 0 by less
-        # than its tolerance, entry 1's face of row 0 is its optimum, and
-        # entry 2's face leaves the box through row 1 under a skewed
-        # covariance, so it goes to the scalar projector
-        A, b = np.eye(2), np.ones(2)
-        skew = np.array([[1.0, -0.9], [-0.9, 1.0]])
-        est = np.array([[1.0 + 5e-11, 0.5], [2.0, 0.5], [2.0, 0.5]])
-        cov = np.array([np.eye(2), np.eye(2), skew])
-        calls = []
-        project_core = projection._project_core
-
-        def counting(e, *args):
-            calls.append(e.copy())
-            return project_core(e, *args)
-
-        monkeypatch.setattr(projection, "_project_core", counting)
-        z, P = est.copy(), cov.copy()
-        active = np.zeros((3, 2), dtype=bool)
-        assert _box_project(z, P, _ConstraintTable(A, b), 0, active, str) == 1
-        assert len(calls) == 1 and np.array_equal(calls[0], est[2])
-        assert np.array_equal(z[0], est[0]) and np.array_equal(P[0], cov[0])
-        for h in (1, 2):
-            z1, P1 = est[h:h + 1].copy(), cov[h:h + 1].copy()
-            act1 = np.zeros((1, 2), dtype=bool)
-            assert _box_project(z1, P1, _ConstraintTable(A, b), 0, act1, str) == h - 1
-            assert np.array_equal(z1[0], z[h]) and np.array_equal(P1[0], P[h]), h
-            assert np.array_equal(act1[0], active[h]), h
-        np.testing.assert_allclose(z[1], [1.0, 0.5], atol=1e-15)
-        assert active.tolist() == [[False, False], [True, False], [True, True]]
-
-    def test_merged_check_names_the_entry_not_its_stack_position(self, monkeypatch):
-        # entries 0, 2 and 3 leave the box z <= 1 through one row each and
-        # pass; entry 1 leaves it through both, where a multiplier is
-        # negative under its covariance, so it goes to the search, which here
-        # returns row 1 alone, a face whose point misses row 0. The widths
-        # are solved in ascending order, so entry 1 sits last in the stack
-        monkeypatch.setattr(projection, "_project_core", lambda *args: np.array([1]))
-        A, b = np.eye(2), np.ones(2)
-        est = np.array([[2.0, 0.5], [2.0, 1.2], [0.5, 3.0], [1.5, 0.0]])
-        cov = np.tile(np.eye(2), (4, 1, 1))
-        cov[1] = [[1.0, 0.9], [0.9, 1.0]]
-        z, P = est.copy(), cov.copy()
-        active = np.zeros((4, 2), dtype=bool)
-        with pytest.raises(RuntimeError, match="fails its KKT test at entry 1$"):
-            _box_project(z, P, _ConstraintTable(A, b), 0, active, lambda h: f"entry {h}")
-        # nothing is written back before every entry is accepted
-        assert np.array_equal(z, est) and np.array_equal(P, cov)
-
-    def test_unsorted_widths_each_get_their_one_entry_result(self, monkeypatch):
-        # flagged entries arriving in width order [2, 1, within tolerance, 2,
-        # face-rejected, 1] on the box z <= 1: widths 1 and 2 are solved in
-        # one call of two rows, the three faces of one row padded, then the
-        # face of the two rows the search returns for the rejected entry,
-        # and every entry ends as it would alone, bit for bit
-        A, b = np.eye(2), np.ones(2)
-        skew = np.array([[1.0, -0.9], [-0.9, 1.0]])
-        est = np.array([[2.0, 3.0], [2.0, 0.5], [1.0 + 5e-11, 0.5], [3.0, 1.5], [2.0, 0.5],
-                        [0.2, 4.0]])
-        cov = np.array([np.eye(2), np.eye(2), np.eye(2), 2.0 * np.eye(2), skew,
-                        [[1.0, 0.3], [0.3, 2.0]]])
-        solves = []
-        face_solve = projection._face_solve
-
-        def spy(e, P, A, b, face, viol, tol, lower, floor, z, ok, GA, pad=0, search=False):
-            solves.append((len(face), int(face[0].sum()), pad, search))
-            return face_solve(e, P, A, b, face, viol, tol, lower, floor, z, ok, GA, pad, search)
-
-        monkeypatch.setattr(projection, "_face_solve", spy)
-        z, P = est.copy(), cov.copy()
-        active = np.zeros((6, 2), dtype=bool)
-        assert _box_project(z, P, _ConstraintTable(A, b), 0, active, str) == 1
-        assert solves == [(5, 2, 3, False), (1, 2, 0, True)]
-        assert active.sum(axis=1).tolist() == [2, 1, 0, 2, 2, 1]
-        for h in range(6):
-            z1, P1 = est[h:h + 1].copy(), cov[h:h + 1].copy()
-            act1 = np.zeros((1, 2), dtype=bool)
-            assert _box_project(z1, P1, _ConstraintTable(A, b), 0, act1, str) == int(h == 4), h
-            assert np.array_equal(z1[0], z[h]) and np.array_equal(P1[0], P[h]), h
-            assert np.array_equal(act1[0], active[h]), h
-        assert np.array_equal(z[2], est[2]) and np.array_equal(P[2], cov[2])
-
-    def test_mixed_widths_pay_the_fixed_costs_once(self, monkeypatch):
-        # entries violating one row and two rows: one face solve for both
-        # widths, one covariance assembly (its one symmetrization) and one
-        # floating-point error state per call
-        calls = {"assembly": 0, "errstate": 0, "face": 0}
-        sym, face_solve = projection._sym, projection._face_solve
-        errstate = np.errstate
-
-        def counting_sym(*args):
-            calls["assembly"] += 1
-            return sym(*args)
-
-        def counting_face(*args):
-            calls["face"] += 1
-            return face_solve(*args)
-
-        def counting_errstate(**kwargs):
-            calls["errstate"] += 1
-            return errstate(**kwargs)
-
-        monkeypatch.setattr(projection, "_sym", counting_sym)
-        monkeypatch.setattr(projection, "_face_solve", counting_face)
-        monkeypatch.setattr(np, "errstate", counting_errstate)
-        est = np.array([[2.0, 0.5], [2.0, 2.0], [0.5, 3.0]])
-        cov = np.tile(np.eye(2), (3, 1, 1))
-        active = np.zeros((3, 2), dtype=bool)
-        assert _box_project(est, cov, _ConstraintTable(np.eye(2), np.ones(2)), 0, active, str) == 0
-        assert active.sum(axis=1).tolist() == [1, 2, 1]
-        assert calls == {"assembly": 1, "errstate": 1, "face": 1}
-        np.testing.assert_allclose(est, [[1.0, 0.5], [1.0, 1.0], [0.5, 1.0]], atol=1e-15)
-
-    def test_two_row_solve_gives_each_entry_its_own_bits(self, monkeypatch):
-        # one call on five sets: the near-vertex V(t) = {-x - y <= -1,
-        # x + (1 - t) y <= 0} at t = 1e-5 and t = 4.1e-6 (A_O P A_O' of
-        # condition number 1.6e11 and 9.5e11, under the 1e12 limit; the
-        # one-shot point misses the face by about 1e-6, so the face is
-        # accepted after its refinement step), the half-plane
-        # 0.6 x - 0.8 y <= 1, the box (x, y) <= 1 and, in three coordinates,
-        # the box (y, z) <= 1, under covariances with negative entries.
-        # The faces of one row, entries 1, 3 and 5, share the solve of two
-        # rows with the faces of two, padded with the zero row: entry 1's
-        # point misses row 1 and goes to the search, entry 3's P a' and
-        # a P a' are sums BLAS would round otherwise in a product of two
-        # columns, and entry 5's a P a' of 5e-15 lies just above the null
-        # floor, as does entry 7's two-row face (by 2.5%). Each entry equals
-        # its call alone, where a face of one row is solved in one slot, to
-        # the last bit
-        inf = np.inf
-        A = np.array([[-1.0, -1.0, 0.0], [1.0, 1.0 - 1e-5, 0.0], [-1.0, -1.0, 0.0],
-                      [1.0, 1.0 - 4.1e-6, 0.0], [0.6, -0.8, 0.0], [1.0, 0.0, 0.0],
-                      [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        v1, v2 = [-1.0, 0.0] + [inf] * 7, [inf] * 2 + [-1.0, 0.0] + [inf] * 5
-        tilt, box, box3 = [inf] * 4 + [1.0] + [inf] * 4, [inf] * 5 + [1.0] * 2 + [inf] * 2, \
-            [inf] * 7 + [1.0] * 2
-        b = np.array([v1, box, v2, tilt, box, box, box, box3])
-        width = np.array([2] * 7 + [3])
-        est = np.array([[0.5, 0.0, 0.0], [2.0, 0.5, 0.0], [0.2, 0.3, 0.0], [2.0, 0.0, 0.0],
-                        [1.5, 2.5, 0.0], [2.0, 0.5, 0.0], [0.5, 0.2, 0.0], [0.3, 2.0, 3.0]])
-        cov = np.zeros((8, 3, 3))
-        for h, P2 in enumerate([np.eye(2), [[1.0, -0.9], [-0.9, 1.0]], np.eye(2),
-                                [[2.0, -0.7], [-0.7, 1.0]], [[2.0, -0.7], [-0.7, 1.0]],
-                                np.diag([2e-14, 1.0]), np.eye(2)]):
-            cov[h, :2, :2] = P2
-        cov[7] = np.diag([1.0, 2.05e-14, 2.05e-14])
-        solves = []
-        face_solve = projection._face_solve
-
-        def spy(e, P, A, b, face, viol, tol, lower, floor, z, ok, GA, pad=0, search=False):
-            face_solve(e, P, A, b, face, viol, tol, lower, floor, z, ok, GA, pad, search)
-            solves.append((len(face), pad, search, ok.tolist()))
-
-        monkeypatch.setattr(projection, "_face_solve", spy)
-        z, P = est.copy(), cov.copy()
-        active, counts = np.zeros((8, 9), dtype=bool), np.zeros(8, dtype=np.int64)
-        assert _box_project(z, P, _ConstraintTable(A, b, width), 0, active, str, counts) == 1
-        # widths ascending: entries 1, 3, 5, then 0, 2, 4, 7
-        assert solves == [(7, 3, False, [False] + [True] * 6), (1, 0, True, [True])]
-        assert counts.tolist() == [2, 2, 2, 1, 2, 1, 0, 2]
-        table = _ConstraintTable(A, b, width)
-        for h, rows in ((0, [0, 1]), (2, [2, 3])):
-            Ao, v = table.A[rows], table.A[rows] @ est[h] - table.b[h, rows]
-            one_shot = est[h] - Ao.T @ np.linalg.solve(Ao @ Ao.T, v)
-            assert np.abs(Ao @ one_shot - table.b[h, rows]).max() > 1e-7, h
-        for h in range(8):
-            z1, P1 = est[h:h + 1].copy(), cov[h:h + 1].copy()
-            act1, n1 = np.zeros((1, 9), dtype=bool), np.zeros(1, dtype=np.int64)
-            _box_project(z1, P1, _ConstraintTable(A, b[h:h + 1], width[h:h + 1]), 0, act1, str, n1)
-            assert z1[0].tobytes() == z[h].tobytes(), h
-            assert P1[0].tobytes() == P[h].tobytes(), h
-            assert np.array_equal(act1[0], active[h]) and n1[0] == counts[h], h
-        np.testing.assert_allclose(z[[4, 5, 7]], [[1.0, 1.0, 0.0], [1.0, 0.5, 0.0], [0.3, 1.0, 1.0]],
-                                   atol=1e-12)
-        assert abs(0.6 * z[3, 0] - 0.8 * z[3, 1] - 1.0) <= 1e-12
-
-    def test_zero_row_set_leaves_the_runs_untouched(self):
-        # as `project` does for q = 0: nothing to violate, counter unchanged
-        est = np.array([[2.0, 3.0], [-1.0, 0.5]])
-        cov = np.array([np.eye(2), 2.0 * np.eye(2)])
-        z, P = est.copy(), cov.copy()
-        active = np.zeros((2, 0), dtype=bool)
-        empty = _ConstraintTable(np.zeros((0, 2)), np.zeros(0))
-        assert _box_project(z, P, empty, 3, active, str) == 3
-        assert np.array_equal(z, est) and np.array_equal(P, cov)
-
-
-class TestOneRoute:
-    """`project_attack` and `project_state` are the batch of one of
-    `_box_project`: an entry's result alone equals its result inside a
-    larger call, bit for bit, in estimate, covariance and active rows."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_vehicle_boxes_alone_equal_the_stacked_call(self, seed):
-        # the kernel's layout: attack entries in the leading two of four
-        # coordinates, state entries in all four, on the stacked rows of
-        # both boxes, interleaved
-        rng = np.random.default_rng(seed)
-        params = VehicleParams()
-        A_in, b_in, B_st, c_st = build_constraints(rng.uniform(-0.5, 0.5, size=2), params)
-        d_box = (np.array([-b_in[1], -b_in[3]]), np.array([b_in[0], b_in[2]]), np.arange(2))
-        x_box = (np.array([0.0, 0.0, -np.inf, 0.0]),
-                 np.array([params.x_max, params.y_max, np.inf, params.v_max]), np.array([0, 1, 3]))
-        d_est, d_P, _ = _violating_runs(rng, 2, A_in, b_in, None, d_box, 4)
-        x_est, x_P, _ = _violating_runs(rng, 4, B_st, c_st, None, x_box, 4)
-        sets = [(A_in, b_in, d_est, d_P), (B_st, c_st, x_est, x_P)]
-        est, P, A, b, width, which = _stack_sets(sets, rng.permutation(8))
-        z, cov = est.copy(), P.copy()
-        active = np.zeros((8, len(A)), dtype=bool)
-        _box_project(z, cov, _ConstraintTable(A, b, width), 0, active, str)
-        for h, w in enumerate(width):
-            if which[h] == 0:
-                e, P_e, res = project_attack(_Duck(d_hat=est[h, :w], P_d=P[h, :w, :w]), A_in, b_in)
-                rows = np.flatnonzero(active[h])
-            else:
-                e, P_e, res = project_state(_Duck(x_hat=est[h], P_x=P[h]), B_st, c_st)
-                rows = np.flatnonzero(active[h]) - len(b_in)
-            assert np.array_equal(e, z[h, :w]), h
-            assert np.array_equal(P_e, cov[h, :w, :w]), h
-            assert res.active_set == tuple(rows.tolist()), h
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_random_polytopes_alone_equal_the_batch(self, seed):
-        # runs violating one to three rows, several of them past the face
-        # solve, next to runs inside the set
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 5))
-        z0 = rng.normal(size=n)
-        A = rng.normal(size=(int(rng.integers(2, 7)), n))
-        b = A @ z0 + np.abs(rng.normal(size=len(A))) + 0.05
-        est, P, _ = _violating_runs(rng, n, A, b, z0, None, 6)
-        est[4] = z0
-        z, cov = est.copy(), P.copy()
-        active = np.zeros((6, len(A)), dtype=bool)
-        _box_project(z, cov, _ConstraintTable(A, b), 0, active, str)
-        for r in range(6):
-            x_hat, P_x, res = project_state(_Duck(x_hat=est[r], P_x=P[r]), A, b)
-            assert np.array_equal(x_hat, z[r]), r
-            assert np.array_equal(P_x, cov[r]), r
-            assert res.active_set == tuple(np.flatnonzero(active[r]).tolist()), r
-            d_hat, P_d, _ = project_attack(_Duck(d_hat=est[r], P_d=P[r]), A, b)
-            assert np.array_equal(d_hat, x_hat) and np.array_equal(P_d, P_x), r
-        # the run inside the set is left as it is
-        assert not active[4].any() and np.array_equal(z[4], z0)
-
 
 def test_small_symmetric_inverse_matches_lapack():
     rng = np.random.default_rng(31)
