@@ -474,6 +474,40 @@ def _violating_runs(rng, n, A, b, z0, box, runs):
     return est, P, scale
 
 
+class TestBatchedBoxProjection:
+    """A batch of runs on one box, each run projected on its own."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_matches_oracle_and_scalar_projector(self, seed):
+        # every bounded coordinate of each run pushed past one of its bounds,
+        # so a run may violate up to four rows
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        A, b, coords, lo, hi = _random_box(rng, n)
+        runs = 8
+        P = np.empty((runs, n, n))
+        est = rng.normal(size=(runs, n))
+        for r in range(runs):
+            V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            P[r] = V @ np.diag(10.0 ** rng.uniform(-2.0, 2.0, size=n)) @ V.T
+            for j in coords:
+                out = 0.05 + 2.0 * abs(rng.normal())
+                up = np.isinf(lo[j]) or (np.isfinite(hi[j]) and rng.random() < 0.5)
+                est[r, j] = hi[j] + out if up else lo[j] - out
+        for r in range(runs):
+            z, cov, res = project_state(_Duck(x_hat=est[r], P_x=P[r]), A, b)
+            W = np.linalg.inv(P[r])
+            ref = qp_oracle(est[r], W, A, b)
+            assert np.abs(z - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max()), r
+            obj = objective(ref, est[r], W)
+            assert abs(objective(z, est[r], W) - obj) <= 1e-8 * (1.0 + obj), r
+            x, P_x, act = _search(est[r], P[r], A, b)
+            assert np.abs(z - x).max() <= 1e-8 * (1.0 + np.abs(ref).max()), r
+            assert len(res.active_set) == len(act), r
+            assert np.abs(cov - P_x).max() <= 1e-9, r
+
+
 class TestOneEntryRoutes:
     """Each route of the projector: an estimate within its set's tolerance
     keeps its value, a face of violated rows that passes its KKT test is the
