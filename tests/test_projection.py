@@ -301,6 +301,27 @@ class TestIdentities:
             np.testing.assert_allclose(Ab @ res.estimate, b[list(res.active_set)], atol=1e-7)
             assert np.all(res.multipliers >= 0.0)
 
+    def test_multipliers_are_in_the_callers_rows(self):
+        # z = e - P A_O' lam on the caller's rows, so lam = (A_O P A_O')^{-1}
+        # (A_O e - b_O) there: on random instances, and on rows of norms 3
+        # and 1e8, reached by the face solve under I and by the search under
+        # a skewed covariance
+        cases = [(e, np.linalg.inv(W), A, b, res) for e, W, A, b, _, res
+                 in self._active_instances(40, 808)]
+        A = np.array([[3.0, 0.0], [0.0, 1e8]])
+        b = np.array([3.0, 1e8])
+        for P, e in ((np.eye(2), [2.0, 2.5]), (np.array([[1.0, -0.9], [-0.9, 1.0]]), [2.0, 0.5])):
+            e = np.array(e)
+            z, _, res = project_state(_Duck(x_hat=e, P_x=P), A, b)
+            assert res.active_set == (0, 1)
+            cases.append((e, P, A, b, res))
+        for e, P, A, b, res in cases:
+            Ab, bb = A[list(res.active_set)], b[list(res.active_set)]
+            lam = np.linalg.solve(Ab @ P @ Ab.T, Ab @ e - bb)
+            np.testing.assert_allclose(res.multipliers, lam, rtol=1e-8)
+            np.testing.assert_allclose(e - P @ Ab.T @ res.multipliers, res.estimate,
+                                       atol=1e-8 * (1.0 + np.abs(e).max()))
+
     def test_weighted_orthogonality(self):
         # (I - gain A_bar)' W (gain A_bar) = 0: the correction is W-orthogonal
         # to what survives of the estimate
@@ -541,7 +562,7 @@ class TestOneEntryRoutes:
             A = rng.normal(size=(q, n))
             b = A @ z0 + np.abs(rng.normal(size=q)) + 0.05
             bounds = None
-        est, P, scale = _violating_runs(rng, n, A, b, z0, bounds, 4)
+        est, P, scale = _violating_runs(rng, n, A, b, z0, bounds, 8)
         for r in range(len(est)):
             z, cov, res = project_state(_Duck(x_hat=est[r], P_x=P[r]), A, b)
             W = np.linalg.inv(P[r] / scale[r])

@@ -6,14 +6,14 @@ at a time to that copy, and runs the test files named for the mutant with
 is reported; it survives when every test passes. The repository itself is
 never edited.
 
-    python tools/mutants.py            # every mutant
-    python tools/mutants.py -k cond    # the mutants whose name contains "cond"
+    python tools/mutants.py
+
+runs every mutant in MUTANTS; to run one alone, call `run_mutant` on it.
 
 Exits 1 when a mutant survives or cannot be applied, else 0. Needs only the
 test dependencies of the package.
 """
 
-import argparse
 import os
 import re
 import shutil
@@ -44,6 +44,8 @@ MUTANTS = [
     ("asymmetry check removed", PROJECTION,
      "if np.isfinite(P).all() and np.abs(P - P.T).max(initial=0.0) > bound:", "if False:",
      PROJECTION_TESTS),
+    ("multiplier scale dropped", PROJECTION,
+     "lam / scale[rows], G / scale[rows]", "lam, G / scale[rows]", PROJECTION_TESTS),
     ("vertex fallback removed", PROJECTION,
      "if _face_solve(e, P, A, b, face, A @ e - b, tol * row_norms)[3]:", "if False:",
      PROJECTION_TESTS),
@@ -71,21 +73,17 @@ def run_mutant(copy, name, path, old, new, tests):
     return "killed", failed.group(1) if failed else f"pytest exit {proc.returncode}"
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("-k", default="", help="run only mutants whose name contains this")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if args.k in m[0]]
+def main():
     bad = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", "*.pyc", ".pytest_cache", ".hypothesis", "*.egg-info"))
-        for name, path, old, new, tests in chosen:
+        for name, path, old, new, tests in MUTANTS:
             verdict, detail = run_mutant(copy, name, path, old, new, tests)
             bad += verdict != "killed"
             print(f"{verdict:9} {name}" + (f": {detail}" if detail else ""), flush=True)
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 
 
