@@ -20,14 +20,12 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .detector import chi2_quantile
-from .harness import monte_carlo, simulate
+from .harness import _METRIC_FIELDS, monte_carlo, simulate
 from .model import validate
 from .vehicle import VehicleParams, vehicle_constraints, vehicle_model
 
 __all__ = ["main"]
 
-_METRIC_FIELDS = ("sum_sq_state_err", "sum_sq_attack_err", "sum_trace_px",
-                  "sum_trace_pd", "f_neg", "alarm_fraction", "sustained_alarm")
 _STATE_NAMES = ("x", "y", "psi", "v")
 _ATTACK_NAMES = ("slip", "accel")
 

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .config import ScenarioConfig
-from .estimator import _require_identifiable
+from .estimator import _IDENT_LIMIT, _require_identifiable
 from .model import NoiseSpec, _draw_noise
 from .projection import _FEAS_REL
 from .vehicle import VehicleParams, attack_input, build_constraints, slip_angle, vehicle_model
@@ -150,10 +150,10 @@ def _face(E, Q, P12, S, C, lo, hi, tol):
 
 def _require_information(info, where, k):
     """`_require_identifiable` on the attack information info (filter, channel, run) of step
-    k. The batch passes if its least entry is positive and its largest within 1e12 of it,
+    k. The batch passes if its least entry is positive and its largest within _IDENT_LIMIT of it,
     which implies each column passes; if not, or NaN, each column, where(k, column), is tested."""
     least = info.min()
-    if not (least > 0.0 and info.max() <= 1e12 * least):
+    if not (least > 0.0 and info.max() <= _IDENT_LIMIT * least):
         _require_identifiable(info.min(axis=1).reshape(-1), info.max(axis=1).reshape(-1),
                               partial(where, k))
 

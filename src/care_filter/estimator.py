@@ -45,6 +45,9 @@ __all__ = [
     "time_update",
 ]
 
+# the largest condition number of the attack information G'C'R~CG that counts as identifiable
+_IDENT_LIMIT = 1e12
+
 
 class AttackUnidentifiableError(RuntimeError):
     """The attack direction is not observable through C G at this step."""
@@ -140,9 +143,9 @@ def _require_identifiable(lo, hi, where):
     """Raise AttackUnidentifiableError naming where(i), i the first stack
     position whose attack information G'C'R~CG, with least and largest
     eigenvalues lo and hi, is not positive definite or has condition number
-    above 1e12, and ValueError when those are not finite, as they are not
+    above _IDENT_LIMIT, and ValueError when those are not finite, as they are not
     for an information matrix with a non-finite entry."""
-    bad = ~((lo > 0.0) & (hi <= 1e12 * lo))  # NaN bounds count as bad
+    bad = ~((lo > 0.0) & (hi <= _IDENT_LIMIT * lo))  # NaN bounds count as bad
     if bad.any():
         i = int(np.argmax(bad))
         lo, hi = np.ravel(lo)[i], np.ravel(hi)[i]

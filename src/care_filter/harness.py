@@ -34,6 +34,10 @@ __all__ = [
     "simulate",
 ]
 
+# the metrics a run's CSV row holds, in column order
+_METRIC_FIELDS = ("sum_sq_state_err", "sum_sq_attack_err", "sum_trace_px",
+                  "sum_trace_pd", "f_neg", "alarm_fraction", "sustained_alarm")
+
 
 @dataclass(frozen=True)
 class RunMetrics:
@@ -50,9 +54,7 @@ class RunMetrics:
     max_trace_pxu: float
 
     def as_row(self):
-        return [self.sum_sq_state_err, self.sum_sq_attack_err,
-                self.sum_trace_px, self.sum_trace_pd, self.f_neg,
-                self.alarm_fraction, float(self.sustained_alarm)]
+        return [float(getattr(self, f)) for f in _METRIC_FIELDS]
 
 
 @dataclass

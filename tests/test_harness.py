@@ -1110,6 +1110,24 @@ class TestCli:
         assert lines[-2].startswith("mean,care,")
         assert lines[-1].startswith("mean,ise,")
 
+    def test_montecarlo_columns_are_the_run_metrics(self, tmp_path, capsys):
+        fields = ["sum_sq_state_err", "sum_sq_attack_err", "sum_trace_px", "sum_trace_pd",
+                  "f_neg", "alarm_fraction", "sustained_alarm"]
+        # at 150 steps every field is finite and the flag differs between the filters
+        cfg = _write(tmp_path / "cfg.txt", "horizon = 150\nruns = 2\nseed = 5\n")
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert lines[0].split(",") == ["run", "filter"] + fields
+        results = monte_carlo(ScenarioConfig(horizon=150, runs=2, seed=5))
+        for i, res in enumerate(results):
+            for j, name in enumerate(("care", "ise")):
+                metrics = res.filters[name].metrics
+                assert metrics.as_row() == [float(getattr(metrics, f)) for f in fields]
+                values = [f"{float(getattr(metrics, f)):.12g}" for f in fields]
+                assert lines[1 + 2 * i + j].split(",") == [str(i), name] + values
+
     def test_validate_passes_on_the_default_scenario(self, capsys):
         assert main(["validate"]) == 0
         assert "all checks passed" in capsys.readouterr().out

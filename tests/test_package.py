@@ -39,3 +39,15 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
             seen.update(name.split(".")[0] for name in names)
             assert seen <= allowed, (path.name, sorted(seen - allowed))
     assert "numpy" in seen
+
+
+def test_no_public_name_is_declared_twice():
+    # a star import lets a later module's name shadow an earlier one silently
+    owners = {}
+    for info in pkgutil.iter_modules(care_filter.__path__):
+        if info.name in NOT_REEXPORTED:
+            continue
+        for name in importlib.import_module(f"care_filter.{info.name}").__all__:
+            assert name not in owners, (name, owners.get(name), info.name)
+            owners[name] = info.name
+    assert len(care_filter.__all__) == len(set(care_filter.__all__))

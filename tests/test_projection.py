@@ -128,6 +128,19 @@ class TestOracleEquivalence:
         ref = qp_oracle(np.zeros(2), np.eye(2), A, b)
         assert np.abs(res.estimate - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
 
+    def test_nearly_dependent_rows_give_the_vertex_or_a_named_error(self):
+        # past eps = 5e-6 the vertex face's condition number passes the face
+        # solve's limit; row 1 must then count as dependent on row 0, or the
+        # search steps onto a face that fails its KKT test
+        for eps in (4e-6, 3e-6, 1e-6, 1e-7):
+            A = np.array([[-1.0, -1.0], [1.0, 1.0 - eps]])
+            b = np.array([-1.0, 0.0])
+            try:
+                res = project(np.zeros(2), np.eye(2), A, b)
+            except InfeasibleConstraintsError:
+                continue
+            np.testing.assert_allclose(res.estimate, [1.0 - 1.0 / eps, 1.0 / eps], rtol=1e-8)
+
     def test_oracle_is_accurate_at_large_multipliers(self):
         # multipliers near 1e8: a plain least-squares KKT solve lands 1.5e-8
         # relative from the vertex (1 - 1/eps, 1/eps), one refinement step

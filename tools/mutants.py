@@ -1,4 +1,4 @@
-"""Mutation check of the projector: does some test fail on each listed bug?
+"""Mutation check of the package: does some test fail on each listed bug?
 
 Copies the repository to a temporary directory, applies one textual mutation
 at a time to that copy, and runs the test files named for the mutant with
@@ -25,6 +25,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PROJECTION = "src/care_filter/projection.py"
 PROJECTION_TESTS = ("tests/test_projection.py",)
+ENSEMBLE = "src/care_filter/ensemble.py"
+ESTIMATOR = "src/care_filter/estimator.py"
+DETECTOR = "src/care_filter/detector.py"
+KERNEL_TESTS = ("tests/test_harness.py",)
+ESTIMATOR_TESTS = ("tests/test_estimator.py", "tests/test_harness.py")
+DETECTOR_TESTS = ("tests/test_detector.py", "tests/test_harness.py")
 
 # (name, file, text to replace, its replacement, test files to run)
 MUTANTS = [
@@ -49,6 +55,22 @@ MUTANTS = [
     ("vertex fallback removed", PROJECTION,
      "if _face_solve(e, P, A, b, face, A @ e - b, tol * row_norms)[3]:", "if False:",
      PROJECTION_TESTS),
+    ("dependence threshold removed", PROJECTION,
+     "_DEP_REL = 1e-11", "_DEP_REL = 0.0", PROJECTION_TESTS),
+    ("trace transient 100 -> 101", ENSEMBLE,
+     "_TRANSIENT = 100", "_TRANSIENT = 101", KERNEL_TESTS),
+    ("identifiability limit 1e12 -> 1e13", ESTIMATOR,
+     "_IDENT_LIMIT = 1e12", "_IDENT_LIMIT = 1e13", ESTIMATOR_TESTS),
+    ("identifiability ratio strict", ESTIMATOR,
+     "hi <= _IDENT_LIMIT * lo", "hi < _IDENT_LIMIT * lo", ESTIMATOR_TESTS),
+    ("box covariance left after projection", ENSEMBLE,
+     "    np.putmask(P12, F[0] | F[1], 0.0)\n", "", KERNEL_TESTS),
+    ("channel rows swapped", ENSEMBLE,
+     "_CH = [[0, 1], [3, 2]]", "_CH = [[3, 2], [0, 1]]", KERNEL_TESTS),
+    ("detector floor 1e-12 -> 1e-10", DETECTOR,
+     "lam = np.maximum(lam, 1e-12 *", "lam = np.maximum(lam, 1e-10 *", DETECTOR_TESTS),
+    ("CUSUM forgetting factor ignored", DETECTOR,
+     "S = acc[..., j] = config.phi * S + stat", "S = acc[..., j] = S + stat", DETECTOR_TESTS),
 ]
 
 
