@@ -12,12 +12,14 @@ Automatica 23(6), 1987): W = R~ - h M, x = y - R W nu, P = R - R W R. Each box r
 one coordinate, so the attack's projection is a clip and the state's a 2 x 2 box problem
 per channel, `_box_pairs` (Simon, IET CTA 4(8), 2010), with the general projector's
 tolerance `projection._FEAS_REL`, so the active counts are the general projector's. Every
-operation acts on one run at a time, so a run's result does not depend on its batch, bit
-for bit. Noise comes from `NoiseSpec(seed, i)` in chunks of _NOISE_CHUNK steps, bit for
-bit `NoiseSpec.sample`, each held in channel form. A step's checks test the whole batch
-first and run the exact per-column test, naming the column, only when that fails.
-`_blocks` records _BLOCK steps at a time, and every output of `harness._run` and
-`run_ensemble` is assembled from them.
+column is projected in one contiguous pass, the ise columns on unbounded boxes, and a face's
+multiplier test runs only where a channel holds both coordinates: one coordinate held on the
+side it passed has a nonnegative multiplier, Q_i |e_i - c_i|. Every operation acts on one
+run at a time, so a run's result does not depend on its batch, bit for bit. Noise comes
+from `NoiseSpec(seed, i)` in chunks of _NOISE_CHUNK steps, bit for bit `NoiseSpec.sample`,
+each held in channel form. A step's checks test the whole batch first and run the exact
+per-column test, naming the column, only when that fails. `_blocks` records _BLOCK steps
+at a time, and every output of `harness._run` and `run_ensemble` is assembled from them.
 """
 
 from dataclasses import dataclass
@@ -46,13 +48,13 @@ _CH_POS = np.argsort(np.ravel(_CH))  # each state's place in (coordinate, channe
 # coordinate at its upper bound, -1 at its lower one
 _FACES = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
           (1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
-# steps per block of `_blocks`, whose buffers hold 32 + 248 bytes per run-step and filter.
+# steps per block of `_blocks`, whose buffers hold 32 + 256 bytes per run-step and filter.
 # On 2 x86-64 cores, recording and assembly added 23 us per run-step in blocks of 1 and 5.4
 # in 32 or 64 (monte_carlo 4 x 1,000), 5.3 and 0.5-1.0 (audited run_ensemble 50 x 1,000)
 _BLOCK = 32
 _TRANSIENT = 100  # steps the trace maxima skip: the initial covariance's transient
-# steps of noise per chunk. A chunk's draw and channel-form noise hold 128 bytes per
-# run and step, 64 more while drawn. A 24-run batch's draw took 6.1, 4.3 and 3.9 us
+# steps of noise per chunk. A chunk's draw, channel-form noise and attack input hold 160
+# bytes per run and step, 64 more while drawn. A 24-run batch's draw took 6.1, 4.3 and 3.9 us
 # per step in chunks of 64, 128 and 256 (best of 3), and 200 runs over 10,000 steps
 # peaked at 55.6, 58.3 and 63.0 MB RSS
 _NOISE_CHUNK = 128
@@ -137,15 +139,21 @@ def _intervals(name, A, b):
     return lo, hi, np.abs(b / a).max(initial=0.0)
 
 
-def _face(E, Q, P12, S, C, lo, hi, tol):
-    """The KKT point Z of pairs E = (e1, e2) on the face holding coordinate i at C_i where
-    its side S_i is 1 (upper bound) or -1 (lower), free where S_i = 0 (C_i = E_i there), for
-    partner variances Q = (P22, P11) and covariance P12; and whether Z passes the KKT test:
-    every bound met within tol, multipliers >= 0, on the face S_i [P^{-1} (E - C)]_i det P."""
-    D = E - C
-    Z = np.where(S != 0.0, C, E - P12 / Q * D[::-1])
-    ok = (S * (Q * D - P12 * D[::-1]) >= 0.0) & (np.maximum(Z - hi, lo - Z) <= tol)
-    return Z, ok[0] & ok[1]
+def _face(E, Q, P12, H, F, C, lo, hi, tol, S=None):
+    """The KKT point Z of pairs E = (e1, e2) on the face holding coordinate i at C_i where F_i,
+    free elsewhere, for held offsets H = E - C (0 where free), partner variances Q = (P22, P11)
+    and covariance P12; and whether Z passes the KKT test: every bound met within tol, and
+    multipliers >= 0, on the face S_i [P^{-1} H]_i det P for sides S, 1 upper and -1 lower.
+    S=None holds each coordinate on the side it passed, sign(H): a channel holding one then
+    has the multiplier S_i Q_i H_i = Q_i |H_i| >= 0, so only channels holding both are tested."""
+    Z = np.where(F, C, E - P12 / Q * H[::-1])
+    ok = np.maximum(Z - hi, lo - Z) <= tol
+    ok = ok[0] & ok[1]
+    both = F[0] & F[1] if S is None else np.True_
+    if np.count_nonzero(both):
+        lam = (np.sign(H) if S is None else S) * (Q * H - P12 * H[::-1]) >= 0.0
+        ok &= lam[0] & lam[1] | ~both
+    return Z, ok
 
 
 def _require_information(info, where, k):
@@ -162,40 +170,45 @@ def _box_pairs(E, P, P12, lo, hi, tol, where):
     """Project pairs E = (e1, e2) onto boxes lo <= z <= hi in the metrics
     (P11, P12; P12, P22)^{-1}, P = (P11, P22), in place.
 
-    E, P, lo and hi are (2, 2, n), P12 (2, n) and tol (n,): the two channels of n entries,
-    +-inf where a coordinate has no bound. A bound is violated when passed by more than tol.
-    A pair stays on the face of its violated bounds if that passes `_face`'s KKT test;
-    otherwise the first face of _FACES that passes is the optimum, unique for a positive
-    definite metric. The covariance becomes (I - G A_O) P (I - G A_O)': a bounded
-    coordinate's variance and covariance drop to 0, a free one's loses P12^2 over the
-    other's. Returns each entry's active bounds, summed over channels, and whether any of its
-    channels left its violated bounds' face; RuntimeError names where(i) if no face passes.
-    """
+    E, P, lo and hi are (2, ..., 2, n), P12 (..., 2, n) and tol broadcasts to (..., 2, n),
+    as (n,) does for (2, 2, n): the two channels of the entries (..., n), +-inf where a
+    coordinate has no bound. A bound is violated when passed by more than tol. A pair stays
+    on the face of its violated bounds if that passes `_face`'s KKT test; otherwise the
+    first face of _FACES that passes is the optimum, unique for a positive definite metric.
+    The covariance becomes (I - G A_O) P (I - G A_O)': a bounded coordinate's variance and
+    covariance drop to 0, a free one's loses P12^2 over the other's. Returns each entry's
+    active bounds, summed over channels, and whether any of its channels left its violated
+    bounds' face; RuntimeError names where(..., i) if no face passes."""
     C = np.minimum(np.maximum(E, lo), hi)
     D = E - C
     F = np.abs(D) > tol
     if not np.count_nonzero(F):
-        return np.zeros(E.shape[-1], dtype=np.int64), np.zeros(E.shape[-1], dtype=bool)
-    S, C, Q = np.sign(D) * F, np.where(F, C, E), P[::-1]
-    Z, ok = _face(E, Q, P12, S, C, lo, hi, tol)
+        left = np.zeros(E.shape[1:-2] + E.shape[-1:], dtype=bool)
+        return np.zeros(left.shape, dtype=np.int64), left
+    Q = P[::-1]
+    Z, ok = _face(E, Q, P12, D * F, F, C, lo, hi, tol)
     left = ~ok
     if np.count_nonzero(left):
+        tol = np.broadcast_to(tol, left.shape)
         with np.errstate(invalid="ignore"):
-            for c, i in zip(*left.nonzero()):
-                pair, box = (E[:, c, i], Q[:, c, i], P12[c, i]), (lo[:, c, i], hi[:, c, i])
+            for at in zip(*left.nonzero()):
+                a = (slice(None),) + at
+                pair, box = (E[a], Q[a], P12[at]), (lo[a], hi[a])
                 for side in map(np.array, _FACES):
                     target = np.where(side > 0, box[1], np.where(side < 0, box[0], pair[0]))
-                    z, good = _face(*pair, side, target, *box, tol[i])
+                    held = side != 0.0
+                    z, good = _face(*pair, pair[0] - target, held, target, *box, tol[at], side)
                     if good:
-                        Z[:, c, i], S[:, c, i] = z, side
+                        Z[a], F[a] = z, held
                         break
                 else:
-                    raise RuntimeError(f"no face of the box passes the KKT test at {where(i)}")
-        F = S != 0.0
+                    raise RuntimeError("no face of the box passes the KKT test at "
+                                       f"{where(*at[:-2], at[-1])}")
     E[...] = Z
     P[...] = np.where(F, 0.0, P - F[::-1] * (P12 * P12 / Q))
     np.putmask(P12, F[0] | F[1], 0.0)
-    return F.sum(axis=(0, 1)), left[0] | left[1]
+    count = np.add(F[0], F[1], dtype=np.int64)
+    return count[..., 0, :] + count[..., 1, :], left[..., 0, :] | left[..., 1, :]
 
 
 class _Batch:
@@ -207,7 +220,7 @@ class _Batch:
     matrices on its own speed estimate, the plant on the true speed. After `step(k)` the
     properties x and x_true read step k's final and true states one row per column, each a
     new array assembled on request. in_act and st_act, the halves of act, are the active
-    constraint counts, mcg_dev max |M C G - I|.
+    constraint counts; dev is |M C G - I| (filter, channel, run), mcg_dev its column maxima.
     """
 
     def __init__(self, config: ScenarioConfig, run_indices, filters):
@@ -229,11 +242,12 @@ class _Batch:
         # one chunk's standard normals, m + n_y = 8 per run and step, and its w and v
         self.z = np.empty((R, min(_NOISE_CHUNK, K), 8, 1))
         self.noise = np.empty((2, min(_NOISE_CHUNK, K), 2, 2, R))
-        self._draw_chunk(0)
+        self.d_chunk = np.empty((min(_NOISE_CHUNK, K), 2, 2, R))  # the chunk's d per G entry
         self.d_true = np.zeros((K, 2))
         if config.attack == "vehicle":
             for k in range(K):
                 self.d_true[k] = attack_input(k, params)
+        self._draw_chunk(0)
 
         u_raw = (config.control_delta, config.control_accel)
         self.A_in, self.b_in, self.B_st, self.c_st = build_constraints(u_raw, params)
@@ -255,8 +269,12 @@ class _Batch:
         self.u, self.u_plant = spread(u, both), spread(u, plant)
         self.qr, self.r = spread((q + r)[_CH], both), spread(r[_CH], both)
         self.r_sq, self.r12 = self.r ** 2, self.r[0] * self.r[1]
-        self.d_box = spread(d_lo[::-1], (2, R)), spread(d_hi[::-1], (2, R))
-        self.x_box = spread(x_lo[_CH], plant), spread(x_hi[_CH], plant)
+        # every column's attack and state box; the ise columns' are unbounded
+        care = np.array([name == "care" for name in self.names])[:, None, None]
+        self.d_box, self.x_box = ((np.where(care, spread(lo, shape), -np.inf),
+                                   np.where(care, spread(hi, shape), np.inf))
+                                  for lo, hi, shape in ((d_lo[::-1], d_hi[::-1], (F, 2, R)),
+                                                        (x_lo[_CH], x_hi[_CH], both)))
         # the road and speed box of the truth; the heading is free
         self.truth_box = tuple(spread(np.array(b)[_CH], plant) for b in (
             (0.0, 0.0, -np.inf, 0.0), (params.x_max, params.y_max, np.inf, params.v_max)))
@@ -266,15 +284,20 @@ class _Batch:
         self.n_care = R if "care" in self.names else 0
         self.fallbacks = 0
         self.in_act, self.st_act = self.act = np.zeros((2, F * R), dtype=np.int64)
-        self.y = np.empty(both)
+        self.act_cols = self.act.reshape(2, F, R)
+        self.y, self.dev = np.empty(both), np.zeros((F, 2, R))
         self.fin, self.raw = self.fin_raw = np.zeros((2, _ROWS, F, 2, R))
         x0 = np.asarray(config.x0, dtype=float)
         self.fin[_E1:_E2 + 1] = spread(x0[_CH], both)
         self.fin[_P11:_P22 + 1] = spread(p0[_CH], both)
         self.truth = spread(x0[_CH], plant)
+        # the row views a step reads and writes, (E, P, P12, d, Pd) of fin and raw
+        self.fin_rows, self.raw_rows = ((b[_E1:_E2 + 1], b[_P11:_P22 + 1], b[_P12], b[_D], b[_PD])
+                                        for b in (self.fin, self.raw))
 
     x = property(lambda self: _now(_states, self.fin))
     x_true = property(lambda self: _now(_states, self.truth))
+    mcg_dev = property(lambda self: np.maximum(self.dev[:, 0], self.dev[:, 1]).reshape(-1))
 
     def _draw_chunk(self, k0):
         """Draw the noise of steps k0 + 1 ... k0 + c, c = min(_NOISE_CHUNK, K - k0), as
@@ -284,6 +307,7 @@ class _Batch:
         self.w, self.v = noise = self.noise[:, :c]
         for X, out in zip(_draw_noise(self.generators, self.noise_model, k0, self.z[:, :c]), noise):
             out.reshape(c, 4, -1)[:, _CH_POS] = np.moveaxis(X, 0, -1)
+        self.d_chunk[:c] = self.d_true[k0:k0 + c, None, ::-1, None]
 
     def _where(self, k, row):
         R = len(self.run_indices)
@@ -295,7 +319,7 @@ class _Batch:
         if j == len(self.w):
             self._draw_chunk(km1)
             j = 0
-        fin, raw, T, l_r = self.fin, self.raw, self.params.T_s, self.params.l_r
+        T, l_r = self.params.T_s, self.params.l_r
 
         # the truth, A x + B u + B d + w clipped, in the matrices' order of sums: A couples
         # each channel's first coordinate to its second by s, and (g1, g2) is its input column
@@ -304,15 +328,14 @@ class _Batch:
         prior = truth.copy()
         prior[0] += s * truth[1]
         prior += G * self.u_plant
-        prior += G * self.d_true[km1, ::-1, None]
+        prior += G * self.d_chunk[j]
         np.add(prior, self.w[j], out=truth)
         if self.clamp_truth:
             np.minimum(np.maximum(truth, self.truth_box[0], out=truth), self.truth_box[1], out=truth)
         y = np.add(truth[:, None], self.v[j][:, None], out=self.y)  # one y per filter
 
         # the filters on their own speeds: the innovation and S = A P A' + Q + R
-        E, P, P12 = fin[_E1:_E2 + 1], fin[_P11:_P22 + 1], fin[_P12]
-        s, G = self.sched[0], self.sched[1:]
+        (E, P, P12, _, _), s, G = self.fin_rows, self.sched[0], self.sched[1:]
         _schedule(E[1, :, 0], T, l_r, self.sched)
         nu = E + G * self.u
         nu[0] += s * E[1]
@@ -327,113 +350,110 @@ class _Batch:
         Gh = G * h
         info = Gh[0] + Gh[1]
         _require_information(info, self._where, k)
-        M = np.divide(1.0, info, out=raw[_PD]) * h
+        x_raw, P_raw, P12_raw, d_raw, Pd_raw = self.raw_rows
+        M = np.divide(1.0, info, out=Pd_raw) * h
         Mnu, MG = M * nu, M * G
-        np.add(Mnu[0], Mnu[1], out=raw[_D])
-        dev = np.abs(MG[0] + MG[1] - 1.0)
-        self.mcg_dev = np.maximum(dev[:, 0], dev[:, 1]).reshape(-1)
+        np.add(Mnu[0], Mnu[1], out=d_raw)
+        self.dev = np.abs(MG[0] + MG[1] - 1.0)
         # W = R~ - h M = (W11, -B12; -B12, W22), x = y - R W nu, P = R - R W R
         W, B12 = Rt - h * M, A12 + h[0] * M[1]
-        np.subtract(y, self.r * (W * nu - B12 * nu[::-1]), out=raw[_E1:_E2 + 1])
-        np.subtract(self.r, self.r_sq * W, out=raw[_P11:_P22 + 1])
-        np.multiply(self.r12, B12, out=raw[_P12])
-        fin[...] = raw
+        np.subtract(y, self.r * (W * nu - B12 * nu[::-1]), out=x_raw)
+        np.subtract(self.r, self.r_sq * W, out=P_raw)
+        np.multiply(self.r12, B12, out=P12_raw)
+        self.fin[...] = self.raw
         if self.n_care:
             self._project(k)
 
     def _project(self, k):
-        """Project the care columns of fin onto the attack and state boxes."""
-        blk, n = self.fin[:, 0], self.n_care
-        finite = np.isfinite(blk)
+        """Project every column of fin onto its attack and state boxes in one pass; the ise
+        columns' boxes are unbounded, so their clip is the identity and no bound is violated."""
+        finite = np.isfinite(self.fin)
         if np.count_nonzero(finite) != finite.size:
-            i = int((~finite.all(axis=(0, 1))).argmax())
-            field = "covariance" if finite[[_E1, _E2, _D], :, i].all() else "estimate"
+            i = int((~finite.all(axis=(0, 2))).argmax())  # the column f * R + run
+            field = "covariance" if finite[[_E1, _E2, _D]].all(axis=(0, 2)).flat[i] else "estimate"
             raise ValueError(f"non-finite {field} at {self._where(k, i)}")
-        d, Pd = blk[_D], blk[_PD]
-        tol = _FEAS_REL * (1.0 + np.sqrt(d[1] * d[1] + d[0] * d[0]) + self.d_maxb)
+        E, P, P12, d, Pd = self.fin_rows
+        tol = _FEAS_REL * (1.0 + np.sqrt(d[:, 1] * d[:, 1] + d[:, 0] * d[:, 0]) + self.d_maxb)
         clip = np.minimum(np.maximum(d, self.d_box[0]), self.d_box[1])
-        act = np.abs(d - clip) > tol
+        act = np.abs(d - clip) > tol[:, None]
         if np.count_nonzero(act):
             np.copyto(d, clip, where=act)
             np.putmask(Pd, act, 0.0)
-        self.in_act[:n] = act.sum(axis=0)
-        E = blk[_E1:_E2 + 1]
+        np.add(act[:, 0], act[:, 1], dtype=np.int64, out=self.act_cols[0])
         E2 = E * E  # summed in state order, x, y, psi, v
-        tol = _FEAS_REL * (1.0 + np.sqrt(E2[0, 0] + E2[0, 1] + E2[1, 1] + E2[1, 0]) + self.x_maxb)
-        self.st_act[:n], left = _box_pairs(E, blk[_P11:_P22 + 1], blk[_P12], *self.x_box, tol,
-                                           lambda i: self._where(k, i))
+        tol = _FEAS_REL * (1.0 + np.sqrt(E2[0, :, 0] + E2[0, :, 1] + E2[1, :, 1] + E2[1, :, 0])
+                           + self.x_maxb)
+        R = len(self.run_indices)
+        self.act_cols[1], left = _box_pairs(E, P, P12, *self.x_box, tol[:, None],
+                                            lambda f, i: self._where(k, f * R + i))
         self.fallbacks += int(np.count_nonzero(left))
 
 
 def _blocks(batch):
-    """Step `batch` through its horizon, copying each step's fin_raw, truth, act and mcg_dev
-    into buffers of _BLOCK steps laid out (..., step, run). Yields each full block, and the
-    horizon's last, as (k0, fin_raw, truth, act, mcg_dev) of steps k0 + 1 ... k0 + m: views
-    that the next overwrites.
-    """
+    """Step `batch` through its horizon, copying each step's fin_raw, truth, act and dev into
+    buffers of _BLOCK steps laid out (..., step, run). Yields each full block, and the
+    horizon's last, as (k0, fin_raw, truth, act, mcg) of steps k0 + 1 ... k0 + m: views
+    that the next overwrites, and mcg, each column's largest |M C G - I| in the block."""
     K, R, N = batch.horizon, len(batch.run_indices), batch.act.shape[1]
     B = min(_BLOCK, K)
     fin_raw, truth = np.empty(batch.fin_raw.shape[:-1] + (B, R)), np.empty((2, 2, B, R))
-    act, mcg = np.empty((2, B, N), dtype=np.int64), np.empty((B, N))
+    act, dev = np.empty((2, B, N), dtype=np.int64), np.empty((B,) + batch.dev.shape)
     m = 0
     for k in range(1, K + 1):
         batch.step(k)
         fin_raw[..., m, :] = batch.fin_raw
         truth[..., m, :] = batch.truth
         act[:, m] = batch.act
-        mcg[m] = batch.mcg_dev
+        dev[m] = batch.dev
         m += 1
         if m == B or k == K:
-            yield k - m, fin_raw[..., :m, :], truth[..., :m, :], act[:, :m], mcg[:m]
+            mcg = dev[:m].max(axis=(0, 2)).reshape(N)
+            yield k - m, fin_raw[..., :m, :], truth[..., :m, :], act[:, :m], mcg
             m = 0
 
 
-def _audit_update(audit, which, w_con, w_unc, e_con, e_unc, tr_pre, tr_post):
-    """Tally norm and trace comparisons for the audited entries, the columns of e_con and
-    e_unc, each one run at one step where a projection moved the estimate. Norms use the
-    projection's own metric (the inverse unconstrained covariance; w_con and w_unc are the
-    errors' norms in it) next to the Euclidean norm, which the oblique projection does not
-    contract in general; both counts are kept so the audit can report the difference.
+def _audit_update(audit, which, audited, w_con, w_unc, e_con, e_unc, tr_pre, tr_post):
+    """Tally norm and trace comparisons for the entries where `audited` is set, each one run
+    at one step where a projection moved the estimate. Norms use the projection's own metric
+    (the inverse unconstrained covariance; w_con and w_unc are the errors' norms in it) next
+    to the Euclidean norm of e_con and e_unc over their first axis, which the oblique
+    projection does not contract in general; both counts are kept for the audit's report.
     """
     m_w = w_con - w_unc
     m_e = np.linalg.norm(e_con, axis=0) - np.linalg.norm(e_unc, axis=0)
-    audit[f"active_{which}"] += int(e_con.shape[1])
-    audit[f"viol_{which}_weighted"] += int((m_w > 1e-10).sum())
-    audit[f"viol_{which}_euclid"] += int((m_e > 1e-10).sum())
-    audit[f"worst_{which}_weighted"] = max(audit[f"worst_{which}_weighted"], float(m_w.max()))
-    audit[f"worst_{which}_euclid"] = max(audit[f"worst_{which}_euclid"], float(m_e.max()))
-    audit[f"viol_trace_{which}"] += int((tr_post > tr_pre).sum())
-    audit[f"viol_strict_{which}"] += int((tr_post >= tr_pre).sum())
+    for key, hit in (("active_{}", audited), ("viol_{}_weighted", m_w > 1e-10),
+                     ("viol_{}_euclid", m_e > 1e-10), ("viol_trace_{}", tr_post > tr_pre),
+                     ("viol_strict_{}", tr_post >= tr_pre)):
+        audit[key.format(which)] += int(np.count_nonzero(hit & audited))
+    for key, margin in ((f"worst_{which}_weighted", m_w), (f"worst_{which}_euclid", m_e)):
+        audit[key] = max(audit[key], float(margin.max(where=audited, initial=-np.inf)))
 
 
 def _audit_block(audit, batch, k0, fin, raw, truth, act):
     """Tally the projection audit of steps k0 + 1 ... k0 + m in one vectorized pass of two
     `_audit_update` calls, from the care blocks fin and raw (rows, channel, m, run), the
-    truth (2, 2, m, run) and the active counts act (2, m, run). Every tally is a count, a
-    sum or a maximum of per-entry arithmetic, so it does not depend on the blocks."""
+    truth (2, 2, m, run) and the active counts act (2, m, run), over the whole block. Every
+    tally is a count, a sum or a maximum of per-entry arithmetic, so blocks do not matter."""
     m, R = truth.shape[-2:]
-    # column s * R + i is run i at the block's step s
-    fin, raw, truth, (in_act, st_act) = (a.reshape(a.shape[:-2] + (-1,))
-                                         for a in (fin, raw, truth, act))
     # the attack's truth is shared by every run, so its feasibility is per step
     d_feas = (batch.d_true[k0:k0 + m] @ batch.A_in.T <= batch.b_in).all(axis=1)
-    x_feas = (_now(_states, truth) @ batch.B_st.T <= batch.c_st).all(axis=1)
+    x_feas = (_now(_states, truth.reshape(2, 2, -1)) @ batch.B_st.T <= batch.c_st).all(axis=1)
     audit["truth_infeasible_steps"] += R * int((~d_feas).sum()) + int((~x_feas).sum())
-    ar = np.flatnonzero((in_act > 0) & np.repeat(d_feas, R))
-    if ar.size:
-        d_ar, Pd_raw = batch.d_true[k0 + ar // R, ::-1].T, raw[_PD][:, ar]
-        e = fin[_D][:, ar] - d_ar, raw[_D][:, ar] - d_ar
-        _audit_update(audit, "d", *(np.sqrt((x * x / Pd_raw).sum(axis=0)) for x in e), *e,
-                      Pd_raw.sum(axis=0), fin[_PD][:, ar].sum(axis=0))
-    ar = np.flatnonzero((st_act > 0) & x_feas)
-    if ar.size:
-        P11, P22, P12 = raw[_P11:_P12 + 1, :, ar]
-        e = [blk[:2, :, ar] - truth[:, :, ar] for blk in (fin, raw)]
+    audited = (act[0] > 0) & d_feas[:, None]
+    if np.count_nonzero(audited):
+        d, Pd_raw = batch.d_true[k0:k0 + m, ::-1].T[..., None], raw[_PD]
+        e = fin[_D] - d, raw[_D] - d
+        _audit_update(audit, "d", audited, *(np.sqrt((x * x / Pd_raw).sum(axis=0)) for x in e),
+                      *e, Pd_raw.sum(axis=0), fin[_PD].sum(axis=0))
+    audited = (act[1] > 0) & x_feas.reshape(m, R)
+    if np.count_nonzero(audited):
+        P11, P22, P12 = raw[_P11:_P12 + 1]
+        e = [blk[:2] - truth for blk in (fin, raw)]
         # e' P_raw^{-1} e channel by channel, each 2 x 2 block in closed form
         w = [np.sqrt(((P22 * x[0] ** 2 - 2.0 * P12 * x[0] * x[1] + P11 * x[1] ** 2)
                       / (P11 * P22 - P12 * P12)).sum(axis=0)) for x in e]
-        _audit_update(audit, "x", *w, *(x.reshape(4, -1) for x in e), (P11 + P22).sum(axis=0),
-                      (fin[_P11] + fin[_P22])[:, ar].sum(axis=0))
+        _audit_update(audit, "x", audited, *w, *(x.reshape((4, m, R)) for x in e),
+                      (P11 + P22).sum(axis=0), (fin[_P11] + fin[_P22]).sum(axis=0))
 
 
 def run_ensemble(config: ScenarioConfig, runs: int = None, constrained: bool = True,

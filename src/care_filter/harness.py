@@ -144,7 +144,7 @@ def _run(config: ScenarioConfig, run_indices, filters, detector):
         TX[:, new], TX_raw[:, new] = _traces(fin[_P11] + fin[_P22]), _traces(raw[_P11] + raw[_P22])
         TD[:, old], TD_raw[:, old] = _traces(fin[_PD]), _traces(raw[_PD])
         act_rec[..., old] = act.swapaxes(1, 2)
-        np.maximum(max_mcg, mcg.max(axis=0), out=max_mcg)
+        np.maximum(max_mcg, mcg, out=max_mcg)
     max_pxu = TX_raw[:, _TRANSIENT + 1:].max(axis=1, initial=0.0)
 
     if detector:

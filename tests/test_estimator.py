@@ -18,6 +18,7 @@ from care_filter.estimator import (
     AttackUnidentifiableError,
     EstimatorState,
     Prediction,
+    _require_identifiable,
     care_step,
     estimate_attack,
     initial_state,
@@ -161,6 +162,13 @@ class TestAttackEstimate:
         pred = predict(state, model, [0.0])
         with pytest.raises(AttackUnidentifiableError):
             estimate_attack(pred, model, state.P_x, np.zeros(2))
+
+    def test_condition_number_at_the_limit_is_identifiable(self):
+        # only a condition number above 1e12 is refused: at exactly 1e12 the
+        # information passes, and one rounding step above it does not
+        _require_identifiable(np.array([1.0]), np.array([1e12]), str)
+        with pytest.raises(AttackUnidentifiableError, match="condition number exceeds 1e12"):
+            _require_identifiable(np.array([1.0]), np.array([np.nextafter(1e12, np.inf)]), str)
 
 
 class TestTimeUpdate:

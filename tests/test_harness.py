@@ -177,6 +177,13 @@ class TestSimulate:
         with pytest.raises(ValueError, match="^run_index must be a nonnegative integer"):
             simulate(ScenarioConfig(horizon=10), run_index=bad)
 
+    def test_trace_maximum_skips_exactly_the_first_100_steps(self):
+        # the largest trace of P_raw past the transient falls at k = 101 here,
+        # so a window moved by one step would change the metric
+        fr = simulate(ScenarioConfig(horizon=300, seed=11)).filters["care"]
+        assert fr.trace_px_raw[101:].argmax() == 0
+        assert fr.metrics.max_trace_pxu == fr.trace_px_raw[101:].max()
+
     def test_no_attack_keeps_estimates_close(self):
         cfg = ScenarioConfig(horizon=200, seed=5, attack="none")
         res = simulate(cfg)
@@ -420,9 +427,10 @@ class TestEnsemble:
         assert clamped > 0
 
     def test_each_step_solves_one_face_of_the_violated_bounds(self, monkeypatch):
-        # the state projection of every care run is one face solve per step
-        # over both channels, none on a step whose estimates meet the box,
-        # and the vehicle boxes never send a run to the other faces
+        # the state projection of every column is one face solve per step over
+        # both filters and channels (the ise columns on unbounded boxes), none
+        # on a step whose estimates meet the box, and the vehicle boxes never
+        # send a run to the other faces
         calls = []
         face = ensemble._face
 
@@ -437,7 +445,7 @@ class TestEnsemble:
         for k in range(1, 301):
             calls.clear()
             batch.step(k)
-            assert calls == ([(2, 2, 6)] if batch.st_act.any() else []), k
+            assert calls == ([(2, 2, 2, 6)] if batch.st_act.any() else []), k
             active += int(batch.st_act.any())
         assert active > 0 and batch.fallbacks == 0
 
@@ -541,6 +549,24 @@ class TestEnsemble:
             bad[1, 1, 1] = value
             with pytest.raises(error, match=f"^{re.escape(why)}$"):
                 require(bad)
+
+    def test_batch_information_at_the_limit_passes_at_once(self, monkeypatch):
+        # a batch whose largest information is exactly 1e12 times its least
+        # passes the batch test itself; one rounding step above, the columns
+        # take the exact test, which refuses the one past the limit
+        batch = ensemble._Batch(ScenarioConfig(horizon=5, seed=3), [4, 9, 11], ("care", "ise"))
+        exact = []
+        monkeypatch.setattr(ensemble, "_require_identifiable",
+                            lambda *args: exact.append(args) or _require_identifiable(*args))
+        info = np.full((2, 2, 3), 1.0)
+        info[1, 1, 1] = 1e12
+        ensemble._require_information(info, batch._where, 7)
+        assert exact == []
+        info[1, 1, 1] = np.nextafter(1e12, np.inf)
+        with pytest.raises(AttackUnidentifiableError, match="run 9, filter ise: G'C'R~CG "
+                                                            "condition number exceeds 1e12"):
+            ensemble._require_information(info, batch._where, 7)
+        assert len(exact) == 1
 
     def test_non_finite_run_of_a_batch_is_named(self, monkeypatch):
         # run 2's measurement of x turns NaN at step C + 6, in the second
@@ -965,6 +991,21 @@ class TestChannelForm:
         np.testing.assert_allclose(got[1], ref[1], rtol=0, atol=1e-12)
         if active == 0:
             assert np.array_equal(got[0], e) and np.array_equal(got[1], P)
+
+    def test_entry_within_tolerance_stays_put_beside_a_projected_one(self):
+        # in channel 0, entry 0 passes x <= 1 and is projected; entry 1 passes it
+        # by less than the tolerance and keeps its estimate and covariance bit
+        # for bit. Channel 1 is unbounded (coordinate, channel, entry)
+        E = np.array([[[1.5, 1.0 + 5e-11], [1.0, 1.0]], [[0.8, 0.5], [2.0, 2.0]]])
+        V, P12 = np.ones((2, 2, 2)), np.full((2, 2), 0.9)
+        lo, hi = np.zeros((2, 2, 2)), np.ones((2, 2, 2))
+        lo[:, 1], hi[:, 1] = -np.inf, np.inf
+        tol = _FEAS_REL * (1.0 + np.sqrt((E * E).sum(axis=(0, 1))) + 1.0)
+        kept = E[..., 1].copy(), V[..., 1].copy(), P12[:, 1].copy()
+        count, left = ensemble._box_pairs(E, V, P12, lo, hi, tol, str)
+        assert count.tolist() == [1, 0] and not left.any()
+        for got, want in zip((E[..., 1], V[..., 1], P12[:, 1]), kept):
+            assert _same(got, want)
 
     def test_pair_projection_matches_project_state(self):
         # random 2 x 2 metrics (correlation up to 0.99, variances over four

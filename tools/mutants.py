@@ -67,6 +67,13 @@ MUTANTS = [
      "    np.putmask(P12, F[0] | F[1], 0.0)\n", "", KERNEL_TESTS),
     ("channel rows swapped", ENSEMBLE,
      "_CH = [[0, 1], [3, 2]]", "_CH = [[3, 2], [0, 1]]", KERNEL_TESTS),
+    ("face multiplier gate skipped", ENSEMBLE,
+     "    if np.count_nonzero(both):\n", "    if False:\n", KERNEL_TESTS),
+    ("free offsets passed to the face", ENSEMBLE,
+     "_face(E, Q, P12, D * F, F, C, lo, hi, tol)", "_face(E, Q, P12, D, F, C, lo, hi, tol)",
+     KERNEL_TESTS),
+    ("ise columns given the care boxes", ENSEMBLE,
+     '[name == "care" for name in self.names]', '[True for name in self.names]', KERNEL_TESTS),
     ("detector floor 1e-12 -> 1e-10", DETECTOR,
      "lam = np.maximum(lam, 1e-12 *", "lam = np.maximum(lam, 1e-10 *", DETECTOR_TESTS),
     ("CUSUM forgetting factor ignored", DETECTOR,
