@@ -9,17 +9,18 @@ N = G'R~G and P_d are diagonal, and a step is a fixed sequence of elementwise op
 on (channel, run) arrays: R~ = (P^- + R)^{-1} in closed form, h = R~ g, N = g'h,
 P_d = 1/N, M = P_d h', d = M nu, and the update for C = I and diagonal R (Kitanidis,
 Automatica 23(6), 1987): W = R~ - h M, x = y - R W nu, P = R - R W R. Each box row bounds
-one coordinate, so the attack's projection is a clip and the state's a 2 x 2 box problem
-per channel, `_box_pairs` (Simon, IET CTA 4(8), 2010), with the general projector's
-tolerance `projection._FEAS_REL`, so the active counts are the general projector's. Every
-column is projected in one contiguous pass, the ise columns on unbounded boxes, and a face's
-multiplier test runs only where a channel holds both coordinates: one coordinate held on the
-side it passed has a nonnegative multiplier, Q_i |e_i - c_i|. Every operation acts on one
-run at a time, so a run's result does not depend on its batch, bit for bit. Noise comes
-from `NoiseSpec(seed, i)` in chunks of _NOISE_CHUNK steps, bit for bit `NoiseSpec.sample`,
-each held in channel form. A step's checks test the whole batch first and run the exact
-per-column test, naming the column, only when that fails. `_blocks` records _BLOCK steps
-at a time, and every output of `harness._run` and `run_ensemble` is assembled from them.
+one coordinate, and a block's first rows are the estimates (e1, e2, d): one pass clips them
+and tests each row at its own tolerance, the general projector's `projection._FEAS_REL`, so
+the active counts are its; the ise columns' boxes are unbounded. The attack's projection is
+then the clip, the state's a 2 x 2 box problem per channel, `_box_pairs` (Simon, IET CTA
+4(8), 2010), whose multiplier test runs only where a channel holds both coordinates: one
+held on the side it passed has a nonnegative multiplier, Q_i |e_i - c_i|. Every operation
+acts on one run at a time, so a run's result does not depend on its batch, bit for bit.
+Noise comes from `NoiseSpec(seed, i)` in chunks of _NOISE_CHUNK steps, bit for bit
+`NoiseSpec.sample`, each held in channel form. A step's checks test the whole batch first and
+run the exact per-column test, naming the column, only when that fails. `_blocks` records
+_BLOCK steps at a time and counts their active bounds once; every output of `harness._run`
+and `run_ensemble` is assembled from them.
 """
 
 from dataclasses import dataclass
@@ -36,10 +37,10 @@ from .vehicle import VehicleParams, attack_input, build_constraints, slip_angle,
 __all__ = ["EnsembleResult", "run_ensemble"]
 
 _FILTERS = ("care", "ise")
-# rows of a kernel block (row, filter, channel, run), the channels (x, v) and (y, psi):
-# first coordinates (x, y), second (v, psi), their variances, the covariances, and the
-# attack estimate and variances acting on each channel, (acceleration, steering)
-_E1, _E2, _P11, _P22, _P12, _D, _PD = range(7)
+# rows of a kernel block (row, filter, channel, run), channels (x, v) and (y, psi): the
+# estimates the boxes bound, first coordinates (x, y), second (v, psi) and the attack on each
+# channel (acceleration, steering); then the coordinates' variances, covariance, attack variance
+_E1, _E2, _D, _P11, _P22, _P12, _PD = range(7)
 _ROWS = 7
 # state indices of the channels' first and second coordinates
 _CH = [[0, 1], [3, 2]]
@@ -48,7 +49,7 @@ _CH_POS = np.argsort(np.ravel(_CH))  # each state's place in (coordinate, channe
 # coordinate at its upper bound, -1 at its lower one
 _FACES = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
           (1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
-# steps per block of `_blocks`, whose buffers hold 32 + 256 bytes per run-step and filter.
+# steps per block of `_blocks`, whose buffers hold 22 + 256 bytes per run-step and filter.
 # On 2 x86-64 cores, recording and assembly added 23 us per run-step in blocks of 1 and 5.4
 # in 32 or 64 (monte_carlo 4 x 1,000), 5.3 and 0.5-1.0 (audited run_ensemble 50 x 1,000)
 _BLOCK = 32
@@ -142,17 +143,16 @@ def _intervals(name, A, b):
 def _face(E, Q, P12, H, F, C, lo, hi, tol, S=None):
     """The KKT point Z of pairs E = (e1, e2) on the face holding coordinate i at C_i where F_i,
     free elsewhere, for held offsets H = E - C (0 where free), partner variances Q = (P22, P11)
-    and covariance P12; and whether Z passes the KKT test: every bound met within tol, and
-    multipliers >= 0, on the face S_i [P^{-1} H]_i det P for sides S, 1 upper and -1 lower.
+    and covariance P12; and per coordinate the KKT test, a pair's if both pass: bounds met
+    within tol, multipliers S_i [P^{-1} H]_i det P >= 0 for sides S, 1 upper and -1 lower.
     S=None holds each coordinate on the side it passed, sign(H): a channel holding one then
     has the multiplier S_i Q_i H_i = Q_i |H_i| >= 0, so only channels holding both are tested."""
-    Z = np.where(F, C, E - P12 / Q * H[::-1])
+    Z = E - P12 / Q * H[::-1]
+    np.copyto(Z, C, where=F)
     ok = np.maximum(Z - hi, lo - Z) <= tol
-    ok = ok[0] & ok[1]
     both = F[0] & F[1] if S is None else np.True_
     if np.count_nonzero(both):
-        lam = (np.sign(H) if S is None else S) * (Q * H - P12 * H[::-1]) >= 0.0
-        ok &= lam[0] & lam[1] | ~both
+        ok &= ((np.sign(H) if S is None else S) * (Q * H - P12 * H[::-1]) >= 0.0) | ~both
     return Z, ok
 
 
@@ -166,49 +166,45 @@ def _require_information(info, where, k):
                               partial(where, k))
 
 
-def _box_pairs(E, P, P12, lo, hi, tol, where):
-    """Project pairs E = (e1, e2) onto boxes lo <= z <= hi in the metrics
-    (P11, P12; P12, P22)^{-1}, P = (P11, P22), in place.
-
-    E, P, lo and hi are (2, ..., 2, n), P12 (..., 2, n) and tol broadcasts to (..., 2, n),
-    as (n,) does for (2, 2, n): the two channels of the entries (..., n), +-inf where a
-    coordinate has no bound. A bound is violated when passed by more than tol. A pair stays
-    on the face of its violated bounds if that passes `_face`'s KKT test; otherwise the
-    first face of _FACES that passes is the optimum, unique for a positive definite metric.
-    The covariance becomes (I - G A_O) P (I - G A_O)': a bounded coordinate's variance and
-    covariance drop to 0, a free one's loses P12^2 over the other's. Returns each entry's
-    active bounds, summed over channels, and whether any of its channels left its violated
-    bounds' face; RuntimeError names where(..., i) if no face passes."""
-    C = np.minimum(np.maximum(E, lo), hi)
-    D = E - C
-    F = np.abs(D) > tol
+def _box_pairs(E, P, P12, C, D, F, lo, hi, tol, where):
+    """Project pairs E = (e1, e2) onto boxes lo <= z <= hi in the metrics (P11, P12; P12,
+    P22)^{-1}, P = (P11, P22), in place, given their clip C, D = E - C and the bounds F passed
+    by more than tol. E, P, C, D, F, lo and hi are (2, ..., 2, n), P12 (..., 2, n) and tol
+    broadcasts to (2, ..., 2, n): the two channels of the entries (..., n), +-inf where a
+    coordinate has no bound. A pair stays on the face of its violated bounds if that passes
+    `_face`'s KKT test; otherwise the first face of _FACES that passes is the optimum, unique
+    for a positive definite metric, and F is rewritten to its bounds. The covariance becomes
+    (I - G A_O) P (I - G A_O)': a bounded coordinate's variance and covariance drop to 0, a
+    free one's loses P12^2 over the other's. Returns the number of entries with a channel
+    that left its violated bounds' face; RuntimeError names where(..., i) if no face passes."""
     if not np.count_nonzero(F):
-        left = np.zeros(E.shape[1:-2] + E.shape[-1:], dtype=bool)
-        return np.zeros(left.shape, dtype=np.int64), left
+        return 0
     Q = P[::-1]
     Z, ok = _face(E, Q, P12, D * F, F, C, lo, hi, tol)
-    left = ~ok
-    if np.count_nonzero(left):
-        tol = np.broadcast_to(tol, left.shape)
+    left = 0
+    if np.count_nonzero(ok) != ok.size:
+        off = ~(ok[0] & ok[1])
+        tol = np.broadcast_to(tol, E.shape)
         with np.errstate(invalid="ignore"):
-            for at in zip(*left.nonzero()):
+            for at in zip(*off.nonzero()):
                 a = (slice(None),) + at
                 pair, box = (E[a], Q[a], P12[at]), (lo[a], hi[a])
                 for side in map(np.array, _FACES):
                     target = np.where(side > 0, box[1], np.where(side < 0, box[0], pair[0]))
                     held = side != 0.0
-                    z, good = _face(*pair, pair[0] - target, held, target, *box, tol[at], side)
-                    if good:
+                    z, good = _face(*pair, pair[0] - target, held, target, *box, tol[a], side)
+                    if good.all():
                         Z[a], F[a] = z, held
                         break
                 else:
                     raise RuntimeError("no face of the box passes the KKT test at "
                                        f"{where(*at[:-2], at[-1])}")
+        left = np.count_nonzero(off[..., 0, :] | off[..., 1, :])
     E[...] = Z
-    P[...] = np.where(F, 0.0, P - F[::-1] * (P12 * P12 / Q))
+    np.subtract(P, P12 * P12 / Q, out=P, where=F[::-1])
+    np.putmask(P, F, 0.0)
     np.putmask(P12, F[0] | F[1], 0.0)
-    count = np.add(F[0], F[1], dtype=np.int64)
-    return count[..., 0, :] + count[..., 1, :], left[..., 0, :] | left[..., 1, :]
+    return left
 
 
 class _Batch:
@@ -219,8 +215,8 @@ class _Batch:
     of fin_raw; truth (2, 2, R) holds the true coordinates. Each filter schedules its
     matrices on its own speed estimate, the plant on the true speed. After `step(k)` the
     properties x and x_true read step k's final and true states one row per column, each a
-    new array assembled on request. in_act and st_act, the halves of act, are the active
-    constraint counts; dev is |M C G - I| (filter, channel, run), mcg_dev its column maxima.
+    new array assembled on request, as are in_act and st_act, the counts of mask's active
+    bounds of the rows (e1, e2, d); dev is |M C G - I| (filter, channel, run), mcg_dev its maxima.
     """
 
     def __init__(self, config: ScenarioConfig, run_indices, filters):
@@ -254,8 +250,8 @@ class _Batch:
         q = _diagonal("Q", self.noise_model.Q(0))
         r = _diagonal("R", self.noise_model.R(1))
         p0 = _diagonal("P0", config.p0_scale * np.eye(4))
-        d_lo, d_hi, self.d_maxb = _intervals("A_in", self.A_in, self.b_in)
-        x_lo, x_hi, self.x_maxb = _intervals("B_st", self.B_st, self.c_st)
+        d_lo, d_hi, d_maxb = _intervals("A_in", self.A_in, self.b_in)
+        x_lo, x_hi, x_maxb = _intervals("B_st", self.B_st, self.c_st)
 
         # constants spread to whole arrays: numpy's elementwise calls cost
         # least on operands of one contiguous shape
@@ -269,12 +265,12 @@ class _Batch:
         self.u, self.u_plant = spread(u, both), spread(u, plant)
         self.qr, self.r = spread((q + r)[_CH], both), spread(r[_CH], both)
         self.r_sq, self.r12 = self.r ** 2, self.r[0] * self.r[1]
-        # every column's attack and state box; the ise columns' are unbounded
+        # every column's state and attack box, stacked as the rows (e1, e2, d) of fin, and
+        # the largest bound of each; the ise columns' boxes are unbounded
         care = np.array([name == "care" for name in self.names])[:, None, None]
-        self.d_box, self.x_box = ((np.where(care, spread(lo, shape), -np.inf),
-                                   np.where(care, spread(hi, shape), np.inf))
-                                  for lo, hi, shape in ((d_lo[::-1], d_hi[::-1], (F, 2, R)),
-                                                        (x_lo[_CH], x_hi[_CH], both)))
+        self.box = tuple(np.where(care, spread(np.vstack((x[_CH], d[::-1])), (3, F, 2, R)), inf)
+                         for x, d, inf in ((x_lo, d_lo, -np.inf), (x_hi, d_hi, np.inf)))
+        self.maxb = spread([[x_maxb] * 2] * 2 + [[d_maxb] * 2], (3, F, 2, R))
         # the road and speed box of the truth; the heading is free
         self.truth_box = tuple(spread(np.array(b)[_CH], plant) for b in (
             (0.0, 0.0, -np.inf, 0.0), (params.x_max, params.y_max, np.inf, params.v_max)))
@@ -282,9 +278,7 @@ class _Batch:
         self.sched[::2, :, 0], self.plant_sched[::2, 0] = params.T_s, params.T_s
 
         self.n_care = R if "care" in self.names else 0
-        self.fallbacks = 0
-        self.in_act, self.st_act = self.act = np.zeros((2, F * R), dtype=np.int64)
-        self.act_cols = self.act.reshape(2, F, R)
+        self.fallbacks, self.mask = 0, np.zeros((3, F, 2, R), dtype=bool)
         self.y, self.dev = np.empty(both), np.zeros((F, 2, R))
         self.fin, self.raw = self.fin_raw = np.zeros((2, _ROWS, F, 2, R))
         x0 = np.asarray(config.x0, dtype=float)
@@ -298,6 +292,8 @@ class _Batch:
     x = property(lambda self: _now(_states, self.fin))
     x_true = property(lambda self: _now(_states, self.truth))
     mcg_dev = property(lambda self: np.maximum(self.dev[:, 0], self.dev[:, 1]).reshape(-1))
+    in_act = property(lambda self: np.count_nonzero(self.mask[2], axis=1).reshape(-1))
+    st_act = property(lambda self: np.count_nonzero(self.mask[:2], axis=(0, 2)).reshape(-1))
 
     def _draw_chunk(self, k0):
         """Draw the noise of steps k0 + 1 ... k0 + c, c = min(_NOISE_CHUNK, K - k0), as
@@ -365,50 +361,54 @@ class _Batch:
             self._project(k)
 
     def _project(self, k):
-        """Project every column of fin onto its attack and state boxes in one pass; the ise
-        columns' boxes are unbounded, so their clip is the identity and no bound is violated."""
+        """Project every column of fin onto its state and attack boxes in one pass over the
+        estimate rows (e1, e2, d): one clip and one test at each row's tolerance into mask,
+        then the clip of d and `_box_pairs` of (e1, e2). The ise columns' boxes are
+        unbounded, so their clip is the identity and no bound is violated."""
         finite = np.isfinite(self.fin)
         if np.count_nonzero(finite) != finite.size:
             i = int((~finite.all(axis=(0, 2))).argmax())  # the column f * R + run
-            field = "covariance" if finite[[_E1, _E2, _D]].all(axis=(0, 2)).flat[i] else "estimate"
+            field = "covariance" if finite[:3].all(axis=(0, 2)).flat[i] else "estimate"
             raise ValueError(f"non-finite {field} at {self._where(k, i)}")
-        E, P, P12, d, Pd = self.fin_rows
-        tol = _FEAS_REL * (1.0 + np.sqrt(d[:, 1] * d[:, 1] + d[:, 0] * d[:, 0]) + self.d_maxb)
-        clip = np.minimum(np.maximum(d, self.d_box[0]), self.d_box[1])
-        act = np.abs(d - clip) > tol[:, None]
-        if np.count_nonzero(act):
-            np.copyto(d, clip, where=act)
-            np.putmask(Pd, act, 0.0)
-        np.add(act[:, 0], act[:, 1], dtype=np.int64, out=self.act_cols[0])
-        E2 = E * E  # summed in state order, x, y, psi, v
-        tol = _FEAS_REL * (1.0 + np.sqrt(E2[0, :, 0] + E2[0, :, 1] + E2[1, :, 1] + E2[1, :, 0])
-                           + self.x_maxb)
-        R = len(self.run_indices)
-        self.act_cols[1], left = _box_pairs(E, P, P12, *self.x_box, tol[:, None],
-                                            lambda f, i: self._where(k, f * R + i))
-        self.fallbacks += int(np.count_nonzero(left))
+        (E, P, P12, d, Pd), X, (lo, hi), F = self.fin_rows, self.fin[:3], self.box, self.mask
+        # each row's squared norm, the state's summed in state order x, y, psi, v, per channel
+        X2 = X * X
+        tol = X2 + X2[:, :, ::-1]
+        tol[0] += X2[1, :, 1:]
+        tol[0] += X2[1, :, :1]
+        tol[1] = tol[0]
+        tol = _FEAS_REL * (1.0 + np.sqrt(tol) + self.maxb)
+        C = np.minimum(np.maximum(X, lo), hi)
+        D = X - C
+        np.greater(np.abs(D), tol, out=F)
+        np.copyto(d, C[2], where=F[2])
+        np.putmask(Pd, F[2], 0.0)
+        self.fallbacks += _box_pairs(E, P, P12, C[:2], D[:2], F[:2], lo[:2], hi[:2], tol[:2],
+                                     lambda f, i: self._where(k, f * X.shape[-1] + i))
 
 
 def _blocks(batch):
-    """Step `batch` through its horizon, copying each step's fin_raw, truth, act and dev into
-    buffers of _BLOCK steps laid out (..., step, run). Yields each full block, and the
-    horizon's last, as (k0, fin_raw, truth, act, mcg) of steps k0 + 1 ... k0 + m: views
-    that the next overwrites, and mcg, each column's largest |M C G - I| in the block."""
-    K, R, N = batch.horizon, len(batch.run_indices), batch.act.shape[1]
+    """Step `batch` through its horizon, copying each step's fin_raw, truth, mask and dev into
+    buffers of _BLOCK steps. Yields each full block, and the horizon's last, as (k0, fin_raw,
+    truth, act, mcg) of steps k0 + 1 ... k0 + m: fin_raw and truth (..., m, run), views that
+    the next overwrites; act (2, m, column), the attack's and the state's active bounds; and
+    mcg, each column's largest |M C G - I| in the block."""
+    K, R, N = batch.horizon, len(batch.run_indices), batch.dev[:, 0].size
     B = min(_BLOCK, K)
     fin_raw, truth = np.empty(batch.fin_raw.shape[:-1] + (B, R)), np.empty((2, 2, B, R))
-    act, dev = np.empty((2, B, N), dtype=np.int64), np.empty((B,) + batch.dev.shape)
+    mask, dev = np.empty((B,) + batch.mask.shape, dtype=bool), np.empty((B,) + batch.dev.shape)
     m = 0
     for k in range(1, K + 1):
         batch.step(k)
         fin_raw[..., m, :] = batch.fin_raw
         truth[..., m, :] = batch.truth
-        act[:, m] = batch.act
+        mask[m] = batch.mask
         dev[m] = batch.dev
         m += 1
         if m == B or k == K:
             mcg = dev[:m].max(axis=(0, 2)).reshape(N)
-            yield k - m, fin_raw[..., :m, :], truth[..., :m, :], act[:, :m], mcg
+            act = np.count_nonzero(mask[:m, 2], axis=2), np.count_nonzero(mask[:m, :2], axis=(1, 3))
+            yield k - m, fin_raw[..., :m, :], truth[..., :m, :], np.reshape(act, (2, m, N)), mcg
             m = 0
 
 

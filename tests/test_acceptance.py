@@ -210,6 +210,16 @@ def test_criterion_4_detection_improvement(mc100):
     sustained = sum(r.filters["care"].metrics.sustained_alarm for r in results)
     print(f"criterion 4: mean F_neg care {fn_care.mean():.3f} vs "
           f"ise {fn_ise.mean():.3f}; sustained alarms {sustained}/100")
+    # measured, not gated: the steps before the attack starts, in F_neg's alignment (the
+    # statistic of step k tests row k - 1 of d_true), where any exceedance is a false alarm
+    pre = int(np.any(results[0].d_true != 0.0, axis=1).argmax())
+    quantile = chi2_quantile(2, results[0].config.alpha)
+    for name in ("care", "ise"):
+        runs = [r.filters[name] for r in results]
+        over = np.mean([run.stats[1:pre + 1] > quantile for run in runs])
+        alarm = np.mean([run.alarms[1:pre + 1] for run in runs])
+        print(f"criterion 4: {name} before the attack (k <= {pre}): statistic over the "
+              f"chi-square quantile on {over:.1%} of steps, CUSUM alarm on {alarm:.1%}")
     assert np.isfinite(fn_care).all() and np.isfinite(fn_ise).all()
     assert (fn_care <= fn_ise).all()
     assert fn_ise.mean() > 0.4

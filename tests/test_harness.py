@@ -862,6 +862,17 @@ class TestEnsemble:
 
 
 
+def box_pairs(E, V, P12, lo, hi, tol):
+    """`ensemble._box_pairs` from the clip and the violated bounds that `_Batch._project`
+    gives it: (each entry's active bounds, summed over channels, entries that left the face
+    of their violated bounds)."""
+    C = np.minimum(np.maximum(E, lo), hi)
+    D = E - C
+    F = np.abs(D) > tol
+    left = ensemble._box_pairs(E, V, P12, C, D, F, lo, hi, tol, str)
+    return F.sum(axis=(0, -2)), left
+
+
 def channel_projection(e, P, lo, hi):
     """`ensemble._box_pairs` on one pair e, metric P^{-1} and box lo <= z <= hi,
     with the general projector's tolerance: (estimate, covariance, active count).
@@ -873,7 +884,7 @@ def channel_projection(e, P, lo, hi):
     P12 = np.array([[P[0, 1]], [free[2]]])
     lo, hi = (np.stack([b, np.full(2, inf)], axis=1)[..., None] for b, inf in ((lo, -np.inf),
                                                                               (hi, np.inf)))
-    count, _ = ensemble._box_pairs(E, V, P12, lo, hi, np.array([tol]), str)
+    count, _ = box_pairs(E, V, P12, lo, hi, np.array([tol]))
     assert (E[:, 1, 0].tolist(), V[:, 1, 0].tolist(), P12[1, 0]) == free
     return E[:, 0, 0], np.array([[V[0, 0, 0], P12[0, 0]], [P12[0, 0], V[1, 0, 0]]]), int(count[0])
 
@@ -1002,10 +1013,69 @@ class TestChannelForm:
         lo[:, 1], hi[:, 1] = -np.inf, np.inf
         tol = _FEAS_REL * (1.0 + np.sqrt((E * E).sum(axis=(0, 1))) + 1.0)
         kept = E[..., 1].copy(), V[..., 1].copy(), P12[:, 1].copy()
-        count, left = ensemble._box_pairs(E, V, P12, lo, hi, tol, str)
-        assert count.tolist() == [1, 0] and not left.any()
+        count, left = box_pairs(E, V, P12, lo, hi, tol)
+        assert count.tolist() == [1, 0] and left == 0
         for got, want in zip((E[..., 1], V[..., 1], P12[:, 1]), kept):
             assert _same(got, want)
+
+    def test_each_estimate_row_keeps_its_own_tolerance(self):
+        # one pass tests the rows (e1, e2, d), each at its own tolerance. Run 0's
+        # acceleration passes its bound 3.5 by delta, over the attack's tolerance and under
+        # the state's, and its y passes y <= 5 by the same delta: the attack is clipped
+        # and y kept, bit for bit. Run 1's steering is far out, which lifts the attack's
+        # tolerance over the state's, and its y passes by 2e-8, between the two: both
+        # are projected. (row, channel, run) of the care filter, channels (x, v), (y, psi)
+        E1, E2, D, P11, P22, P12, PD = (ensemble._E1, ensemble._E2, ensemble._D, ensemble._P11,
+                                        ensemble._P22, ensemble._P12, ensemble._PD)
+        batch = ensemble._Batch(ScenarioConfig(horizon=5, seed=3), range(2), ("care",))
+        fin, delta = batch.fin[:, 0], 2e-9
+        fin[E1], fin[E2] = [[19.0, 19.0], [5.0 + delta, 5.0 + 2e-8]], [[21.0, 21.0], [0.1, 0.1]]
+        fin[D] = [[3.5 + delta, 0.0], [0.0, 1000.0]]
+        fin[P11], fin[P22], fin[P12], fin[PD] = 1.0, 2.0, 0.3, 0.5
+        norm = np.sqrt((fin[[E1, E2]] ** 2).sum(axis=(0, 1)))
+        tol_x = _FEAS_REL * (1.0 + norm + 22.0)
+        tol_d = _FEAS_REL * (1.0 + np.sqrt((fin[D] ** 2).sum(axis=0)) + 3.5)
+        assert tol_d[0] < delta < tol_x[0] and tol_x[1] < 2e-8 < tol_d[1]
+        before = fin.copy()
+        batch._project(1)
+        assert batch.in_act.tolist() == [1, 1] and batch.st_act.tolist() == [0, 1]
+        assert fin[D, 0, 0] == 3.5 and fin[PD, 0, 0] == 0.0
+        assert fin[D, 1, 1] == 1.0472 and fin[PD, 1, 1] == 0.0
+        assert _same(fin[[D, PD], 1, 0], before[[D, PD], 1, 0])
+        assert _same(fin[[D, PD], 0, 1], before[[D, PD], 0, 1])
+        assert _same(fin[:D, :, 0], before[:D, :, 0])
+        assert _same(fin[P11:PD, :, 0], before[P11:PD, :, 0])
+        # run 1's y is held at 5 and psi moves along the covariance, as `_face` has it
+        assert fin[E1, 1, 1] == 5.0 and fin[P11, 1, 1] == 0.0 and fin[P12, 1, 1] == 0.0
+        assert fin[E2, 1, 1] == 0.1 - 0.3 / 1.0 * (before[E1, 1, 1] - 5.0)
+        assert fin[P22, 1, 1] == 2.0 - 0.3 * 0.3 / 1.0
+        state = [E1, E2, P11, P22, P12]
+        assert _same(fin[state, 0, 1], before[state, 0, 1])
+
+    def test_active_counts_are_the_kept_faces(self, monkeypatch):
+        # at step 3, the last, run 0's (x, v) is put at (40, 9) with unit variances and
+        # covariance 0.9: its violated face x = 20 puts v at -9, off the box, so `_FACES`
+        # keeps the corner (20, 0). The counts, the kernel's and `simulate`'s, are those of
+        # the kept face, 2 held coordinates, not the 1 violated bound; y = 2.5 is in its box
+        project = ensemble._Batch._project
+
+        def injected(batch, k):
+            if k == 3:
+                fin = batch.fin[:, 0, :, 0]  # (row, channel) of care on run 0
+                rows = [ensemble._E1, ensemble._E2, ensemble._P11, ensemble._P22, ensemble._P12]
+                fin[rows, 0] = 40.0, 9.0, 1.0, 1.0, 0.9
+                fin[ensemble._E1, 1] = 2.5
+            project(batch, k)
+
+        monkeypatch.setattr(ensemble._Batch, "_project", injected)
+        cfg = ScenarioConfig(horizon=3, seed=3)
+        batch = ensemble._Batch(cfg, range(2), ("care",))
+        for k in range(1, 4):
+            batch.step(k)
+        assert batch.fallbacks == 1
+        assert batch.st_act[0] == 2 and batch.x[0, [0, 3]].tolist() == [20.0, 0.0]
+        fr = simulate(cfg, filters=("care",), detector=False).filters["care"]
+        assert fr.state_active[2] == 2 and fr.x_hat[3, [0, 3]].tolist() == [20.0, 0.0]
 
     def test_pair_projection_matches_project_state(self):
         # random 2 x 2 metrics (correlation up to 0.99, variances over four

@@ -74,6 +74,10 @@ MUTANTS = [
      KERNEL_TESTS),
     ("ise columns given the care boxes", ENSEMBLE,
      '[name == "care" for name in self.names]', '[True for name in self.names]', KERNEL_TESTS),
+    ("attack row compared at the state tolerance", ENSEMBLE,
+     "tol[1] = tol[0]", "tol[1:] = tol[0]", KERNEL_TESTS),
+    ("active counts read before the fallback", ENSEMBLE,
+     "F[:2], lo[:2], hi[:2]", "F[:2].copy(), lo[:2], hi[:2]", KERNEL_TESTS),
     ("detector floor 1e-12 -> 1e-10", DETECTOR,
      "lam = np.maximum(lam, 1e-12 *", "lam = np.maximum(lam, 1e-10 *", DETECTOR_TESTS),
     ("CUSUM forgetting factor ignored", DETECTOR,
