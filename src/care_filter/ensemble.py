@@ -20,7 +20,12 @@ Noise comes from `NoiseSpec(seed, i)` in chunks of _NOISE_CHUNK steps, bit for b
 `NoiseSpec.sample`, each held in channel form. A step's checks test the whole batch first and
 run the exact per-column test, naming the column, only when that fails. `_blocks` records
 _BLOCK steps at a time and counts their active bounds once; every output of `harness._run`
-and `run_ensemble` is assembled from them.
+and `run_ensemble` is assembled from them. A step costs what numpy's calls cost, and their
+operands set that: on (2, 1, 2, 24) float64 a call took 0.41 us with same-shape forward-stride
+operands, 0.98 us with a (1, 2, 24) broadcast, 1.25 us with a [::-1] view and 0.59-0.64 us
+with a Python float, and indexing a view 0.2-0.4 us. So `__init__` binds the step's views and
+buffers, and partner rows, spread constants and reciprocals replace those operands in the same
+order of operations, for the same bits.
 """
 
 from dataclasses import dataclass
@@ -32,7 +37,7 @@ from .config import ScenarioConfig
 from .estimator import _IDENT_LIMIT, _require_identifiable
 from .model import NoiseSpec, _draw_noise
 from .projection import _FEAS_REL
-from .vehicle import VehicleParams, attack_input, build_constraints, slip_angle, vehicle_model
+from .vehicle import VehicleParams, attack_signal, build_constraints, slip_angle, vehicle_model
 
 __all__ = ["EnsembleResult", "run_ensemble"]
 
@@ -111,12 +116,13 @@ def _now(rows, S):
     return rows(S[..., None, :])[:, 0]
 
 
-def _schedule(v, T, l_r, sched):
-    """Write the speed-dependent entries, on the speed v, of the schedule
-    (s, g1, g2) = ((T, vT), (0, vT), (T, vT / l_r)) of channels (x, v), (y, psi)."""
-    vT = np.multiply(v, T, out=sched[0, ..., 1, :])
-    sched[1, ..., 1, :] = vT
-    np.divide(vT, l_r, out=sched[2, ..., 1, :])
+def _schedule(v, T, l_r, vT, g1, g2):
+    """Write the speed-dependent entries, on the speed v and T and l_r at its shape, of the
+    schedule (s, g1, g2) = ((T, vT), (0, vT), (T, vT / l_r)) of channels (x, v), (y, psi):
+    the views vT of s, g1 of each row holding g1 and g2 of g2 on channel (y, psi)."""
+    np.multiply(v, T, out=vT)
+    g1[...] = vT
+    np.divide(vT, l_r, out=g2)
 
 
 def _diagonal(name, M):
@@ -140,19 +146,19 @@ def _intervals(name, A, b):
     return lo, hi, np.abs(b / a).max(initial=0.0)
 
 
-def _face(E, Q, P12, H, F, C, lo, hi, tol, S=None):
+def _face(E, Q, P12, H, Hr, F, C, lo, hi, tol, S=None):
     """The KKT point Z of pairs E = (e1, e2) on the face holding coordinate i at C_i where F_i,
-    free elsewhere, for held offsets H = E - C (0 where free), partner variances Q = (P22, P11)
-    and covariance P12; and per coordinate the KKT test, a pair's if both pass: bounds met
-    within tol, multipliers S_i [P^{-1} H]_i det P >= 0 for sides S, 1 upper and -1 lower.
-    S=None holds each coordinate on the side it passed, sign(H): a channel holding one then
-    has the multiplier S_i Q_i H_i = Q_i |H_i| >= 0, so only channels holding both are tested."""
-    Z = E - P12 / Q * H[::-1]
+    free elsewhere, for held offsets H = E - C (0 where free), their partners Hr, partner
+    variances Q = (P22, P11) and covariance P12 in both rows; and per coordinate the KKT test,
+    a pair's if both pass: bounds met within tol, multipliers S_i [P^{-1} H]_i det P >= 0 for
+    sides S, 1 upper and -1 lower. S=None holds each coordinate on the side it passed, sign(H):
+    a channel holding one then has the multiplier Q_i |H_i| >= 0, so only both are tested."""
+    Z = E - P12 / Q * Hr
     np.copyto(Z, C, where=F)
     ok = np.maximum(Z - hi, lo - Z) <= tol
     both = F[0] & F[1] if S is None else np.True_
     if np.count_nonzero(both):
-        ok &= ((np.sign(H) if S is None else S) * (Q * H - P12 * H[::-1]) >= 0.0) | ~both
+        ok &= ((np.sign(H) if S is None else S) * (Q * H - P12 * Hr) >= 0.0) | ~both
     return Z, ok
 
 
@@ -179,8 +185,9 @@ def _box_pairs(E, P, P12, C, D, F, lo, hi, tol, where):
     that left its violated bounds' face; RuntimeError names where(..., i) if no face passes."""
     if not np.count_nonzero(F):
         return 0
-    Q = P[::-1]
-    Z, ok = _face(E, Q, P12, D * F, F, C, lo, hi, tol)
+    Q, P12s, H = P[::-1].copy(), np.empty_like(P), D * F  # Q, P12 and H's partners at E's shape
+    P12s[...] = P12
+    Z, ok = _face(E, Q, P12s, H, H[::-1].copy(), F, C, lo, hi, tol)
     left = 0
     if np.count_nonzero(ok) != ok.size:
         off = ~(ok[0] & ok[1])
@@ -188,11 +195,11 @@ def _box_pairs(E, P, P12, C, D, F, lo, hi, tol, where):
         with np.errstate(invalid="ignore"):
             for at in zip(*off.nonzero()):
                 a = (slice(None),) + at
-                pair, box = (E[a], Q[a], P12[at]), (lo[a], hi[a])
+                pair, box = (E[a], Q[a], P12s[a]), (lo[a], hi[a])
                 for side in map(np.array, _FACES):
                     target = np.where(side > 0, box[1], np.where(side < 0, box[0], pair[0]))
-                    held = side != 0.0
-                    z, good = _face(*pair, pair[0] - target, held, target, *box, tol[a], side)
+                    held, H = side != 0.0, pair[0] - target
+                    z, good = _face(*pair, H, H[::-1], held, target, *box, tol[a], side)
                     if good.all():
                         Z[a], F[a] = z, held
                         break
@@ -201,7 +208,7 @@ def _box_pairs(E, P, P12, C, D, F, lo, hi, tol, where):
                                        f"{where(*at[:-2], at[-1])}")
         left = np.count_nonzero(off[..., 0, :] | off[..., 1, :])
     E[...] = Z
-    np.subtract(P, P12 * P12 / Q, out=P, where=F[::-1])
+    np.subtract(P, P12s * P12s / Q, out=P, where=F[::-1].copy())
     np.putmask(P, F, 0.0)
     np.putmask(P12, F[0] | F[1], 0.0)
     return left
@@ -215,8 +222,8 @@ class _Batch:
     of fin_raw; truth (2, 2, R) holds the true coordinates. Each filter schedules its
     matrices on its own speed estimate, the plant on the true speed. After `step(k)` the
     properties x and x_true read step k's final and true states one row per column, each a
-    new array assembled on request, as are in_act and st_act, the counts of mask's active
-    bounds of the rows (e1, e2, d); dev is |M C G - I| (filter, channel, run), mcg_dev its maxima.
+    new array assembled on request; mask holds the active bounds of the rows (e1, e2, d) and
+    dev |M C G - I| (filter, channel, run), buffers that each step rewrites.
     """
 
     def __init__(self, config: ScenarioConfig, run_indices, filters):
@@ -239,10 +246,10 @@ class _Batch:
         self.z = np.empty((R, min(_NOISE_CHUNK, K), 8, 1))
         self.noise = np.empty((2, min(_NOISE_CHUNK, K), 2, 2, R))
         self.d_chunk = np.empty((min(_NOISE_CHUNK, K), 2, 2, R))  # the chunk's d per G entry
-        self.d_true = np.zeros((K, 2))
-        if config.attack == "vehicle":
-            for k in range(K):
-                self.d_true[k] = attack_input(k, params)
+        # the attack, attack_input's rows read from Python floats in one call
+        attack = ((slip_angle(s, params), a) for s, a in map(attack_signal, range(K)))
+        self.d_true = np.fromiter(attack, (float, 2), K) if config.attack == "vehicle" else \
+            np.zeros((K, 2))
         self._draw_chunk(0)
 
         u_raw = (config.control_delta, config.control_accel)
@@ -253,8 +260,10 @@ class _Batch:
         d_lo, d_hi, d_maxb = _intervals("A_in", self.A_in, self.b_in)
         x_lo, x_hi, x_maxb = _intervals("B_st", self.B_st, self.c_st)
 
-        # constants spread to whole arrays: numpy's elementwise calls cost
-        # least on operands of one contiguous shape
+        # constants spread to whole arrays, so that every per-step operand has one shape and
+        # forward stride: on (2, 1, 2, 24) float64 a call cost 0.41 us, 0.98 us with a
+        # (1, 2, 24) broadcast operand, 1.25 us with a [::-1] view and 0.59-0.64 us with a
+        # Python float (numpy 2.4, 2 x86-64 cores)
         def spread(values, shape):
             a = np.asarray(values, dtype=float)  # per channel, or per coordinate and channel
             a = a.reshape(a.shape[:1] + (1,) * (len(shape) - 3) + a.shape[1:]) if a.ndim == 2 else a
@@ -264,18 +273,18 @@ class _Batch:
         u = [u_raw[1], slip_angle(u_raw[0], params)]
         self.u, self.u_plant = spread(u, both), spread(u, plant)
         self.qr, self.r = spread((q + r)[_CH], both), spread(r[_CH], both)
-        self.r_sq, self.r12 = self.r ** 2, self.r[0] * self.r[1]
-        # every column's state and attack box, stacked as the rows (e1, e2, d) of fin, and
-        # the largest bound of each; the ise columns' boxes are unbounded
+        self.r_sq, self.r12, self.one = self.r ** 2, self.r[0] * self.r[1], np.ones((F, 2, R))
+        # every column's state and attack box, stacked as the rows (e1, e2, d) of fin; the
+        # ise columns' boxes are unbounded. Per row of a column, the constants of its
+        # tolerance _FEAS_REL (1 + |row| + the largest bound): 1, that bound and _FEAS_REL
         care = np.array([name == "care" for name in self.names])[:, None, None]
         self.box = tuple(np.where(care, spread(np.vstack((x[_CH], d[::-1])), (3, F, 2, R)), inf)
                          for x, d, inf in ((x_lo, d_lo, -np.inf), (x_hi, d_hi, np.inf)))
-        self.maxb = spread([[x_maxb] * 2] * 2 + [[d_maxb] * 2], (3, F, 2, R))
+        self.tol_consts = tuple(np.broadcast_to(np.reshape(c, (3, 1, 1)), (3, F, R)).copy()
+                                for c in ([1.0] * 3, [x_maxb, x_maxb, d_maxb], [_FEAS_REL] * 3))
         # the road and speed box of the truth; the heading is free
         self.truth_box = tuple(spread(np.array(b)[_CH], plant) for b in (
             (0.0, 0.0, -np.inf, 0.0), (params.x_max, params.y_max, np.inf, params.v_max)))
-        self.sched, self.plant_sched = np.zeros((3, F, 2, R)), np.zeros((3, 2, R))
-        self.sched[::2, :, 0], self.plant_sched[::2, 0] = params.T_s, params.T_s
 
         self.n_care = R if "care" in self.names else 0
         self.fallbacks, self.mask = 0, np.zeros((3, F, 2, R), dtype=bool)
@@ -288,12 +297,31 @@ class _Batch:
         # the row views a step reads and writes, (E, P, P12, d, Pd) of fin and raw
         self.fin_rows, self.raw_rows = ((b[_E1:_E2 + 1], b[_P11:_P22 + 1], b[_P12], b[_D], b[_PD])
                                         for b in (self.fin, self.raw))
+        # the views a step reads and writes, bound once, as indexing costs 0.2-0.4 us a view:
+        # the schedules (s, g1, g2) of the plant and of the filters, whose g1 is repeated in a
+        # fourth row so that rows 2 and 3 are G's partners (g2, g1), each with `_schedule`'s
+        # arguments; then the rows of the truth and of the filters
+        sched, plant_sched = np.zeros((4, F, 2, R)), np.zeros((3, 2, R))
+        sched[::2, :, 0], plant_sched[::2, 0] = params.T_s, params.T_s
+        truth, (E, P, P12) = self.truth, self.fin_rows[:3]
+        self.schedules = [(v, np.full(v.shape, params.T_s), np.full(v.shape, params.l_r),
+                           S[0, ..., 1, :], S[1::2, ..., 1, :], S[2, ..., 1, :])
+                          for v, S in ((truth[1, 0], plant_sched), (E[1, :, 0], sched))]
+        self.plant_rows = truth[0], truth[1], plant_sched[0], plant_sched[1:], truth[:, None]
+        self.filter_rows = E, E[1], P, P[1], P12, sched[0], sched[1:3], sched[2:]
+        # 2-row buffers with their rows: nu, its partners, S, R~'s diagonal, h, M and a product
+        self.work = [(w, w[0], w[1]) for w in np.empty((7,) + both)]
+        # the projection's rows (e1, e2, d), their squares and norms with the views that sum
+        # them over channels and spread them back, its tolerances, clip, offsets and their rows
+        X2, n, (tol, C, D), (lo, hi), mask = np.empty((3, F, 2, R)), np.empty((3, F, R)), \
+            np.empty((3, 3, F, 2, R)), self.box, self.mask
+        self.norms = (self.fin[:3], X2, X2[:, :, 0], X2[:, :, 1], X2[1, :, 1], X2[1, :, 0], n,
+                      n[0], n[1], n[:, :, None])
+        self.clip = tol, C, D, C[2], mask[2], (E, P, P12, C[:2], D[:2], mask[:2], lo[:2],
+                                               hi[:2], tol[:2])
 
     x = property(lambda self: _now(_states, self.fin))
     x_true = property(lambda self: _now(_states, self.truth))
-    mcg_dev = property(lambda self: np.maximum(self.dev[:, 0], self.dev[:, 1]).reshape(-1))
-    in_act = property(lambda self: np.count_nonzero(self.mask[2], axis=1).reshape(-1))
-    st_act = property(lambda self: np.count_nonzero(self.mask[:2], axis=(0, 2)).reshape(-1))
 
     def _draw_chunk(self, k0):
         """Draw the noise of steps k0 + 1 ... k0 + c, c = min(_NOISE_CHUNK, K - k0), as
@@ -315,45 +343,50 @@ class _Batch:
         if j == len(self.w):
             self._draw_chunk(km1)
             j = 0
-        T, l_r = self.params.T_s, self.params.l_r
 
         # the truth, A x + B u + B d + w clipped, in the matrices' order of sums: A couples
         # each channel's first coordinate to its second by s, and (g1, g2) is its input column
-        truth, s, G = self.truth, self.plant_sched[0], self.plant_sched[1:]
-        _schedule(truth[1, 0], T, l_r, self.plant_sched)
-        prior = truth.copy()
-        prior[0] += s * truth[1]
-        prior += G * self.u_plant
-        prior += G * self.d_chunk[j]
-        np.add(prior, self.w[j], out=truth)
+        truth, (t0, t1, s, G, truth_f) = self.truth, self.plant_rows
+        _schedule(*self.schedules[0])
+        t0 += s * t1
+        truth += G * self.u_plant
+        truth += G * self.d_chunk[j]
+        truth += self.w[j]
         if self.clamp_truth:
             np.minimum(np.maximum(truth, self.truth_box[0], out=truth), self.truth_box[1], out=truth)
-        y = np.add(truth[:, None], self.v[j][:, None], out=self.y)  # one y per filter
+        y = np.add(truth_f, self.v[j][:, None], out=self.y)  # one y per filter
 
         # the filters on their own speeds: the innovation and S = A P A' + Q + R
-        (E, P, P12, _, _), s, G = self.fin_rows, self.sched[0], self.sched[1:]
-        _schedule(E[1, :, 0], T, l_r, self.sched)
-        nu = E + G * self.u
-        nu[0] += s * E[1]
+        E, E1, P, P1, P12, s, G, G_rev = self.filter_rows
+        (nu, nu0, nu1), (nr, nr0, nr1), (S, S0, S1), (Rt, Rt0, Rt1), (h, h0, _), (M, _, M1), \
+            (prod, prod0, prod1) = self.work  # nr is nu's partners (nu2, nu1)
+        _schedule(*self.schedules[1])
+        np.add(E, G * self.u, out=nu)
+        nu0 += s * E1
         np.subtract(y, nu, out=nu)
-        S12 = P12 + s * P[1]
-        S = P + self.qr
-        S[0] += s * (P12 + S12)
+        S12 = P12 + s * P1
+        np.add(P, self.qr, out=S)
+        S0 += s * (P12 + S12)
         # R~ = (Rt11, -A12; -A12, Rt22), h = R~ g, N = g'h, P_d, M and d
-        inv_det = 1.0 / (S[0] * S[1] - S12 * S12)
-        Rt, A12 = S[::-1] * inv_det, S12 * inv_det
-        h = Rt * G - A12 * G[::-1]
-        Gh = G * h
-        info = Gh[0] + Gh[1]
+        inv_det = np.reciprocal(S0 * S1 - S12 * S12)
+        np.multiply(S1, inv_det, out=Rt0)
+        np.multiply(S0, inv_det, out=Rt1)
+        A12 = S12 * inv_det
+        np.subtract(Rt * G, A12 * G_rev, out=h)
+        np.multiply(G, h, out=prod)
+        info = prod0 + prod1
         _require_information(info, self._where, k)
         x_raw, P_raw, P12_raw, d_raw, Pd_raw = self.raw_rows
-        M = np.divide(1.0, info, out=Pd_raw) * h
-        Mnu, MG = M * nu, M * G
-        np.add(Mnu[0], Mnu[1], out=d_raw)
-        self.dev = np.abs(MG[0] + MG[1] - 1.0)
+        np.multiply(np.reciprocal(info, out=Pd_raw), h, out=M)
+        np.multiply(M, nu, out=prod)
+        np.add(prod0, prod1, out=d_raw)
+        np.multiply(M, G, out=prod)
+        dev = np.add(prod0, prod1, out=self.dev)
+        np.abs(np.subtract(dev, self.one, out=dev), out=dev)
         # W = R~ - h M = (W11, -B12; -B12, W22), x = y - R W nu, P = R - R W R
-        W, B12 = Rt - h * M, A12 + h[0] * M[1]
-        np.subtract(y, self.r * (W * nu - B12 * nu[::-1]), out=x_raw)
+        W, B12 = Rt - h * M, A12 + h0 * M1
+        nr0[...], nr1[...] = nu1, nu0
+        np.subtract(y, self.r * (W * nu - B12 * nr), out=x_raw)
         np.subtract(self.r, self.r_sq * W, out=P_raw)
         np.multiply(self.r12, B12, out=P12_raw)
         self.fin[...] = self.raw
@@ -370,21 +403,28 @@ class _Batch:
             i = int((~finite.all(axis=(0, 2))).argmax())  # the column f * R + run
             field = "covariance" if finite[:3].all(axis=(0, 2)).flat[i] else "estimate"
             raise ValueError(f"non-finite {field} at {self._where(k, i)}")
-        (E, P, P12, d, Pd), X, (lo, hi), F = self.fin_rows, self.fin[:3], self.box, self.mask
-        # each row's squared norm, the state's summed in state order x, y, psi, v, per channel
-        X2 = X * X
-        tol = X2 + X2[:, :, ::-1]
-        tol[0] += X2[1, :, 1:]
-        tol[0] += X2[1, :, :1]
-        tol[1] = tol[0]
-        tol = _FEAS_REL * (1.0 + np.sqrt(tol) + self.maxb)
-        C = np.minimum(np.maximum(X, lo), hi)
-        D = X - C
+        (_, _, _, d, Pd), (lo, hi), F = self.fin_rows, self.box, self.mask
+        X, X2, X2c0, X2c1, X2psi, X2v, n, n0, n1, n_spread = self.norms
+        tol, C, D, C_d, F_d, pairs = self.clip
+        # each row's squared norm over its channels, the state's in state order x, y, psi, v,
+        # then the tolerances, spread to both channels
+        np.multiply(X, X, out=X2)
+        np.add(X2c0, X2c1, out=n)
+        n0 += X2psi
+        n0 += X2v
+        n1[...] = n0
+        one, maxb, rel = self.tol_consts
+        np.add(one, np.sqrt(n, out=n), out=n)
+        n += maxb
+        np.multiply(rel, n, out=n)
+        tol[...] = n_spread
+        np.minimum(np.maximum(X, lo, out=C), hi, out=C)
+        np.subtract(X, C, out=D)
         np.greater(np.abs(D), tol, out=F)
-        np.copyto(d, C[2], where=F[2])
-        np.putmask(Pd, F[2], 0.0)
-        self.fallbacks += _box_pairs(E, P, P12, C[:2], D[:2], F[:2], lo[:2], hi[:2], tol[:2],
-                                     lambda f, i: self._where(k, f * X.shape[-1] + i))
+        np.copyto(d, C_d, where=F_d)
+        np.putmask(Pd, F_d, 0.0)
+        R = len(self.run_indices)
+        self.fallbacks += _box_pairs(*pairs, lambda f, i: self._where(k, f * R + i))
 
 
 def _blocks(batch):

@@ -8,8 +8,9 @@ the compensated filter, a stability diagnostic. `audit_reference` tallies
 `run_ensemble`'s projection audit one step at a time; `step_reference` and
 `ensemble_reference` record `simulate`/`monte_carlo`'s and `run_ensemble`'s
 outputs one step at a time from the kernel's state, read through `x`,
-`x_true` and the views `batch_x_raw` ... `batch_Pd_raw`, which the package
-does not need. `pinv_care_step` is `care_step` through an independent
+`x_true`, the views `batch_x_raw` ... `batch_Pd_raw` and the counts and maxima
+`batch_in_act`, `batch_st_act` and `batch_mcg_dev`, which the package does
+not need. `pinv_care_step` is `care_step` through an independent
 general-LTV chain: a time update with the estimate/attack cross covariance
 P_xd and a measurement update with a Moore-Penrose gain.
 """
@@ -195,6 +196,20 @@ def batch_Pd_raw(batch):
     return _attack_cov(_now(_attacks, batch.raw[_PD]))
 
 
+# per column, the active bounds of the attack and of the state in `_Batch`'s mask, and the
+# largest |M C G - I| of its dev, each a new array
+def batch_in_act(batch):
+    return np.count_nonzero(batch.mask[2], axis=1).reshape(-1)
+
+
+def batch_st_act(batch):
+    return np.count_nonzero(batch.mask[:2], axis=(0, 2)).reshape(-1)
+
+
+def batch_mcg_dev(batch):
+    return np.maximum(batch.dev[:, 0], batch.dev[:, 1]).reshape(-1)
+
+
 def _tally(audit, which, e_con, e_unc, W, tr_pre, tr_post):
     """Add one step's comparisons of the entries of one constraint set."""
     m_w = np.sqrt(np.einsum('ri,rij,rj->r', e_con, W, e_con)) \
@@ -235,12 +250,12 @@ def audit_reference(config, runs):
         d_feas = bool((batch.A_in @ d_true <= batch.b_in).all())
         x_feas = (x_true @ batch.B_st.T <= batch.c_st).all(axis=1)
         audit["truth_infeasible_steps"] += (0 if d_feas else runs) + int((~x_feas).sum())
-        ar = np.flatnonzero((batch.in_act > 0) & d_feas)
+        ar = np.flatnonzero((batch_in_act(batch) > 0) & d_feas)
         if ar.size:
             _tally(audit, "d", batch_d(batch)[ar] - d_true, batch_d_raw(batch)[ar] - d_true,
                    np.linalg.inv(batch_Pd_raw(batch)[ar]), np.trace(batch_Pd_raw(batch)[ar], axis1=1, axis2=2),
                    np.trace(batch_Pd(batch)[ar], axis1=1, axis2=2))
-        ar = np.flatnonzero((batch.st_act > 0) & x_feas)
+        ar = np.flatnonzero((batch_st_act(batch) > 0) & x_feas)
         if ar.size:
             _tally(audit, "x", batch.x[ar] - x_true[ar], batch_x_raw(batch)[ar] - x_true[ar],
                    np.linalg.inv(batch_P_raw(batch)[ar]),
@@ -271,7 +286,7 @@ def step_reference(config, run_indices, filters, detector):
     stay zero.
     """
     batch = _Batch(config, run_indices, filters)
-    N = len(batch.in_act)
+    N = len(batch_in_act(batch))
     det_cfg = DetectorConfig.from_parameters(config.alpha, df=2, phi=config.phi)
     det = DetectorState(S=np.zeros(N))
     zero = np.zeros(N)
@@ -292,9 +307,9 @@ def step_reference(config, run_indices, filters, detector):
                      ("trace_px", _trace_x(batch_P(batch))), ("trace_px_raw", _trace_x(batch_P_raw(batch))),
                      ("trace_pd", _trace_d(batch_Pd(batch))), ("trace_pd_raw", _trace_d(batch_Pd_raw(batch))),
                      ("stats", stat), ("cusum", det.S if detector else zero), ("alarms", alarm),
-                     ("input_active", batch.in_act), ("state_active", batch.st_act)):
+                     ("input_active", batch_in_act(batch)), ("state_active", batch_st_act(batch))):
             rec[f].append(np.array(v))  # a property may be a view of the kernel's state
-        np.maximum(max_mcg, batch.mcg_dev, out=max_mcg)
+        np.maximum(max_mcg, batch_mcg_dev(batch), out=max_mcg)
         if k > _TRANSIENT:
             np.maximum(max_pxu, _trace_x(batch_P_raw(batch)), out=max_pxu)
     out = {f: np.stack(v, axis=1) for f, v in rec.items()}
@@ -320,7 +335,7 @@ def ensemble_reference(config, runs, constrained):
         X.append(np.array(batch.x))
         D.append(np.array(batch_d(batch)))
         XT.append(np.array(batch.x_true))
-        max_mcg = max(max_mcg, float(batch.mcg_dev.max()))
+        max_mcg = max(max_mcg, float(batch_mcg_dev(batch).max()))
         if k > _TRANSIENT:
             tru = float(_trace_x(batch_P_raw(batch)).max())
             max_pxu = max(max_pxu, tru)

@@ -3,6 +3,7 @@ import re
 import tracemalloc
 from collections import Counter, defaultdict
 from functools import partial
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,10 +50,13 @@ from oracles import (
     audit_reference,
     batch_d,
     batch_d_raw,
+    batch_in_act,
+    batch_mcg_dev,
     batch_P,
     batch_P_raw,
     batch_Pd,
     batch_Pd_raw,
+    batch_st_act,
     batch_x_raw,
     ensemble_reference,
     pinv_care_step,
@@ -369,6 +373,56 @@ class TestEnsemble:
         for f in ("x_hat", "d_hat", "err_sq"):
             assert np.array_equal(getattr(big, f)[:5], getattr(small, f)), f
 
+    def test_batches_keep_their_own_buffers(self):
+        # batches stepped in turn, care + ise on 3 runs, care on 5 and ise on 5 (the care
+        # batch's shape) at three seeds, each give the fin_raw, truth, mask and dev of the
+        # batch stepped alone, bit for bit, after every round; and no array a batch reaches
+        # through its attributes, their tuples and lists shares memory with another's
+        specs = [(("care", "ise"), 3, 11), (("care",), 5, 12), (("ise",), 5, 13)]
+
+        def batches():
+            return [ensemble._Batch(ScenarioConfig(horizon=300, seed=seed), range(runs), filters)
+                    for filters, runs, seed in specs]
+
+        def state(batch):
+            return [a.tobytes() for a in (batch.fin_raw, batch.truth, batch.mask, batch.dev)]
+
+        def arrays(batch):
+            for name in dir(batch):
+                value = getattr(batch, name)
+                for a in value if isinstance(value, (tuple, list)) else [value]:
+                    for b in a if isinstance(a, (tuple, list)) else [a]:
+                        if isinstance(b, np.ndarray):
+                            yield name, b
+
+        alone = []
+        for batch in batches():
+            alone.append([])
+            for k in range(1, 301):
+                batch.step(k)
+                alone[-1].append(state(batch))
+        together = batches()
+        for k in range(1, 301):
+            for batch in together:
+                batch.step(k)
+            for i, batch in enumerate(together):
+                assert state(batch) == alone[i][k - 1], (k, i)
+        for i, batch in enumerate(together):
+            for other in together[i + 1:]:
+                for (name, a), (other_name, b) in product(arrays(batch), arrays(other)):
+                    assert not np.shares_memory(a, b), (i, name, other_name)
+        assert batch_in_act(together[1]).any() and batch_st_act(together[1]).any()
+
+    def test_attack_rows_are_attack_input(self):
+        # d_true is attack_input(k) for k = 0 ... K - 1, bit for bit, and zero without the attack
+        cfg = ScenarioConfig(horizon=1000, seed=3)
+        batch = ensemble._Batch(cfg, range(2), ("care",))
+        rows = np.array([attack_input(k, batch.params) for k in range(cfg.horizon)])
+        assert batch.d_true.shape == rows.shape and batch.d_true.tobytes() == rows.tobytes()
+        assert np.count_nonzero(rows[:, 0]) and np.count_nonzero(rows[:, 1])
+        quiet = ensemble._Batch(dataclasses.replace(cfg, attack="none"), range(2), ("care",))
+        assert quiet.d_true.shape == rows.shape and not quiet.d_true.any()
+
     @pytest.mark.parametrize("filters", [("care",), ("care", "ise")])
     def test_final_values_share_no_memory_with_the_raw_ones(self, filters):
         # x, P, d and Pd are views of the kernel's projection buffers; one
@@ -380,7 +434,7 @@ class TestEnsemble:
         active = 0
         for k in range(1, 161):
             batch.step(k)
-            active += int(batch.in_act.sum() + batch.st_act.sum())
+            active += int(batch_in_act(batch).sum() + batch_st_act(batch).sum())
             raws = (batch_x_raw(batch), batch_P_raw(batch), batch_d_raw(batch), batch_Pd_raw(batch))
             for final in (batch.x, batch_P(batch), batch_d(batch), batch_Pd(batch)):
                 for raw in raws:
@@ -445,8 +499,8 @@ class TestEnsemble:
         for k in range(1, 301):
             calls.clear()
             batch.step(k)
-            assert calls == ([(2, 2, 2, 6)] if batch.st_act.any() else []), k
-            active += int(batch.st_act.any())
+            assert calls == ([(2, 2, 2, 6)] if batch_st_act(batch).any() else []), k
+            active += int(batch_st_act(batch).any())
         assert active > 0 and batch.fallbacks == 0
 
     def test_noise_stream_is_each_runs_sample(self):
@@ -764,7 +818,7 @@ class TestEnsemble:
                                        ("P", batch_P_raw(batch)[row], upd.P_x)):
                     gap = np.abs(got - ref).max()
                     assert gap <= 1e-12 * np.abs(ref).max(), (k, row, name, gap)
-                assert abs(batch.mcg_dev[row] - mcg) <= 1e-14, (k, row)
+                assert abs(batch_mcg_dev(batch)[row] - mcg) <= 1e-14, (k, row)
 
     def test_ise_only_batch_builds_no_projection_buffers(self, monkeypatch):
         # an ise-only batch has no care columns and never reaches a projector
@@ -773,7 +827,7 @@ class TestEnsemble:
         assert batch.n_care == 0
         for k in range(1, 6):
             batch.step(k)
-        assert batch.in_act.sum() == 0 and batch.st_act.sum() == 0
+        assert batch_in_act(batch).sum() == 0 and batch_st_act(batch).sum() == 0
 
     def test_non_finite_covariance_of_an_ise_row_is_named(self):
         # ise rows are never projected; the attack stage stops the NaN
@@ -1038,7 +1092,7 @@ class TestChannelForm:
         assert tol_d[0] < delta < tol_x[0] and tol_x[1] < 2e-8 < tol_d[1]
         before = fin.copy()
         batch._project(1)
-        assert batch.in_act.tolist() == [1, 1] and batch.st_act.tolist() == [0, 1]
+        assert batch_in_act(batch).tolist() == [1, 1] and batch_st_act(batch).tolist() == [0, 1]
         assert fin[D, 0, 0] == 3.5 and fin[PD, 0, 0] == 0.0
         assert fin[D, 1, 1] == 1.0472 and fin[PD, 1, 1] == 0.0
         assert _same(fin[[D, PD], 1, 0], before[[D, PD], 1, 0])
@@ -1073,7 +1127,7 @@ class TestChannelForm:
         for k in range(1, 4):
             batch.step(k)
         assert batch.fallbacks == 1
-        assert batch.st_act[0] == 2 and batch.x[0, [0, 3]].tolist() == [20.0, 0.0]
+        assert batch_st_act(batch)[0] == 2 and batch.x[0, [0, 3]].tolist() == [20.0, 0.0]
         fr = simulate(cfg, filters=("care",), detector=False).filters["care"]
         assert fr.state_active[2] == 2 and fr.x_hat[3, [0, 3]].tolist() == [20.0, 0.0]
 

@@ -70,14 +70,18 @@ MUTANTS = [
     ("face multiplier gate skipped", ENSEMBLE,
      "    if np.count_nonzero(both):\n", "    if False:\n", KERNEL_TESTS),
     ("free offsets passed to the face", ENSEMBLE,
-     "_face(E, Q, P12, D * F, F, C, lo, hi, tol)", "_face(E, Q, P12, D, F, C, lo, hi, tol)",
-     KERNEL_TESTS),
+     "np.empty_like(P), D * F", "np.empty_like(P), D", KERNEL_TESTS),
     ("ise columns given the care boxes", ENSEMBLE,
      '[name == "care" for name in self.names]', '[True for name in self.names]', KERNEL_TESTS),
     ("attack row compared at the state tolerance", ENSEMBLE,
-     "tol[1] = tol[0]", "tol[1:] = tol[0]", KERNEL_TESTS),
+     "n1[...] = n0", "n[1:] = n0", KERNEL_TESTS),
     ("active counts read before the fallback", ENSEMBLE,
-     "F[:2], lo[:2], hi[:2]", "F[:2].copy(), lo[:2], hi[:2]", KERNEL_TESTS),
+     "_box_pairs(*pairs, ", "_box_pairs(*pairs[:5], pairs[5].copy(), *pairs[6:], ", KERNEL_TESTS),
+    ("reversed schedule written only at set-up", ENSEMBLE,
+     "S[1::2, ..., 1, :]", "S[1, ..., 1, :]", KERNEL_TESTS),
+    ("reversed innovation not refreshed", ENSEMBLE,
+     "        nr0[...], nr1[...] = nu1, nu0\n",
+     "        if k == 1:\n            nr0[...], nr1[...] = nu1, nu0\n", KERNEL_TESTS),
     ("detector floor 1e-12 -> 1e-10", DETECTOR,
      "lam = np.maximum(lam, 1e-12 *", "lam = np.maximum(lam, 1e-10 *", DETECTOR_TESTS),
     ("CUSUM forgetting factor ignored", DETECTOR,
