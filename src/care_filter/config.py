@@ -6,7 +6,7 @@ a complete configuration. Unknown keys are rejected rather than ignored;
 the CLI maps that rejection to exit code 1.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class ScenarioConfig:
     control_delta: float = 0.0
     control_accel: float = 0.0
     attack: str = "vehicle"
-    clamp_truth: bool = True
     l_f: float = 1.25
     l_r: float = 1.25
     t_s: float = 0.01
@@ -63,10 +62,6 @@ class ScenarioConfig:
             raise ConfigError("alarm_start must not exceed alarm_end")
 
 
-_BOOL_WORDS = {"true": True, "yes": True, "1": True,
-               "false": False, "no": False, "0": False}
-
-
 def _coerce(name, kind, raw):
     raw = raw.strip()
     try:
@@ -74,11 +69,6 @@ def _coerce(name, kind, raw):
             return int(raw)
         if kind is float:
             return float(raw)
-        if kind is bool:
-            try:
-                return _BOOL_WORDS[raw.lower()]
-            except KeyError:
-                raise ValueError(raw)
         if kind is tuple:
             return tuple(float(part) for part in raw.split(","))
         return raw
@@ -86,10 +76,8 @@ def _coerce(name, kind, raw):
         raise ConfigError(f"cannot parse value {raw!r} for key {name!r}") from None
 
 
-def parse_config(text: str, base: ScenarioConfig = None) -> ScenarioConfig:
-    base = base if base is not None else ScenarioConfig()
+def parse_config(text: str) -> ScenarioConfig:
     types = {f.name: f.type for f in fields(ScenarioConfig)}
-    kinds = {"int": int, "float": float, "bool": bool, "tuple": tuple, "str": str}
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -100,16 +88,15 @@ def parse_config(text: str, base: ScenarioConfig = None) -> ScenarioConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        kind = kinds.get(types[key], str) if isinstance(types[key], str) else types[key]
-        updates[key] = _coerce(key, kind, raw)
+        updates[key] = _coerce(key, types[key], raw)
     try:
-        return replace(base, **updates)
+        return ScenarioConfig(**updates)
     except ConfigError:
         raise
     except Exception as err:  # dataclass-level validation
         raise ConfigError(str(err)) from None
 
 
-def load_config(path, base: ScenarioConfig = None) -> ScenarioConfig:
+def load_config(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), base)
+        return parse_config(fh.read())

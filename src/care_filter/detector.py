@@ -177,14 +177,14 @@ def detection_statistic(d: np.ndarray, P: np.ndarray):
 @dataclass(frozen=True, slots=True)
 class DetectorConfig:
     """Significance level, degrees of freedom, forgetting rate, and the
-    derived chi-square quantile / CUSUM threshold. A forgetting rate of 0
-    is the memoryless chi-square test, whose threshold is the quantile."""
+    derived chi-square quantile. The CUSUM threshold quantile / (1 - phi)
+    is derived from them. A forgetting rate of 0 is the memoryless
+    chi-square test, whose threshold is the quantile."""
 
     alpha: float
     df: int
     phi: float
     quantile: float
-    threshold: float
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -194,14 +194,15 @@ class DetectorConfig:
             raise ValueError("forgetting rate must lie in [0, 1)")
         if self.quantile <= 0.0:
             raise ValueError("quantile must be positive")
-        expected = self.quantile / (1.0 - self.phi)
-        if abs(self.threshold - expected) > 1e-12 * max(1.0, abs(expected)):
-            raise ValueError("threshold must equal quantile / (1 - phi)")
+
+    @property
+    def threshold(self) -> float:
+        return self.quantile / (1.0 - self.phi)
 
     @classmethod
     def from_parameters(cls, alpha: float, df: int, phi: float) -> "DetectorConfig":
         q = chi2_quantile(df, alpha)
-        return cls(alpha=alpha, df=df, phi=phi, quantile=q, threshold=q / (1.0 - phi))
+        return cls(alpha=alpha, df=df, phi=phi, quantile=q)
 
 
 @dataclass(frozen=True, slots=True)

@@ -238,7 +238,6 @@ class _Batch:
             raise ValueError("runs must be positive")
         R, F, K = len(self.run_indices), len(self.names), config.horizon
         self.params = params = VehicleParams(l_f=config.l_f, l_r=config.l_r, T_s=config.t_s)
-        self.clamp_truth = config.clamp_truth
         self.horizon = K
         self.noise_model = vehicle_model(lambda k: 0.0, params)
         self.generators = [NoiseSpec(config.seed, run).generator() for run in self.run_indices]
@@ -352,8 +351,7 @@ class _Batch:
         truth += G * self.u_plant
         truth += G * self.d_chunk[j]
         truth += self.w[j]
-        if self.clamp_truth:
-            np.minimum(np.maximum(truth, self.truth_box[0], out=truth), self.truth_box[1], out=truth)
+        np.minimum(np.maximum(truth, self.truth_box[0], out=truth), self.truth_box[1], out=truth)
         y = np.add(truth_f, self.v[j][:, None], out=self.y)  # one y per filter
 
         # the filters on their own speeds: the innovation and S = A P A' + Q + R

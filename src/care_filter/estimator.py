@@ -123,11 +123,11 @@ class StepOutput:
     state_projection: "ProjectionResult | None"
 
 
-def initial_state(x0, P0=None, k=0) -> EstimatorState:
+def initial_state(x0, P0=None) -> EstimatorState:
     x0 = np.asarray(x0, dtype=float).ravel()
     if P0 is None:
         P0 = 10.0 * np.eye(x0.size)
-    return EstimatorState(x0, np.asarray(P0, dtype=float), k)
+    return EstimatorState(x0, np.asarray(P0, dtype=float))
 
 
 def _T(X):
@@ -223,14 +223,14 @@ def measurement_update(tu: TimeUpdated, atk: AttackEstimate, model: SystemModel,
     return UnconstrainedUpdate(x, _sym(tu.P_x - L @ _T(H)), L, k)
 
 
-def care_step(state: EstimatorState, model: SystemModel, constraints: ConstraintSet,
-              u, y, unconstrained_baseline: bool = False) -> StepOutput:
+def care_step(state: EstimatorState, model: SystemModel, constraints: "ConstraintSet | None",
+              u, y) -> StepOutput:
     """Run one full estimation step from x_{k-1} and y_k.
 
-    With unconstrained_baseline=True the projection stage is skipped
-    entirely and the returned state carries the unconstrained posterior;
-    the projection fields are then None. A non-finite y, x_hat or P_x
-    raises ValueError naming the field and its step k.
+    With constraints=None (the unconstrained baseline) the projection stage
+    is skipped entirely and the returned state carries the unconstrained
+    posterior; the projection fields are then None. A non-finite y, x_hat
+    or P_x raises ValueError naming the field and its step k.
     """
     y = np.asarray(y, dtype=float).ravel()
     for what, v, k in (("measurement y", y, state.k + 1),
@@ -243,7 +243,7 @@ def care_step(state: EstimatorState, model: SystemModel, constraints: Constraint
     tu = time_update(pred, atk, model, state)
     upd = measurement_update(tu, atk, model, y)
     k = pred.k
-    if unconstrained_baseline or constraints is None:
+    if constraints is None:
         return StepOutput(EstimatorState(upd.x_hat, upd.P_x, k), pred, atk, tu, upd,
                           atk.d_hat, atk.P_d, None, None)
     d_hat, P_d, in_proj = project_attack(

@@ -79,11 +79,7 @@ class ConstraintSet:
 
     @classmethod
     def unconstrained(cls, attack_dim: int, state_dim: int) -> "ConstraintSet":
-        Ad = np.zeros((0, attack_dim))
-        bd = np.zeros(0)
-        Bx = np.zeros((0, state_dim))
-        cx = np.zeros(0)
-        return cls(lambda k: Ad, lambda k: bd, lambda k: Bx, lambda k: cx)
+        return cls.constant(attack_dim=attack_dim, state_dim=state_dim)
 
     @classmethod
     def constant(cls, input_matrix=None, input_bound=None, state_matrix=None,

@@ -416,7 +416,7 @@ def _pinv_measurement_update(tu, atk, model, y):
     return UnconstrainedUpdate(x_u, P_u, L, k)
 
 
-def pinv_care_step(state, model, constraints, u, y, unconstrained_baseline=False):
+def pinv_care_step(state, model, constraints, u, y):
     """One step of `care_step` through the pseudoinverse chain.
 
     Predict; the weighted least-squares attack estimate with its cross
@@ -424,15 +424,15 @@ def pinv_care_step(state, model, constraints, u, y, unconstrained_baseline=False
     P* = P^- + A P_xd G' + (A P_xd G')' + G P_d G' - GMCQ - (GMCQ)'; the
     gain L = (P* C' - G M R) R*^+ with eigenvalues of R* below
     n_y ||R*|| 1e-12 dropped; the Joseph-form posterior covariance; then
-    the package's projections. It checks neither identifiability nor
-    finiteness. Returns the package's StepOutput.
+    the package's projections, none with constraints=None. It checks
+    neither identifiability nor finiteness. Returns the package's StepOutput.
     """
     pred = _pinv_predict(state, model, u)
     atk = _pinv_estimate_attack(pred, model, state.P_x, y)
     tu = _pinv_time_update(pred, atk, model, state)
     upd = _pinv_measurement_update(tu, atk, model, y)
     k = pred.k
-    if unconstrained_baseline or constraints is None:
+    if constraints is None:
         return StepOutput(EstimatorState(upd.x_hat, upd.P_x, k), pred, atk, tu, upd,
                           atk.d_hat, atk.P_d, None, None)
     d_hat, P_d, in_proj = project_attack(

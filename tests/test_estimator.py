@@ -556,7 +556,9 @@ class TestCareStep:
             input_matrix=[[1.0]], input_bound=[-10.0],  # forces a big clip
             state_matrix=None, state_dim=3,
         )
-        out = care_step(state, model, cons, u, y, unconstrained_baseline=True)
+        assert care_step(state, model, cons, u, y).input_projection.active_set
+        # constraints=None is the unconstrained baseline: no projection at all
+        out = care_step(state, model, None, u, y)
         assert out.input_projection is None
         assert out.state_projection is None
         np.testing.assert_array_equal(out.d_hat, out.attack.d_hat)

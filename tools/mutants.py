@@ -86,6 +86,11 @@ MUTANTS = [
      "lam = np.maximum(lam, 1e-12 *", "lam = np.maximum(lam, 1e-10 *", DETECTOR_TESTS),
     ("CUSUM forgetting factor ignored", DETECTOR,
      "S = acc[..., j] = config.phi * S + stat", "S = acc[..., j] = S + stat", DETECTOR_TESTS),
+    ("threshold = quantile", DETECTOR,
+     "return self.quantile / (1.0 - self.phi)", "return self.quantile", DETECTOR_TESTS),
+    ("truth clamp dropped", ENSEMBLE,
+     "        np.minimum(np.maximum(truth, self.truth_box[0], out=truth), self.truth_box[1], "
+     "out=truth)\n", "", KERNEL_TESTS),
 ]
 
 
