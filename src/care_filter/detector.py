@@ -1,15 +1,23 @@
 """Chi-square testing of attack estimates and CUSUM change detection.
 
-The chi-square quantile is computed internally by inverting the regularized
-incomplete gamma function, so the significance level and the degrees of
-freedom stay free parameters instead of being read off a hard-coded table.
+The chi-square tail P(X > x) is computed internally in closed form, so the
+significance level and the degrees of freedom stay free parameters instead
+of being read off a hard-coded table. The closed form holds for integer
+degrees of freedom, the only ones accepted, and needs only `math`: a sum of
+df // 2 Poisson-like terms, plus erfc for odd df. So a tail costs O(df)
+time, and a quantile, which bisects on the tail, takes about 7 ms at
+df = 1,000 and 0.7 s at df = 1e5 on a 2-core x86 VM under CPython 3.11;
+the detector's df is the attack dimension, 2 in the vehicle study. For
+alpha <= 0.5 the quantile is within 1e-14 relative of scipy's for df up to
+1,000, down to alpha = 1e-300. For alpha > 0.5 it is only as good as the
+CDF 1 - tail: within 5e-10 relative out to alpha = 1 - 1e-6.
 `detection_statistic` is d' P^{-1} d with tiny eigenvalues of P floored, so
 that a component pinned to a constraint boundary, where a pseudoinverse
 would drop it, still counts as evidence.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,120 +31,51 @@ __all__ = [
     "false_negative_rate",
 ]
 
-_GAMMA_EPS = 1e-16
-_GAMMA_MAX_ITER = 600
-_FPMIN = 1e-300
-
-
-def _gamma_p_series(a, x):
-    """Lower regularized gamma P(a, x) by power series, for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    n = 0
-    while n < _GAMMA_MAX_ITER:
-        n += 1
-        term *= x / (a + n)
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_contfrac(a, x):
-    """Upper regularized gamma Q(a, x) by continued fraction (Lentz), x >= a + 1."""
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def regularized_gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma function P(a, x)."""
-    if a <= 0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0:
-        raise ValueError("argument must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
-
-
-def chi2_cdf(x: float, df: int) -> float:
-    """CDF of the chi-square distribution with df degrees of freedom."""
-    _check_df(df)
-    if x <= 0.0:
-        return 0.0
-    return regularized_gamma_p(0.5 * df, 0.5 * x)
-
-
-def _chi2_pdf(x, df):
-    if x <= 0.0:
-        return 0.0
-    a = 0.5 * df
-    return math.exp((a - 1.0) * math.log(x) - 0.5 * x - math.lgamma(a) - a * math.log(2.0))
-
 
 def _check_df(df):
     if df != int(df) or df < 1:
         raise ValueError("degrees of freedom must be a positive integer")
 
 
+def _chi2_tail(x, df):
+    """P(X > x) for X chi-square with integer df, in closed form (A&S 26.4.4-5):
+    with h = x / 2 and j = (df mod 2) / 2, erfc(sqrt h) when df is odd plus
+    the df // 2 terms h^(i + j) e^(-h) / Gamma(i + j + 1), i < df // 2."""
+    h = 0.5 * x
+    if h <= 0.0:
+        return 1.0
+    j, log_h = 0.5 * (df % 2), math.log(h)
+    tail = math.erfc(math.sqrt(h)) if df % 2 else 0.0
+    for i in range(int(df) // 2):
+        tail += math.exp((i + j) * log_h - h - math.lgamma(i + j + 1.0))
+    return tail
+
+
+def chi2_cdf(x: float, df: int) -> float:
+    """CDF of the chi-square distribution with df degrees of freedom."""
+    _check_df(df)
+    return 1.0 - _chi2_tail(x, df)
+
+
 def chi2_quantile(df: int, alpha: float) -> float:
     """Upper-tail chi-square quantile: the q with P(X > q) = alpha.
 
-    Inverts the regularized incomplete gamma function with a bracketed
-    Newton iteration (bisection fallback), absolute tolerance 1e-10.
+    Brackets q by doubling, then bisects on the tail itself, not on
+    1 - CDF, until the bracket is two adjacent doubles, and returns the
+    upper one, whose tail is at most alpha.
     """
     _check_df(df)
     if not 0.0 < alpha < 1.0:
         raise ValueError("significance level must lie strictly between 0 and 1")
-    target = 1.0 - alpha
-
-    lo = 0.0
-    hi = float(df) + 10.0
-    guard = 0
-    while chi2_cdf(hi, df) < target:
-        hi *= 2.0
-        guard += 1
-        if guard > 600:
-            raise ArithmeticError("failed to bracket the chi-square quantile")
-
-    q = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = chi2_cdf(q, df) - target
-        if f > 0.0:
-            hi = q
+    lo, hi = 0.0, float(df) + 10.0
+    while _chi2_tail(hi, df) > alpha:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _chi2_tail(mid, df) > alpha:
+            lo = mid
         else:
-            lo = q
-        if hi - lo < 1e-10:
-            break
-        slope = _chi2_pdf(q, df)
-        if slope > 0.0:
-            step = q - f / slope
-        else:
-            step = lo - 1.0  # force bisection
-        if lo < step < hi:
-            q = step
-        else:
-            q = 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+            hi = mid
+    return hi
 
 
 def detection_statistic(d: np.ndarray, P: np.ndarray):
@@ -145,10 +84,13 @@ def detection_statistic(d: np.ndarray, P: np.ndarray):
     A projection onto an active constraint leaves (numerically) zero variance
     along the constraint normal while the estimate itself sits exactly on the
     boundary. The pseudoinverse statistic silently discards that component,
-    which turns the strongest possible evidence (an estimate pinned at the
-    physical limit) into no evidence at all. Flooring the eigenvalues at
-    1e-12 * (1 + trace P) keeps those components, and agrees with the exact
-    inverse whenever P is well conditioned.
+    so a pinned estimate would count as no evidence at all. Flooring the
+    eigenvalues at 1e-12 * (1 + trace P) keeps those components, and agrees
+    with the exact inverse whenever P is well conditioned. A pin is not
+    strong evidence of an attack, though: without one it happens with
+    probability P(|d_raw| > b), on about 12% of the vehicle study's steps, and
+    each such step's statistic then exceeds 1e6. So this statistic is over
+    the chi-square quantile far more often than alpha without an attack.
 
     d of shape (B, n) with P of shape (B, n, n) gives the B statistics of a
     batch as an array; a single vector d with its (n, n) covariance is the
@@ -184,16 +126,12 @@ class DetectorConfig:
     alpha: float
     df: int
     phi: float
-    quantile: float
+    quantile: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("significance level must lie strictly between 0 and 1")
-        _check_df(self.df)
         if not 0.0 <= self.phi < 1.0:
             raise ValueError("forgetting rate must lie in [0, 1)")
-        if self.quantile <= 0.0:
-            raise ValueError("quantile must be positive")
+        object.__setattr__(self, "quantile", chi2_quantile(self.df, self.alpha))
 
     @property
     def threshold(self) -> float:
@@ -201,8 +139,7 @@ class DetectorConfig:
 
     @classmethod
     def from_parameters(cls, alpha: float, df: int, phi: float) -> "DetectorConfig":
-        q = chi2_quantile(df, alpha)
-        return cls(alpha=alpha, df=df, phi=phi, quantile=q)
+        return cls(alpha=alpha, df=df, phi=phi)
 
 
 @dataclass(frozen=True, slots=True)

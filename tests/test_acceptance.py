@@ -220,6 +220,17 @@ def test_criterion_4_detection_improvement(mc100):
         alarm = np.mean([run.alarms[1:pre + 1] for run in runs])
         print(f"criterion 4: {name} before the attack (k <= {pre}): statistic over the "
               f"chi-square quantile on {over:.1%} of steps, CUSUM alarm on {alarm:.1%}")
+    # measured, not gated: F_neg with each filter's threshold set to the same empirical
+    # false-alarm rate, a percentile of its statistics at k > 100 over runs without attack
+    calm = monte_carlo(replace(results[0].config, attack="none", seed=results[0].config.seed + 1))
+    attacked = np.any(results[0].d_true != 0.0, axis=1)
+    for fa in (0.01, 0.05):
+        f_neg = {}
+        for name in ("care", "ise"):
+            cut = np.quantile(np.concatenate([r.filters[name].stats[101:] for r in calm]), 1 - fa)
+            f_neg[name] = np.mean([r.filters[name].stats[1:][attacked] <= cut for r in results])
+        print(f"criterion 4: at an equal false-alarm rate of {fa:.0%} without attack, "
+              f"F_neg care {f_neg['care']:.3f} vs ise {f_neg['ise']:.3f}")
     assert np.isfinite(fn_care).all() and np.isfinite(fn_ise).all()
     assert (fn_care <= fn_ise).all()
     assert fn_ise.mean() > 0.4

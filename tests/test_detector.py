@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import gammainc, mp
 
 from care_filter.config import ScenarioConfig
 from care_filter.detector import (
@@ -71,6 +72,26 @@ class TestQuantile:
             for alpha in ALPHAS:
                 ref = scipy_stats.chi2.ppf(1.0 - alpha, df)
                 assert chi2_quantile(df, alpha) == pytest.approx(ref, abs=1e-9)
+
+    def test_df2_is_minus_twice_the_log_of_alpha_in_the_far_tail(self):
+        # for two degrees of freedom the tail is exp(-q/2), so q = -2 ln(alpha)
+        for alpha in np.logspace(-300, math.log10(0.5), 200):
+            expected = -2.0 * math.log(alpha)
+            assert abs(chi2_quantile(2, alpha) - expected) <= 1e-13 * expected, alpha
+
+    def test_against_mpmath_at_alpha_1e_12(self):
+        # 40-digit bisection on the upper regularized incomplete gamma
+        for df in range(1, 11):
+            with mp.workdps(40):
+                lo, hi = mp.mpf(0), mp.mpf(200)
+                for _ in range(140):
+                    mid = (lo + hi) / 2
+                    if gammainc(mp.mpf(df) / 2, mid / 2, mp.inf, regularized=True) > 1e-12:
+                        lo = mid
+                    else:
+                        hi = mid
+                expected = float((lo + hi) / 2)
+            assert abs(chi2_quantile(df, 1e-12) - expected) <= 1e-12 * expected, df
 
     def test_alpha_near_one_gives_vanishing_quantile(self):
         assert chi2_quantile(2, 1.0 - 1e-12) < 1e-8
@@ -267,8 +288,15 @@ class TestCusum:
         cfg = DetectorConfig.from_parameters(0.01, 2, 0.15)
         assert cfg.quantile == pytest.approx(9.2103403719761827, abs=1e-8)
         assert cfg.threshold == pytest.approx(cfg.quantile / 0.85, rel=1e-13)
-        # the threshold is derived, never set
-        assert DetectorConfig(alpha=0.01, df=2, phi=0.15, quantile=9.21).threshold == 9.21 / 0.85
+        # the quantile and the threshold are derived, never set
+        direct = DetectorConfig(alpha=0.01, df=2, phi=0.15)
+        assert direct == cfg and direct.quantile == chi2_quantile(2, 0.01)
+        assert direct.threshold == direct.quantile / 0.85
+        with pytest.raises(TypeError):
+            DetectorConfig(alpha=0.01, df=2, phi=0.15, quantile=9.21)
+        for alpha, df in ((1.0, 2), (0.01, 0), (0.01, 2.5)):
+            with pytest.raises(ValueError):
+                DetectorConfig(alpha=alpha, df=df, phi=0.15)
         with pytest.raises(ValueError):
             DetectorConfig.from_parameters(0.01, 2, 1.5)
         with pytest.raises(ValueError):

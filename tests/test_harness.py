@@ -1200,7 +1200,7 @@ class TestCli:
     def test_quantile_prints_the_table_value(self, capsys):
         assert main(["quantile", "--df", "2", "--alpha", "0.01"]) == 0
         out = capsys.readouterr().out.strip()
-        assert out.startswith("9.21034")
+        assert out == "9.21034037198"
 
     def test_simulate_writes_three_files(self, tmp_path, capsys):
         cfg = _write(tmp_path / "cfg.txt", "horizon = 50\nseed = 11\n")

@@ -86,6 +86,10 @@ MUTANTS = [
      "lam = np.maximum(lam, 1e-12 *", "lam = np.maximum(lam, 1e-10 *", DETECTOR_TESTS),
     ("CUSUM forgetting factor ignored", DETECTOR,
      "S = acc[..., j] = config.phi * S + stat", "S = acc[..., j] = S + stat", DETECTOR_TESTS),
+    ("odd-df erfc term dropped", DETECTOR,
+     "tail = math.erfc(math.sqrt(h)) if df % 2 else 0.0", "tail = 0.0", DETECTOR_TESTS),
+    ("tail sum one term short", DETECTOR,
+     "for i in range(int(df) // 2):", "for i in range(int(df) // 2 - 1):", DETECTOR_TESTS),
     ("threshold = quantile", DETECTOR,
      "return self.quantile / (1.0 - self.phi)", "return self.quantile", DETECTOR_TESTS),
     ("truth clamp dropped", ENSEMBLE,
