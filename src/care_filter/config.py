@@ -37,6 +37,10 @@ class ScenarioConfig:
     alarm_end: int = 600
 
     def __post_init__(self):
+        for name in ("horizon", "seed", "runs", "pd_window_start", "alarm_start", "alarm_end"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer")
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
         if not 0.0 < self.alpha < 1.0:

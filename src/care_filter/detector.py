@@ -188,12 +188,13 @@ def cusum_update(state: DetectorState, stat, config: DetectorConfig):
 
 def false_negative_rate(stats, quantile: float, truth) -> float:
     """Fraction of attacked steps whose per-step statistic stays at or below
-    the quantile. Attacked means the true attack vector is nonzero. Uses
+    the quantile. Attacked means the true attack vector is nonzero. truth
+    holds one row per statistic; a 1-D truth is one scalar per step. Uses
     per-step chi-square decisions, not the CUSUM accumulator."""
     stats = np.asarray(stats, dtype=float).ravel()
-    truth_arr = np.atleast_2d(np.asarray(truth, dtype=float))
-    if truth_arr.shape[0] == 1 and stats.size > 1:
-        truth_arr = truth_arr.T
+    truth_arr = np.asarray(truth, dtype=float)
+    if truth_arr.ndim == 1:
+        truth_arr = truth_arr[:, None]
     if truth_arr.shape[0] != stats.size:
         raise ValueError("statistics and truth sequences must have equal length")
     attacked = np.any(truth_arr != 0.0, axis=1)

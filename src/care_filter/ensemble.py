@@ -3,29 +3,30 @@
 `_Batch` runs the MVU input/state filter (Gillijns & De Moor, Automatica 43(1), 2007) on
 realizations x filters at once and propagates each realization's truth. A couples x only
 with v and y only with psi, the attack's acceleration column (0, T) acts on v and its
-steering column (vT, vT/l_r) on (y, psi), C = I, and Q, R and P0 are diagonal, which
-`__init__` checks. So every covariance is zero off the channels (x, v) and (y, psi),
-N = G'R~G and P_d are diagonal, and a step is a fixed sequence of elementwise operations
-on (channel, run) arrays: R~ = (P^- + R)^{-1} in closed form, h = R~ g, N = g'h,
-P_d = 1/N, M = P_d h', d = M nu, and the update for C = I and diagonal R (Kitanidis,
-Automatica 23(6), 1987): W = R~ - h M, x = y - R W nu, P = R - R W R. Each box row bounds
-one coordinate, and a block's first rows are the estimates (e1, e2, d): one pass clips them
-and tests each row at its own tolerance, the general projector's `projection._FEAS_REL`, so
-the active counts are its; the ise columns' boxes are unbounded. The attack's projection is
-then the clip, the state's a 2 x 2 box problem per channel, `_box_pairs` (Simon, IET CTA
-4(8), 2010), whose multiplier test runs only where a channel holds both coordinates: one
-held on the side it passed has a nonnegative multiplier, Q_i |e_i - c_i|. Every operation
-acts on one run at a time, so a run's result does not depend on its batch, bit for bit.
-Noise comes from `NoiseSpec(seed, i)` in chunks of _NOISE_CHUNK steps, bit for bit
+steering column (vT, vT/l_r) on (y, psi), C = I, and Q, R and P0 are diagonal: Q and R are
+`VehicleParams`' q_diag and r_diag, P0 = p0_scale I. So every covariance is zero off the
+channels (x, v) and (y, psi), N = G'R~G and P_d are diagonal, and a step is a fixed sequence
+of elementwise operations on (channel, run) arrays: R~ = (P^- + R)^{-1} in closed form,
+h = R~ g, N = g'h, P_d = 1/N, M = P_d h', d = M nu, and the update for C = I and diagonal R
+(Kitanidis, Automatica 23(6), 1987): W = R~ - h M, x = y - R W nu, P = R - R W R. The boxes
+are `vehicle.box_bounds`' intervals, one per coordinate, which also clamp the truth and test
+its feasibility in the audit. A block's first rows are the estimates (e1, e2, d): one pass
+clips them and tests each row at its own tolerance, the general projector's
+`projection._FEAS_REL`, so the active counts are its; the ise columns' boxes are unbounded. The
+attack's projection is then the clip, the state's a 2 x 2 box problem per channel, `_box_pairs`
+(Simon, IET CTA 4(8), 2010), whose multiplier test runs only where a channel holds both
+coordinates: one held on the side it passed has a nonnegative multiplier, Q_i |e_i - c_i|.
+Every operation acts on one run at a time, so a run's result does not depend on its batch, bit
+for bit. Noise comes from `NoiseSpec(seed, i)` in chunks of _NOISE_CHUNK steps, bit for bit
 `NoiseSpec.sample`, each held in channel form. A step's checks test the whole batch first and
 run the exact per-column test, naming the column, only when that fails. `_blocks` records
-_BLOCK steps at a time and counts their active bounds once; every output of `harness._run`
-and `run_ensemble` is assembled from them. A step costs what numpy's calls cost, and their
-operands set that: on (2, 1, 2, 24) float64 a call took 0.41 us with same-shape forward-stride
-operands, 0.98 us with a (1, 2, 24) broadcast, 1.25 us with a [::-1] view and 0.59-0.64 us
-with a Python float, and indexing a view 0.2-0.4 us. So `__init__` binds the step's views and
-buffers, and partner rows, spread constants and reciprocals replace those operands in the same
-order of operations, for the same bits.
+_BLOCK steps at a time and counts their active bounds once; every output of `harness._run` and
+`run_ensemble` is assembled from them. A step costs what numpy's calls cost, and their operands
+set that: on (2, 1, 2, 24) float64 a call took 0.41 us with same-shape forward-stride operands,
+0.98 us with a (1, 2, 24) broadcast, 1.25 us with a [::-1] view and 0.59-0.64 us with a Python
+float, and indexing a view 0.2-0.4 us. So `__init__` binds the step's views and buffers, and
+partner rows, spread constants and reciprocals replace those operands in the same order of
+operations, for the same bits.
 """
 
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .config import ScenarioConfig
 from .estimator import _IDENT_LIMIT, _require_identifiable
 from .model import NoiseSpec, _draw_noise
 from .projection import _FEAS_REL
-from .vehicle import VehicleParams, attack_signal, build_constraints, slip_angle, vehicle_model
+from .vehicle import VehicleParams, attack_signal, box_bounds, slip_angle, vehicle_model
 
 __all__ = ["EnsembleResult", "run_ensemble"]
 
@@ -123,27 +124,6 @@ def _schedule(v, T, l_r, vT, g1, g2):
     np.multiply(v, T, out=vT)
     g1[...] = vT
     np.divide(vT, l_r, out=g2)
-
-
-def _diagonal(name, M):
-    """The diagonal of M; ValueError naming the field if M has another nonzero."""
-    if np.count_nonzero(M - np.diag(np.diag(M))):
-        raise ValueError(f"{name} must be diagonal for the channel-form kernel")
-    return np.diag(M).astype(float)
-
-
-def _intervals(name, A, b):
-    """Bounds lo, hi per coordinate of {z : A z <= b}, +-inf where none, and the
-    largest |b_i| / |a_i|; ValueError naming the field unless each row has one nonzero."""
-    if (np.count_nonzero(A, axis=1) != 1).any():
-        raise ValueError(f"each row of {name} must have exactly one nonzero "
-                         "for the channel-form kernel")
-    j = np.abs(A).argmax(axis=1)
-    a = A[range(len(A)), j]
-    lo, hi = np.full(A.shape[1], -np.inf), np.full(A.shape[1], np.inf)
-    np.maximum.at(lo, j[a < 0], (b / a)[a < 0])
-    np.minimum.at(hi, j[a > 0], (b / a)[a > 0])
-    return lo, hi, np.abs(b / a).max(initial=0.0)
 
 
 def _face(E, Q, P12, H, Hr, F, C, lo, hi, tol, S=None):
@@ -252,12 +232,13 @@ class _Batch:
         self._draw_chunk(0)
 
         u_raw = (config.control_delta, config.control_accel)
-        self.A_in, self.b_in, self.B_st, self.c_st = build_constraints(u_raw, params)
-        q = _diagonal("Q", self.noise_model.Q(0))
-        r = _diagonal("R", self.noise_model.R(1))
-        p0 = _diagonal("P0", config.p0_scale * np.eye(4))
-        d_lo, d_hi, d_maxb = _intervals("A_in", self.A_in, self.b_in)
-        x_lo, x_hi, x_maxb = _intervals("B_st", self.B_st, self.c_st)
+        # the attack and state boxes (d_lo, d_hi), (x_lo, x_hi), read by the truth's clamp,
+        # the projection and the audit
+        self.bounds = (d_lo, d_hi), (x_lo, x_hi) = box_bounds(u_raw, params)
+        q, r = np.array(params.q_diag, dtype=float), np.array(params.r_diag, dtype=float)
+        # each box's largest finite |bound|
+        d_maxb, x_maxb = (np.abs(b).max(where=np.isfinite(b), initial=0.0)
+                          for b in map(np.hstack, self.bounds))
 
         # constants spread to whole arrays, so that every per-step operand has one shape and
         # forward stride: on (2, 1, 2, 24) float64 a call cost 0.41 us, 0.98 us with a
@@ -281,9 +262,7 @@ class _Batch:
                          for x, d, inf in ((x_lo, d_lo, -np.inf), (x_hi, d_hi, np.inf)))
         self.tol_consts = tuple(np.broadcast_to(np.reshape(c, (3, 1, 1)), (3, F, R)).copy()
                                 for c in ([1.0] * 3, [x_maxb, x_maxb, d_maxb], [_FEAS_REL] * 3))
-        # the road and speed box of the truth; the heading is free
-        self.truth_box = tuple(spread(np.array(b)[_CH], plant) for b in (
-            (0.0, 0.0, -np.inf, 0.0), (params.x_max, params.y_max, np.inf, params.v_max)))
+        self.truth_box = tuple(spread(b[_CH], plant) for b in (x_lo, x_hi))
 
         self.n_care = R if "care" in self.names else 0
         self.fallbacks, self.mask = 0, np.zeros((3, F, 2, R), dtype=bool)
@@ -291,7 +270,7 @@ class _Batch:
         self.fin, self.raw = self.fin_raw = np.zeros((2, _ROWS, F, 2, R))
         x0 = np.asarray(config.x0, dtype=float)
         self.fin[_E1:_E2 + 1] = spread(x0[_CH], both)
-        self.fin[_P11:_P22 + 1] = spread(p0[_CH], both)
+        self.fin[_P11:_P22 + 1] = config.p0_scale
         self.truth = spread(x0[_CH], plant)
         # the row views a step reads and writes, (E, P, P12, d, Pd) of fin and raw
         self.fin_rows, self.raw_rows = ((b[_E1:_E2 + 1], b[_P11:_P22 + 1], b[_P12], b[_D], b[_PD])
@@ -474,8 +453,8 @@ def _audit_block(audit, batch, k0, fin, raw, truth, act):
     tally is a count, a sum or a maximum of per-entry arithmetic, so blocks do not matter."""
     m, R = truth.shape[-2:]
     # the attack's truth is shared by every run, so its feasibility is per step
-    d_feas = (batch.d_true[k0:k0 + m] @ batch.A_in.T <= batch.b_in).all(axis=1)
-    x_feas = (_now(_states, truth.reshape(2, 2, -1)) @ batch.B_st.T <= batch.c_st).all(axis=1)
+    d_feas, x_feas = (((lo <= z) & (z <= hi)).all(axis=1) for z, (lo, hi) in zip(
+        (batch.d_true[k0:k0 + m], _now(_states, truth.reshape(2, 2, -1))), batch.bounds))
     audit["truth_infeasible_steps"] += R * int((~d_feas).sum()) + int((~x_feas).sum())
     audited = (act[0] > 0) & d_feas[:, None]
     if np.count_nonzero(audited):

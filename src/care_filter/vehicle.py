@@ -20,6 +20,7 @@ __all__ = [
     "attack_input",
     "attack_signal",
     "bicycle_matrices",
+    "box_bounds",
     "build_constraints",
     "slip_angle",
     "steering_angle",
@@ -92,8 +93,8 @@ def attack_input(k: int, params: VehicleParams = VehicleParams()) -> np.ndarray:
     return np.array([slip_angle(delta_d, params), a_d])
 
 
-def build_constraints(u, params: VehicleParams = VehicleParams()):
-    """Constraint matrices for the attack estimate and the state estimate.
+def box_bounds(u, params: VehicleParams = VehicleParams()):
+    """The attack box and the state box, as per-coordinate bounds lo <= z <= hi.
 
     `u = (delta_u, a_u)` is the nominal control; the attacker's share of
     each actuator budget is what remains after the nominal command:
@@ -102,32 +103,33 @@ def build_constraints(u, params: VehicleParams = VehicleParams()):
     steer_max and delta_u are steering angles. In slip units the limit is
     slip_angle(steer_max) = 0.714; the scenario's attack reaches a slip of
     0.777, inside this box. Criteria 2-4 of the acceptance gate are set on
-    this box, so it stays.
-    Returns (A_in, b_in, B_st, c_st).
+    this box, so it stays. The state box is the road, 0 <= x <= x_max and
+    0 <= y <= y_max, and the speed, 0 <= v <= v_max; the heading is free.
+    Returns ((d_lo, d_hi), (x_lo, x_hi)), the attack's in (slip, accel)
+    order and the state's in (x, y, psi, v) order, -+inf where free.
     """
     delta_u, a_u = float(u[0]), float(u[1])
-    A_in = np.array([
-        [1.0, 0.0],
-        [-1.0, 0.0],
-        [0.0, 1.0],
-        [0.0, -1.0],
-    ])
-    b_in = np.array([
-        params.steer_max - delta_u,
-        params.steer_max + delta_u,
-        params.accel_max - a_u,
-        params.accel_max + a_u,
-    ])
-    B_st = np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, 0.0, -1.0],
-    ])
-    c_st = np.array([params.x_max, 0.0, params.y_max, 0.0, params.v_max, 0.0])
-    return A_in, b_in, B_st, c_st
+    attack = (np.array([-(params.steer_max + delta_u), -(params.accel_max + a_u)]),
+              np.array([params.steer_max - delta_u, params.accel_max - a_u]))
+    state = (np.array([0.0, 0.0, -np.inf, 0.0]),
+             np.array([params.x_max, params.y_max, np.inf, params.v_max]))
+    return attack, state
+
+
+def build_constraints(u, params: VehicleParams = VehicleParams()):
+    """The boxes of `box_bounds` as rows A z <= b, for the attack estimate
+    and the state estimate: each bounded coordinate's upper row, then its
+    lower row. Returns (A_in, b_in, B_st, c_st).
+    """
+    def rows(lo, hi):
+        eye = np.eye(len(lo))
+        # 0.0 + keeps a negated zero at +0.0
+        A, b = zip(*[(0.0 + s * eye[j], 0.0 + s * bound) for j in range(len(lo))
+                     for s, bound in ((1.0, hi[j]), (-1.0, lo[j])) if np.isfinite(bound)])
+        return np.array(A), np.array(b)
+
+    (d_lo, d_hi), (x_lo, x_hi) = box_bounds(u, params)
+    return (*rows(d_lo, d_hi), *rows(x_lo, x_hi))
 
 
 def vehicle_model(velocity, params: VehicleParams = VehicleParams()) -> SystemModel:

@@ -44,6 +44,7 @@ from care_filter.projection import (
     project_attack,
     project_state,
 )
+from care_filter.vehicle import build_constraints
 
 
 def qp_oracle(estimate, W, A, b):
@@ -235,9 +236,12 @@ def audit_reference(config, runs):
     and 4 x 4 matrices, so no inverse is shared with the kernel's audit) and
     in the Euclidean one, and the covariance traces after against before. A
     true value outside its set counts once per run and step in
-    truth_infeasible_steps.
+    truth_infeasible_steps. Feasibility is A z <= b on `build_constraints`'
+    rows, not on the kernel's intervals.
     """
     batch = _Batch(config, range(runs), ("care",))
+    A_in, b_in, B_st, c_st = build_constraints((config.control_delta, config.control_accel),
+                                               batch.params)
     audit = {"truth_infeasible_steps": 0}
     for which in ("x", "d"):
         audit.update({f"active_{which}": 0, f"viol_{which}_weighted": 0,
@@ -247,8 +251,8 @@ def audit_reference(config, runs):
     for k in range(1, config.horizon + 1):
         batch.step(k)
         d_true, x_true = batch.d_true[k - 1], batch.x_true
-        d_feas = bool((batch.A_in @ d_true <= batch.b_in).all())
-        x_feas = (x_true @ batch.B_st.T <= batch.c_st).all(axis=1)
+        d_feas = bool((A_in @ d_true <= b_in).all())
+        x_feas = (x_true @ B_st.T <= c_st).all(axis=1)
         audit["truth_infeasible_steps"] += (0 if d_feas else runs) + int((~x_feas).sum())
         ar = np.flatnonzero((batch_in_act(batch) > 0) & d_feas)
         if ar.size:

@@ -344,8 +344,11 @@ class TestFalseNegativeRate:
             false_negative_rate([1.0, 2.0], 9.21, [np.zeros(2), np.zeros(2)])
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            false_negative_rate([1.0], 9.21, [np.ones(2), np.ones(2)])
+        # one row of truth per statistic: one 2-D attack step is one row, not
+        # two scalar steps
+        for stats, truth in (([1.0], [np.ones(2), np.ones(2)]), ([10.0, 1.0], [[3.5, 0.0]])):
+            with pytest.raises(ValueError, match="must have equal length"):
+                false_negative_rate(stats, 9.21, truth)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from care_filter import cli, ensemble, harness, projection
 from care_filter.cli import main
-from care_filter.config import ScenarioConfig
+from care_filter.config import ConfigError, ScenarioConfig
 from care_filter.detector import DetectorConfig, DetectorState, cusum_update, detection_statistic
 from care_filter.ensemble import _now, _states, run_ensemble
 from care_filter.estimator import (
@@ -40,6 +40,7 @@ from care_filter.vehicle import (
     VehicleParams,
     attack_input,
     bicycle_matrices,
+    box_bounds,
     build_constraints,
     slip_angle,
     vehicle_constraints,
@@ -882,7 +883,6 @@ class TestEnsemble:
         # covariance's trace from 2 to 4 and shrinks the state covariance's
         # from 4 to 1: the attack's projected trace is set against its own
         # unprojected trace, not against the state's
-        A_in, b_in, B_st, c_st = build_constraints((0.0, 0.0), VehicleParams())
         # care blocks (row, channel, step, run) of one step and one run
         fin, raw = np.zeros((2, ensemble._ROWS, 2, 1, 1))
         truth = np.array([10.0, 2.5, 10.0, 0.0]).reshape(2, 2, 1, 1)  # (x, y), (v, psi)
@@ -890,8 +890,8 @@ class TestEnsemble:
         raw[ensemble._D] = 1.0
         fin[ensemble._PD], raw[ensemble._PD] = 2.0, 1.0
         fin[ensemble._P11:ensemble._P22 + 1], raw[ensemble._P11:ensemble._P22 + 1] = 0.25, 1.0
-        batch = SimpleNamespace(d_true=np.zeros((1, 2)), A_in=A_in, b_in=b_in, B_st=B_st,
-                                c_st=c_st)
+        batch = SimpleNamespace(d_true=np.zeros((1, 2)),
+                                bounds=box_bounds((0.0, 0.0), VehicleParams()))
         tally = defaultdict(int)
         ensemble._audit_block(tally, batch, 0, fin, raw, truth, np.ones((2, 1, 1), dtype=np.int64))
         assert tally["active_d"] == 1 and tally["active_x"] == 1
@@ -1138,38 +1138,6 @@ class TestChannelForm:
             moved += got[2] > 0
         assert moved > 100
 
-    @pytest.mark.parametrize("field", ["Q", "R", "A_in", "B_st"])
-    def test_batch_rejects_what_the_channel_form_cannot_hold(self, field, monkeypatch):
-        # the kernel keeps two channels and a box of intervals; a coupled
-        # noise covariance or a box row on two coordinates is refused where
-        # it enters, by name
-        def coupled(velocity, params):
-            model = vehicle_model(velocity, params)
-            M = (model.Q(0) if field == "Q" else model.R(1)).copy()
-            M[0, 3] = M[3, 0] = 1e-4
-            return dataclasses.replace(model, **{field: lambda k: M})
-
-        def tilted(u, params):
-            A_in, b_in, B_st, c_st = build_constraints(u, params)
-            if field == "A_in":
-                A_in = A_in + [[0.0, 0.5], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
-            else:
-                B_st = B_st.copy()
-                B_st[0, 3] = 0.1
-            return A_in, b_in, B_st, c_st
-
-        if field in ("Q", "R"):
-            monkeypatch.setattr(ensemble, "vehicle_model", coupled)
-            message = f"^{field} must be diagonal"
-        else:
-            monkeypatch.setattr(ensemble, "build_constraints", tilted)
-            message = f"^each row of {field} must have exactly one nonzero"
-        with pytest.raises(ValueError, match=message):
-            ensemble._Batch(ScenarioConfig(horizon=5), range(2), ("care",))
-        # P0 = p0_scale I is diagonal for every config; the check it passes
-        with pytest.raises(ValueError, match="^P0 must be diagonal"):
-            ensemble._diagonal("P0", np.full((4, 4), 0.5))
-
 
 def _write(path, text):
     path.write_text(text)
@@ -1196,6 +1164,22 @@ BAD_CONFIG_VALUES = (
 )
 
 
+@pytest.mark.parametrize("field, value", [
+    ("horizon", 2.5), ("seed", 1.5), ("seed", True), ("runs", 3.0),
+    ("pd_window_start", np.float64(100.0)), ("alarm_start", "110"), ("alarm_end", False),
+])
+def test_config_rejects_a_non_integer_count(field, value):
+    # built directly, not parsed: a float horizon would fail only in simulate,
+    # a float or bool seed only in NoiseSpec
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer$"):
+        ScenarioConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = ScenarioConfig(horizon=np.int64(5), seed=np.uint32(3), runs=np.int32(2))
+    assert simulate(cfg).filters["care"].x_hat.shape == (6, 4)
+
+
 class TestCli:
     def test_quantile_prints_the_table_value(self, capsys):
         assert main(["quantile", "--df", "2", "--alpha", "0.01"]) == 0
@@ -1219,6 +1203,19 @@ class TestCli:
         assert len(det) == 52
         met = (out / "metrics.csv").read_text().splitlines()
         assert len(met) == 3
+
+    def test_estimates_clipped_at_a_zero_bound_are_positive_zero(self, tmp_path, capsys):
+        # the truth's clamp and the projection read one declaration of the
+        # box, so both clip to its +0.0: no -0 in the default run's files
+        res = simulate(ScenarioConfig())
+        bounded = [0, 1, 3]  # x, y and v, each with the lower bound 0
+        for x in (res.filters["care"].x_hat[:, bounded], res.x_true[:, bounded]):
+            assert np.count_nonzero(x == 0.0) > 0
+            assert not np.signbit(x[x == 0.0]).any()
+        assert main(["simulate", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rows = (tmp_path / "trajectories.csv").read_text().splitlines()
+        assert "-0" not in {field for row in rows for field in row.split(",")}
 
     def test_baseline_flag_limits_columns(self, tmp_path, capsys):
         cfg = _write(tmp_path / "cfg.txt", "horizon = 30\n")

@@ -11,6 +11,7 @@ from care_filter.vehicle import (
     attack_input,
     attack_signal,
     bicycle_matrices,
+    box_bounds,
     build_constraints,
     slip_angle,
     steering_angle,
@@ -19,6 +20,14 @@ from care_filter.vehicle import (
 )
 
 P = VehicleParams()
+
+
+def assert_bytes_equal(arrays, literals):
+    """Each array is the float64 literal bit for bit, signs of zero included."""
+    for got, want in zip(arrays, literals, strict=True):
+        want = np.array(want, dtype=float)
+        assert got.dtype == want.dtype and got.shape == want.shape, (got, want)
+        assert got.tobytes() == want.tobytes(), (got, want)
 
 
 class TestKinematics:
@@ -97,18 +106,23 @@ class TestAttackSignal:
 
 class TestConstraints:
     def test_zero_control_boxes(self):
-        A_in, b_in, B_st, c_st = build_constraints((0.0, 0.0))
-        np.testing.assert_array_equal(
-            A_in, [[1, 0], [-1, 0], [0, 1], [0, -1]])
-        np.testing.assert_allclose(b_in, [1.0472, 1.0472, 3.5, 3.5])
-        np.testing.assert_allclose(c_st, [20.0, 0.0, 5.0, 0.0, 22.0, 0.0])
-        assert B_st.shape == (6, 4)
-        assert np.linalg.matrix_rank(B_st) == 3  # heading is unconstrained
+        # the rows of the declared boxes, each bounded coordinate's upper row
+        # then its lower one, with no negative zero; the heading is free
+        assert_bytes_equal(build_constraints((0.0, 0.0)), (
+            [[1, 0], [-1, 0], [0, 1], [0, -1]],
+            [1.0472, 1.0472, 3.5, 3.5],
+            [[1, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1],
+             [0, 0, 0, -1]],
+            [20.0, 0.0, 5.0, 0.0, 22.0, 0.0]))
+        (d_lo, d_hi), (x_lo, x_hi) = box_bounds((0.0, 0.0))
+        assert_bytes_equal((d_lo, d_hi, x_lo, x_hi), (
+            [-1.0472, -3.5], [1.0472, 3.5], [0.0, 0.0, -np.inf, 0.0], [20.0, 5.0, np.inf, 22.0]))
 
     def test_nominal_acceleration_shifts_the_box(self):
         _, b_in, _, _ = build_constraints((0.0, 1.0))
-        assert b_in[2] == pytest.approx(2.5)
-        assert b_in[3] == pytest.approx(4.5)
+        assert_bytes_equal((b_in,), ([1.0472, 1.0472, 2.5, 4.5],))
+        (d_lo, d_hi), _ = box_bounds((0.0, 1.0))
+        assert_bytes_equal((d_lo, d_hi), ([-1.0472, -4.5], [1.0472, 2.5]))
 
     def test_state_rows_encode_position_and_speed_boxes(self):
         _, _, B_st, c_st = build_constraints((0.0, 0.0))

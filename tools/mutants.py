@@ -28,9 +28,11 @@ PROJECTION_TESTS = ("tests/test_projection.py",)
 ENSEMBLE = "src/care_filter/ensemble.py"
 ESTIMATOR = "src/care_filter/estimator.py"
 DETECTOR = "src/care_filter/detector.py"
+VEHICLE = "src/care_filter/vehicle.py"
 KERNEL_TESTS = ("tests/test_harness.py",)
 ESTIMATOR_TESTS = ("tests/test_estimator.py", "tests/test_harness.py")
 DETECTOR_TESTS = ("tests/test_detector.py", "tests/test_harness.py")
+VEHICLE_TESTS = ("tests/test_vehicle.py", "tests/test_harness.py")
 
 # (name, file, text to replace, its replacement, test files to run)
 MUTANTS = [
@@ -95,6 +97,10 @@ MUTANTS = [
     ("truth clamp dropped", ENSEMBLE,
      "        np.minimum(np.maximum(truth, self.truth_box[0], out=truth), self.truth_box[1], "
      "out=truth)\n", "", KERNEL_TESTS),
+    ("attack box's lower accel bound shifted the wrong way", VEHICLE,
+     "-(params.accel_max + a_u)", "-(params.accel_max - a_u)", VEHICLE_TESTS),
+    ("truth at the upper bound audited as infeasible", ENSEMBLE,
+     "(z <= hi)", "(z < hi)", KERNEL_TESTS),
 ]
 
 
